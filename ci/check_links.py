@@ -9,8 +9,8 @@ and their liveness is not this gate's business. Bare intra-page anchors
 (``#section``) are skipped too.
 
 Exit status is non-zero iff at least one relative link is broken, with
-one ``file:line: target`` diagnostic per offender — the same contract as
-check_bench.py, so CI wires it in as a plain step.
+one ``file:line: target`` diagnostic per offender, so CI wires it in as a
+plain step.
 
 Usage::
 

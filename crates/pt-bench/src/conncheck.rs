@@ -13,7 +13,7 @@
 //! * SPCS with self-pruning disabled (the ablation path), sequential and
 //!   parallel,
 //! * the batch layer: `ProfileEngine::many_to_all` over all sources and
-//!   `S2sEngine::batch` over sampled pairs, both against the sequential
+//!   `S2sEngine::try_batch` over sampled pairs, both against the sequential
 //!   profiles,
 //! * `time_query::earliest_arrivals` evaluated against the sequential
 //!   profiles at sampled departure times (including late-night wrap-around
@@ -166,7 +166,7 @@ pub fn cross_check(
     }
 
     // Batch station-to-station: every source paired with a spread of
-    // targets, answered by S2sEngine::batch, against the sequential
+    // targets, answered by S2sEngine::try_batch, against the sequential
     // one-to-all profiles.
     let ns = net.num_stations() as u32;
     let pairs: Vec<(StationId, StationId)> = sources
@@ -179,14 +179,19 @@ pub fn cross_check(
         .collect();
     if !pairs.is_empty() {
         for &p in threads {
-            let results = S2sEngine::new().threads(p).batch(net, &pairs);
+            let results = S2sEngine::new()
+                .threads(p)
+                .try_batch(net, &pairs)
+                .expect("an engine without a table is never stale");
             for (r, &(s, t)) in results.iter().zip(&pairs) {
                 let si = sources.iter().position(|&x| x == s).expect("pair source is sampled");
                 comparisons += 1;
                 if &r.profile != seqs[si].profile(t) {
                     record(
                         &mut mismatches,
-                        format!("{name}: S2sEngine::batch (p={p}) {s}->{t} != sequential profile"),
+                        format!(
+                            "{name}: S2sEngine::try_batch (p={p}) {s}->{t} != sequential profile"
+                        ),
                     );
                 }
             }

@@ -41,7 +41,7 @@ pub struct BenchConfig {
 
 /// Reads and parses one `BC_*` environment knob, falling back to `default`
 /// when the variable is unset or unparsable. Every scalar knob — in this
-/// library *and* in the binaries (`BC_TP_THREADS`, `BC_S2S_THREADS`, …) —
+/// library *and* in the binaries (`BC_S2S_THREADS`, `BC_FRACTIONS`, …) —
 /// goes through here; don't hand-roll `std::env::var` parsing per binary.
 pub fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
     parse_scalar(std::env::var(key).ok(), default)
@@ -55,8 +55,8 @@ pub fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
 ///
 /// On any unparsable element, naming the knob and the offending token. A
 /// silently dropped element would run the bench with a *different*
-/// configuration than the one asked for — and the baseline gate compares
-/// runs by configuration, so a typo must stop the run, not skew it.
+/// configuration than the one asked for, so a typo must stop the run, not
+/// skew it.
 pub fn env_list<T: std::str::FromStr>(key: &str) -> Option<Vec<T>> {
     parse_list(key, std::env::var(key).ok())
 }
@@ -105,10 +105,8 @@ impl BenchConfig {
     }
 
     /// `true` iff the `BC_NETWORKS` filter admits a network of this name
-    /// (always true without a filter). Lets benches that instantiate extra
-    /// presets outside [`BenchConfig::networks`] — e.g. `throughput`'s
-    /// large Metro network — honor the same filter.
-    pub fn matches(&self, name: &str) -> bool {
+    /// (always true without a filter).
+    fn matches(&self, name: &str) -> bool {
         match &self.networks {
             None => true,
             Some(filter) => {
@@ -142,8 +140,8 @@ pub fn random_pairs(num_stations: usize, count: usize, seed: u64) -> Vec<(Statio
 /// A deterministic batch of feed events — the mix of a live GTFS-RT-style
 /// stream: mostly delays (half with catch-up recovery, up to
 /// `max_delay_min` minutes, from a random hop), one in four a
-/// cancellation. Shared by conncheck's feed mode and the `throughput`
-/// feed phase so the workload shape cannot diverge between them.
+/// cancellation. Shared by conncheck's feed mode and the repo benchmark's
+/// recorded feed day so the workload shape cannot diverge between them.
 pub fn random_feed(
     rng: &mut StdRng,
     num_trains: u32,
@@ -233,11 +231,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BC_TP_THREADS: cannot parse list element \"\"")]
+    #[should_panic(expected = "BC_THREADS: cannot parse list element \"\"")]
     fn an_empty_list_element_is_rejected_too() {
-        // `BC_TP_THREADS=1,,4` asks for something; silently running `1,4`
-        // would gate against the wrong baseline configuration.
-        parse_list::<usize>("BC_TP_THREADS", Some("1,,4".into()));
+        // `BC_THREADS=1,,4` asks for something; silently running `1,4`
+        // would measure a different configuration than the one asked for.
+        parse_list::<usize>("BC_THREADS", Some("1,,4".into()));
     }
 
     #[test]

@@ -1,14 +1,9 @@
-//! Machine-readable benchmark output (`BENCH_spcs.json`).
+//! A minimal JSON value tree and serializer.
 //!
-//! The table binaries print the paper's layout for humans; this module
-//! writes the same measurements as JSON so the perf trajectory can be
-//! tracked across PRs by scripts. No external JSON crate exists in the
-//! offline build environment, so a minimal value tree + serializer lives
-//! here (string escaping included — enough for our own keys and names).
-//!
-//! Conventions: durations are reported as integer nanoseconds
-//! (`median_ns`), rates as queries per second (`qps`), balance as the
-//! max-over-average settled-count ratio across threads (`1.0` = perfect).
+//! No external JSON crate exists in the offline build environment, so the
+//! repo benchmark (`benchmark/`) renders its span dumps and comparison
+//! reports through this one (string escaping included — enough for our
+//! own keys and names).
 
 use std::fmt::Write as _;
 
@@ -158,61 +153,6 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Resolves the output path: `BC_JSON_OUT` env override, else `default`.
-pub fn json_out_path(default: &str) -> std::path::PathBuf {
-    std::env::var("BC_JSON_OUT").unwrap_or_else(|_| default.to_string()).into()
-}
-
-/// Writes `value` to `path`, reporting the destination on stderr.
-pub fn write_json(path: &std::path::Path, value: &Json) -> std::io::Result<()> {
-    std::fs::write(path, value.render())?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
-}
-
-/// Median of a sample (ns, ms, …); `0.0` for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    }
-}
-
-/// The `p`-th percentile (0 ≤ `p` ≤ 100) by linear rank over the sorted
-/// sample, `0.0` on empty input. `percentile(xs, 50.0)` is the lower
-/// median; benches report `p50`/`p99` of per-publish costs with it.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Thread balance: max settled over average settled (`1.0` = perfectly
-/// balanced, `p` = one thread did everything).
-pub fn balance(thread_settled: &[u64]) -> f64 {
-    if thread_settled.is_empty() {
-        return 1.0;
-    }
-    let max = thread_settled.iter().copied().max().unwrap_or(0) as f64;
-    let avg = thread_settled.iter().sum::<u64>() as f64 / thread_settled.len() as f64;
-    if avg > 0.0 {
-        max / avg
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,16 +172,6 @@ mod tests {
         assert!(s.contains("\"empty\": []"));
         assert!(s.contains("\"nan\": null"));
         assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn median_and_balance() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(balance(&[10, 10]), 1.0);
-        assert_eq!(balance(&[20, 0]), 2.0);
-        assert_eq!(balance(&[]), 1.0);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   cancel-rule overflow coalescing, retry-with-backoff), apply via
 //!   `ShardedService::apply_feed`, count everything in [`FeedStats`].
 //!
-//! The replay harness (`examples/replay_day.rs`, the `replay` phase of the
-//! throughput bench) is these three layers pointed at one recorded day.
+//! The replay harness (`examples/replay_day.rs`, the `feed-replay`
+//! workload of the repo benchmark) is these three layers pointed at one
+//! recorded day.
 
 #![warn(missing_docs)]
 

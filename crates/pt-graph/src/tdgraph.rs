@@ -414,20 +414,6 @@ impl TdGraph {
         (plfs, Arc::ptr_eq(&self.topo, &other.topo))
     }
 
-    /// A fully unshared copy: topology, every PLF and `conn_start` are
-    /// reallocated. The pre-copy-on-write publish cost, kept as the bench
-    /// reference for the O(touched) clone.
-    pub fn deep_clone(&self) -> TdGraph {
-        TdGraph {
-            period: self.period,
-            num_stations: self.num_stations,
-            topo: Arc::new((*self.topo).clone()),
-            plfs: self.plfs.iter().map(|p| Arc::new((**p).clone())).collect(),
-            conn_start: Arc::new((*self.conn_start).clone()),
-            max_td_secs: self.max_td_secs,
-        }
-    }
-
     /// Arrival time over `edge` when leaving its tail at absolute time `t`;
     /// [`INFINITY`](pt_core::INFINITY) if the edge is never served.
     #[inline]

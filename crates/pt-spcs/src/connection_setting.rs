@@ -150,7 +150,8 @@ impl ProfileEngine {
 
     /// Total backing-array growth events over all idle workspaces.
     /// Constant across repeated queries once the engine is warm — the
-    /// reuse guarantee asserted by tests and the `throughput` bench. Read
+    /// reuse guarantee asserted by tests and tracked by the repo benchmark
+    /// (`workspace.grow_events_after_warmup`). Read
     /// between queries: workspaces of an in-flight query are checked out
     /// of the pool along with their counters.
     pub fn workspace_grow_events(&self) -> u64 {
@@ -223,7 +224,7 @@ impl ProfileEngine {
 
     /// Like [`ProfileEngine::many_to_all`], returning full per-query
     /// results.
-    pub fn many_to_all_with_stats(
+    pub(crate) fn many_to_all_with_stats(
         &self,
         net: &Network,
         sources: &[StationId],

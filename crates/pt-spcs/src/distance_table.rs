@@ -378,25 +378,6 @@ impl DistanceTable {
         (self.built_epoch, self.valid_hi.load(Ordering::Relaxed))
     }
 
-    /// How many of this table's rows are `Arc`-shared with `other`'s
-    /// (same allocation). Diagnostic for the copy-on-write bookkeeping:
-    /// after a publish whose refresh touched `k` rows, the previous
-    /// snapshot shares `len() − k` rows with the new one.
-    /// A fully unshared copy: every row is reallocated. The
-    /// pre-copy-on-write publish cost, kept as a bench reference.
-    pub fn deep_clone(&self) -> DistanceTable {
-        DistanceTable {
-            period: self.period,
-            stations: Arc::new((*self.stations).clone()),
-            index: Arc::new((*self.index).clone()),
-            rows: self.rows.iter().map(|r| Arc::new((**r).clone())).collect(),
-            build_time: self.build_time,
-            built_epoch: self.built_epoch,
-            valid_lo: self.valid_lo,
-            valid_hi: AtomicU64::new(self.valid_hi.load(Ordering::Relaxed)),
-        }
-    }
-
     /// Number of rows this table shares (by allocation, [`Arc::ptr_eq`])
     /// with `other` — how much of a copy-on-write publish was *not* copied.
     pub fn shared_rows_with(&self, other: &DistanceTable) -> usize {

@@ -51,7 +51,7 @@ pub enum DelayUpdate {
 
 /// What [`Network::apply_feed`] did with one batch of [`DelayEvent`]s —
 /// the per-event outcomes plus the aggregate counters a feed-driven server
-/// (and the `throughput` bench) reports.
+/// (and the repo benchmark) reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedSummary {
     /// Per event, in feed order, how it was serviced. An event whose train
@@ -420,27 +420,6 @@ impl Network {
             stations: self.stations.clone(),
             epoch: self.epoch,
             feed_log: self.feed_log.clone(),
-            refit_extra_routes: self.refit_extra_routes,
-        }
-    }
-
-    /// A fully *unshared* copy (same epoch): every bucket, route block,
-    /// PLF and log entry is reallocated, nothing aliases `self`. This is
-    /// exactly what a snapshot publish cost before the copy-on-write
-    /// refactor; the `throughput` bench clones it per publish as the
-    /// reference the O(touched) path is compared against.
-    pub fn deep_clone_same_epoch(&self) -> Network {
-        Network {
-            timetable: self.timetable.deep_clone(),
-            routes: self.routes.deep_clone(),
-            graph: self.graph.deep_clone(),
-            stations: Arc::new((*self.stations).clone()),
-            epoch: self.epoch,
-            feed_log: self
-                .feed_log
-                .iter()
-                .map(|(g, s)| (*g, Arc::from(s.iter().copied().collect::<Vec<_>>())))
-                .collect(),
             refit_extra_routes: self.refit_extra_routes,
         }
     }

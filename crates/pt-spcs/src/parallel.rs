@@ -49,7 +49,7 @@ pub struct OneToAllResult {
 /// Distributes `n` independent work items over the pool: one claim loop
 /// per workspace, items claimed from a shared atomic counter, each answered
 /// on that worker's own workspace. The common scaffold of
-/// [`many_to_all_across`] and `S2sEngine::batch`.
+/// [`many_to_all_across`] and `S2sEngine::try_batch`.
 pub(crate) fn run_batch<T, F>(workspaces: &mut [SearchWorkspace], n: usize, job: F) -> Vec<T>
 where
     T: Send,

@@ -26,7 +26,7 @@
 //! and — since the snapshot-isolation refactor — shareable: every query
 //! entry point takes `&self`, per-query [`SearchWorkspace`]s are checked
 //! out of an internal pool, parallel work runs on the process-global
-//! work-stealing pool ([`rayon::global`]), and [`S2sEngine::batch`]
+//! work-stealing pool ([`rayon::global`]), and [`S2sEngine::try_batch`]
 //! distributes whole queries over that pool for stream throughput. An
 //! opt-in [`S2sCache`] memoizes results keyed
 //! `(source, target, epoch, generation)`.
@@ -330,16 +330,7 @@ impl<'a> S2sEngine<'a> {
     /// on its own workspace, with the full §4 pruning per query. With fewer
     /// pairs it answers them one at a time using within-query parallelism.
     ///
-    /// Panics when the configured distance table is stale (see
-    /// [`S2sEngine::try_batch`] for the recoverable form).
-    pub fn batch(&self, net: &Network, pairs: &[(StationId, StationId)]) -> Vec<S2sResult> {
-        match self.try_batch(net, pairs) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`S2sEngine::batch`], with the stale-table case as a typed
+    /// A stale configured distance table comes back as a typed
     /// [`StaleTable`] — checked once up front for the whole batch.
     pub fn try_batch(
         &self,
@@ -349,22 +340,10 @@ impl<'a> S2sEngine<'a> {
         self.try_batch_masked(net, self.table, &self.mask, pairs)
     }
 
-    /// Like [`S2sEngine::try_batch`], with the distance table supplied per
-    /// call (see [`S2sEngine::try_query_on`]) — checked once up front for
-    /// the whole batch.
-    pub fn try_batch_on(
-        &self,
-        net: &Network,
-        table: Option<&DistanceTable>,
-        pairs: &[(StationId, StationId)],
-    ) -> Result<Vec<S2sResult>, StaleTable> {
-        let mask = table.map(DistanceTable::transfer_mask).unwrap_or_default();
-        self.try_batch_masked(net, table, &mask, pairs)
-    }
-
-    /// [`S2sEngine::try_batch_on`] with a caller-precomputed transfer mask
-    /// (see [`S2sEngine::try_query_masked`]). Cached pairs are answered
-    /// from the result cache; only the misses go through the search.
+    /// [`S2sEngine::try_batch`] with the distance table supplied per call
+    /// and a caller-precomputed transfer mask (see
+    /// [`S2sEngine::try_query_masked`]). Cached pairs are answered from the
+    /// result cache; only the misses go through the search.
     pub(crate) fn try_batch_masked(
         &self,
         net: &Network,
@@ -458,7 +437,7 @@ struct QueryConfig<'a> {
 }
 
 /// Answers one query on the given workers; the common backend of
-/// [`S2sEngine::query`] and [`S2sEngine::batch`].
+/// [`S2sEngine::query`] and [`S2sEngine::try_batch`].
 fn query_with(
     cfg: &QueryConfig<'_>,
     threads: usize,
@@ -921,14 +900,14 @@ mod tests {
             .collect();
         // Across-query parallelism (pairs >= threads)...
         let batch_engine = S2sEngine::new().with_table(&table).threads(3);
-        let batch = batch_engine.batch(&net, &pairs);
+        let batch = batch_engine.try_batch(&net, &pairs).unwrap();
         assert_eq!(batch.len(), individual.len());
         for ((b, i), &(s, t)) in batch.iter().zip(&individual).zip(&pairs) {
             assert_eq!(b.profile, i.profile, "{s}→{t}");
             assert_eq!(b.kind, i.kind, "{s}→{t}");
         }
         // ...and the within-query fallback (pairs < threads).
-        let few = batch_engine.threads(16).batch(&net, &pairs[..2]);
+        let few = batch_engine.threads(16).try_batch(&net, &pairs[..2]).unwrap();
         assert_eq!(few[0].profile, individual[0].profile);
         assert_eq!(few[1].profile, individual[1].profile);
     }
@@ -1006,7 +985,8 @@ mod tests {
             let plain = engine.try_query_on(&net, None, s, t).unwrap();
             assert_eq!(plain.profile, per_call.profile, "{s}→{t}");
         }
-        let batch = engine.try_batch_on(&net, Some(&table), &pairs).unwrap();
+        let mask = table.transfer_mask();
+        let batch = engine.try_batch_masked(&net, Some(&table), &mask, &pairs).unwrap();
         for ((b, &(s, t)), want) in batch
             .iter()
             .zip(&pairs)
@@ -1019,7 +999,7 @@ mod tests {
         let (s, t) = pairs[0];
         let err = engine.try_query_on(&net, Some(&table), s, t).unwrap_err();
         assert!(err.refreshable());
-        assert_eq!(engine.try_batch_on(&net, Some(&table), &pairs).unwrap_err(), err);
+        assert_eq!(engine.try_batch_masked(&net, Some(&table), &mask, &pairs).unwrap_err(), err);
         // Without a table the engine keeps answering on the fed network.
         assert!(engine.try_query_on(&net, None, s, t).is_ok());
     }
@@ -1083,7 +1063,7 @@ mod tests {
         }
         let pairs =
             [warm[0], (StationId(13), StationId(2)), warm[1], (StationId(20), StationId(20))];
-        let got = engine.try_batch_on(&net, None, &pairs).unwrap();
+        let got = engine.try_batch_masked(&net, None, &[], &pairs).unwrap();
         assert_eq!(got[0].stats.cache_hits, 1);
         assert_eq!(got[2].stats.cache_hits, 1);
         assert_eq!(got[1].stats.cache_misses, 1);

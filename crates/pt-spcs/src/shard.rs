@@ -649,7 +649,7 @@ impl ShardedService {
 
     /// Batch station-to-station over global pairs, demultiplexed so every
     /// shard's engine is entered **once** with all of its same-shard pairs
-    /// ([`S2sEngine::batch`] semantics per shard); cross-shard pairs are
+    /// ([`S2sEngine::try_batch`] semantics per shard); cross-shard pairs are
     /// stitched by the gateway when one is configured, and fail per item
     /// otherwise. Results come back in input order. All touched shards'
     /// snapshots are pinned up front — a batch with any cross-shard pair

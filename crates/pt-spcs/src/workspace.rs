@@ -149,7 +149,7 @@ impl SearchWorkspace {
 
     /// Number of times any backing array had to grow. Constant across
     /// queries once the workspace is warm — asserted by tests and reported
-    /// by the `throughput` bench.
+    /// by the repo benchmark.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
     }

@@ -545,21 +545,6 @@ impl Timetable {
         self.buckets.iter().zip(&other.buckets).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// A fully unshared copy: every bucket and index vector is
-    /// reallocated, nothing aliases `self`. The pre-copy-on-write clone
-    /// cost, kept as a bench reference for the O(touched) path.
-    pub fn deep_clone(&self) -> Timetable {
-        Timetable {
-            period: self.period,
-            stations: Arc::new((*self.stations).clone()),
-            num_trains: self.num_trains,
-            buckets: self.buckets.iter().map(|b| Arc::new((**b).clone())).collect(),
-            first_out: Arc::new((*self.first_out).clone()),
-            conn_station: Arc::new((*self.conn_station).clone()),
-            generation: self.generation,
-        }
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> TimetableStats {
         TimetableStats {

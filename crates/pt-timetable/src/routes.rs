@@ -14,11 +14,16 @@
 //! a connection faster than the timetable allows. We therefore split each
 //! stop-sequence equivalence class further, greedily, so that within one
 //! route all legs are FIFO — departures strictly increasing and arrivals
-//! strictly increasing on every hop — and every train *leaves* each
-//! intermediate station strictly before its successor arrives there
-//! (`dep_i(k) < arr_i(k+1)`, linearly and across the period wrap).
-//! Schedules rarely violate the dwell condition, but a `from_hop >= 1`
-//! delay stretches exactly one dwell and can manufacture it.
+//! strictly increasing on every hop — and no train of the route departs an
+//! intermediate station while another one dwells there: the windows
+//! `[arr_i(k), dep_i(k))` are pairwise disjoint **on the period circle**
+//! (departures are period-local while arrivals are absolute, so a linear
+//! comparison goes blind exactly when a train crosses the end of the
+//! period between two hops). Schedules rarely violate the dwell condition,
+//! but a `from_hop >= 1` delay stretches exactly one dwell, a delay over
+//! the end of the period moves one, and a catch-up larger than the dwell
+//! (the train "leaves before it arrived") turns one into almost the whole
+//! period — each can manufacture it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -193,16 +198,6 @@ impl Routes {
         self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// A fully unshared copy: every route block and train list is
-    /// reallocated (see [`Timetable::deep_clone`]).
-    pub fn deep_clone(&self) -> Routes {
-        Routes {
-            routes: self.routes.iter().map(|r| Arc::new((**r).clone())).collect(),
-            train_route: Arc::new((*self.train_route).clone()),
-            train_conns: self.train_conns.iter().map(|c| Arc::new((**c).clone())).collect(),
-        }
-    }
-
     /// Follows a [`Timetable::patch_delay`]: rewrites every remapped
     /// [`ConnId`] in the per-train connection lists and restores the
     /// "trains ordered by first-stop departure" invariant on the delayed
@@ -352,8 +347,8 @@ impl Routes {
     /// train order, per hop, departures strictly increasing and arrivals
     /// strictly increasing; no arrival a full period (or more) after the
     /// hop's earliest (the cyclic condition of [`pt_core::Plf::is_fifo`]);
-    /// and at every intermediate station each train departs strictly before
-    /// its successor arrives — linearly and across the period wrap.
+    /// and at every intermediate station no train departs while another
+    /// one dwells there, on the period circle.
     /// [`Routes::partition`] and [`Routes::refit`] guarantee all of this by
     /// construction; a delay can break any of it, at which point the
     /// offending routes must be refit.
@@ -379,17 +374,16 @@ impl Routes {
                 }
             }
             if hop > 0 {
-                // At the station between hop-1 and hop: train k must leave
-                // before train k+1 arrives (consecutive pairs suffice —
-                // departures increase), and the last train must leave before
-                // the first train's next-period arrival.
-                if !legs.iter().zip(prev_legs.iter().skip(1)).all(|(cur, nxt)| cur.0 < nxt.1) {
+                // At the station between hop-1 and hop: train k must not
+                // leave while train k+1 dwells, nor the last train while
+                // the first one does (neighbours on the circle suffice —
+                // departures increase).
+                let n = legs.len();
+                if (0..n).any(|k| {
+                    let next = if k + 1 == n { 0 } else { k + 1 };
+                    departs_during_dwell(legs[k].0, prev_legs[next].1, legs[next].0, pi)
+                }) {
                     return false;
-                }
-                if let (Some(l), Some(f)) = (legs.last(), prev_legs.first()) {
-                    if l.0.secs() as u64 >= f.1.secs() as u64 + pi {
-                        return false;
-                    }
                 }
             }
             std::mem::swap(&mut prev_legs, &mut legs);
@@ -404,9 +398,10 @@ impl Routes {
 /// [`Routes::route_is_fifo`] later checks: the newcomer departs and arrives
 /// strictly after the current last train; its arrival stays within one
 /// period of the hop's earliest; and at the station the hop departs from
-/// (intermediate stations only) the current last train leaves strictly
-/// before the newcomer arrives, while the newcomer leaves strictly before
-/// the first train's next-period arrival.
+/// (intermediate stations only) the current last train does not leave
+/// while the newcomer dwells, nor the newcomer while the first train does
+/// — its neighbours on the period circle, which suffices because the
+/// members' dwell windows are already disjoint and departures increase.
 fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> bool {
     let pi = pi as u64;
     legs.iter().enumerate().all(|(h, &(dep, arr))| {
@@ -422,15 +417,35 @@ fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> boo
         }
         if h > 0 {
             // No catchable co-dwell at the station this hop departs from.
-            if last.0 >= legs[h - 1].1 {
-                return false; // current last train still there when we arrive
+            if departs_during_dwell(last.0, legs[h - 1].1, dep, pi) {
+                return false; // current last train leaves while we are there
             }
-            if dep.secs() as u64 >= hop_points[h - 1][0].1.secs() as u64 + pi {
-                return false; // we'd still be there when the first train wraps
+            if departs_during_dwell(dep, hop_points[h - 1][0].1, first.0, pi) {
+                return false; // we leave while the first train is there
             }
         }
         true
     })
+}
+
+/// Does a train leaving at the period-local time `other_dep` do so while
+/// the train that arrived at (absolute) `arr` and leaves at (period-local)
+/// `dep` dwells — is `other_dep` inside `[arr, dep)` on the period circle?
+/// A rider chained along the route nodes would then board the other train
+/// without paying the transfer time. The window is empty for a zero dwell
+/// and spans almost the whole period for a train whose recovered delay has
+/// it leave before it arrived.
+fn departs_during_dwell(other_dep: Time, arr: Time, dep: Time, pi: u64) -> bool {
+    let arr = arr.secs() as u64 % pi;
+    let since_arrival = |t: Time| {
+        let t = t.secs() as u64;
+        if t >= arr {
+            t - arr
+        } else {
+            t + pi - arr
+        }
+    };
+    since_arrival(other_dep) < since_arrival(dep)
 }
 
 #[cfg(test)]

@@ -95,10 +95,11 @@ pub fn europe_like(scale: f64) -> Preset {
 
 /// Metro-like megacity network: an order of magnitude more stations than
 /// [`oahu_like`] at the same scale (≥ 200 stations at `scale = 0.05`),
-/// sized so throughput benchmarks exercise the large-slot regime where the
-/// SoA kernels and the parallel master-merge pay off. Not part of
+/// sized so benchmarks exercise the large-slot regime where the SoA
+/// kernels and the parallel master-merge pay off. Not part of
 /// [`all_presets`] — the paper-table binaries and the cross-check keep the
-/// five paper inputs; the `throughput` bench adds this one explicitly.
+/// five paper inputs; the repo benchmark (`metro-profile`, `feed-replay`)
+/// adds this one explicitly.
 pub fn metro_like(scale: f64) -> Preset {
     city_preset("Metro", 4000, 260, (14, 34), 0x3E78, scale)
 }

@@ -1,5 +1,5 @@
 //! Record one synthetic feed day, then replay it through a sharded
-//! service — the miniature of the `replay` phase in the throughput bench:
+//! service — the miniature of the repo benchmark's `feed-replay` workload:
 //!
 //! 1. **record**: generate a day of delay/cancel events against the
 //!    paper-style presets, timestamped 06:00→18:00, and encode them as

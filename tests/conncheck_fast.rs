@@ -4,7 +4,7 @@
 //! sources each: sequential SPCS must agree with the label-correcting
 //! baseline, with parallel SPCS under all three partition strategies, with
 //! the `self_pruning(false)` ablation path (sequential and parallel), with
-//! the batch APIs (`ProfileEngine::many_to_all`, `S2sEngine::batch`), and
+//! the batch APIs (`ProfileEngine::many_to_all`, `S2sEngine::try_batch`), and
 //! with the label-setting time-query ground truth. The full-size version
 //! is `cargo run --release --bin conncheck`.
 

@@ -219,6 +219,15 @@ fn driver_quarantines_and_keeps_going() {
         stats.lines - stats.events_decoded - stats.quarantine.total,
         2, // the comment and the blank
     );
+
+    // The same day without its bad lines is clean: nothing is quarantined
+    // and every event applies.
+    let clean: Vec<String> = (0..4).map(good).collect();
+    let stats = FeedDriver::new(&svc, FeedDriverConfig::replay())
+        .run(&mut RecordedFeed::new(clean, 2))
+        .expect("a recorded feed never fails");
+    assert!(stats.quarantine.is_empty());
+    assert_eq!((stats.events_decoded, stats.events_applied), (4, 4));
 }
 
 #[test]

@@ -91,13 +91,18 @@ enum RawEvent {
     Cancel { train: u32 },
 }
 
+/// Delays of up to a day push departures over the end of the period, and
+/// a `recover_min` above the trips' 0–5 min dwell has the train leave a stop
+/// before it arrived there — both are inputs a feed may carry.
 fn event_strategy() -> impl Strategy<Value = RawEvent> {
+    let delay = |minutes: std::ops::Range<u16>| {
+        (0u32..1024, 0u16..4, minutes, 0u8..30).prop_map(|(train, hop, delay_min, recover_min)| {
+            RawEvent::Delay { train, hop, delay_min, recover_min }
+        })
+    };
     prop_oneof![
-        3 => (0u32..1024, 0u16..4, 1u16..200, 0u8..30).prop_map(
-            |(train, hop, delay_min, recover_min)| RawEvent::Delay {
-                train, hop, delay_min, recover_min
-            }
-        ),
+        3 => delay(1..200),
+        1 => delay(200..1440),
         1 => (0u32..1024).prop_map(|train| RawEvent::Cancel { train }),
     ]
 }
@@ -256,6 +261,20 @@ proptest! {
     }
 }
 
+/// The acceptance contract on a whole network: profiles from **every**
+/// station equal those of a from-scratch build of the same timetable.
+fn assert_fed_equals_rebuilt(net: &Network) {
+    let rebuilt = Network::build(net.timetable());
+    let engine = ProfileEngine::new();
+    for s in net.station_ids().collect::<Vec<_>>() {
+        assert_eq!(
+            engine.one_to_all(net, s),
+            engine.one_to_all(&rebuilt, s),
+            "fed != rebuilt from {s}"
+        );
+    }
+}
+
 /// A three-train, two-route network for the deterministic companions.
 fn two_route_net() -> Timetable {
     let mut b = TimetableBuilder::new(Period::DAY);
@@ -295,15 +314,7 @@ fn hundred_event_feed_costs_one_bump_and_one_repatch_per_route() {
     assert_eq!(summary.touched_routes, 2);
     assert_eq!(summary.repatched_routes + summary.refit_routes, summary.touched_routes);
     // Query-identical to a rebuild of the patched timetable.
-    let rebuilt = Network::build(net.timetable());
-    let engine = ProfileEngine::new();
-    for s in net.station_ids().collect::<Vec<_>>() {
-        assert_eq!(
-            engine.one_to_all(&net, s),
-            ProfileEngine::new().one_to_all(&rebuilt, s),
-            "fed != rebuilt from {s}"
-        );
-    }
+    assert_fed_equals_rebuilt(&net);
 }
 
 #[test]
@@ -366,11 +377,117 @@ fn mid_feed_overtaking_scopes_the_fallback_to_the_offending_route() {
     // The offending route was split: its two trains no longer share one.
     assert_ne!(net.routes().route_of(TrainId(0)), net.routes().route_of(TrainId(1)));
     // And the result is still query-identical to a rebuild.
-    let rebuilt = Network::build(net.timetable());
-    let engine = ProfileEngine::new();
-    for s in net.station_ids().collect::<Vec<_>>() {
-        assert_eq!(engine.one_to_all(&net, s), ProfileEngine::new().one_to_all(&rebuilt, s));
+    assert_fed_equals_rebuilt(&net);
+}
+
+/// Two trains on A→B→C with a 10-minute transfer at B.
+fn two_train_line(starts: [Time; 2]) -> (Timetable, [StationId; 3]) {
+    let mut b = TimetableBuilder::new(Period::DAY);
+    let a = b.add_named_station("A", Dur::minutes(2));
+    let via = b.add_named_station("B", Dur::minutes(10));
+    let c = b.add_named_station("C", Dur::minutes(2));
+    for start in starts {
+        b.add_simple_trip(
+            &[a, via, c],
+            start,
+            &[Dur::minutes(10), Dur::minutes(10)],
+            Dur::minutes(1),
+        )
+        .unwrap();
     }
+    (b.build().unwrap(), [a, via, c])
+}
+
+/// Feeds `events` one at a time in **every** order, holding fed ≡ rebuilt
+/// from every station after each; then withdraws every announcement and
+/// expects the published schedule back. `check` sees the network after
+/// the last event of the order given.
+fn assert_faithful_in_any_order(tt: &Timetable, events: &[DelayEvent], check: impl Fn(&Network)) {
+    fn orders(
+        rest: &mut Vec<DelayEvent>,
+        head: &mut Vec<DelayEvent>,
+        out: &mut Vec<Vec<DelayEvent>>,
+    ) {
+        if rest.is_empty() {
+            out.push(head.clone());
+        }
+        for i in 0..rest.len() {
+            head.push(rest.remove(i));
+            orders(rest, head, out);
+            rest.insert(i, head.pop().unwrap());
+        }
+    }
+    let mut all = Vec::new();
+    orders(&mut events.to_vec(), &mut Vec::new(), &mut all);
+    for order in all {
+        let mut net = Network::build(tt);
+        for event in &order {
+            net.apply_feed(std::slice::from_ref(event));
+            assert_fed_equals_rebuilt(&net);
+        }
+        if order == events {
+            check(&net);
+        }
+        let cancels: Vec<DelayEvent> =
+            (0..tt.num_trains() as u32).map(|t| DelayEvent::Cancel { train: TrainId(t) }).collect();
+        net.apply_feed(&cancels);
+        assert_eq!(net.timetable().connections(), tt.connections(), "cancel restores the schedule");
+        assert_fed_equals_rebuilt(&net);
+    }
+}
+
+#[test]
+fn delay_over_the_end_of_the_period_keeps_fed_equal_to_rebuilt() {
+    // Train 1 is published across midnight: A 23:53 → B 24:03, B 00:04 →
+    // C 00:14. Two delays add up on train 0 (23:13 from A) until it runs
+    // one minute ahead of train 1 and leaves B at 00:03, the instant
+    // train 1 pulls in: a departure moved over the end of the period.
+    let (tt, [a, _, c]) = two_train_line([Time::hm(23, 13), Time::hm(23, 53)]);
+    let late = |minutes| DelayEvent::Delay {
+        train: TrainId(0),
+        from_hop: 0,
+        delay: Dur::minutes(minutes),
+        recovery: Recovery::None,
+    };
+    assert_faithful_in_any_order(&tt, &[late(28), late(11)], |net| {
+        // Changing at B takes ten minutes, so a rider on train 1 stays on
+        // it — a from-scratch partition used to put both trains on one
+        // route and hand that rider train 0's earlier arrival.
+        let from_a = ProfileEngine::new().one_to_all(net, a);
+        assert_eq!(from_a.earliest_arrival(c, Time::hm(23, 53)), Time::hm(24, 14));
+        assert_eq!(from_a.earliest_arrival(c, Time::hm(23, 52)), Time::hm(24, 13));
+    });
+}
+
+#[test]
+fn catch_up_larger_than_the_dwell_keeps_fed_equal_to_rebuilt() {
+    // Both trains recover more on the second hop than they dwell at B, so
+    // each leaves B before it has arrived there: train 0 arrives 08:20
+    // (left 08:13), train 1 arrives 08:32 (left 08:24). The collision and
+    // its cancellation first split the two onto routes of their own, which
+    // a fed network keeps and a from-scratch partition used to undo.
+    let (tt, [a, _, c]) = two_train_line([Time::hm(8, 0), Time::hm(8, 12)]);
+    let delay = |train, minutes, per_hop| DelayEvent::Delay {
+        train: TrainId(train),
+        from_hop: 0,
+        delay: Dur::minutes(minutes),
+        recovery: match per_hop {
+            0 => Recovery::None,
+            m => Recovery::CatchUp { per_hop: Dur::minutes(m) },
+        },
+    };
+    let events = [
+        delay(0, 12, 0),
+        DelayEvent::Cancel { train: TrainId(0) },
+        delay(0, 10, 8),
+        delay(1, 10, 9),
+    ];
+    assert_faithful_in_any_order(&tt, &events, |net| {
+        // Four minutes are not enough to change at B: the rider who
+        // reaches B at 08:20 on train 0 has missed both trains for today.
+        let from_a = ProfileEngine::new().one_to_all(net, a);
+        assert_eq!(from_a.earliest_arrival(c, Time::hm(8, 10)), Time::hm(24 + 8, 23));
+    });
 }
 
 #[test]
@@ -479,11 +596,7 @@ fn accumulated_refit_splits_heal_on_a_later_fallback() {
         "the heal must re-coalesce cancelled splits"
     );
     // And the healed network still answers like a from-scratch build.
-    let rebuilt = Network::build(net.timetable());
-    let engine = ProfileEngine::new();
-    for s in net.station_ids().collect::<Vec<_>>() {
-        assert_eq!(engine.one_to_all(&net, s), ProfileEngine::new().one_to_all(&rebuilt, s));
-    }
+    assert_fed_equals_rebuilt(&net);
 }
 
 #[test]
