@@ -96,15 +96,6 @@ impl Plf {
         Plf { points: reduced }
     }
 
-    /// Builds a function from points already known to be sorted and FIFO
-    /// (debug-asserted). Used on hot paths where the invariant is guaranteed
-    /// by construction.
-    pub fn from_sorted_fifo(points: Vec<PlfPoint>, period: Period) -> Self {
-        let plf = Plf { points };
-        debug_assert!(plf.is_fifo(period), "points not sorted/FIFO");
-        plf
-    }
-
     /// The connection points, sorted strictly increasing by departure.
     #[inline]
     pub fn points(&self) -> &[PlfPoint] {

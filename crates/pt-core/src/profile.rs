@@ -128,13 +128,6 @@ impl Profile {
         Profile { points }
     }
 
-    /// Builds a profile from points already reduced (debug-asserted).
-    pub fn from_reduced(points: Vec<ProfilePoint>, period: Period) -> Self {
-        let prof = Profile { points };
-        debug_assert!(prof.is_reduced(period), "points not reduced");
-        prof
-    }
-
     /// The connection points, sorted strictly increasing by departure.
     #[inline]
     pub fn points(&self) -> &[ProfilePoint] {

@@ -25,7 +25,7 @@
 //! ([`ProfileEngine::with_cache`](crate::ProfileEngine::with_cache)) and
 //! fixed-capacity; eviction is least-recently-used, tracked by a logical
 //! tick. Hit/miss/eviction counts surface both per query (in
-//! [`QueryStats`](crate::QueryStats)) and cumulatively ([`CacheStats`]).
+//! [`QueryStats`]) and cumulatively ([`CacheStats`]).
 //! The same core backs the station-to-station result cache
 //! ([`S2sCache`](crate::s2s::S2sCache)).
 
@@ -37,6 +37,7 @@ use std::sync::{Arc, RwLock};
 use pt_core::StationId;
 
 use crate::profile_set::ProfileSet;
+use crate::stats::QueryStats;
 
 /// Cumulative counters and occupancy of a [`ProfileCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -207,6 +208,83 @@ impl<K: Copy + Eq + Hash, V: Clone> Clone for LruCore<K, V> {
     }
 }
 
+/// How [`resolve`] answered one key: from a cached value — a probe hit, or
+/// an in-batch duplicate of an earlier miss — or by its own computed result.
+pub(crate) enum Resolved<V, R> {
+    Cached(V),
+    Computed(R),
+}
+
+/// Memoization, written once for both engines: answers `keys` through
+/// `cache`, in input order. Hits are probed up front; the distinct misses
+/// go through **one** `compute` call (given their positions in `keys`, it
+/// returns one result each) and are stored as `share(result)`; a key
+/// repeated within the batch is computed once and its duplicates are
+/// answered from that result — even when a smaller-than-batch cache has
+/// already evicted the entry again. Every answer comes with the cache
+/// counters of its query (`cache_hits = 1`, or `cache_misses = 1` plus the
+/// eviction its store caused) for the caller to add to its stats. Without
+/// a cache every key is computed and no counter is set.
+pub(crate) fn resolve<K, V, R>(
+    cache: Option<&LruCore<K, V>>,
+    keys: &[K],
+    compute: impl FnOnce(&[usize]) -> Vec<R>,
+    share: impl Fn(&R) -> V,
+) -> Vec<(Resolved<V, R>, QueryStats)>
+where
+    K: Copy + Eq + Hash,
+    V: Clone,
+{
+    let Some(cache) = cache else {
+        let all: Vec<usize> = (0..keys.len()).collect();
+        let computed = compute(&all).into_iter();
+        return computed.map(|r| (Resolved::Computed(r), QueryStats::default())).collect();
+    };
+    // `Err(j)`: answered by the `j`-th distinct miss.
+    let mut misses: Vec<usize> = Vec::new();
+    let probed: Vec<Result<V, usize>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| match misses.iter().position(|&m| keys[m] == key) {
+            Some(j) => Err(j),
+            None => cache.get(key).ok_or_else(|| {
+                misses.push(i);
+                misses.len() - 1
+            }),
+        })
+        .collect();
+    let computed = if misses.is_empty() { Vec::new() } else { compute(&misses) };
+    assert_eq!(computed.len(), misses.len(), "one result per distinct miss");
+    // Per distinct miss: its result (until the first item naming it takes
+    // it), the shared value its duplicates are answered from, and whether
+    // storing it evicted an entry.
+    let mut searched: Vec<(Option<R>, V, bool)> = misses
+        .iter()
+        .zip(computed)
+        .map(|(&i, r)| {
+            let value = share(&r);
+            let evicted = cache.insert(keys[i], value.clone());
+            (Some(r), value, evicted)
+        })
+        .collect();
+    let hit = QueryStats { cache_hits: 1, ..QueryStats::default() };
+    probed
+        .into_iter()
+        .map(|probe| match probe {
+            Ok(value) => (Resolved::Cached(value), hit),
+            Err(j) => match searched[j].0.take() {
+                Some(r) => {
+                    let cache_evictions = searched[j].2 as u64;
+                    let miss =
+                        QueryStats { cache_misses: 1, cache_evictions, ..QueryStats::default() };
+                    (Resolved::Computed(r), miss)
+                }
+                None => (Resolved::Cached(searched[j].1.clone()), hit),
+            },
+        })
+        .collect()
+}
+
 /// A cache key: `(source, network epoch, timetable generation)`.
 type Key = (StationId, u64, u64);
 
@@ -215,7 +293,7 @@ type Key = (StationId, u64, u64);
 /// take `&self`; see the module docs for the locking discipline.
 #[derive(Debug, Clone)]
 pub struct ProfileCache {
-    core: LruCore<Key, Arc<ProfileSet>>,
+    pub(crate) core: LruCore<Key, Arc<ProfileSet>>,
 }
 
 impl ProfileCache {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use pt_core::{NodeId, Period, Profile, ProfilePoint, StationId, Time, INFINITY};
 
-use crate::cache::{CacheStats, ProfileCache};
+use crate::cache::{self, CacheStats, ProfileCache, Resolved};
 use crate::kernel::{self, KernelMode};
 use crate::network::Network;
 use crate::parallel::{self, OneToAllResult};
@@ -170,144 +170,63 @@ impl ProfileEngine {
     /// and the per-thread balance. A cache hit reports `cache_hits = 1` and
     /// zero search work.
     pub fn one_to_all_with_stats(&self, net: &Network, source: StationId) -> OneToAllResult {
-        let (epoch, generation) = (net.epoch(), net.generation());
-        if let Some(cache) = &self.cache {
-            if let Some(profiles) = cache.get(source, epoch, generation) {
-                let stats = QueryStats { cache_hits: 1, ..QueryStats::default() };
-                return OneToAllResult { profiles, stats, thread_settled: Vec::new() };
-            }
-        }
-        let mut r = self.search_one_to_all(net, source);
-        if let Some(cache) = &self.cache {
-            r.stats.cache_misses = 1;
-            if cache.insert(source, epoch, generation, Arc::clone(&r.profiles)) {
-                r.stats.cache_evictions = 1;
-            }
-        }
-        r
-    }
-
-    /// The uncached search backend of the one-to-all paths.
-    fn search_one_to_all(&self, net: &Network, source: StationId) -> OneToAllResult {
-        let mut workspaces = self.pool.checkout(self.threads);
-        let r = parallel::one_to_all(
-            net,
-            source,
-            self.threads,
-            self.strategy,
-            self.self_pruning,
-            self.kernel,
-            &mut workspaces,
-        );
-        self.pool.checkin(workspaces);
-        r
+        self.many_to_all_with_stats(net, &[source]).pop().expect("one result per source")
     }
 
     /// Batch one-to-all: profiles from every source in `sources`.
     ///
     /// With `p` threads and at least `p` (uncached) sources this
     /// parallelizes *across* queries — each worker answers whole sources
-    /// from a shared work queue on its own workspace, executing the
-    /// `conn(S)` partition as `p` *blocked* sequential searches (same
-    /// per-class label sizes as the split search, no merge barrier, no
-    /// cross-worker coordination). Results are identical to per-source
+    /// from a shared work queue on its own workspace with the ordinary
+    /// single-class search (no merge barrier, no cross-worker
+    /// coordination). Results are identical to per-source
     /// [`ProfileEngine::one_to_all`] calls, and this is the
     /// throughput-optimal way to answer many independent queries (the
     /// regime of the ROADMAP's query streams and of
     /// [`DistanceTable::build`](crate::DistanceTable::build)). With fewer
     /// sources than threads it falls back to within-query parallelism, one
     /// source at a time. When the cache is enabled, hits are resolved up
-    /// front and only the misses are searched.
+    /// front and only the distinct misses are searched — a source repeated
+    /// within one batch is searched once, its duplicates counting as hits.
     pub fn many_to_all(&self, net: &Network, sources: &[StationId]) -> Vec<Arc<ProfileSet>> {
         self.many_to_all_with_stats(net, sources).into_iter().map(|r| r.profiles).collect()
     }
 
     /// Like [`ProfileEngine::many_to_all`], returning full per-query
-    /// results.
-    pub(crate) fn many_to_all_with_stats(
-        &self,
-        net: &Network,
-        sources: &[StationId],
-    ) -> Vec<OneToAllResult> {
+    /// results; the backend of every one-to-all entry point (memoization
+    /// is `cache::resolve`, batch dispatch is `parallel::run_batch`).
+    fn many_to_all_with_stats(&self, net: &Network, sources: &[StationId]) -> Vec<OneToAllResult> {
         let (epoch, generation) = (net.epoch(), net.generation());
-
-        // Resolve cache hits up front; only the misses hit the pool. With
-        // the cache on, misses are also deduplicated — a source repeated
-        // within one batch (the regime the cache targets) is searched once
-        // and fanned out, its duplicates counting as hits.
-        let mut out: Vec<Option<OneToAllResult>> = sources.iter().map(|_| None).collect();
-        let mut miss: Vec<usize> = Vec::new();
-        if let Some(cache) = &self.cache {
-            let mut searching: Vec<StationId> = Vec::new();
-            for (i, &s) in sources.iter().enumerate() {
-                if searching.contains(&s) {
-                    continue; // duplicate of an in-batch miss: resolve below
-                }
-                match cache.get(s, epoch, generation) {
-                    Some(profiles) => {
-                        let stats = QueryStats { cache_hits: 1, ..QueryStats::default() };
-                        out[i] =
-                            Some(OneToAllResult { profiles, stats, thread_settled: Vec::new() });
-                    }
-                    None => {
-                        miss.push(i);
-                        searching.push(s);
-                    }
-                }
-            }
-        } else {
-            miss.extend(0..sources.len());
-        }
-
-        let miss_sources: Vec<StationId> = miss.iter().map(|&i| sources[i]).collect();
-        let computed: Vec<OneToAllResult> =
-            if self.threads > 1 && miss_sources.len() >= self.threads {
-                let mut workspaces = self.pool.checkout(self.threads);
-                let r = parallel::many_to_all_across(
+        let keys: Vec<_> = sources.iter().map(|&s| (s, epoch, generation)).collect();
+        let search = |misses: &[usize]| {
+            parallel::run_batch(&self.pool, self.threads, misses.len(), |i, p, workspaces| {
+                parallel::one_to_all(
                     net,
-                    &miss_sources,
-                    self.threads,
+                    sources[misses[i]],
+                    p,
                     self.strategy,
                     self.self_pruning,
                     self.kernel,
-                    &mut workspaces,
-                );
-                self.pool.checkin(workspaces);
+                    workspaces,
+                )
+            })
+        };
+        let cache = self.cache.as_ref().map(|c| &c.core);
+        cache::resolve(cache, &keys, search, |r| Arc::clone(&r.profiles))
+            .into_iter()
+            .map(|(answer, cache_stats)| {
+                let mut r = match answer {
+                    Resolved::Computed(r) => r,
+                    Resolved::Cached(profiles) => OneToAllResult {
+                        profiles,
+                        stats: QueryStats::default(),
+                        thread_settled: Vec::new(),
+                    },
+                };
+                r.stats += cache_stats;
                 r
-            } else {
-                miss_sources.iter().map(|&s| self.search_one_to_all(net, s)).collect()
-            };
-
-        let mut searched: Vec<(StationId, Arc<ProfileSet>)> = Vec::new();
-        for (&i, mut r) in miss.iter().zip(computed) {
-            if let Some(cache) = &self.cache {
-                r.stats.cache_misses = 1;
-                if cache.insert(sources[i], epoch, generation, Arc::clone(&r.profiles)) {
-                    r.stats.cache_evictions = 1;
-                }
-                searched.push((sources[i], Arc::clone(&r.profiles)));
-            }
-            out[i] = Some(r);
-        }
-        if let Some(cache) = &self.cache {
-            // Duplicates skipped above: serve them from the cache (counting
-            // a hit), or — if a smaller-than-batch cache already evicted the
-            // entry — from the batch's own results.
-            for (i, &s) in sources.iter().enumerate() {
-                if out[i].is_none() {
-                    let profiles = cache.get(s, epoch, generation).unwrap_or_else(|| {
-                        let (_, set) = searched
-                            .iter()
-                            .find(|(src, _)| *src == s)
-                            .expect("every duplicate shadows an in-batch search");
-                        Arc::clone(set)
-                    });
-                    let stats = QueryStats { cache_hits: 1, ..QueryStats::default() };
-                    out[i] = Some(OneToAllResult { profiles, stats, thread_settled: Vec::new() });
-                }
-            }
-        }
-        out.into_iter().map(|r| r.expect("every source resolved")).collect()
+            })
+            .collect()
     }
 }
 
@@ -318,7 +237,9 @@ impl ProfileEngine {
 /// This is the workhorse of both the sequential and the parallel algorithm:
 /// each worker thread calls it on its partition class. On return,
 /// `ws.station_arr[i * ns + s]` holds the arrival label of local connection
-/// `i` at station `s` ([`INFINITY`] = unreachable or pruned).
+/// `i` at station `s` ([`INFINITY`] = unreachable or pruned). Dispatches
+/// between the scalar heap path and the bucketed SoA kernel per
+/// [`KernelMode`].
 pub(crate) fn run_range(
     net: &Network,
     lo: u32,
@@ -327,42 +248,23 @@ pub(crate) fn run_range(
     kernel_mode: KernelMode,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
-    let ns = net.graph().num_stations();
-    ws.fresh_station_arr((hi - lo) as usize * ns);
-    run_range_into(net, lo, hi, self_pruning, kernel_mode, ws, 0)
-}
-
-/// [`run_range`] writing its station labels at `out_base` of an already
-/// prepared `ws.station_arr` — lets one worker run several partition
-/// classes of a query back to back into a single query-level buffer
-/// (*blocked* execution, used by the batch layer). Dispatches between the
-/// scalar heap path and the bucketed SoA kernel per [`KernelMode`].
-pub(crate) fn run_range_into(
-    net: &Network,
-    lo: u32,
-    hi: u32,
-    self_pruning: bool,
-    kernel_mode: KernelMode,
-    ws: &mut SearchWorkspace,
-    out_base: usize,
-) -> QueryStats {
-    let slots = (hi - lo) as usize * net.graph().num_nodes();
-    if kernel_mode.use_soa(slots, kernel::ring_size(net)) {
-        kernel::run_range_soa(net, lo, hi, self_pruning, ws, out_base)
+    let k = (hi - lo) as usize;
+    ws.fresh_station_arr(k * net.graph().num_stations());
+    if kernel_mode.use_soa(k * net.graph().num_nodes(), kernel::ring_size(net)) {
+        kernel::run_range_soa(net, lo, hi, self_pruning, ws)
     } else {
-        run_range_into_scalar(net, lo, hi, self_pruning, ws, out_base)
+        run_range_scalar(net, lo, hi, self_pruning, ws)
     }
 }
 
-/// The binary-heap reference implementation of [`run_range_into`] — the
+/// The binary-heap reference implementation of [`run_range`] — the
 /// arbiter of correctness for the SoA kernel.
-fn run_range_into_scalar(
+fn run_range_scalar(
     net: &Network,
     lo: u32,
     hi: u32,
     self_pruning: bool,
     ws: &mut SearchWorkspace,
-    out_base: usize,
 ) -> QueryStats {
     let g = net.graph();
     let tt = net.timetable();
@@ -433,7 +335,7 @@ fn run_range_into_scalar(
     // Extract labels at station nodes (station nodes are 0..ns).
     for i in 0..k {
         let src = i * nv;
-        let dst = out_base + i * ns;
+        let dst = i * ns;
         for s in 0..ns {
             let a = ws.arr(src + s);
             if a < PRUNED {

@@ -75,45 +75,48 @@ impl std::error::Error for StaleTable {}
 /// Internally the table is copy-on-write: rows are individually
 /// `Arc`-shared, so cloning the table (for a snapshot publish) is
 /// O(|S_trans|) refcount bumps and a refresh copies exactly the rows it
-/// recomputes. Freshness is a *generation range* `[valid_lo, valid_hi]`:
-/// when a refresh finds zero affected rows, the table's contents are
-/// provably identical at the old and new generation, so the range is
-/// extended in place (an atomic store through `&self`) and the very same
-/// allocation stays fresh for both a snapshot pinned at the old
-/// generation and a publish at the new one.
-#[derive(Debug)]
+/// recomputes. The station index and the transfer mask are invariant under
+/// refresh and shared by every clone.
+#[derive(Debug, Clone)]
 pub struct DistanceTable {
     period: Period,
     /// Sorted transfer stations.
     stations: Arc<Vec<StationId>>,
     /// Station → table index (`u32::MAX` = not a transfer station).
     index: Arc<Vec<u32>>,
+    /// `mask[s]` ⇔ `s ∈ S_trans`, over all stations — the one transfer
+    /// mask `via(T)` and the §4 pruning rules read.
+    mask: Arc<[bool]>,
     /// One row per transfer station, each holding `|S_trans|` profiles.
     rows: Vec<Arc<Vec<Profile>>>,
     /// Wall-clock preprocessing time.
     build_time: std::time::Duration,
-    /// `Network::epoch` at build time.
-    built_epoch: u64,
-    /// Lowest generation the stored profiles are known to be exact for.
-    valid_lo: u64,
-    /// Highest generation the stored profiles are known to be exact for
-    /// (`>= valid_lo`). Atomic so a zero-row refresh can extend the range
-    /// through a shared `Arc` without unsharing it; extending never
-    /// invalidates a pinned reader (the range only grows).
-    valid_hi: AtomicU64,
+    /// The network states the rows are exact for.
+    fresh: Freshness,
 }
 
-impl Clone for DistanceTable {
+/// The network states a precomputed row store (the distance table's rows,
+/// the gateway's border sets) is exact for: one network instance and a
+/// *generation range* `[lo, hi]`. When a refresh finds zero affected rows
+/// the contents are provably identical at the old and new generation, so
+/// the range is extended in place — `hi` is atomic, the store works
+/// through `&self` — and the very same allocation stays fresh for both a
+/// snapshot pinned at the old generation and a publish at the new one.
+/// The range only ever grows, so extending never invalidates a reader.
+#[derive(Debug)]
+pub(crate) struct Freshness {
+    /// `Network::epoch` at build time.
+    epoch: u64,
+    lo: u64,
+    hi: AtomicU64,
+}
+
+impl Clone for Freshness {
     fn clone(&self) -> Self {
-        DistanceTable {
-            period: self.period,
-            stations: Arc::clone(&self.stations),
-            index: Arc::clone(&self.index),
-            rows: self.rows.clone(),
-            build_time: self.build_time,
-            built_epoch: self.built_epoch,
-            valid_lo: self.valid_lo,
-            valid_hi: AtomicU64::new(self.valid_hi.load(Ordering::Relaxed)),
+        Freshness {
+            epoch: self.epoch,
+            lo: self.lo,
+            hi: AtomicU64::new(self.hi.load(Ordering::Relaxed)),
         }
     }
 }
@@ -122,67 +125,88 @@ impl Clone for DistanceTable {
 /// column mask (empty mask = keep every column; the log was exhausted).
 pub(crate) type RefreshPlan = (Vec<StationId>, Vec<bool>);
 
-/// Scopes an incremental refresh of any per-station profile table (the
-/// distance table's rows, the gateway's border sets): given the stations
-/// the table stores profiles **from** (`rows`) and the generation its
-/// contents are valid to (`since`), returns the rows a refresh must
-/// recompute plus the forward column mask of stations whose profiles can
-/// have changed (empty mask = recompute every column; the network's
-/// bounded feed log was exhausted).
-///
-/// The affected rows come from the network itself: it records, per
-/// generation, the departure stations of every re-timed connection
-/// ([`Network::touched_since`]), so a table any number of feeds behind
-/// still sees the **complete** union. A profile from `a` can only change
-/// if some journey from `a` rides a re-timed connection, i.e. if `a`
-/// reaches a touched station in the station graph — which is invariant
-/// under delays, so a reverse reachability search from the touched set
-/// (following incoming edges) finds exactly the rows to recompute; the
-/// forward closure (outgoing edges) bounds the columns symmetrically.
-pub(crate) fn refresh_scope(net: &Network, rows: &[StationId], since: u64) -> RefreshPlan {
-    match net.touched_since(since) {
-        // Reverse reachability: every station with a path *into* the
-        // touched set can route through a re-timed connection.
-        Some(touched) => {
-            let sg = net.station_graph();
-            let mut reaches = vec![false; net.num_stations()];
-            let mut stack: Vec<StationId> = Vec::with_capacity(touched.len());
-            for &s in &touched {
-                if !reaches[s.idx()] {
-                    reaches[s.idx()] = true;
-                    stack.push(s);
-                }
-            }
-            // Forward reachability for the columns, from the same
-            // touched seed.
-            let mut fwd = vec![false; net.num_stations()];
-            let mut fwd_stack: Vec<StationId> = Vec::with_capacity(touched.len());
-            for &s in &touched {
-                if !fwd[s.idx()] {
-                    fwd[s.idx()] = true;
-                    fwd_stack.push(s);
-                }
-            }
-            while let Some(v) = fwd_stack.pop() {
-                for (u, _) in sg.out(v) {
-                    if !fwd[u.idx()] {
-                        fwd[u.idx()] = true;
-                        fwd_stack.push(u);
-                    }
-                }
-            }
-            while let Some(v) = stack.pop() {
-                for &u in sg.incoming(v) {
-                    if !reaches[u.idx()] {
-                        reaches[u.idx()] = true;
-                        stack.push(u);
-                    }
-                }
-            }
-            (rows.iter().copied().filter(|s| reaches[s.idx()]).collect(), fwd)
+impl Freshness {
+    /// Exact for precisely the current state of `net`.
+    pub(crate) fn at(net: &Network) -> Freshness {
+        let gen = net.generation();
+        Freshness { epoch: net.epoch(), lo: gen, hi: AtomicU64::new(gen) }
+    }
+
+    /// `Ok` iff `net` is the network instance the store was built from and
+    /// its generation lies in the range; otherwise the typed
+    /// [`StaleTable`], whose `built_for` is the epoch and the range's
+    /// upper end.
+    pub(crate) fn check(&self, net: &Network) -> Result<(), StaleTable> {
+        let queried = (net.epoch(), net.generation());
+        let hi = self.hi.load(Ordering::Relaxed);
+        if self.epoch == queried.0 && self.lo <= queried.1 && queried.1 <= hi {
+            Ok(())
+        } else {
+            Err(StaleTable { built_for: (self.epoch, hi), queried })
         }
-        // Too far behind the network's log: recompute everything.
-        None => (rows.to_vec(), Vec::new()),
+    }
+
+    /// Scopes an incremental refresh to `net` of a store holding profiles
+    /// **from** the stations `rows`: the rows to recompute plus the forward
+    /// column mask of stations whose profiles can have changed (empty mask
+    /// = recompute every column; the network's bounded feed log was
+    /// exhausted). `None` when no row can have changed — the range is then
+    /// extended in place to cover `net`, nothing needs copying.
+    ///
+    /// [`DistanceTable::refresh`] argues why reverse reachability from the
+    /// network's own touched-station log ([`Network::touched_since`]) finds
+    /// exactly the rows, and the forward closure bounds the columns.
+    pub(crate) fn refresh_scope(&self, net: &Network, rows: &[StationId]) -> Option<RefreshPlan> {
+        let (affected, fwd) = match net.touched_since(self.hi.load(Ordering::Relaxed)) {
+            // Reverse reachability: every station with a path *into* the
+            // touched set can route through a re-timed connection.
+            Some(touched) => {
+                let sg = net.station_graph();
+                let mut reaches = vec![false; net.num_stations()];
+                let mut stack: Vec<StationId> = Vec::with_capacity(touched.len());
+                for &s in &touched {
+                    if !reaches[s.idx()] {
+                        reaches[s.idx()] = true;
+                        stack.push(s);
+                    }
+                }
+                // Forward reachability for the columns, from the same
+                // touched seed.
+                let mut fwd = vec![false; net.num_stations()];
+                let mut fwd_stack: Vec<StationId> = Vec::with_capacity(touched.len());
+                for &s in &touched {
+                    if !fwd[s.idx()] {
+                        fwd[s.idx()] = true;
+                        fwd_stack.push(s);
+                    }
+                }
+                while let Some(v) = fwd_stack.pop() {
+                    for (u, _) in sg.out(v) {
+                        if !fwd[u.idx()] {
+                            fwd[u.idx()] = true;
+                            fwd_stack.push(u);
+                        }
+                    }
+                }
+                while let Some(v) = stack.pop() {
+                    for &u in sg.incoming(v) {
+                        if !reaches[u.idx()] {
+                            reaches[u.idx()] = true;
+                            stack.push(u);
+                        }
+                    }
+                }
+                (rows.iter().copied().filter(|s| reaches[s.idx()]).collect(), fwd)
+            }
+            // Too far behind the network's log: recompute everything.
+            None => (rows.to_vec(), Vec::new()),
+        };
+        if affected.is_empty() {
+            // Monotone max: the range only ever grows.
+            self.hi.fetch_max(net.generation(), Ordering::Relaxed);
+            return None;
+        }
+        Some((affected, fwd))
     }
 }
 
@@ -202,6 +226,7 @@ impl DistanceTable {
         for (i, s) in stations.iter().enumerate() {
             index[s.idx()] = i as u32;
         }
+        let mask: Arc<[bool]> = index.iter().map(|&i| i != u32::MAX).collect();
 
         // One sequential SPCS per source, sources batched over the pool.
         let sets = build_engine().many_to_all(net, &stations);
@@ -219,11 +244,10 @@ impl DistanceTable {
             period,
             stations: Arc::new(stations),
             index: Arc::new(index),
+            mask,
             rows,
             build_time: start.elapsed(),
-            built_epoch: net.epoch(),
-            valid_lo: net.generation(),
-            valid_hi: AtomicU64::new(net.generation()),
+            fresh: Freshness::at(net),
         }
     }
 
@@ -260,19 +284,9 @@ impl DistanceTable {
     /// epoch) — refresh can only follow mutations of the network the table
     /// was built from.
     pub fn refresh(&mut self, net: &Network) -> Result<usize, StaleTable> {
-        match self.refresh_plan(net)? {
-            None => Ok(0),
-            Some((affected, fwd)) => {
-                if affected.is_empty() {
-                    // Contents provably identical at the new generation:
-                    // extend the validity range instead of copying anything.
-                    self.extend_valid_to(net.generation());
-                } else {
-                    self.apply_refresh(net, &affected, &fwd);
-                }
-                Ok(affected.len())
-            }
-        }
+        let Some((affected, fwd)) = self.refresh_plan(net)? else { return Ok(0) };
+        self.apply_refresh(net, &affected, &fwd);
+        Ok(affected.len())
     }
 
     /// The shared-`Arc` form of [`DistanceTable::refresh`], for publishers
@@ -286,32 +300,21 @@ impl DistanceTable {
         table: &mut Arc<DistanceTable>,
         net: &Network,
     ) -> Result<usize, StaleTable> {
-        match table.refresh_plan(net)? {
-            None => Ok(0),
-            Some((affected, fwd)) => {
-                if affected.is_empty() {
-                    table.extend_valid_to(net.generation());
-                } else {
-                    Arc::make_mut(table).apply_refresh(net, &affected, &fwd);
-                }
-                Ok(affected.len())
-            }
-        }
+        let Some((affected, fwd)) = table.refresh_plan(net)? else { return Ok(0) };
+        Arc::make_mut(table).apply_refresh(net, &affected, &fwd);
+        Ok(affected.len())
     }
 
-    /// Computes which rows a refresh must recompute: `None` when the table
-    /// is already fresh, otherwise the affected rows plus the forward
-    /// column mask from the shared [`refresh_scope`] machinery.
+    /// What a refresh must recompute: `None` when the table is already
+    /// fresh or provably unchanged (the validity range then covers `net`
+    /// without copying anything), otherwise the affected rows plus the
+    /// forward column mask ([`Freshness::refresh_scope`]).
     fn refresh_plan(&self, net: &Network) -> Result<Option<RefreshPlan>, StaleTable> {
-        let queried = (net.epoch(), net.generation());
-        if self.built_epoch != net.epoch() {
-            return Err(StaleTable { built_for: self.built_for(), queried });
+        match self.fresh.check(net) {
+            Ok(()) => Ok(None),
+            Err(stale) if !stale.refreshable() => Err(stale),
+            Err(_) => Ok(self.fresh.refresh_scope(net, &self.stations)),
         }
-        let hi = self.valid_hi.load(Ordering::Relaxed);
-        if self.valid_lo <= queried.1 && queried.1 <= hi {
-            return Ok(None); // already fresh
-        }
-        Ok(Some(refresh_scope(net, &self.stations, hi)))
     }
 
     /// Recomputes the affected rows (copy-on-write: only these rows are
@@ -329,18 +332,8 @@ impl DistanceTable {
                 }
             }
         }
-        let gen = net.generation();
-        self.valid_lo = gen;
-        self.valid_hi.store(gen, Ordering::Relaxed);
+        self.fresh = Freshness::at(net);
         self.build_time += start.elapsed();
-    }
-
-    /// Extends the validity range to cover `gen` (a zero-row refresh: the
-    /// contents are provably unchanged). Works through `&self`, so a shared
-    /// `Arc<DistanceTable>` stays shared.
-    fn extend_valid_to(&self, gen: u64) {
-        // Monotone max: the range only ever grows.
-        self.valid_hi.fetch_max(gen, Ordering::Relaxed);
     }
 
     /// `Ok` iff this table was built (or last [`DistanceTable::refresh`]ed)
@@ -349,24 +342,7 @@ impl DistanceTable {
     /// [`StaleTable`] otherwise. Checked by the s2s engine before every
     /// table-pruned query.
     pub fn check_fresh(&self, net: &Network) -> Result<(), StaleTable> {
-        let queried = (net.epoch(), net.generation());
-        if self.built_epoch == queried.0
-            && self.valid_lo <= queried.1
-            && queried.1 <= self.valid_hi.load(Ordering::Relaxed)
-        {
-            Ok(())
-        } else {
-            Err(StaleTable { built_for: self.built_for(), queried })
-        }
-    }
-
-    /// Panicking form of [`DistanceTable::check_fresh`], for paths that
-    /// cannot recover: a stale table would silently produce wrong
-    /// arrivals, the panic makes the bug loud.
-    pub fn assert_fresh(&self, net: &Network) {
-        if let Err(e) = self.check_fresh(net) {
-            panic!("{e}");
-        }
+        self.fresh.check(net)
     }
 
     /// The `(Network::epoch, Network::generation)` this table was built
@@ -375,7 +351,7 @@ impl DistanceTable {
     /// range; this reports its upper end).
     #[inline]
     pub fn built_for(&self) -> (u64, u64) {
-        (self.built_epoch, self.valid_hi.load(Ordering::Relaxed))
+        (self.fresh.epoch, self.fresh.hi.load(Ordering::Relaxed))
     }
 
     /// Number of rows this table shares (by allocation, [`Arc::ptr_eq`])
@@ -405,12 +381,14 @@ impl DistanceTable {
     /// `true` iff `s ∈ S_trans`.
     #[inline]
     pub fn is_transfer(&self, s: StationId) -> bool {
-        self.index[s.idx()] != u32::MAX
+        self.mask[s.idx()]
     }
 
-    /// Boolean mask over all stations.
-    pub fn transfer_mask(&self) -> Vec<bool> {
-        self.index.iter().map(|&i| i != u32::MAX).collect()
+    /// `mask[s]` ⇔ `s ∈ S_trans`, over all stations — built once with the
+    /// table and shared by every clone and refresh of it.
+    #[inline]
+    pub fn transfer_mask(&self) -> &[bool] {
+        &self.mask
     }
 
     /// The stored profile `D(a, b, ·)`; both must be transfer stations.
@@ -566,6 +544,45 @@ mod tests {
         let err = table.refresh(&net2).unwrap_err();
         assert!(!err.refreshable(), "another epoch can never be reconciled");
         assert!(err.to_string().contains("stale distance table"));
+    }
+
+    #[test]
+    fn one_transfer_mask_is_shared_across_clones_refreshes_and_publishes() {
+        use crate::network::ConcurrentNetwork;
+        use pt_core::{Dur, TrainId};
+        use pt_timetable::{DelayEvent, Recovery};
+        let delay = |train: u32| DelayEvent::Delay {
+            train: TrainId(train),
+            from_hop: 0,
+            delay: Dur::minutes(20),
+            recovery: Recovery::None,
+        };
+        let mut net = net();
+        let mut table = DistanceTable::build(&net, &TransferSelection::Fraction(0.2));
+        let mut marked = vec![false; net.num_stations()];
+        for s in table.stations() {
+            marked[s.idx()] = true;
+        }
+        assert_eq!(table.transfer_mask(), &marked[..]);
+
+        // The very same allocation behind a clone and a row-rewriting refresh.
+        let built = table.transfer_mask().as_ptr();
+        assert_eq!(table.clone().transfer_mask().as_ptr(), built);
+        assert!(net.apply_feed(&[delay(0)]).changed());
+        assert!(table.refresh(&net).unwrap() > 0, "the feed must rewrite rows");
+        assert_eq!(table.transfer_mask().as_ptr(), built);
+
+        // And behind every snapshot a ConcurrentNetwork publishes.
+        let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.2));
+        let first = cnet.snapshot();
+        for train in [1, 2] {
+            let outcome = cnet.apply_feed(&[delay(train)]);
+            assert!(outcome.table_rows_refreshed > 0, "publish {train} must rewrite rows");
+            assert_eq!(
+                cnet.snapshot().table().unwrap().transfer_mask().as_ptr(),
+                first.table().unwrap().transfer_mask().as_ptr(),
+            );
+        }
     }
 
     #[test]

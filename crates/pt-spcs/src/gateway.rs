@@ -22,13 +22,11 @@
 //!   default seeding).
 //! * **Border sets.** Per shard, one full one-to-all [`ProfileSet`] from
 //!   every border alias it hosts (the crate-private `BorderSets`), built
-//!   with the same batched engine as the distance tables. Freshness rides the same
-//!   machinery as [`DistanceTable`](crate::DistanceTable): a
-//!   `[valid_lo, valid_hi]` generation range plus
-//!   [`Network::touched_since`]-scoped refreshes
-//!   ([`refresh_scope`](crate::distance_table)), so a feed invalidates
-//!   only the touched shard's border sets — and only the rows that can
-//!   reach a re-timed connection.
+//!   with the same batched engine as the distance tables. Freshness is the
+//!   very range type [`DistanceTable`](crate::DistanceTable) holds: a
+//!   generation range plus [`Network::touched_since`]-scoped refreshes, so
+//!   a feed invalidates only the touched shard's border sets — and only
+//!   the rows that can reach a re-timed connection.
 //! * **The stitch.** A label-correcting fixpoint over the alias groups:
 //!   seed every group with the source's profile to it, relax
 //!   border → border links through each shard's border sets until nothing
@@ -48,7 +46,7 @@ use std::sync::{Arc, Mutex};
 
 use pt_core::{Period, Profile, StationId};
 
-use crate::distance_table::{build_engine, refresh_scope};
+use crate::distance_table::{build_engine, Freshness};
 use crate::multicriteria::prune_dominated_profiles;
 use crate::network::{Network, NetworkSnapshot};
 use crate::profile_set::ProfileSet;
@@ -71,44 +69,22 @@ pub enum BorderSpec {
 }
 
 /// Per shard: the full one-to-all profile sets from every border alias it
-/// hosts, stamped with the generation range they are exact for.
-#[derive(Debug)]
+/// hosts, stamped with the network states they are exact for.
+#[derive(Debug, Clone)]
 pub(crate) struct BorderSets {
     /// Sorted shard-local border station ids; indexes align with `sets`.
     borders: Arc<Vec<StationId>>,
     /// `sets[i]` = one-to-all profiles from `borders[i]`.
     sets: Vec<Arc<ProfileSet>>,
-    /// `Network::epoch` at build time.
-    built_epoch: u64,
-    /// Generation range the stored profiles are exact for (see
-    /// [`DistanceTable`](crate::DistanceTable) — same contract: a zero-row
-    /// refresh extends `valid_hi` in place through a shared `Arc`).
-    valid_lo: u64,
-    valid_hi: AtomicU64,
-}
-
-impl Clone for BorderSets {
-    fn clone(&self) -> Self {
-        BorderSets {
-            borders: Arc::clone(&self.borders),
-            sets: self.sets.clone(),
-            built_epoch: self.built_epoch,
-            valid_lo: self.valid_lo,
-            valid_hi: AtomicU64::new(self.valid_hi.load(Ordering::Relaxed)),
-        }
-    }
+    /// Same contract as the distance table's: a zero-row refresh extends
+    /// the range in place through a shared `Arc`.
+    fresh: Freshness,
 }
 
 impl BorderSets {
     fn build(net: &Network, borders: Arc<Vec<StationId>>) -> BorderSets {
         let sets = build_engine().many_to_all(net, &borders);
-        BorderSets {
-            borders,
-            sets,
-            built_epoch: net.epoch(),
-            valid_lo: net.generation(),
-            valid_hi: AtomicU64::new(net.generation()),
-        }
+        BorderSets { borders, sets, fresh: Freshness::at(net) }
     }
 
     /// The one-to-all set from border `b` (a member of `borders`).
@@ -117,33 +93,22 @@ impl BorderSets {
         &self.sets[i]
     }
 
-    fn is_fresh_for(&self, net: &Network) -> bool {
-        self.built_epoch == net.epoch()
-            && self.valid_lo <= net.generation()
-            && net.generation() <= self.valid_hi.load(Ordering::Relaxed)
-    }
-
     /// Reconciles the shared sets with a network mutated by feeds since
     /// they were built, recomputing only the border rows that can reach a
-    /// touched station ([`refresh_scope`] — the distance-table machinery).
-    /// Returns the number of rows recomputed; zero-row refreshes extend
-    /// the validity range without unsharing the `Arc`.
+    /// touched station ([`Freshness::refresh_scope`] — the distance-table
+    /// machinery). Returns the number of rows recomputed; zero-row
+    /// refreshes extend the validity range without unsharing the `Arc`.
     fn refresh_shared(slot: &mut Arc<BorderSets>, net: &Network) -> usize {
-        let gen = net.generation();
-        let hi = slot.valid_hi.load(Ordering::Relaxed);
-        let (affected, _fwd) = refresh_scope(net, &slot.borders, hi);
-        if affected.is_empty() {
-            slot.valid_hi.fetch_max(gen, Ordering::Relaxed);
+        let Some((affected, _fwd)) = slot.fresh.refresh_scope(net, &slot.borders) else {
             return 0;
-        }
+        };
         let sets = build_engine().many_to_all(net, &affected);
         let inner = Arc::make_mut(slot);
         for (&b, set) in affected.iter().zip(sets) {
             let i = inner.borders.binary_search(&b).expect("affected rows come from borders");
             inner.sets[i] = set;
         }
-        inner.valid_lo = gen;
-        inner.valid_hi.store(gen, Ordering::Relaxed);
+        inner.fresh = Freshness::at(net);
         affected.len()
     }
 }
@@ -285,14 +250,16 @@ impl Gateway {
             .map(|(idx, snap)| {
                 let net = snap.network();
                 let mut slot = self.tables[idx].lock().expect("gateway table lock poisoned");
-                if slot.is_fresh_for(net) {
-                    return Arc::clone(&slot);
-                }
-                if slot.built_epoch != net.epoch() || net.generation() < slot.valid_lo {
+                let stale = match slot.fresh.check(net) {
+                    Ok(()) => return Arc::clone(&slot),
+                    Err(stale) => stale,
+                };
+                if !stale.refreshable() || net.generation() < stale.built_for.1 {
                     // Another epoch, or a snapshot pinned *before* the
-                    // shared sets' range (a concurrent batch refreshed
-                    // past it): serve a one-off build for exactly this
-                    // state without regressing the shared slot.
+                    // shared sets' range (outside it yet below its upper
+                    // end — a concurrent batch refreshed past it): serve a
+                    // one-off build for exactly this state without
+                    // regressing the shared slot.
                     return Arc::new(BorderSets::build(net, Arc::clone(&slot.borders)));
                 }
                 let rows = BorderSets::refresh_shared(&mut slot, net);

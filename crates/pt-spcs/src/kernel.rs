@@ -113,19 +113,17 @@ pub(crate) fn ring_size(net: &Network) -> usize {
     (span.max(g.period().len() as usize - 1) + 1).next_power_of_two()
 }
 
-/// The SoA counterpart of
-/// [`run_range_into`](crate::connection_setting::run_range_into): the
+/// The SoA path of [`run_range`](crate::connection_setting::run_range): the
 /// (self-pruning) connection-setting search over the global connection-id
-/// range `lo..hi`, writing station labels at `out_base` of an already
-/// prepared `ws.station_arr`. Label-for-label identical to the scalar path
-/// up to tie order (see the module docs).
+/// range `lo..hi`, writing station labels into the already prepared
+/// `ws.station_arr`. Label-for-label identical to the scalar path up to
+/// tie order (see the module docs).
 pub(crate) fn run_range_soa(
     net: &Network,
     lo: u32,
     hi: u32,
     self_pruning: bool,
     ws: &mut SearchWorkspace,
-    out_base: usize,
 ) -> QueryStats {
     let g = net.graph();
     let nv = g.num_nodes();
@@ -207,7 +205,7 @@ pub(crate) fn run_range_soa(
     // Extract labels at station nodes (station nodes are 0..ns).
     for i in 0..k {
         let src = i * nv;
-        let dst = out_base + i * ns;
+        let dst = i * ns;
         for s in 0..ns {
             let a = ws.arr(src + s);
             if a < PRUNED {

@@ -10,7 +10,9 @@
 //!   execution (§3.2): equal time-slots, equal number of connections,
 //!   1-D k-means,
 //! * [`parallel`] — the multi-threaded driver: one SPCS per thread on its
-//!   connection subset, merge + connection reduction at the master (§3.2),
+//!   connection subset, merge + connection reduction at the master (§3.2);
+//!   also the one batch dispatch (across queries when a batch fills the
+//!   workers, within a query otherwise) both engines use,
 //! * [`kernel`] — the branch-light structure-of-arrays label kernels: a
 //!   time-bucketed frontier replaces the binary heap, relaxations sweep
 //!   edges grouped by kind into contiguous `u32` lanes, and a single
@@ -22,12 +24,14 @@
 //! * [`workspace`] — persistent, epoch-stamped per-worker search state;
 //!   engines reuse it so the repeated-query hot path allocates nothing,
 //! * [`cache`] — the concurrently readable, generation-keyed LRU over
-//!   shared profile sets behind [`ProfileEngine::with_cache`]; delay
+//!   shared profile sets behind [`ProfileEngine::with_cache`], and the one
+//!   memoization routine (probe, in-batch dedupe, fill) of both engines; delay
 //!   updates ([`Network::apply_delay`] and batched feeds,
 //!   [`Network::apply_feed`] — one bump per feed) invalidate it by bumping
 //!   the generation,
 //! * [`distance_table`] — precomputed full profile tables between transfer
-//!   stations, kept fresh under live feeds by the row- *and* column-scoped
+//!   stations (the table owns the one transfer mask `via(T)` and the §4
+//!   pruning read), kept fresh under live feeds by the row- *and* column-scoped
 //!   incremental [`DistanceTable::refresh`] (stale tables surface as a
 //!   typed [`StaleTable`] from the fallible s2s entry points),
 //! * [`network`] also hosts [`ConcurrentNetwork`]: snapshot-isolated

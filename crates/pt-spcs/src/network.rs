@@ -426,8 +426,8 @@ impl Network {
 }
 
 /// One immutable published state of a [`ConcurrentNetwork`]: the network
-/// plus the matching refreshed [`DistanceTable`] (if configured) and its
-/// precomputed transfer mask. Readers pin a snapshot (`Arc` clone) for the
+/// plus the matching refreshed [`DistanceTable`] (if configured, transfer
+/// mask included). Readers pin a snapshot (`Arc` clone) for the
 /// duration of one query; the `(epoch, generation)` pair identifies the
 /// state for generation-keyed caches, so answers computed on a pinned
 /// snapshot are exactly the answers of that state — never a torn mix.
@@ -438,7 +438,6 @@ impl Network {
 pub struct NetworkSnapshot {
     net: Network,
     table: Option<Arc<DistanceTable>>,
-    mask: Vec<bool>,
 }
 
 impl NetworkSnapshot {
@@ -458,14 +457,6 @@ impl NetworkSnapshot {
     #[inline]
     pub fn shared_table(&self) -> Option<Arc<DistanceTable>> {
         self.table.clone()
-    }
-
-    /// The table's transfer mask (empty when no table is configured),
-    /// precomputed once per publish so per-query entry points can use the
-    /// masked fast paths.
-    #[inline]
-    pub fn transfer_mask(&self) -> &[bool] {
-        &self.mask
     }
 }
 
@@ -609,8 +600,7 @@ impl ConcurrentNetwork {
 /// whose refresh touched zero rows keeps `Arc::ptr_eq` with the previous
 /// snapshot's table.
 fn publish_snapshot(net: &Network, table: Option<&Arc<DistanceTable>>) -> NetworkSnapshot {
-    let mask = table.map(|t| t.transfer_mask()).unwrap_or_default();
-    NetworkSnapshot { net: net.clone_same_epoch(), table: table.cloned(), mask }
+    NetworkSnapshot { net: net.clone_same_epoch(), table: table.cloned() }
 }
 
 #[cfg(test)]
@@ -724,6 +714,8 @@ mod tests {
         let snap = cnet.snapshot();
         let table = snap.table().expect("table configured");
         assert!(table.check_fresh(snap.network()).is_ok());
-        assert_eq!(snap.transfer_mask(), &table.transfer_mask()[..]);
+        let marked: Vec<bool> =
+            snap.station_ids().map(|s| table.stations().binary_search(&s).is_ok()).collect();
+        assert_eq!(snap.table().unwrap().transfer_mask(), &marked[..]);
     }
 }

@@ -13,9 +13,11 @@
 //! spawning), and every worker reuses its [`SearchWorkspace`] across
 //! queries. Concurrency per query is bounded by its job count (`p`
 //! partition classes, or `p` claim loops for a batch), never by pool
-//! ownership. `many_to_all_across` adds the second parallelization level:
-//! whole queries are distributed over the pool, each answered by a blocked
-//! single-worker search (`one_to_all_blocked`).
+//! ownership. `run_batch` adds the second parallelization level: when a
+//! batch can fill the workers, whole queries are distributed over the pool
+//! and each worker answers its queries with the ordinary single-class
+//! search. Both engines share the two steps written here — `run_classes`
+//! (one search per partition class) and `run_batch` (across or within).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +33,7 @@ use crate::network::Network;
 use crate::partition::PartitionStrategy;
 use crate::profile_set::ProfileSet;
 use crate::stats::QueryStats;
-use crate::workspace::SearchWorkspace;
+use crate::workspace::{SearchWorkspace, WorkspacePool};
 
 /// Result of a one-to-all profile query.
 #[derive(Debug, Clone)]
@@ -46,43 +48,83 @@ pub struct OneToAllResult {
     pub thread_settled: Vec<u64>,
 }
 
-/// Distributes `n` independent work items over the pool: one claim loop
-/// per workspace, items claimed from a shared atomic counter, each answered
-/// on that worker's own workspace. The common scaffold of
-/// [`many_to_all_across`] and `S2sEngine::try_batch`.
-pub(crate) fn run_batch<T, F>(workspaces: &mut [SearchWorkspace], n: usize, job: F) -> Vec<T>
+/// Answers `n` independent queries on `threads` workspaces checked out of
+/// `pool`; `job(i, p, workspaces)` answers query `i` with `p` partition
+/// classes. The batch dispatch rule of both engines: with more than one
+/// thread and at least as many queries as threads the batch goes **across**
+/// queries — one claim loop per workspace, queries claimed from a shared
+/// atomic counter, each answered with `p = 1` on that worker's own
+/// workspace (no cross-worker coordination, no merge barrier per query);
+/// otherwise the queries run one at a time **within**-query parallel.
+pub(crate) fn run_batch<T, F>(pool: &WorkspacePool, threads: usize, n: usize, job: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, &mut SearchWorkspace) -> T + Sync,
+    F: Fn(usize, usize, &mut [SearchWorkspace]) -> T + Sync,
 {
-    // Claim contiguous chunks rather than single items: one atomic RMW per
-    // chunk instead of per item, and consecutive indices stay on one worker
-    // (warm per-source state for batches that repeat or sort their inputs).
-    // ~4 chunks per worker keeps the tail balanced under skewed item cost.
-    let workers = workspaces.len().max(1);
-    let chunk = (n / (workers * 4)).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    rayon::global().scope(|scope| {
-        for ws in workspaces.iter_mut() {
-            let (next, slots, job) = (&next, &slots, &job);
-            scope.spawn(move || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = n.min(start + chunk);
-                for (i, slot) in slots[start..end].iter().enumerate() {
-                    let result = job(start + i, ws);
-                    *slot.lock().unwrap() = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every item index was claimed by a worker"))
-        .collect()
+    let mut workspaces = pool.checkout(threads);
+    let out = if threads > 1 && n >= threads {
+        // Claim contiguous chunks rather than single items: one atomic RMW
+        // per chunk instead of per item, and consecutive indices stay on
+        // one worker (warm per-source state for batches that repeat or sort
+        // their inputs). ~4 chunks per worker keeps the tail balanced under
+        // skewed item cost.
+        let chunk = (n / (threads * 4)).max(1);
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        rayon::global().scope(|scope| {
+            for ws in workspaces.iter_mut() {
+                let (next, slots, job) = (&next, &slots, &job);
+                scope.spawn(move || loop {
+                    let start = next.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    let end = n.min(start + chunk);
+                    for (i, slot) in slots[start..end].iter().enumerate() {
+                        let result = job(start + i, 1, std::slice::from_mut(ws));
+                        *slot.lock().unwrap() = Some(result);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|m| m.into_inner().unwrap().expect("every item index was claimed by a worker"))
+            .collect()
+    } else {
+        (0..n).map(|i| job(i, threads, &mut workspaces)).collect()
+    };
+    pool.checkin(workspaces);
+    out
+}
+
+/// Runs `job(lo, hi, workspace)` once per partition class of `conn(S)` —
+/// `ranges` are the classes relative to `conn_lo`, the first global
+/// connection id of the source — each on its own workspace: inline when
+/// there is a single class, as scoped jobs on the global pool otherwise.
+/// Returns the per-class counters in class order.
+pub(crate) fn run_classes<F>(
+    conn_lo: u32,
+    ranges: &[Range<u32>],
+    workspaces: &mut [SearchWorkspace],
+    job: F,
+) -> Vec<QueryStats>
+where
+    F: Fn(u32, u32, &mut SearchWorkspace) -> QueryStats + Sync,
+{
+    assert!(workspaces.len() >= ranges.len(), "one workspace per partition class required");
+    let mut per_stats = vec![QueryStats::default(); ranges.len()];
+    if let [r] = ranges {
+        per_stats[0] = job(conn_lo + r.start, conn_lo + r.end, &mut workspaces[0]);
+    } else {
+        rayon::global().scope(|scope| {
+            for ((ws, st), r) in workspaces.iter_mut().zip(per_stats.iter_mut()).zip(ranges) {
+                let job = &job;
+                scope.spawn(move || *st = job(conn_lo + r.start, conn_lo + r.end, ws));
+            }
+        });
+    }
+    per_stats
 }
 
 /// Runs the one-to-all profile search with `p` partition classes on the
@@ -103,31 +145,9 @@ pub(crate) fn one_to_all(
     let conn_range = tt.conn_ids(source);
     let conns = tt.conn(source);
     let ranges = strategy.partition(conns, p, period);
-    assert!(workspaces.len() >= ranges.len(), "one workspace per partition class required");
-
-    // Run the workers (inline when single-threaded).
-    let mut per_stats = vec![QueryStats::default(); ranges.len()];
-    if p == 1 {
-        per_stats[0] = connection_setting::run_range(
-            net,
-            conn_range.start,
-            conn_range.end,
-            self_pruning,
-            kernel,
-            &mut workspaces[0],
-        );
-    } else {
-        rayon::global().scope(|scope| {
-            for ((ws, st), r) in
-                workspaces[..ranges.len()].iter_mut().zip(per_stats.iter_mut()).zip(&ranges)
-            {
-                let (lo, hi) = (conn_range.start + r.start, conn_range.start + r.end);
-                scope.spawn(move || {
-                    *st = connection_setting::run_range(net, lo, hi, self_pruning, kernel, ws);
-                });
-            }
-        });
-    }
+    let per_stats = run_classes(conn_range.start, &ranges, workspaces, |lo, hi, ws| {
+        connection_setting::run_range(net, lo, hi, self_pruning, kernel, ws)
+    });
 
     let thread_settled: Vec<u64> = per_stats.iter().map(|r| r.settled).collect();
     let mut stats = QueryStats::sum(per_stats);
@@ -218,99 +238,6 @@ fn master_merge(
     }
 }
 
-/// One-to-all answered entirely by **one** worker, but with the `conn(S)`
-/// partition executed as `blocks` back-to-back *blocked* searches on the
-/// same workspace. Per-class label spaces (and heaps) are a factor `blocks`
-/// smaller than one monolithic search, which more than pays for the lost
-/// cross-class self-pruning — the same trade the parallel split makes, kept
-/// even when the classes run sequentially. The per-class station labels
-/// line up into the query-level buffer in global connection order, so the
-/// merge is identical to the parallel master step (and the result is
-/// bit-identical to a `blocks`-thread query with the same strategy).
-pub(crate) fn one_to_all_blocked(
-    net: &Network,
-    source: StationId,
-    blocks: usize,
-    strategy: PartitionStrategy,
-    self_pruning: bool,
-    kernel: KernelMode,
-    ws: &mut SearchWorkspace,
-) -> OneToAllResult {
-    let tt = net.timetable();
-    let period = tt.period();
-    let ns = net.num_stations();
-    let conn_range = tt.conn_ids(source);
-    let conns = tt.conn(source);
-    let ranges = strategy.partition(conns, blocks, period);
-    let k = conns.len();
-
-    ws.fresh_station_arr(k * ns);
-    let mut per_stats = Vec::with_capacity(ranges.len());
-    for r in &ranges {
-        let (lo, hi) = (conn_range.start + r.start, conn_range.start + r.end);
-        per_stats.push(connection_setting::run_range_into(
-            net,
-            lo,
-            hi,
-            self_pruning,
-            kernel,
-            ws,
-            r.start as usize * ns,
-        ));
-    }
-    let thread_settled: Vec<u64> = per_stats.iter().map(|r| r.settled).collect();
-    let mut stats = QueryStats::sum(per_stats);
-
-    // The query-level buffer is one contiguous k×ns block, i.e. a single
-    // "class" covering 0..k — the SoA merge runs sequentially here (jobs=1):
-    // blocked searches already execute inside a batch worker.
-    let merge_start = Instant::now();
-    let profiles = if kernel.soa_merge() {
-        let full_range = 0..k as u32;
-        master_merge(
-            std::slice::from_ref(ws),
-            std::slice::from_ref(&full_range),
-            conns,
-            ns,
-            period,
-            1,
-        )
-    } else {
-        let mut profiles = Vec::with_capacity(ns);
-        for s in 0..ns {
-            let points = (0..k).map(|i| (conns[i].dep, ws.station_arr[i * ns + s]));
-            profiles.push(connection_setting::reduce_station_profile(points, period));
-        }
-        profiles
-    };
-    stats.merge_ns = merge_start.elapsed().as_nanos() as u64;
-    OneToAllResult {
-        profiles: Arc::new(ProfileSet::new(source, period, profiles)),
-        stats,
-        thread_settled,
-    }
-}
-
-/// The second parallelization level: distributes whole one-to-all queries
-/// over the pool. Each worker owns one workspace and answers sources pulled
-/// from a shared queue with the blocked search ([`one_to_all_blocked`]) —
-/// no cross-worker coordination and no merge barrier per query, which
-/// maximizes sustained throughput when there are at least as many queries
-/// as workers.
-pub(crate) fn many_to_all_across(
-    net: &Network,
-    sources: &[StationId],
-    blocks: usize,
-    strategy: PartitionStrategy,
-    self_pruning: bool,
-    kernel: KernelMode,
-    workspaces: &mut [SearchWorkspace],
-) -> Vec<OneToAllResult> {
-    run_batch(workspaces, sources.len(), |i, ws| {
-        one_to_all_blocked(net, sources[i], blocks, strategy, self_pruning, kernel, ws)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,12 +314,12 @@ mod tests {
         let net = small_city();
         let sources: Vec<StationId> = (0..12).map(|i| StationId(i * 3 % 36)).collect();
         let engine = ProfileEngine::new().threads(4);
-        let batch = engine.many_to_all_with_stats(&net, &sources);
+        let batch = engine.many_to_all(&net, &sources);
         assert_eq!(batch.len(), sources.len());
-        for (r, &s) in batch.iter().zip(&sources) {
+        for (profiles, &s) in batch.iter().zip(&sources) {
             let seq = ProfileEngine::new().one_to_all(&net, s);
-            assert_eq!(r.profiles, seq, "batch result for source {s}");
-            assert_eq!(r.profiles.source(), s);
+            assert_eq!(profiles, &seq, "batch result for source {s}");
+            assert_eq!(profiles.source(), s);
         }
     }
 

@@ -60,11 +60,6 @@ impl PartitionStrategy {
         };
         ranges_from_boundaries(&boundaries, n)
     }
-
-    /// Balance diagnostic: sizes of the partition classes.
-    pub fn class_sizes(&self, conns: &[Connection], p: usize, period: Period) -> Vec<usize> {
-        self.partition(conns, p, period).iter().map(|r| r.len()).collect()
-    }
 }
 
 fn ranges_from_boundaries(boundaries: &[u32], n: u32) -> Vec<Range<u32>> {

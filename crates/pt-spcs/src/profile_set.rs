@@ -54,11 +54,6 @@ impl ProfileSet {
         self.profiles[t.idx()].eval_arr(dep, self.period)
     }
 
-    /// Total number of connection points over all profiles.
-    pub fn total_points(&self) -> usize {
-        self.profiles.iter().map(Profile::len).sum()
-    }
-
     /// Number of reachable stations (non-empty profiles).
     pub fn reachable(&self) -> usize {
         self.profiles.iter().filter(|p| !p.is_empty()).count()

@@ -36,11 +36,12 @@ use std::time::Instant;
 
 use pt_core::{ConnId, NodeId, Profile, StationId, Time, INFINITY};
 
-use crate::cache::{CacheStats, LruCore};
+use crate::cache::{self, CacheStats, LruCore, Resolved};
 use crate::connection_setting::{reduce_station_profile, PRUNED};
 use crate::distance_table::{DistanceTable, StaleTable};
 use crate::kernel::{self, KernelMode};
 use crate::network::Network;
+use crate::parallel;
 use crate::partition::PartitionStrategy;
 use crate::stats::QueryStats;
 use crate::workspace::{SearchWorkspace, WorkspacePool};
@@ -136,11 +137,12 @@ impl S2sCache {
 /// threads concurrently; repeated queries through one engine run
 /// allocation-free once warm. Queries take the network by reference, so
 /// the workspaces also survive [`Network::apply_delay`] /
-/// [`Network::apply_feed`] updates between queries. A configured distance
-/// table must match the queried network state: after a delay the engine
-/// refuses it — typed ([`StaleTable`]) from [`S2sEngine::try_query`] /
-/// [`S2sEngine::try_batch`], panicking from the infallible forms — until
-/// it is [`refresh`](DistanceTable::refresh)ed or rebuilt. With
+/// [`Network::apply_feed`] updates between queries. A distance table —
+/// configured or per call; it brings its own transfer mask — must match
+/// the queried network state: after a delay the engine refuses it, typed
+/// ([`StaleTable`]) from every `try_` entry point (only the one-line
+/// [`S2sEngine::query`] wrapper turns that into a panic), until it is
+/// [`refresh`](DistanceTable::refresh)ed or rebuilt. With
 /// [`S2sEngine::with_cache`], results are memoized in an [`S2sCache`]
 /// keyed `(source, target, epoch, generation)`.
 #[derive(Debug, Clone)]
@@ -150,7 +152,6 @@ pub struct S2sEngine<'a> {
     stopping: bool,
     kernel: KernelMode,
     table: Option<&'a DistanceTable>,
-    mask: Vec<bool>,
     /// Idle workspaces, checked out per query.
     pool: WorkspacePool,
     /// Opt-in generation-keyed result cache.
@@ -172,7 +173,6 @@ impl<'a> S2sEngine<'a> {
             stopping: true,
             kernel: KernelMode::Auto,
             table: None,
-            mask: Vec::new(),
             pool: WorkspacePool::new(),
             cache: None,
         }
@@ -207,7 +207,6 @@ impl<'a> S2sEngine<'a> {
 
     /// Attaches a precomputed distance table for §4 pruning.
     pub fn with_table(mut self, table: &'a DistanceTable) -> Self {
-        self.mask = table.transfer_mask();
         self.table = Some(table);
         self
     }
@@ -256,7 +255,7 @@ impl<'a> S2sEngine<'a> {
         source: StationId,
         target: StationId,
     ) -> Result<S2sResult, StaleTable> {
-        self.try_query_masked(net, self.table, &self.mask, source, target)
+        self.try_query_on(net, self.table, source, target)
     }
 
     /// Like [`S2sEngine::try_query`], but with the distance table supplied
@@ -264,10 +263,8 @@ impl<'a> S2sEngine<'a> {
     /// shard router ([`crate::shard::ShardedService`]) uses, where each
     /// shard owns its table alongside its network and the engine must stay
     /// `'static`. `None` disables §4 pruning for this query; any table
-    /// configured via [`S2sEngine::with_table`] is ignored. The transfer
-    /// mask is rebuilt per call — callers with a long-lived table should
-    /// precompute it once ([`DistanceTable::transfer_mask`]) and use the
-    /// masked variant, as the shard router does.
+    /// configured via [`S2sEngine::with_table`] is ignored. The single-query
+    /// backend: the one-pair case of the batch backend below.
     pub fn try_query_on(
         &self,
         net: &Network,
@@ -275,52 +272,8 @@ impl<'a> S2sEngine<'a> {
         source: StationId,
         target: StationId,
     ) -> Result<S2sResult, StaleTable> {
-        let mask = table.map(DistanceTable::transfer_mask).unwrap_or_default();
-        self.try_query_masked(net, table, &mask, source, target)
-    }
-
-    /// [`S2sEngine::try_query_on`] with a caller-precomputed transfer mask
-    /// (must be `table.transfer_mask()` of the same table — invariant
-    /// under [`DistanceTable::refresh`], so a shard caches it once). The
-    /// common backend of every single-query entry point: freshness check,
-    /// cache probe, search, cache fill.
-    pub(crate) fn try_query_masked(
-        &self,
-        net: &Network,
-        table: Option<&DistanceTable>,
-        mask: &[bool],
-        source: StationId,
-        target: StationId,
-    ) -> Result<S2sResult, StaleTable> {
-        if let Some(table) = table {
-            table.check_fresh(net)?;
-        }
-        let (epoch, generation) = (net.epoch(), net.generation());
-        if let Some(cache) = &self.cache {
-            if let Some((profile, kind)) = cache.get(source, target, epoch, generation) {
-                let stats = QueryStats { cache_hits: 1, ..QueryStats::default() };
-                return Ok(S2sResult { profile: (*profile).clone(), stats, kind });
-            }
-        }
-        let cfg = QueryConfig {
-            net,
-            table,
-            mask,
-            stopping: self.stopping,
-            strategy: self.strategy,
-            kernel: self.kernel,
-        };
-        let mut workspaces = self.pool.checkout(self.threads);
-        let mut r = query_with(&cfg, self.threads, &mut workspaces, source, target);
-        self.pool.checkin(workspaces);
-        if let Some(cache) = &self.cache {
-            r.stats.cache_misses = 1;
-            let shared = Arc::new(r.profile.clone());
-            if cache.insert(source, target, epoch, generation, shared, r.kind) {
-                r.stats.cache_evictions = 1;
-            }
-        }
-        Ok(r)
+        let mut answers = self.try_batch_on(net, table, &[(source, target)])?;
+        Ok(answers.pop().expect("one result per pair"))
     }
 
     /// Batch station-to-station queries.
@@ -337,91 +290,56 @@ impl<'a> S2sEngine<'a> {
         net: &Network,
         pairs: &[(StationId, StationId)],
     ) -> Result<Vec<S2sResult>, StaleTable> {
-        self.try_batch_masked(net, self.table, &self.mask, pairs)
+        self.try_batch_on(net, self.table, pairs)
     }
 
-    /// [`S2sEngine::try_batch`] with the distance table supplied per call
-    /// and a caller-precomputed transfer mask (see
-    /// [`S2sEngine::try_query_masked`]). Cached pairs are answered from the
-    /// result cache; only the misses go through the search.
-    pub(crate) fn try_batch_masked(
+    /// [`S2sEngine::try_batch`] with the distance table supplied per call —
+    /// the backend of every entry point: freshness check, then memoization
+    /// (`cache::resolve`: cached pairs are answered from the result cache,
+    /// only the distinct misses are searched) over the batch dispatch
+    /// (`parallel::run_batch`).
+    pub(crate) fn try_batch_on(
         &self,
         net: &Network,
         table: Option<&DistanceTable>,
-        mask: &[bool],
         pairs: &[(StationId, StationId)],
     ) -> Result<Vec<S2sResult>, StaleTable> {
         if let Some(table) = table {
             table.check_fresh(net)?;
         }
         let (epoch, generation) = (net.epoch(), net.generation());
-        let mut out: Vec<Option<S2sResult>> = Vec::with_capacity(pairs.len());
-        let mut misses: Vec<(StationId, StationId)> = Vec::new();
-        if let Some(cache) = &self.cache {
-            for &(s, t) in pairs {
-                match cache.get(s, t, epoch, generation) {
-                    Some((profile, kind)) => {
-                        let stats = QueryStats { cache_hits: 1, ..QueryStats::default() };
-                        out.push(Some(S2sResult { profile: (*profile).clone(), stats, kind }));
-                    }
-                    None => {
-                        out.push(None);
-                        misses.push((s, t));
-                    }
-                }
-            }
-        } else {
-            out.resize_with(pairs.len(), || None);
-            misses.extend_from_slice(pairs);
-        }
-        if !misses.is_empty() {
-            let cfg = QueryConfig {
-                net,
-                table,
-                mask,
-                stopping: self.stopping,
-                strategy: self.strategy,
-                kernel: self.kernel,
-            };
-            let mut workspaces = self.pool.checkout(self.threads);
-            let computed = batch_with(&cfg, self.threads, &mut workspaces, &misses);
-            self.pool.checkin(workspaces);
-            let mut computed = misses.iter().zip(computed);
-            for slot in out.iter_mut() {
-                if slot.is_none() {
-                    let (&(s, t), mut r) = computed.next().expect("one result per miss");
-                    if let Some(cache) = &self.cache {
-                        r.stats.cache_misses = 1;
-                        let shared = Arc::new(r.profile.clone());
-                        if cache.insert(s, t, epoch, generation, shared, r.kind) {
-                            r.stats.cache_evictions = 1;
-                        }
-                    }
-                    *slot = Some(r);
-                }
-            }
-        }
-        Ok(out.into_iter().map(|r| r.expect("every pair answered")).collect())
-    }
-}
-
-/// The batch dispatch heuristic shared by every batch entry point:
-/// across-query parallelism (one claim loop per worker, each query
-/// answered sequentially on one workspace) when the batch can fill the
-/// workers, within-query parallelism one pair at a time otherwise.
-fn batch_with(
-    cfg: &QueryConfig<'_>,
-    threads: usize,
-    workspaces: &mut [SearchWorkspace],
-    pairs: &[(StationId, StationId)],
-) -> Vec<S2sResult> {
-    if threads > 1 && pairs.len() >= threads {
-        crate::parallel::run_batch(&mut workspaces[..threads], pairs.len(), |i, ws| {
-            let (s, t) = pairs[i];
-            query_with(cfg, 1, std::slice::from_mut(ws), s, t)
-        })
-    } else {
-        pairs.iter().map(|&(s, t)| query_with(cfg, threads, workspaces, s, t)).collect()
+        let keys: Vec<S2sKey> = pairs.iter().map(|&(s, t)| (s, t, epoch, generation)).collect();
+        let cfg = QueryConfig {
+            net,
+            table,
+            stopping: self.stopping,
+            strategy: self.strategy,
+            kernel: self.kernel,
+        };
+        let search = |misses: &[usize]| {
+            parallel::run_batch(&self.pool, self.threads, misses.len(), |i, p, workspaces| {
+                let (s, t) = pairs[misses[i]];
+                query_with(&cfg, p, workspaces, s, t)
+            })
+        };
+        let cache = self.cache.as_ref().map(|c| &c.core);
+        let answers =
+            cache::resolve(cache, &keys, search, |r| (Arc::new(r.profile.clone()), r.kind));
+        Ok(answers
+            .into_iter()
+            .map(|(answer, cache_stats)| {
+                let mut r = match answer {
+                    Resolved::Computed(r) => r,
+                    Resolved::Cached((profile, kind)) => S2sResult {
+                        profile: (*profile).clone(),
+                        stats: QueryStats::default(),
+                        kind,
+                    },
+                };
+                r.stats += cache_stats;
+                r
+            })
+            .collect())
     }
 }
 
@@ -430,14 +348,13 @@ fn batch_with(
 struct QueryConfig<'a> {
     net: &'a Network,
     table: Option<&'a DistanceTable>,
-    mask: &'a [bool],
     stopping: bool,
     strategy: PartitionStrategy,
     kernel: KernelMode,
 }
 
-/// Answers one query on the given workers; the common backend of
-/// [`S2sEngine::query`] and [`S2sEngine::try_batch`].
+/// Answers one query with `threads` partition classes on the given
+/// workspaces (one per class).
 fn query_with(
     cfg: &QueryConfig<'_>,
     threads: usize,
@@ -450,8 +367,6 @@ fn query_with(
 
     // Special case: both endpoints in the table (§4, "Special Cases").
     if let Some(table) = cfg.table {
-        // A table snapshot from another network state would prune wrongly.
-        table.assert_fresh(cfg.net);
         if table.is_transfer(source) && table.is_transfer(target) {
             return S2sResult {
                 profile: table.profile(source, target).clone(),
@@ -468,7 +383,7 @@ fn query_with(
             if table.is_transfer(target) {
                 (QueryKind::TargetTransfer, Vec::new())
             } else {
-                let vl = cfg.net.station_graph().via_and_local(target, cfg.mask);
+                let vl = cfg.net.station_graph().via_and_local(target, table.transfer_mask());
                 if vl.is_local_query(source) || source == target {
                     (QueryKind::Local, Vec::new())
                 } else if vl.via.is_empty() {
@@ -494,34 +409,9 @@ fn query_with(
     let conn_range = tt.conn_ids(source);
     let conns = tt.conn(source);
     let ranges = cfg.strategy.partition(conns, threads, period);
-    assert!(workspaces.len() >= ranges.len(), "one workspace per partition class required");
-
-    let mut per_stats = vec![QueryStats::default(); ranges.len()];
-    if threads == 1 {
-        per_stats[0] = s2s_range_dispatch(
-            cfg.net,
-            conn_range.start,
-            conn_range.end,
-            target,
-            cfg.stopping,
-            cfg.mask,
-            mode,
-            cfg.kernel,
-            &mut workspaces[0],
-        );
-    } else {
-        rayon::global().scope(|scope| {
-            for ((ws, st), r) in
-                workspaces[..ranges.len()].iter_mut().zip(per_stats.iter_mut()).zip(&ranges)
-            {
-                let (lo, hi) = (conn_range.start + r.start, conn_range.start + r.end);
-                let (net, mask, stopping, km) = (cfg.net, cfg.mask, cfg.stopping, cfg.kernel);
-                scope.spawn(move || {
-                    *st = s2s_range_dispatch(net, lo, hi, target, stopping, mask, mode, km, ws);
-                });
-            }
-        });
-    }
+    let per_stats = parallel::run_classes(conn_range.start, &ranges, workspaces, |lo, hi, ws| {
+        s2s_range_dispatch(cfg.net, lo, hi, target, cfg.stopping, mode, cfg.kernel, ws)
+    });
 
     let mut stats = QueryStats::sum(per_stats);
     let merge_start = Instant::now();
@@ -553,7 +443,6 @@ fn s2s_range_dispatch(
     hi: u32,
     target: StationId,
     stopping: bool,
-    transfer_mask: &[bool],
     mode: Mode<'_>,
     kernel_mode: KernelMode,
     ws: &mut SearchWorkspace,
@@ -562,7 +451,7 @@ fn s2s_range_dispatch(
     if matches!(mode, Mode::Plain) && kernel_mode.use_soa(slots, kernel::ring_size(net)) {
         kernel::s2s_range_soa(net, lo, hi, target, stopping, ws)
     } else {
-        s2s_range(net, lo, hi, target, stopping, transfer_mask, mode, ws)
+        s2s_range(net, lo, hi, target, stopping, mode, ws)
     }
 }
 
@@ -576,7 +465,6 @@ fn s2s_range(
     hi: u32,
     target: StationId,
     stopping: bool,
-    transfer_mask: &[bool],
     mode: Mode<'_>,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
@@ -666,7 +554,10 @@ fn s2s_range(
         }
 
         let station_v = g.station_of(NodeId::from_idx(v));
-        let at_transfer = transfer_mask.get(station_v.idx()).copied().unwrap_or(false);
+        let at_transfer = match mode {
+            Mode::Plain => false,
+            Mode::Via { table, .. } | Mode::Target { table } => table.is_transfer(station_v),
+        };
 
         match &mode {
             Mode::Plain => {}
@@ -985,8 +876,7 @@ mod tests {
             let plain = engine.try_query_on(&net, None, s, t).unwrap();
             assert_eq!(plain.profile, per_call.profile, "{s}→{t}");
         }
-        let mask = table.transfer_mask();
-        let batch = engine.try_batch_masked(&net, Some(&table), &mask, &pairs).unwrap();
+        let batch = engine.try_batch_on(&net, Some(&table), &pairs).unwrap();
         for ((b, &(s, t)), want) in batch
             .iter()
             .zip(&pairs)
@@ -999,7 +889,7 @@ mod tests {
         let (s, t) = pairs[0];
         let err = engine.try_query_on(&net, Some(&table), s, t).unwrap_err();
         assert!(err.refreshable());
-        assert_eq!(engine.try_batch_masked(&net, Some(&table), &mask, &pairs).unwrap_err(), err);
+        assert_eq!(engine.try_batch_on(&net, Some(&table), &pairs).unwrap_err(), err);
         // Without a table the engine keeps answering on the fed network.
         assert!(engine.try_query_on(&net, None, s, t).is_ok());
     }
@@ -1063,7 +953,7 @@ mod tests {
         }
         let pairs =
             [warm[0], (StationId(13), StationId(2)), warm[1], (StationId(20), StationId(20))];
-        let got = engine.try_batch_masked(&net, None, &[], &pairs).unwrap();
+        let got = engine.try_batch_on(&net, None, &pairs).unwrap();
         assert_eq!(got[0].stats.cache_hits, 1);
         assert_eq!(got[2].stats.cache_hits, 1);
         assert_eq!(got[1].stats.cache_misses, 1);
@@ -1072,6 +962,39 @@ mod tests {
             let want = S2sEngine::new().query(&net, s, t);
             assert_eq!(r.profile, want.profile, "{s:?}→{t:?}");
         }
+    }
+
+    #[test]
+    fn batch_dedupes_in_batch_duplicate_pairs() {
+        let net = city();
+        // Cold cache, one pair three times: exactly one search may run; the
+        // duplicates are answered from it and count as hits.
+        let cold: S2sEngine<'static> = S2sEngine::new().with_cache(32).threads(2);
+        let dup = (StationId(3), StationId(41));
+        let got = cold.try_batch(&net, &[dup, dup, dup]).unwrap();
+        assert_eq!(got[0].stats.cache_misses, 1);
+        assert!(got[0].stats.settled > 0);
+        for r in &got[1..] {
+            assert_eq!((r.stats.cache_hits, r.stats.cache_misses), (1, 0));
+            assert_eq!(r.stats.settled, 0, "duplicates resolve without a search");
+            assert_eq!(r.profile, got[0].profile);
+        }
+        assert_eq!(cold.cache_stats().unwrap().entries, 1);
+    }
+
+    #[test]
+    fn batch_duplicates_survive_a_capacity_one_cache() {
+        let net = city();
+        // A pair whose entry was already evicted again within the batch is
+        // still answered from the batch's own results.
+        let small: S2sEngine<'static> = S2sEngine::new().with_cache(1);
+        let (a, b) = ((StationId(3), StationId(41)), (StationId(0), StationId(48)));
+        let pairs = [a, b, a, b];
+        let got = small.try_batch(&net, &pairs).unwrap();
+        for (r, &(s, t)) in got.iter().zip(&pairs) {
+            assert_eq!(r.profile, S2sEngine::new().query(&net, s, t).profile, "{s:?}→{t:?}");
+        }
+        assert_eq!(small.cache_stats().unwrap().entries, 1);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   assigns each shard a contiguous global range (shard `i` owns
 //!   `base[i]..base[i+1]`), so resolution is one binary search.
 //!   [`ShardedService::one_to_all`] / [`ShardedService::s2s`] dispatch to
-//!   the owning shard's engine; the batch forms demultiplex their inputs so
-//!   each shard's engine is entered **once** per batch with all of its
-//!   queries (keeping the two-level batch parallelism per shard).
+//!   the owning shard's engine; the batch forms go through the router's one
+//!   demultiplexer (group by shard, run once per shard, scatter back to
+//!   input order — shared with the feed path), so each shard's engine is
+//!   entered **once** per batch with all of its queries (keeping the
+//!   two-level batch parallelism per shard).
 //! * **Cache striping.** Each shard's `ProfileEngine` carries its own LRU
 //!   stripe, so the effective cache key is
 //!   `(shard, source, epoch, generation)`: a feed to shard A bumps only A's
@@ -50,8 +52,9 @@
 //!   methods therefore take `&self` — one service value may be queried
 //!   from many threads while a feed stream applies concurrently, and every
 //!   answer is exactly a pre-feed or post-feed state, never a torn mix.
-//!   Batch forms pin **all touched shards' snapshots up front**, before
-//!   any demultiplexed group runs, so a feed landing mid-batch can never
+//!   Batch forms pin **all touched shards' snapshots up front** (one pin
+//!   routine: the first mention of a shard pins it), before any
+//!   demultiplexed group runs, so a feed landing mid-batch can never
 //!   answer items of one batch at different generations.
 
 use std::error::Error;
@@ -65,7 +68,7 @@ use pt_timetable::DelayEvent;
 use crate::cache::CacheStats;
 use crate::connection_setting::ProfileEngine;
 use crate::distance_table::DistanceTable;
-use crate::gateway::{BorderSets, BorderSpec, Gateway, GatewayStats};
+use crate::gateway::{BorderSpec, Gateway, GatewayStats};
 use crate::network::{ConcurrentNetwork, DelayUpdate, FeedSummary, Network, NetworkSnapshot};
 use crate::partition::PartitionStrategy;
 use crate::profile_set::ProfileSet;
@@ -200,8 +203,8 @@ impl ShardedFeedSummary {
 
 /// One shard: a snapshot-published network and its persistent serving
 /// machinery. Queries pin `net.snapshot()` — the snapshot carries the
-/// shard's table and transfer mask refreshed to its state, so the engines
-/// never see a table/network mismatch.
+/// shard's table refreshed to its state, so the engines never see a
+/// table/network mismatch.
 #[derive(Debug)]
 struct Shard {
     net: ConcurrentNetwork,
@@ -210,19 +213,13 @@ struct Shard {
 }
 
 impl Shard {
-    fn s2s(&self, snap: &NetworkSnapshot, source: StationId, target: StationId) -> S2sResult {
-        self.s2s
-            .try_query_masked(snap.network(), snap.table(), snap.transfer_mask(), source, target)
-            .expect("published snapshots carry tables refreshed to their state")
-    }
-
     fn s2s_batch(
         &self,
         snap: &NetworkSnapshot,
         pairs: &[(StationId, StationId)],
     ) -> Vec<S2sResult> {
         self.s2s
-            .try_batch_masked(snap.network(), snap.table(), snap.transfer_mask(), pairs)
+            .try_batch_on(snap.network(), snap.table(), pairs)
             .expect("published snapshots carry tables refreshed to their state")
     }
 }
@@ -543,13 +540,11 @@ impl ShardedService {
         source: StationId,
     ) -> Result<Routed<Arc<ProfileSet>>, RouterError> {
         self.check_shard(shard)?;
-        let (owner, local) = self.locate(source)?;
+        let owner = self.owner(source)?;
         if owner != shard {
             return Err(RouterError::WrongShard { station: source, queried: shard, owner });
         }
-        let s = &self.shards[shard.idx()];
-        let snap = s.net.snapshot();
-        Ok(Routed { shard, value: s.profile.one_to_all(snap.network(), local) })
+        self.one_to_all(source)
     }
 
     /// Batch one-to-all over global sources. The batch is demultiplexed so
@@ -566,26 +561,48 @@ impl ShardedService {
     ) -> Vec<Result<Routed<Arc<ProfileSet>>, RouterError>> {
         let located: Vec<Result<(ShardId, StationId), RouterError>> =
             sources.iter().map(|&s| self.locate(s)).collect();
-        let pins = self.pin_sources(&located);
+        let pins = self.pin(located.iter().filter_map(|loc| loc.ok()).map(|(shard, _)| shard));
         self.many_to_all_pinned(located, &pins)
     }
 
-    /// Pins the snapshot of every shard that owns at least one located
-    /// source — the up-front consistent cut a batch runs against.
-    fn pin_sources(
-        &self,
-        located: &[Result<(ShardId, StationId), RouterError>],
-    ) -> Vec<Option<Arc<NetworkSnapshot>>> {
+    /// Pins the current snapshot of every listed shard, once each (the
+    /// first mention pins, later mentions reuse it) — the up-front
+    /// consistent cut a batch runs against. Unlisted shards stay `None`.
+    fn pin(&self, shards: impl Iterator<Item = ShardId>) -> Vec<Option<Arc<NetworkSnapshot>>> {
         let mut pins: Vec<Option<Arc<NetworkSnapshot>>> = vec![None; self.shards.len()];
-        for loc in located {
-            if let Ok((shard, _)) = *loc {
-                let slot = &mut pins[shard.idx()];
-                if slot.is_none() {
-                    *slot = Some(self.shards[shard.idx()].net.snapshot());
+        for shard in shards {
+            pins[shard.idx()].get_or_insert_with(|| self.shards[shard.idx()].net.snapshot());
+        }
+        pins
+    }
+
+    /// The router's one demultiplexer: groups the `Some` items by shard
+    /// (preserving their relative order), calls `run` **once** per
+    /// non-empty shard in ascending shard order with that shard's items —
+    /// it returns one output per item — and scatters the outputs back to
+    /// input order. `None` items stay `None`.
+    fn demux<I: Copy, O>(
+        &self,
+        items: impl ExactSizeIterator<Item = Option<(ShardId, I)>>,
+        mut run: impl FnMut(usize, &[I]) -> Vec<O>,
+    ) -> Vec<Option<O>> {
+        let mut out: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
+        let mut grouped: Vec<(Vec<usize>, Vec<I>)> =
+            self.shards.iter().map(|_| (Vec::new(), Vec::new())).collect();
+        for (i, item) in items.enumerate() {
+            if let Some((shard, item)) = item {
+                grouped[shard.idx()].0.push(i);
+                grouped[shard.idx()].1.push(item);
+            }
+        }
+        for (idx, (positions, group)) in grouped.iter().enumerate() {
+            if !group.is_empty() {
+                for (&i, o) in positions.iter().zip(run(idx, group)) {
+                    out[i] = Some(o);
                 }
             }
         }
-        pins
+        out
     }
 
     /// The demultiplexed run of [`ShardedService::many_to_all`] against
@@ -597,27 +614,15 @@ impl ShardedService {
         located: Vec<Result<(ShardId, StationId), RouterError>>,
         pins: &[Option<Arc<NetworkSnapshot>>],
     ) -> Vec<Result<Routed<Arc<ProfileSet>>, RouterError>> {
-        let mut grouped: Vec<Vec<(usize, StationId)>> = vec![Vec::new(); self.shards.len()];
-        for (i, loc) in located.iter().enumerate() {
-            if let Ok((shard, local)) = *loc {
-                grouped[shard.idx()].push((i, local));
-            }
-        }
-        let mut out: Vec<Option<Result<Routed<Arc<ProfileSet>>, RouterError>>> =
-            located.into_iter().map(|loc| loc.err().map(Err)).collect();
-        for (idx, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[idx];
+        let sets = self.demux(located.iter().map(|loc| loc.ok()), |idx, locals| {
             let snap = pins[idx].as_ref().expect("every shard with sources is pinned");
-            let locals: Vec<StationId> = group.iter().map(|&(_, l)| l).collect();
-            let sets = shard.profile.many_to_all(snap.network(), &locals);
-            for (&(i, _), set) in group.iter().zip(sets) {
-                out[i] = Some(Ok(Routed { shard: ShardId(idx as u32), value: set }));
-            }
-        }
-        out.into_iter().map(|r| r.expect("every located source answered by its shard")).collect()
+            self.shards[idx].profile.many_to_all(snap.network(), locals)
+        });
+        let answered = located.into_iter().zip(sets).map(|(loc, set)| {
+            let (shard, _) = loc?;
+            Ok(Routed { shard, value: set.expect("every located source answered by its shard") })
+        });
+        answered.collect()
     }
 
     /// Station-to-station profile between two global stations. Same-shard
@@ -632,17 +637,14 @@ impl ShardedService {
         target: StationId,
     ) -> Result<Routed<S2sResult>, RouterError> {
         match self.locate_pair(source, target)? {
-            RoutedPair::Same(shard, (s_local, t_local)) => {
+            RoutedPair::Same(shard, pair) => {
                 let s = &self.shards[shard.idx()];
-                let snap = s.net.snapshot();
-                Ok(Routed { shard, value: s.s2s(&snap, s_local, t_local) })
+                let value = s.s2s_batch(&s.net.snapshot(), &[pair]).pop();
+                Ok(Routed { shard, value: value.expect("one result per pair") })
             }
             RoutedPair::Cross(src, tgt) => {
-                let gw = self.gateway.as_ref().expect("locate_pair only crosses with a gateway");
-                let snaps = self.pin_all();
-                let sets = gw.sets_for(&snaps);
-                let value = self.stitch_one(&snaps, &sets, src, tgt);
-                Ok(Routed { shard: ShardId(tgt.0 as u32), value })
+                let value = self.stitch(&self.pin(self.shard_ids()), &[(src, tgt)]).pop();
+                Ok(Routed { shard: ShardId(tgt.0 as u32), value: value.expect("one per pair") })
             }
         }
     }
@@ -661,7 +663,17 @@ impl ShardedService {
     ) -> Vec<Result<Routed<S2sResult>, RouterError>> {
         let located: Vec<Result<RoutedPair, RouterError>> =
             pairs.iter().map(|&(s, t)| self.locate_pair(s, t)).collect();
-        let pins = self.pin_for(&located);
+        // Every shard with a same-shard pair — or **all** shards as soon as
+        // any pair crosses (stitched answers read several shards, and they
+        // must read one cut).
+        let pins = if located.iter().any(|l| matches!(l, Ok(RoutedPair::Cross(..)))) {
+            self.pin(self.shard_ids())
+        } else {
+            self.pin(located.iter().filter_map(|l| match l {
+                Ok(RoutedPair::Same(shard, _)) => Some(*shard),
+                _ => None,
+            }))
+        };
         self.s2s_batch_pinned(located, &pins)
     }
 
@@ -679,28 +691,6 @@ impl ShardedService {
         }
     }
 
-    /// Pins the snapshots an s2s batch needs, up front: every shard with a
-    /// same-shard pair — or **all** shards as soon as any pair crosses
-    /// (stitched answers read several shards, and they must read one cut).
-    fn pin_for(
-        &self,
-        located: &[Result<RoutedPair, RouterError>],
-    ) -> Vec<Option<Arc<NetworkSnapshot>>> {
-        if located.iter().any(|l| matches!(l, Ok(RoutedPair::Cross(..)))) {
-            return self.shards.iter().map(|s| Some(s.net.snapshot())).collect();
-        }
-        let mut pins: Vec<Option<Arc<NetworkSnapshot>>> = vec![None; self.shards.len()];
-        for loc in located {
-            if let Ok(RoutedPair::Same(shard, _)) = *loc {
-                let slot = &mut pins[shard.idx()];
-                if slot.is_none() {
-                    *slot = Some(self.shards[shard.idx()].net.snapshot());
-                }
-            }
-        }
-        pins
-    }
-
     /// The demultiplexed run of [`ShardedService::s2s_batch`] against
     /// already-pinned snapshots (the testable pin/run seam).
     fn s2s_batch_pinned(
@@ -708,70 +698,62 @@ impl ShardedService {
         located: Vec<Result<RoutedPair, RouterError>>,
         pins: &[Option<Arc<NetworkSnapshot>>],
     ) -> Vec<Result<Routed<S2sResult>, RouterError>> {
-        let mut grouped: Vec<Vec<(usize, (StationId, StationId))>> =
-            vec![Vec::new(); self.shards.len()];
-        let mut cross: Vec<(usize, Endpoint, Endpoint)> = Vec::new();
-        for (i, loc) in located.iter().enumerate() {
-            match *loc {
-                Ok(RoutedPair::Same(shard, pair)) => grouped[shard.idx()].push((i, pair)),
-                Ok(RoutedPair::Cross(src, tgt)) => cross.push((i, src, tgt)),
-                Err(_) => {}
-            }
-        }
-        let mut out: Vec<Option<Result<Routed<S2sResult>, RouterError>>> =
-            located.into_iter().map(|loc| loc.err().map(Err)).collect();
-        for (idx, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let local_pairs: Vec<(StationId, StationId)> = group.iter().map(|&(_, p)| p).collect();
-            let shard = &self.shards[idx];
+        let same = located.iter().map(|loc| match *loc {
+            Ok(RoutedPair::Same(shard, pair)) => Some((shard, pair)),
+            _ => None,
+        });
+        let same = self.demux(same, |idx, pairs| {
             let snap = pins[idx].as_ref().expect("every shard with same-shard pairs is pinned");
-            let results = shard.s2s_batch(snap, &local_pairs);
-            for (&(i, _), r) in group.iter().zip(results) {
-                out[i] = Some(Ok(Routed { shard: ShardId(idx as u32), value: r }));
+            self.shards[idx].s2s_batch(snap, pairs)
+        });
+        let cross: Vec<(Endpoint, Endpoint)> = located
+            .iter()
+            .filter_map(|loc| match *loc {
+                Ok(RoutedPair::Cross(src, tgt)) => Some((src, tgt)),
+                _ => None,
+            })
+            .collect();
+        let mut stitched = self.stitch(pins, &cross).into_iter();
+        let answered = located.into_iter().zip(same).map(|(loc, same)| match loc? {
+            RoutedPair::Same(shard, _) => {
+                Ok(Routed { shard, value: same.expect("every same-shard pair answered") })
             }
-        }
-        if !cross.is_empty() {
-            let gw = self.gateway.as_ref().expect("cross pairs are only located with a gateway");
-            let snaps: Vec<Arc<NetworkSnapshot>> = pins
-                .iter()
-                .map(|p| Arc::clone(p.as_ref().expect("a cross batch pins every shard")))
-                .collect();
-            let sets = gw.sets_for(&snaps);
-            for (i, src, tgt) in cross {
-                let value = self.stitch_one(&snaps, &sets, src, tgt);
-                out[i] = Some(Ok(Routed { shard: ShardId(tgt.0 as u32), value }));
+            RoutedPair::Cross(_, (tgt_shard, _)) => {
+                let value = stitched.next().expect("every cross pair stitched");
+                Ok(Routed { shard: ShardId(tgt_shard as u32), value })
             }
-        }
-        out.into_iter().map(|r| r.expect("every located pair answered by its shard")).collect()
+        });
+        answered.collect()
     }
 
-    /// Pins every shard's current snapshot — the consistent cut a stitched
-    /// answer reads.
-    fn pin_all(&self) -> Vec<Arc<NetworkSnapshot>> {
-        self.shards.iter().map(|s| s.net.snapshot()).collect()
-    }
-
-    /// Stitches one cross-shard pair against pinned snapshots and fresh
-    /// border sets; source searches go through the owning shard's engine
-    /// (and its cache stripe).
-    fn stitch_one(
+    /// Stitches cross-shard pairs against one pinned cut (every shard
+    /// pinned) and border sets fresh for it; source searches go through
+    /// the owning shard's engine (and its cache stripe).
+    fn stitch(
         &self,
-        snaps: &[Arc<NetworkSnapshot>],
-        sets: &[Arc<BorderSets>],
-        source: (usize, StationId),
-        target: (usize, StationId),
-    ) -> S2sResult {
-        let gw = self.gateway.as_ref().expect("stitching needs a gateway");
+        pins: &[Option<Arc<NetworkSnapshot>>],
+        pairs: &[(Endpoint, Endpoint)],
+    ) -> Vec<S2sResult> {
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        let gw = self.gateway.as_ref().expect("cross pairs are only located with a gateway");
+        let snaps: Vec<Arc<NetworkSnapshot>> = pins
+            .iter()
+            .map(|p| Arc::clone(p.as_ref().expect("a cross batch pins every shard")))
+            .collect();
+        let sets = gw.sets_for(&snaps);
         let one_to_all =
             |sh: usize, s: StationId| self.shards[sh].profile.one_to_all(snaps[sh].network(), s);
-        let (profile, pruned) = gw.stitch(snaps, sets, &one_to_all, source, target);
-        S2sResult {
-            profile,
-            stats: QueryStats { table_pruned: pruned, ..Default::default() },
-            kind: QueryKind::Gateway,
-        }
+        let stitch_one = |&(source, target): &(Endpoint, Endpoint)| {
+            let (profile, pruned) = gw.stitch(&snaps, &sets, &one_to_all, source, target);
+            S2sResult {
+                profile,
+                stats: QueryStats { table_pruned: pruned, ..Default::default() },
+                kind: QueryKind::Gateway,
+            }
+        };
+        pairs.iter().map(stitch_one).collect()
     }
 
     /// Gateway counters — border groups, per-shard border counts, and the
@@ -805,29 +787,19 @@ impl ShardedService {
         for &(shard, _) in events {
             self.check_shard(shard)?;
         }
-        let mut grouped: Vec<Vec<(usize, DelayEvent)>> = vec![Vec::new(); self.shards.len()];
-        for (i, &(shard, event)) in events.iter().enumerate() {
-            grouped[shard.idx()].push((i, event));
-        }
-        let mut out_events = vec![DelayUpdate::Unchanged; events.len()];
         let mut shards = Vec::new();
-        for (idx, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[idx];
-            let batch: Vec<DelayEvent> = group.iter().map(|&(_, e)| e).collect();
-            let outcome = shard.net.apply_feed(&batch);
-            for (&(i, _), &update) in group.iter().zip(&outcome.summary.events) {
-                out_events[i] = update;
-            }
+        let updates = self.demux(events.iter().map(|&tagged| Some(tagged)), |idx, batch| {
+            let outcome = self.shards[idx].net.apply_feed(batch);
+            let updates = outcome.summary.events.clone();
             shards.push(ShardFeedOutcome {
                 shard: ShardId(idx as u32),
                 summary: outcome.summary,
                 table_rows_refreshed: outcome.table_rows_refreshed,
             });
-        }
-        Ok(ShardedFeedSummary { events: out_events, shards })
+            updates
+        });
+        let events = updates.into_iter().map(|u| u.expect("every event was routed")).collect();
+        Ok(ShardedFeedSummary { events, shards })
     }
 
     fn check_shard(&self, shard: ShardId) -> Result<(), RouterError> {
@@ -1270,7 +1242,7 @@ mod tests {
         // The pin/run seam, exercised as a feed racing a batch: locate and
         // pin, let a feed land, then run the batch on the pinned cut.
         let located: Vec<_> = pairs.iter().map(|&(s, t)| svc.locate_pair(s, t)).collect();
-        let pins = svc.pin_for(&located);
+        let pins = svc.pin(svc.shard_ids());
         assert!(pins.iter().all(Option::is_some), "a cross pair pins every shard");
         let reference = svc.s2s_batch(&pairs);
 
@@ -1302,7 +1274,7 @@ mod tests {
         // Same seam for one-to-all batches.
         let sources = vec![StationId(2), StationId(3)];
         let located: Vec<_> = sources.iter().map(|&s| svc.locate(s)).collect();
-        let pins = svc.pin_sources(&located);
+        let pins = svc.pin(located.iter().map(|loc| loc.unwrap().0));
         let reference = svc.many_to_all(&sources);
         let event = DelayEvent::Delay {
             train: TrainId(1),

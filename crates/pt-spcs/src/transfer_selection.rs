@@ -51,16 +51,6 @@ impl TransferSelection {
         picked.dedup();
         picked
     }
-
-    /// Marks the selection as a boolean mask over stations.
-    pub fn select_mask(&self, net: &Network) -> (Vec<StationId>, Vec<bool>) {
-        let picked = self.select(net);
-        let mut mask = vec![false; net.num_stations()];
-        for s in &picked {
-            mask[s.idx()] = true;
-        }
-        (picked, mask)
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +93,10 @@ mod tests {
     fn explicit_is_normalized() {
         let net = net();
         let sel = TransferSelection::Explicit(vec![StationId(5), StationId(1), StationId(5)]);
-        let (picked, mask) = sel.select_mask(&net);
+        let picked = sel.select(&net);
         assert_eq!(picked, vec![StationId(1), StationId(5)]);
+        let table = crate::DistanceTable::build_for(&net, picked);
+        let mask = table.transfer_mask();
         assert!(mask[1] && mask[5] && !mask[0]);
     }
 
