@@ -211,8 +211,8 @@ pub fn standard_departures() -> Vec<Time> {
 /// and cross-validates **both** against the label-setting time-query
 /// ground truth — not just against each other, so a bug shared by the
 /// profile reduction cannot survive the A/B. Covers sequential and
-/// parallel one-to-all plus station-to-station with and without the
-/// stopping criterion.
+/// parallel one-to-all with and without self-pruning, plus sequential and
+/// parallel station-to-station with and without the stopping criterion.
 pub fn kernel_check(
     name: &str,
     net: &Network,
@@ -226,6 +226,8 @@ pub fn kernel_check(
 
     let scalar = ProfileEngine::new().kernel(KernelMode::Scalar);
     let soa = ProfileEngine::new().kernel(KernelMode::Soa);
+    let unpruned = [KernelMode::Scalar, KernelMode::Soa]
+        .map(|k| ProfileEngine::new().kernel(k).self_pruning(false));
     for &s in sources {
         let want = scalar.one_to_all(net, s);
         let got = soa.one_to_all(net, s);
@@ -233,14 +235,23 @@ pub fn kernel_check(
         if got != want {
             record(&mut mismatches, format!("{name}: SoA kernel != scalar kernel from {s}"));
         }
-        for &p in threads {
-            let par = ProfileEngine::new().kernel(KernelMode::Soa).threads(p).one_to_all(net, s);
+        // Self-pruning off changes the work, never the profiles.
+        for e in &unpruned {
             comparisons += 1;
-            if par != want {
-                record(
-                    &mut mismatches,
-                    format!("{name}: parallel SoA kernel (p={p}) != scalar from {s}"),
-                );
+            if e.one_to_all(net, s) != want {
+                record(&mut mismatches, format!("{name}: unpruned kernel != scalar from {s}"));
+            }
+        }
+        for &p in threads {
+            for pruning in [true, false] {
+                let par = ProfileEngine::new().kernel(KernelMode::Soa).threads(p);
+                comparisons += 1;
+                if par.self_pruning(pruning).one_to_all(net, s) != want {
+                    record(
+                        &mut mismatches,
+                        format!("{name}: SoA (p={p}, self-pruning {pruning}) != scalar from {s}"),
+                    );
+                }
             }
         }
         for &dep in departures {
@@ -285,6 +296,13 @@ pub fn kernel_check(
         }
         if s2s_nostop.query(net, s, t).profile != want.profile {
             record(&mut mismatches, format!("{name}: SoA s2s (no stop) {s} -> {t} != scalar"));
+        }
+        for &p in threads {
+            comparisons += 1;
+            let par = S2sEngine::new().kernel(KernelMode::Soa).threads(p);
+            if par.query(net, s, t).profile != want.profile {
+                record(&mut mismatches, format!("{name}: SoA s2s (p={p}) {s} -> {t} != scalar"));
+            }
         }
     }
 

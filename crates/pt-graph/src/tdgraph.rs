@@ -13,8 +13,8 @@
 
 use std::sync::Arc;
 
-use pt_core::{ConnId, Dur, NodeId, Period, Plf, PlfPoint, StationId, Time, TrainId};
-use pt_timetable::{DelayPatch, Routes, Timetable};
+use pt_core::{ConnId, Dur, NodeId, Period, Plf, PlfPoint, StationId, Time};
+use pt_timetable::{Routes, Timetable};
 
 /// Weight of a graph edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +121,8 @@ struct Topology {
     /// For route nodes (offset by `num_stations`): `(route, stop index)`.
     route_node_info: Vec<(pt_core::RouteId, u16)>,
     /// First route node of each route (route nodes are contiguous per
-    /// route) — the anchor [`TdGraph::repatch`] needs to find a route's
-    /// hop edges without a search.
+    /// route) — the anchor [`TdGraph::repatch_routes`] needs to find a
+    /// route's hop edges without a search.
     route_first_node: Vec<NodeId>,
     /// `T(S)` per station (copied out of the timetable for cache locality).
     transfer: Vec<Dur>,
@@ -246,31 +246,18 @@ impl TdGraph {
         }
     }
 
-    /// Incrementally follows a [`Timetable::patch_delay`]: updates the
-    /// remapped `conn_start` entries and rewrites the interpolation points
-    /// of the delayed route's hop PLFs — the only edges a delay can touch.
-    /// Everything else (nodes, edge topology, transfer weights, all other
-    /// PLFs) is untouched, so a warm engine keeps its workspace sizes.
+    /// Incrementally follows a [`Timetable::patch_feed`]: applies the feed's
+    /// merged `ConnId` remap to `conn_start` once, then rewrites the
+    /// interpolation points of the hop PLFs of each route in `touched` — the
+    /// only edges a delay can touch — exactly once, however many feed events
+    /// hit the route. Everything else (nodes, edge topology, transfer
+    /// weights, all other PLFs) is untouched, so a warm engine keeps its
+    /// workspace sizes.
     ///
-    /// `routes` must already be [`Routes::repatch`]ed, and the delayed
-    /// route must still pass [`Routes::route_is_fifo`] — when it does not,
-    /// the route partition itself is stale and the graph must be rebuilt
-    /// with [`TdGraph::build`] instead (a delay that makes one train
-    /// overtake another changes which trains may share route edges).
-    pub fn repatch(&mut self, tt: &Timetable, routes: &Routes, train: TrainId, patch: &DelayPatch) {
-        if !patch.changed {
-            return;
-        }
-        self.repatch_routes(tt, routes, &[routes.route_of(train)], &patch.remapped);
-    }
-
-    /// The multi-route form of [`TdGraph::repatch`], following a
-    /// [`Timetable::patch_feed`]: applies the feed's merged `ConnId` remap
-    /// to `conn_start` once, then rewrites the hop PLFs of each route in
-    /// `touched` exactly once — however many feed events hit the route. All
-    /// routes must already be [`Routes::repatch_feed`]ed and pass
-    /// [`Routes::route_is_fifo`]; send non-FIFO routes through
-    /// [`Routes::refit`] + [`TdGraph::build`] instead.
+    /// All routes must already be [`Routes::repatch_feed`]ed and pass
+    /// [`Routes::route_is_fifo`]; a delay that makes one train overtake
+    /// another changes which trains may share route edges, so send non-FIFO
+    /// routes through [`Routes::refit`] + [`TdGraph::build`] instead.
     pub fn repatch_routes(
         &mut self,
         tt: &Timetable,
@@ -551,9 +538,18 @@ mod tests {
         }
     }
 
+    /// The one-event feed delaying train 0 by `minutes` from its first hop.
+    fn delay_train_0(tt: &mut Timetable, minutes: u32) -> pt_timetable::FeedPatch {
+        tt.patch_feed(&[pt_timetable::DelayEvent::Delay {
+            train: pt_core::TrainId(0),
+            from_hop: 0,
+            delay: Dur::minutes(minutes),
+            recovery: pt_timetable::Recovery::None,
+        }])
+    }
+
     #[test]
     fn repatch_matches_full_rebuild() {
-        use pt_timetable::Recovery;
         // Two-train route over three stations plus an unrelated line, so
         // the patch must leave other routes' PLFs alone.
         let mut b = TimetableBuilder::new(Period::DAY);
@@ -578,11 +574,11 @@ mod tests {
         // 09:00 train arrives 09:10, so the delayed train is overtaken by
         // departure order; use 70 min so departures AND arrivals reorder
         // consistently (09:10 dep, 09:20 arr vs 09:00 dep, 09:10 arr).
-        let patch = tt.patch_delay(pt_core::TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        let patch = delay_train_0(&mut tt, 70);
         assert!(patch.changed);
-        routes.repatch(&tt, &patch);
+        let touched = routes.repatch_feed(&tt, &patch);
         assert!(routes.route_is_fifo(&tt, routes.route_of(pt_core::TrainId(0))));
-        g.repatch(&tt, &routes, pt_core::TrainId(0), &patch);
+        g.repatch_routes(&tt, &routes, &touched, &patch.remapped);
 
         let fresh_routes = Routes::partition(&tt);
         let fresh = TdGraph::build(&tt, &fresh_routes);
@@ -710,15 +706,14 @@ mod tests {
 
     #[test]
     fn repatch_keeps_span_bound_valid() {
-        use pt_timetable::Recovery;
         let (mut tt, mut routes, mut g) = two_station_graph();
         let before = g.max_edge_span_secs();
         // Delays preserve hop durations, so the bound may not shrink and
         // must still dominate every PLF duration after the repatch.
-        let patch = tt.patch_delay(pt_core::TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        let patch = delay_train_0(&mut tt, 70);
         assert!(patch.changed);
-        routes.repatch(&tt, &patch);
-        g.repatch(&tt, &routes, pt_core::TrainId(0), &patch);
+        let touched = routes.repatch_feed(&tt, &patch);
+        g.repatch_routes(&tt, &routes, &touched, &patch.remapped);
         let after = g.max_edge_span_secs();
         assert!(after >= before);
         let true_max = g

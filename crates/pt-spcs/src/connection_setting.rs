@@ -15,14 +15,21 @@
 //! * **Connection reduction** turns the raw labels at each station into the
 //!   reduced (FIFO) profile `dist(S, T, ·)`.
 //!
+//! The station-to-station query (§4) adds rules to the same loop — the
+//! stopping criterion, distance-table pruning, target pruning; see
+//! [`s2s`](crate::s2s) — so the loop is written once (per frontier: here on
+//! a binary heap, in [`kernel`] on a bucket ring) and takes a `Goal`:
+//! one-to-all is the search with no target and every §4 rule off.
+//!
 //! All per-query state lives in a reusable [`SearchWorkspace`]; a warm
 //! engine answers a query without any full-size allocation.
 
 use std::sync::Arc;
 
-use pt_core::{NodeId, Period, Profile, ProfilePoint, StationId, Time, INFINITY};
+use pt_core::{ConnId, NodeId, Period, Profile, ProfilePoint, StationId, Time, INFINITY};
 
 use crate::cache::{self, CacheStats, ProfileCache, Resolved};
+use crate::distance_table::DistanceTable;
 use crate::kernel::{self, KernelMode};
 use crate::network::Network;
 use crate::parallel::{self, OneToAllResult};
@@ -230,65 +237,139 @@ impl ProfileEngine {
     }
 }
 
-/// Runs the (self-pruning) connection-setting search restricted to the
-/// global connection-id range `lo..hi` (a contiguous subset of `conn(S)`),
-/// on the given workspace.
+/// The §4 pruning rule of one search: which distance-table probes run when
+/// a transfer station is settled.
+#[derive(Clone, Copy)]
+pub(crate) enum Rule<'t> {
+    /// No table probes (one-to-all, plain and local queries).
+    Plain,
+    /// Distance-table pruning over the via stations of the target (Thm 3).
+    Via { table: &'t DistanceTable, via: &'t [StationId] },
+    /// Target pruning, the target being a transfer station (Thm 4).
+    Target { table: &'t DistanceTable },
+}
+
+/// What one search is looking for, in the paper's own variables. The
+/// one-to-all search of §3.1 has no target, no stopping criterion and rule
+/// `Plain`; the station-to-station search of §4 adds a target and, with
+/// it, the rules that only a target makes sound.
+#[derive(Clone, Copy)]
+pub(crate) struct Goal<'t> {
+    /// `Some(T)`: only the arrivals at `T` are wanted (`ws.arr_t`); `None`:
+    /// the labels at every station (`ws.station_arr`).
+    pub(crate) target: Option<StationId>,
+    pub(crate) self_pruning: bool,
+    /// The stopping criterion (Thm 2); never fires without a target.
+    pub(crate) stopping: bool,
+    /// `Via` and `Target` need a target.
+    pub(crate) rule: Rule<'t>,
+}
+
+/// Runs the connection-setting search for `goal` restricted to the global
+/// connection-id range `lo..hi` (a contiguous subset of `conn(S)`), on the
+/// given workspace.
 ///
-/// This is the workhorse of both the sequential and the parallel algorithm:
-/// each worker thread calls it on its partition class. On return,
-/// `ws.station_arr[i * ns + s]` holds the arrival label of local connection
-/// `i` at station `s` ([`INFINITY`] = unreachable or pruned). Dispatches
-/// between the scalar heap path and the bucketed SoA kernel per
-/// [`KernelMode`].
+/// This is the workhorse of every profile query, sequential or parallel:
+/// each worker thread calls it on its partition class. With a target,
+/// `ws.arr_t[i]` holds on return the best arrival at the target per local
+/// connection `i`; without one, `ws.station_arr[i * ns + s]` holds the
+/// arrival label of `i` at station `s` ([`INFINITY`] = unreachable or
+/// pruned). The one place the frontier is chosen: the bucket ring of
+/// [`kernel`] when [`KernelMode`] asks for it and the rule is `Plain` — the
+/// per-settle table probes of `Via` / `Target` are inherently branchy and
+/// have no ring path — the binary heap otherwise.
 pub(crate) fn run_range(
     net: &Network,
     lo: u32,
     hi: u32,
-    self_pruning: bool,
+    goal: &Goal<'_>,
     kernel_mode: KernelMode,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
+    let g = net.graph();
+    let (nv, ns) = (g.num_nodes(), g.num_stations());
     let k = (hi - lo) as usize;
-    ws.fresh_station_arr(k * net.graph().num_stations());
-    if kernel_mode.use_soa(k * net.graph().num_nodes(), kernel::ring_size(net)) {
-        kernel::run_range_soa(net, lo, hi, self_pruning, ws)
+    let ring =
+        matches!(goal.rule, Rule::Plain) && kernel_mode.use_soa(k * nv, kernel::ring_size(net));
+    let stats = if ring {
+        kernel::search_soa(net, lo, hi, goal, ws)
     } else {
-        run_range_scalar(net, lo, hi, self_pruning, ws)
+        search_scalar(net, lo, hi, goal, ws)
+    };
+    if goal.target.is_none() {
+        // Extract labels at station nodes (station nodes are 0..ns).
+        ws.fresh_station_arr(k * ns);
+        for i in 0..k {
+            let src = i * nv;
+            let dst = i * ns;
+            for s in 0..ns {
+                let a = ws.arr(src + s);
+                if a < PRUNED {
+                    ws.station_arr[dst + s] = a;
+                }
+            }
+        }
     }
+    stats
 }
 
-/// The binary-heap reference implementation of [`run_range`] — the
-/// arbiter of correctness for the SoA kernel.
-fn run_range_scalar(
+/// The binary-heap search behind [`run_range`] — the arbiter of
+/// correctness for the bucket-ring kernel.
+fn search_scalar(
     net: &Network,
     lo: u32,
     hi: u32,
-    self_pruning: bool,
+    goal: &Goal<'_>,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
     let g = net.graph();
     let tt = net.timetable();
     let nv = g.num_nodes();
-    let ns = g.num_stations();
     let k = (hi - lo) as usize;
+    let target_node = goal.target.map(|t| g.station_node(t).idx());
     let mut stats = QueryStats::default();
+
+    // Via-pruning state: µ[i * |via| + j].
+    let n_via = match goal.rule {
+        Rule::Via { via, .. } => via.len(),
+        _ => 0,
+    };
+    // Target-pruning state.
+    let is_target_mode = matches!(goal.rule, Rule::Target { .. });
 
     // Labels arr(v, i) for the local connections, maxconn(v), and the queue
     // all live in the workspace; begin() invalidates the previous query in
     // O(1) via the generation counter.
-    ws.begin(k * nv, nv, false);
+    ws.begin(k * nv, nv, is_target_mode);
+    if goal.target.is_some() {
+        ws.fresh_arr_t(k);
+    }
+    ws.fresh_mu(k * n_via); // empty unless the rule is `Via`
+    if is_target_mode {
+        ws.fresh_target_scratch(k);
+    }
+    // Stopping criterion state: highest local connection settled at T.
+    let mut tm: i64 = -1;
 
     // Initialization: one queue item per outgoing connection, at the route
-    // node it departs from, keyed by its departure time.
+    // node it departs from, keyed by its departure time. `i` also derives
+    // the heap slot and (in target mode) indexes `noanc`, so an iterator
+    // over one of them would obscure the pairing.
+    #[allow(clippy::needless_range_loop)]
     for i in 0..k {
-        let c = pt_core::ConnId(lo + i as u32);
+        let c = ConnId(lo + i as u32);
         let r = g.conn_start_node(c);
         let dep = tt.connection(c).dep;
-        let slot = i * nv + r.idx();
         // Two connections of one thread may depart from the same route node;
         // distinct `i` gives distinct slots, so no key collision is possible.
+        let slot = i * nv + r.idx();
         ws.heap.push_or_decrease(slot, dep.secs() as u64);
         stats.pushes += 1;
+        if is_target_mode {
+            // The source is never a transfer station in target mode
+            // (otherwise the query would have been answered from the table).
+            ws.noanc[i] += 1;
+        }
     }
 
     while let Some((slot, key)) = ws.heap.pop() {
@@ -297,7 +378,24 @@ fn run_range_scalar(
         let v = slot % nv;
         let t = Time(key as u32);
 
-        if self_pruning {
+        if is_target_mode && !ws.anc(slot) {
+            ws.noanc[i] -= 1;
+        }
+
+        // Stopping criterion (Thm 2).
+        if goal.stopping && (i as i64) <= tm {
+            stats.stop_pruned += 1;
+            ws.set_arr(slot, PRUNED);
+            continue;
+        }
+        // Connection already finished by target pruning.
+        if is_target_mode && ws.done[i] {
+            stats.table_pruned += 1;
+            ws.set_arr(slot, PRUNED);
+            continue;
+        }
+        // Self-pruning (§3.1).
+        if goal.self_pruning {
             let mc = ws.maxconn(v);
             if mc != u32::MAX && i as u32 <= mc {
                 // A later connection already settled v: this one cannot be
@@ -310,6 +408,69 @@ fn run_range_scalar(
         }
         ws.set_arr(slot, t);
 
+        // Settling the target station finishes connection i.
+        if Some(v) == target_node {
+            ws.arr_t[i] = ws.arr_t[i].min(t);
+            tm = tm.max(i as i64);
+            if is_target_mode {
+                ws.done[i] = true;
+            }
+            continue;
+        }
+
+        // The §4 rule runs where a transfer station is settled.
+        let at_transfer = match goal.rule {
+            Rule::Plain => None,
+            Rule::Via { table, .. } | Rule::Target { table } => {
+                Some(g.station_of(NodeId::from_idx(v))).filter(|&s| table.is_transfer(s))
+            }
+        };
+        match (goal.rule, at_transfer, goal.target) {
+            (Rule::Via { table, via }, Some(station_v), _) => {
+                // Tighten µ bounds, then try to prune (Thm 3).
+                let board = t + g.transfer_time(station_v);
+                let mut prunable = true;
+                for (j, &vj) in via.iter().enumerate() {
+                    let reach = table.eval(station_v, vj, board);
+                    if !reach.is_infinite() {
+                        let cand = reach + g.transfer_time(vj);
+                        let m = &mut ws.mu[i * n_via + j];
+                        if cand < *m {
+                            *m = cand;
+                        }
+                    }
+                    if prunable {
+                        let lower = table.eval(station_v, vj, t);
+                        if lower <= ws.mu[i * n_via + j] {
+                            prunable = false;
+                        }
+                    }
+                }
+                if prunable {
+                    stats.table_pruned += 1;
+                    continue; // v is provably useless for every via station
+                }
+            }
+            (Rule::Target { table }, Some(station_v), Some(target)) => {
+                // Lower bound γ_i (no transfer at st(v)).
+                let lower = table.eval(station_v, target, t);
+                if lower < ws.gamma[i] {
+                    ws.gamma[i] = lower;
+                }
+                // Upper bound through st(v) with a transfer (Thm 4).
+                let cand = table.eval(station_v, target, t + g.transfer_time(station_v));
+                if ws.noanc[i] == 0 && !cand.is_infinite() && cand == ws.gamma[i] {
+                    ws.arr_t[i] = ws.arr_t[i].min(cand);
+                    ws.done[i] = true;
+                    stats.table_pruned += 1;
+                    continue;
+                }
+            }
+            _ => {}
+        }
+
+        // Relax outgoing edges.
+        let child_anc = is_target_mode && (ws.anc(slot) || at_transfer.is_some());
         let base = i * nv;
         for e in g.edges(NodeId::from_idx(v)) {
             let ta = g.eval_edge(e, t);
@@ -321,25 +482,29 @@ fn run_range_scalar(
                 continue; // already settled (or pruned) for connection i
             }
             stats.relaxed += 1;
+            let new_key = ta.secs() as u64;
             if ws.heap.contains(wslot) {
-                if ws.heap.push_or_decrease(wslot, ta.secs() as u64) {
+                if ws.heap.push_or_decrease(wslot, new_key) {
                     stats.decreases += 1;
+                    if is_target_mode && ws.anc(wslot) != child_anc {
+                        // The better path replaces the flag.
+                        if child_anc {
+                            ws.noanc[i] -= 1;
+                        } else {
+                            ws.noanc[i] += 1;
+                        }
+                        ws.set_anc(wslot, child_anc);
+                    }
                 }
             } else {
-                ws.heap.push_or_decrease(wslot, ta.secs() as u64);
+                ws.heap.push_or_decrease(wslot, new_key);
                 stats.pushes += 1;
-            }
-        }
-    }
-
-    // Extract labels at station nodes (station nodes are 0..ns).
-    for i in 0..k {
-        let src = i * nv;
-        let dst = i * ns;
-        for s in 0..ns {
-            let a = ws.arr(src + s);
-            if a < PRUNED {
-                ws.station_arr[dst + s] = a;
+                if is_target_mode {
+                    ws.set_anc(wslot, child_anc);
+                    if !child_anc {
+                        ws.noanc[i] += 1;
+                    }
+                }
             }
         }
     }

@@ -1,10 +1,12 @@
-//! Branch-light structure-of-arrays label kernels (ROADMAP item 3).
+//! The branch-light structure-of-arrays label kernel (ROADMAP item 2).
 //!
-//! The scalar searches in [`connection_setting`](crate::connection_setting)
-//! and [`s2s`](crate::s2s) pop one `(connection, node)` slot at a time from
-//! a binary heap and dispatch on the edge kind per relaxation — correct,
-//! but every step is a data-dependent branch chasing pointers through the
-//! heap. This module replaces the heap with a **time-bucketed frontier**
+//! The scalar search in [`connection_setting`](crate::connection_setting)
+//! pops one `(connection, node)` slot at a time from a binary heap and
+//! dispatches on the edge kind per relaxation — correct, but every step is
+//! a data-dependent branch chasing pointers through the heap. This module
+//! runs the same search — one loop, `search_soa`, for one-to-all and
+//! station-to-station alike (one-to-all is the target-less case; see
+//! `Goal`) — on a **time-bucketed frontier**
 //! (a Dial-style ring of width-1-second buckets over the key space) and
 //! restructures each bucket's work into three wide sweeps over contiguous
 //! `u32` lanes:
@@ -35,12 +37,14 @@
 //! keeps the latest departure either way. The scalar path remains the
 //! arbiter of correctness: `tests/kernel_identity.rs` and the conncheck
 //! `--kernel` ablation assert equality on random and patched timetables.
+//! Which frontier a search takes is decided in one place,
+//! `connection_setting::run_range`.
 
 use std::str::FromStr;
 
 use pt_core::{Time, INFINITY};
 
-use crate::connection_setting::PRUNED;
+use crate::connection_setting::{Goal, Rule, PRUNED};
 use crate::network::Network;
 use crate::stats::QueryStats;
 use crate::workspace::SearchWorkspace;
@@ -113,30 +117,38 @@ pub(crate) fn ring_size(net: &Network) -> usize {
     (span.max(g.period().len() as usize - 1) + 1).next_power_of_two()
 }
 
-/// The SoA path of [`run_range`](crate::connection_setting::run_range): the
-/// (self-pruning) connection-setting search over the global connection-id
-/// range `lo..hi`, writing station labels into the already prepared
-/// `ws.station_arr`. Label-for-label identical to the scalar path up to
-/// tie order (see the module docs).
-pub(crate) fn run_range_soa(
+/// The bucket-ring path of [`run_range`](crate::connection_setting::run_range):
+/// the connection-setting search for `goal` (rule `Plain` — see there) over
+/// the global connection-id range `lo..hi`, leaving its labels in the
+/// workspace exactly where the heap path does. Label-for-label identical
+/// to it up to tie order (see the module docs).
+pub(crate) fn search_soa(
     net: &Network,
     lo: u32,
     hi: u32,
-    self_pruning: bool,
+    goal: &Goal<'_>,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
+    debug_assert!(matches!(goal.rule, Rule::Plain), "table rules have no ring path");
     let g = net.graph();
     let nv = g.num_nodes();
-    let ns = g.num_stations();
     let k = (hi - lo) as usize;
+    // No slot has node `usize::MAX`: without a target the check never fires.
+    let target_v = goal.target.map_or(usize::MAX, |t| g.station_node(t).idx());
     let mut stats = QueryStats::default();
 
     ws.begin(k * nv, nv, false);
+    if goal.target.is_some() {
+        ws.fresh_arr_t(k);
+    }
     if k == 0 {
         return stats;
     }
     let ring = ring_size(net);
     ws.ensure_kernel(ring);
+
+    // Highest local connection settled at the target (stopping criterion).
+    let mut tm: i64 = -1;
 
     let mut state = RingState::init(net, lo, k, ws, ring, &mut stats);
     while state.pending > 0 {
@@ -151,9 +163,11 @@ pub(crate) fn run_range_soa(
             // prune maximally. (The heap's tie order is arbitrary and may
             // settle a low connection before the high one that would have
             // pruned it; the bucket sweep sees all ties at once and always
-            // picks the best order.)
+            // picks the best order.) A boosted bound stays sound even if
+            // its own entry is stop-pruned below — any `j < i ≤ tm` it
+            // prunes was covered by the stopping criterion anyway.
             let mut bvec = std::mem::take(&mut ws.buckets[b]);
-            if self_pruning {
+            if goal.self_pruning {
                 for &s32 in &bvec {
                     let slot = s32 as usize;
                     if ws.arr(slot) == INFINITY {
@@ -165,7 +179,7 @@ pub(crate) fn run_range_soa(
                     }
                 }
             }
-            // Phase 1b — settle sweep with the masked self-pruning select.
+            // Phase 1b — settle sweep with the masked pruning selects.
             state.frontier.clear();
             for &s32 in &bvec {
                 let slot = s32 as usize;
@@ -176,120 +190,19 @@ pub(crate) fn run_range_soa(
                 stats.settled += 1;
                 let i = (slot / nv) as u32;
                 let v = slot % nv;
-                if self_pruning {
-                    // After the pre-sweep `maxconn(v) ≥ i`; only the
-                    // maximum survives.
-                    if i < ws.maxconn(v) {
-                        stats.self_pruned += 1;
-                        stats.masked_prunes += 1;
-                        ws.set_arr(slot, PRUNED);
-                        continue;
-                    }
-                }
-                ws.set_arr(slot, Time(state.cur));
-                state.frontier.push(s32);
-            }
-            state.pending -= bvec.len();
-            bvec.clear();
-            ws.buckets[b] = bvec;
-
-            // Phases 2 + 3 — relax by edge kind, then commit.
-            state.relax_and_commit(net, nv, ws, &mut stats);
-        }
-        if !state.advance(ws, b) {
-            break;
-        }
-    }
-    state.finish(ws);
-
-    // Extract labels at station nodes (station nodes are 0..ns).
-    for i in 0..k {
-        let src = i * nv;
-        let dst = i * ns;
-        for s in 0..ns {
-            let a = ws.arr(src + s);
-            if a < PRUNED {
-                ws.station_arr[dst + s] = a;
-            }
-        }
-    }
-    stats
-}
-
-/// The SoA counterpart of the plain-mode `s2s_range`: SPCS over `lo..hi`
-/// specialized to `target`, with the stopping criterion and (always-on)
-/// self-pruning. On return `ws.arr_t[i]` holds the best arrival at the
-/// target per local connection. Via/target table pruning stays scalar —
-/// its per-pop table probes are inherently branchy, so those query kinds
-/// never dispatch here.
-pub(crate) fn s2s_range_soa(
-    net: &Network,
-    lo: u32,
-    hi: u32,
-    target: pt_core::StationId,
-    stopping: bool,
-    ws: &mut SearchWorkspace,
-) -> QueryStats {
-    let g = net.graph();
-    let nv = g.num_nodes();
-    let k = (hi - lo) as usize;
-    let target_v = g.station_node(target).idx();
-    let mut stats = QueryStats::default();
-
-    ws.begin(k * nv, nv, false);
-    ws.fresh_arr_t(k);
-    if k == 0 {
-        return stats;
-    }
-    let ring = ring_size(net);
-    ws.ensure_kernel(ring);
-
-    // Highest local connection settled at the target (stopping criterion).
-    let mut tm: i64 = -1;
-
-    let mut state = RingState::init(net, lo, k, ws, ring, &mut stats);
-    while state.pending > 0 {
-        let b = (state.cur & state.mask) as usize;
-        while !ws.buckets[b].is_empty() {
-            stats.bucket_phases += 1;
-
-            // Pruning pre-sweep, as in the one-to-all kernel: raise
-            // `maxconn(v)` to the bucket's highest live connection so ties
-            // prune maximally. A boosted bound stays sound even if its own
-            // entry is stop-pruned below — any `j < i ≤ tm` it prunes was
-            // covered by the stopping criterion anyway.
-            let mut bvec = std::mem::take(&mut ws.buckets[b]);
-            for &s32 in &bvec {
-                let slot = s32 as usize;
-                if ws.arr(slot) == INFINITY {
-                    let i = (slot / nv) as u32;
-                    let mc = ws.maxconn(slot % nv);
-                    if (mc == u32::MAX) | (i > mc) {
-                        ws.set_maxconn(slot % nv, i);
-                    }
-                }
-            }
-            state.frontier.clear();
-            for &s32 in &bvec {
-                let slot = s32 as usize;
-                if ws.arr(slot) != INFINITY {
-                    continue;
-                }
-                debug_assert_eq!(ws.tent(slot), state.cur);
-                stats.settled += 1;
-                let i = (slot / nv) as u32;
-                let v = slot % nv;
                 // Stopping criterion (Thm 2), as a masked select like
                 // self-pruning below. Ties inside one bucket settle in
                 // bucket order rather than heap order; the reduced profile
                 // is invariant under that reordering (module docs).
-                if stopping & ((i as i64) <= tm) {
+                if goal.stopping & ((i as i64) <= tm) {
                     stats.stop_pruned += 1;
                     stats.masked_prunes += 1;
                     ws.set_arr(slot, PRUNED);
                     continue;
                 }
-                if i < ws.maxconn(v) {
+                // After the pre-sweep `maxconn(v) ≥ i`; only the maximum
+                // survives.
+                if goal.self_pruning && i < ws.maxconn(v) {
                     stats.self_pruned += 1;
                     stats.masked_prunes += 1;
                     ws.set_arr(slot, PRUNED);
@@ -310,6 +223,7 @@ pub(crate) fn s2s_range_soa(
             bvec.clear();
             ws.buckets[b] = bvec;
 
+            // Phases 2 + 3 — relax by edge kind, then commit.
             state.relax_and_commit(net, nv, ws, &mut stats);
         }
         if !state.advance(ws, b) {
@@ -320,7 +234,7 @@ pub(crate) fn s2s_range_soa(
     stats
 }
 
-/// Shared bucket-ring driver state of the two kernels.
+/// Bucket-ring driver state of [`search_soa`].
 struct RingState {
     cur: u32,
     mask: u32,

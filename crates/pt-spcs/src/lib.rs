@@ -5,7 +5,9 @@
 //! * [`label_correcting`] — the label-correcting profile search the paper
 //!   compares against in Table 1 (propagates whole functions),
 //! * [`connection_setting`] — **SPCS**, the self-pruning connection-setting
-//!   one-to-all profile search (§3.1),
+//!   profile search (§3.1), written once and parameterised by its goal:
+//!   one-to-all is the station-to-station search (§4) without a target; the
+//!   one place the frontier (binary heap or bucket ring) is chosen,
 //! * [`partition`] — the `conn(S)` partition strategies for parallel
 //!   execution (§3.2): equal time-slots, equal number of connections,
 //!   1-D k-means,
@@ -13,14 +15,15 @@
 //!   connection subset, merge + connection reduction at the master (§3.2);
 //!   also the one batch dispatch (across queries when a batch fills the
 //!   workers, within a query otherwise) both engines use,
-//! * [`kernel`] — the branch-light structure-of-arrays label kernels: a
-//!   time-bucketed frontier replaces the binary heap, relaxations sweep
-//!   edges grouped by kind into contiguous `u32` lanes, and a single
+//! * [`kernel`] — the same search on a branch-light structure-of-arrays
+//!   frontier: a time-bucket ring replaces the binary heap, relaxations
+//!   sweep edges grouped by kind into contiguous `u32` lanes, and a single
 //!   masked comparison commits improvements
 //!   ([`KernelMode::{Scalar, Soa, Auto}`](KernelMode) on both engines;
 //!   the scalar path stays the arbiter of correctness),
-//! * [`s2s`] — station-to-station queries (§4): stopping criterion,
-//!   distance-table pruning via `via(T)`, target pruning,
+//! * [`s2s`] — the station-to-station engine (§4): resolves a query to its
+//!   kind and goal — stopping criterion, distance-table pruning via
+//!   `via(T)`, target pruning,
 //! * [`workspace`] — persistent, epoch-stamped per-worker search state;
 //!   engines reuse it so the repeated-query hot path allocates nothing,
 //! * [`cache`] — the concurrently readable, generation-keyed LRU over

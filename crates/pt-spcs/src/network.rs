@@ -39,8 +39,9 @@ pub enum DelayUpdate {
     /// recovery): nothing changed, the generation did not move.
     Unchanged,
     /// The fast path: the timetable was patched in place and only the
-    /// delayed route's PLFs were rewritten ([`TdGraph::repatch`]). Node and
-    /// edge counts are untouched, so warm engine workspaces stay sized.
+    /// delayed route's PLFs were rewritten ([`TdGraph::repatch_routes`]).
+    /// Node and edge counts are untouched, so warm engine workspaces stay
+    /// sized.
     Patched,
     /// The delay made the route partition stale (a train now overtakes a
     /// companion on its route, or departures collide): the offending route
@@ -175,20 +176,14 @@ impl Network {
     }
 
     /// Applies a delay to the live network: `train` runs `delay` late from
-    /// its `from_hop`-th hop onward, recovering per [`Recovery`]. The
-    /// timetable is patched in place ([`Timetable::patch_delay`]) and the
-    /// derived structures follow incrementally where possible:
-    ///
-    /// * [`Routes`] rewrite their remapped connection ids,
-    /// * if the delayed route is still FIFO, [`TdGraph::repatch`] rewrites
-    ///   only the route's hop PLFs ([`DelayUpdate::Patched`]); otherwise
-    ///   routes and graph are rebuilt ([`DelayUpdate::Rebuilt`]),
-    /// * the station graph is invariant (delays shift times, never
-    ///   durations or the edge set) and is always kept.
+    /// its `from_hop`-th hop onward, recovering per [`Recovery`] — the
+    /// one-event [`Network::apply_feed`], which describes the update path:
+    /// [`DelayUpdate::Patched`] if the delayed route is still FIFO,
+    /// [`DelayUpdate::Rebuilt`] otherwise.
     ///
     /// Every change bumps [`Network::generation`], invalidating
     /// generation-keyed caches. Precomputed [`crate::DistanceTable`]s are
-    /// *not* managed here — rebuild or drop them after a delay.
+    /// *not* managed here — refresh, rebuild or drop them after a delay.
     pub fn apply_delay(
         &mut self,
         train: TrainId,
@@ -207,9 +202,9 @@ impl Network {
         self.apply_feed(&[DelayEvent::Cancel { train }]).events[0]
     }
 
-    /// Applies a whole realtime feed to the live network in **one pass** —
-    /// the batched form of [`Network::apply_delay`], sized for GTFS-RT-style
-    /// streams of hundreds of updates:
+    /// Applies a whole realtime feed to the live network in **one pass**,
+    /// sized for GTFS-RT-style streams of hundreds of updates (the one
+    /// update path: [`Network::apply_delay`] is its one-event case):
     ///
     /// * [`Timetable::patch_feed`] coalesces the events per train, rewrites
     ///   every net-changed connection once, re-sorts each touched `conn(S)`

@@ -27,7 +27,7 @@ use std::time::Instant;
 use pt_core::{Period, Profile, ProfilePoint, StationId};
 use pt_timetable::Connection;
 
-use crate::connection_setting;
+use crate::connection_setting::{self, Goal, Rule};
 use crate::kernel::KernelMode;
 use crate::network::Network;
 use crate::partition::PartitionStrategy;
@@ -145,8 +145,9 @@ pub(crate) fn one_to_all(
     let conn_range = tt.conn_ids(source);
     let conns = tt.conn(source);
     let ranges = strategy.partition(conns, p, period);
+    let goal = Goal { target: None, self_pruning, stopping: false, rule: Rule::Plain };
     let per_stats = run_classes(conn_range.start, &ranges, workspaces, |lo, hi, ws| {
-        connection_setting::run_range(net, lo, hi, self_pruning, kernel, ws)
+        connection_setting::run_range(net, lo, hi, &goal, kernel, ws)
     });
 
     let thread_settled: Vec<u64> = per_stats.iter().map(|r| r.settled).collect();

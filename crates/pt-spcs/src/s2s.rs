@@ -20,7 +20,9 @@
 //!
 //! When both endpoints are transfer stations the stored table profile *is*
 //! the answer; when the query is *local* (`S ∈ local(T)`) only the stopping
-//! criterion applies.
+//! criterion applies. This module resolves a query to its [`QueryKind`] and
+//! the matching `Goal`; the rules themselves run inside the one search loop
+//! of [`connection_setting`](crate::connection_setting).
 //!
 //! Like [`ProfileEngine`](crate::ProfileEngine), the engine is persistent
 //! and — since the snapshot-isolation refactor — shareable: every query
@@ -34,12 +36,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pt_core::{ConnId, NodeId, Profile, StationId, Time, INFINITY};
+use pt_core::{Profile, StationId};
 
 use crate::cache::{self, CacheStats, LruCore, Resolved};
-use crate::connection_setting::{reduce_station_profile, PRUNED};
+use crate::connection_setting::{reduce_station_profile, run_range, Goal, Rule};
 use crate::distance_table::{DistanceTable, StaleTable};
-use crate::kernel::{self, KernelMode};
+use crate::kernel::KernelMode;
 use crate::network::Network;
 use crate::parallel;
 use crate::partition::PartitionStrategy;
@@ -400,17 +402,18 @@ fn query_with(
             }
         }
     };
-    let mode = match kind {
-        QueryKind::Global => Mode::Via { table: cfg.table.expect("table present"), via: &via },
-        QueryKind::TargetTransfer => Mode::Target { table: cfg.table.expect("table present") },
-        _ => Mode::Plain,
+    let rule = match (kind, cfg.table) {
+        (QueryKind::Global, Some(table)) => Rule::Via { table, via: &via },
+        (QueryKind::TargetTransfer, Some(table)) => Rule::Target { table },
+        _ => Rule::Plain,
     };
+    let goal = Goal { target: Some(target), self_pruning: true, stopping: cfg.stopping, rule };
 
     let conn_range = tt.conn_ids(source);
     let conns = tt.conn(source);
     let ranges = cfg.strategy.partition(conns, threads, period);
     let per_stats = parallel::run_classes(conn_range.start, &ranges, workspaces, |lo, hi, ws| {
-        s2s_range_dispatch(cfg.net, lo, hi, target, cfg.stopping, mode, cfg.kernel, ws)
+        run_range(cfg.net, lo, hi, &goal, cfg.kernel, ws)
     });
 
     let mut stats = QueryStats::sum(per_stats);
@@ -422,232 +425,6 @@ fn query_with(
     let profile = reduce_station_profile(points, period);
     stats.merge_ns = merge_start.elapsed().as_nanos() as u64;
     S2sResult { profile, stats, kind }
-}
-
-/// Pruning mode of one worker.
-#[derive(Clone, Copy)]
-enum Mode<'t> {
-    Plain,
-    Via { table: &'t DistanceTable, via: &'t [StationId] },
-    Target { table: &'t DistanceTable },
-}
-
-/// Routes one partition class to the scalar search or the SoA kernel.
-/// Only plain-mode searches (stopping criterion + self-pruning, no table
-/// probes inside the loop) have a kernel path; via/target pruning is
-/// inherently branchy and always runs scalar.
-#[allow(clippy::too_many_arguments)]
-fn s2s_range_dispatch(
-    net: &Network,
-    lo: u32,
-    hi: u32,
-    target: StationId,
-    stopping: bool,
-    mode: Mode<'_>,
-    kernel_mode: KernelMode,
-    ws: &mut SearchWorkspace,
-) -> QueryStats {
-    let slots = (hi - lo) as usize * net.graph().num_nodes();
-    if matches!(mode, Mode::Plain) && kernel_mode.use_soa(slots, kernel::ring_size(net)) {
-        kernel::s2s_range_soa(net, lo, hi, target, stopping, ws)
-    } else {
-        s2s_range(net, lo, hi, target, stopping, mode, ws)
-    }
-}
-
-/// One worker: SPCS over the connection range `lo..hi` specialized to
-/// `target`. On return, `ws.arr_t[i]` holds the best arrival at `target`
-/// per local connection.
-#[allow(clippy::too_many_arguments)]
-fn s2s_range(
-    net: &Network,
-    lo: u32,
-    hi: u32,
-    target: StationId,
-    stopping: bool,
-    mode: Mode<'_>,
-    ws: &mut SearchWorkspace,
-) -> QueryStats {
-    let g = net.graph();
-    let tt = net.timetable();
-    let nv = g.num_nodes();
-    let k = (hi - lo) as usize;
-    let target_node = g.station_node(target);
-    let mut stats = QueryStats::default();
-
-    // Via-pruning state: µ[i * |via| + j].
-    let (is_via, n_via) = match &mode {
-        Mode::Via { via, .. } => (true, via.len()),
-        _ => (false, 0),
-    };
-    // Target-pruning state.
-    let is_target_mode = matches!(mode, Mode::Target { .. });
-
-    ws.begin(k * nv, nv, is_target_mode);
-    ws.fresh_arr_t(k);
-    if is_via {
-        ws.fresh_mu(k * n_via);
-    }
-    if is_target_mode {
-        ws.fresh_target_scratch(k);
-    }
-    // Stopping criterion state: highest local connection settled at T.
-    let mut tm: i64 = -1;
-
-    // `i` also derives the heap slot and (in target mode) indexes `noanc`,
-    // so an iterator over one of them would obscure the pairing.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..k {
-        let c = ConnId(lo + i as u32);
-        let r = g.conn_start_node(c);
-        let dep = tt.connection(c).dep;
-        let slot = i * nv + r.idx();
-        ws.heap.push_or_decrease(slot, dep.secs() as u64);
-        stats.pushes += 1;
-        if is_target_mode {
-            // The source is never a transfer station in target mode
-            // (otherwise the query would have been answered from the table).
-            ws.noanc[i] += 1;
-        }
-    }
-
-    while let Some((slot, key)) = ws.heap.pop() {
-        stats.settled += 1;
-        let i = slot / nv;
-        let v = slot % nv;
-        let t = Time(key as u32);
-
-        if is_target_mode && !ws.anc(slot) {
-            ws.noanc[i] -= 1;
-        }
-
-        // Stopping criterion (Thm 2).
-        if stopping && (i as i64) <= tm {
-            stats.stop_pruned += 1;
-            ws.set_arr(slot, PRUNED);
-            continue;
-        }
-        // Connection already finished by target pruning.
-        if is_target_mode && ws.done[i] {
-            stats.table_pruned += 1;
-            ws.set_arr(slot, PRUNED);
-            continue;
-        }
-        // Self-pruning (§3.1).
-        let mc = ws.maxconn(v);
-        if mc != u32::MAX && i as u32 <= mc {
-            stats.self_pruned += 1;
-            ws.set_arr(slot, PRUNED);
-            continue;
-        }
-        ws.set_maxconn(v, i as u32);
-        ws.set_arr(slot, t);
-
-        // Settling the target station finishes connection i.
-        if NodeId::from_idx(v) == target_node {
-            ws.arr_t[i] = ws.arr_t[i].min(t);
-            tm = tm.max(i as i64);
-            if is_target_mode {
-                ws.done[i] = true;
-            }
-            continue;
-        }
-
-        let station_v = g.station_of(NodeId::from_idx(v));
-        let at_transfer = match mode {
-            Mode::Plain => false,
-            Mode::Via { table, .. } | Mode::Target { table } => table.is_transfer(station_v),
-        };
-
-        match &mode {
-            Mode::Plain => {}
-            Mode::Via { table, via } => {
-                if at_transfer {
-                    // Tighten µ bounds, then try to prune (Thm 3).
-                    let board = t + g.transfer_time(station_v);
-                    let mut prunable = true;
-                    for (j, &vj) in via.iter().enumerate() {
-                        let reach = table.eval(station_v, vj, board);
-                        if !reach.is_infinite() {
-                            let cand = reach + g.transfer_time(vj);
-                            let m = &mut ws.mu[i * n_via + j];
-                            if cand < *m {
-                                *m = cand;
-                            }
-                        }
-                        if prunable {
-                            let lower = table.eval(station_v, vj, t);
-                            if lower <= ws.mu[i * n_via + j] {
-                                prunable = false;
-                            }
-                        }
-                    }
-                    if prunable {
-                        stats.table_pruned += 1;
-                        continue; // v is provably useless for every via station
-                    }
-                }
-            }
-            Mode::Target { table } => {
-                if at_transfer {
-                    // Lower bound γ_i (no transfer at st(v)).
-                    let lower = table.eval(station_v, target, t);
-                    if lower < ws.gamma[i] {
-                        ws.gamma[i] = lower;
-                    }
-                    // Upper bound through st(v) with a transfer (Thm 4).
-                    let cand = table.eval(station_v, target, t + g.transfer_time(station_v));
-                    if ws.noanc[i] == 0 && !cand.is_infinite() && cand == ws.gamma[i] {
-                        ws.arr_t[i] = ws.arr_t[i].min(cand);
-                        ws.done[i] = true;
-                        stats.table_pruned += 1;
-                        continue;
-                    }
-                }
-            }
-        }
-
-        // Relax outgoing edges.
-        let child_anc = is_target_mode && (ws.anc(slot) || at_transfer);
-        let base = i * nv;
-        for e in g.edges(NodeId::from_idx(v)) {
-            let ta = g.eval_edge(e, t);
-            if ta.is_infinite() {
-                continue;
-            }
-            let wslot = base + e.head.idx();
-            if ws.arr(wslot) != INFINITY {
-                continue;
-            }
-            stats.relaxed += 1;
-            let new_key = ta.secs() as u64;
-            if ws.heap.contains(wslot) {
-                if ws.heap.push_or_decrease(wslot, new_key) {
-                    stats.decreases += 1;
-                    if is_target_mode && ws.anc(wslot) != child_anc {
-                        // The better path replaces the flag.
-                        if child_anc {
-                            ws.noanc[i] -= 1;
-                        } else {
-                            ws.noanc[i] += 1;
-                        }
-                        ws.set_anc(wslot, child_anc);
-                    }
-                }
-            } else {
-                ws.heap.push_or_decrease(wslot, new_key);
-                stats.pushes += 1;
-                if is_target_mode {
-                    ws.set_anc(wslot, child_anc);
-                    if !child_anc {
-                        ws.noanc[i] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    stats
 }
 
 #[cfg(test)]

@@ -3,20 +3,19 @@
 //! in a fully dynamic scenario" where trains run late and the timetable
 //! changes between queries (Müller-Hannemann, Schnee, Frede '08).
 //!
-//! [`Timetable::patch_delay`] updates a timetable **in place** so a train
-//! runs late from a given hop onward, with the delay optionally decaying at
-//! later stops (catch-up through schedule slack); the pure [`apply_delay`]
-//! is a thin clone-then-patch wrapper. A live GTFS-RT-style stream is
-//! served by [`Timetable::patch_feed`], which applies a whole batch of
-//! [`DelayEvent`]s — delays *and* cancellations (re-announcing the
-//! published schedule) — in one pass with a single generation bump.
+//! [`Timetable::patch_feed`] updates a timetable **in place** from a batch
+//! of [`DelayEvent`]s — a train runs late from a given hop onward, with the
+//! delay optionally decaying at later stops (catch-up through schedule
+//! slack), or its announcements are cancelled (re-announcing the published
+//! schedule) — in one pass with a single generation bump; a single delay is
+//! the one-event feed.
 //! Searches on the patched timetable immediately reflect the disruption;
 //! only precomputed distance tables must be refreshed (or dropped — queries
 //! then fall back to the stopping criterion, staying correct).
+//!
+//! [`Timetable::patch_feed`]: crate::Timetable::patch_feed
 
 use pt_core::{ConnId, Dur, StationId, TrainId};
-
-use crate::model::Timetable;
 
 /// How a delayed train recovers at subsequent stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,15 +34,17 @@ pub enum Recovery {
 /// for a train (re-announcing its published schedule times).
 ///
 /// Events are applied in feed order by [`Timetable::patch_feed`]; the result
-/// is exactly what applying them one at a time through
-/// [`Timetable::patch_delay`] / [`Timetable::patch_cancel`] would produce,
-/// but with one coalesced write-back, one re-sort per touched `conn(S)`
-/// bucket, one merged [`ConnId`] remap and a single generation bump.
+/// is exactly what applying them as one-event feeds, one after another,
+/// would produce, but with one coalesced write-back, one re-sort per touched
+/// `conn(S)` bucket, one merged [`ConnId`] remap and a single generation bump.
+///
+/// [`Timetable::patch_feed`]: crate::Timetable::patch_feed
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelayEvent {
     /// `train` runs `delay` late from its `from_hop`-th hop onward,
-    /// recovering per [`Recovery`] — the batched form of
-    /// [`Timetable::patch_delay`].
+    /// recovering per [`Recovery`]. The delay shifts departures *and*
+    /// arrivals; other trains are untouched (the model has no
+    /// vehicle-rotation constraints).
     Delay {
         /// The delayed train.
         train: TrainId,
@@ -72,9 +73,11 @@ impl DelayEvent {
     }
 }
 
-/// What [`Timetable::patch_feed`] changed — the batched analogue of
-/// [`DelayPatch`], with everything derived structures and distance-table
-/// refreshes need to follow a whole feed in one pass.
+/// What [`Timetable::patch_feed`] changed — everything derived structures
+/// and distance-table refreshes need to follow a whole feed in one pass,
+/// without a rebuild.
+///
+/// [`Timetable::patch_feed`]: crate::Timetable::patch_feed
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedPatch {
     /// `false` iff the feed's *net* effect was nil (every event a no-op, or
@@ -82,15 +85,18 @@ pub struct FeedPatch {
     /// only when `true`.
     pub changed: bool,
     /// Per event, in feed order: did applying it (on top of the preceding
-    /// events) move at least one departure? Sequential semantics: the flag
-    /// a lone [`Timetable::patch_delay`] / [`Timetable::patch_cancel`]
-    /// would have reported at that point of the feed.
+    /// events) move at least one departure? Sequential semantics: what
+    /// `changed` would have been for that event as a one-event feed at that
+    /// point of the feed.
     pub event_changed: Vec<bool>,
     /// Trains with at least one connection whose time *net*-changed,
     /// sorted, deduplicated.
     pub trains: Vec<TrainId>,
-    /// Merged `(old, new)` [`ConnId`] remap over all touched-bucket
-    /// re-sorts; a permutation, exactly like [`DelayPatch::remapped`].
+    /// Merged `(old, new)` pairs for every connection whose [`ConnId`] moved
+    /// when the touched `conn(S)` buckets were re-sorted by departure time.
+    /// A permutation: the old and new id sets are equal. Connections of
+    /// trains the feed never mentions can appear too, when they share a
+    /// touched bucket.
     pub remapped: Vec<(ConnId, ConnId)>,
     /// Departure stations of every net-changed connection, sorted,
     /// deduplicated — the seed set for reverse-reachability distance-table
@@ -111,23 +117,6 @@ impl FeedPatch {
     }
 }
 
-/// What [`Timetable::patch_delay`] changed — everything a derived structure
-/// needs to follow the mutation without a rebuild.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DelayPatch {
-    /// The delayed train.
-    pub train: TrainId,
-    /// `false` iff the patch was a no-op (unknown train, hop out of range,
-    /// or the delay fully absorbed by the recovery); the generation is only
-    /// bumped when `true`.
-    pub changed: bool,
-    /// `(old, new)` pairs for every connection whose [`ConnId`] moved when
-    /// the touched `conn(S)` buckets were re-sorted by departure time. A
-    /// permutation: the old and new id sets are equal. Connections of
-    /// *other* trains sharing a touched bucket can appear here too.
-    pub remapped: Vec<(ConnId, ConnId)>,
-}
-
 /// The delay still left `hops_in` hops after the delayed hop. Saturating:
 /// an over-large recovery (or hop count) yields zero rather than wrapping —
 /// `per_hop · hops_in` can exceed `u32` long before the timetable does.
@@ -140,32 +129,11 @@ pub(crate) fn effective_delay(delay: Dur, recovery: Recovery, hops_in: u32) -> D
     }
 }
 
-/// Returns a timetable in which `train` departs `delay` late from its
-/// `from_hop`-th hop onward. The delay shifts departures *and* arrivals;
-/// with [`Recovery::CatchUp`] it shrinks hop by hop. Other trains are
-/// untouched (the model has no vehicle-rotation constraints).
-///
-/// Pure wrapper over [`Timetable::patch_delay`]; prefer the in-place patch
-/// in serving paths that keep engines warm across updates. Infallible: a
-/// patch can only shift times inside the period, never produce an invalid
-/// timetable (the historical `Result` signature is gone with the
-/// revalidation it paid for).
-pub fn apply_delay(
-    tt: &Timetable,
-    train: TrainId,
-    from_hop: u16,
-    delay: Dur,
-    recovery: Recovery,
-) -> Timetable {
-    let mut out = tt.clone();
-    out.patch_delay(train, from_hop, delay, recovery);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TimetableBuilder;
+    use crate::model::Timetable;
     use pt_core::{Period, StationId, Time};
 
     fn line() -> (Timetable, Vec<StationId>) {
@@ -189,10 +157,34 @@ mod tests {
         (b.build().unwrap(), s)
     }
 
+    /// The one-event feed delaying `train` from `from_hop` on.
+    fn feed_delay(
+        tt: &mut Timetable,
+        train: TrainId,
+        from_hop: u16,
+        delay: Dur,
+        recovery: Recovery,
+    ) -> FeedPatch {
+        tt.patch_feed(&[DelayEvent::Delay { train, from_hop, delay, recovery }])
+    }
+
+    /// [`feed_delay`] on a clone.
+    fn with_delay(
+        tt: &Timetable,
+        train: TrainId,
+        from_hop: u16,
+        delay: Dur,
+        recovery: Recovery,
+    ) -> Timetable {
+        let mut out = tt.clone();
+        feed_delay(&mut out, train, from_hop, delay, recovery);
+        out
+    }
+
     #[test]
     fn full_delay_shifts_all_later_hops() {
         let (tt, s) = line();
-        let delayed = apply_delay(&tt, TrainId(0), 0, Dur::minutes(7), Recovery::None);
+        let delayed = with_delay(&tt, TrainId(0), 0, Dur::minutes(7), Recovery::None);
         let dep0 = delayed.conn(s[0]).iter().find(|c| c.train == TrainId(0)).unwrap();
         assert_eq!(dep0.dep, Time::hm(8, 7));
         let dep1 = delayed.conn(s[1]).iter().find(|c| c.train == TrainId(0)).unwrap();
@@ -205,7 +197,7 @@ mod tests {
     #[test]
     fn catch_up_recovers_per_hop() {
         let (tt, s) = line();
-        let delayed = apply_delay(
+        let delayed = with_delay(
             &tt,
             TrainId(0),
             0,
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn delay_from_mid_trip_leaves_earlier_hops() {
         let (tt, s) = line();
-        let delayed = apply_delay(&tt, TrainId(0), 1, Dur::minutes(20), Recovery::None);
+        let delayed = with_delay(&tt, TrainId(0), 1, Dur::minutes(20), Recovery::None);
         let dep0 = delayed.conn(s[0]).iter().find(|c| c.train == TrainId(0)).unwrap();
         assert_eq!(dep0.dep, Time::hm(8, 0)); // first hop punctual
         let dep1 = delayed.conn(s[1]).iter().find(|c| c.train == TrainId(0)).unwrap();
@@ -247,7 +239,7 @@ mod tests {
         let tt = b.build().unwrap();
         let huge = Dur(u32::MAX / 2 + 1);
         let delayed =
-            apply_delay(&tt, TrainId(0), 0, Dur::minutes(7), Recovery::CatchUp { per_hop: huge });
+            with_delay(&tt, TrainId(0), 0, Dur::minutes(7), Recovery::CatchUp { per_hop: huge });
         // Hop 0 carries the delay; hops 1 and 2 (hops_in = 1, 2) are fully
         // recovered — hops_in = 2 is the overflowing product.
         let dep = |h: usize| {
@@ -259,11 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn patch_delay_bumps_generation_and_keeps_order() {
+    fn one_event_feed_bumps_generation_and_keeps_order() {
         let (tt, s) = line();
         let mut patched = tt.clone();
         assert_eq!(patched.generation(), 0);
-        let patch = patched.patch_delay(TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        let patch = feed_delay(&mut patched, TrainId(0), 0, Dur::minutes(70), Recovery::None);
         assert!(patch.changed);
         assert_eq!(patched.generation(), 1);
         // The delayed 08:00 train now departs 09:10, after the 09:00 train:
@@ -279,13 +271,13 @@ mod tests {
             let (before, after) = (tt.connection(old), patched.connection(new));
             assert_eq!((before.train, before.seq), (after.train, after.seq), "ids must follow");
         }
-        // Equivalent to the pure wrapper.
-        let pure = apply_delay(&tt, TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        // Equivalent to patching a clone.
+        let pure = with_delay(&tt, TrainId(0), 0, Dur::minutes(70), Recovery::None);
         assert_eq!(pure.connections(), patched.connections());
     }
 
     #[test]
-    fn patch_delay_noop_leaves_generation() {
+    fn one_event_feed_noop_leaves_generation() {
         let (tt, _) = line();
         let mut patched = tt.clone();
         // Unknown train, hop out of range, zero delay, fully recovered delay.
@@ -294,7 +286,7 @@ mod tests {
             (TrainId(0), 9, Dur::minutes(5), Recovery::None),
             (TrainId(0), 0, Dur::ZERO, Recovery::None),
         ] {
-            let patch = patched.patch_delay(train, hop, delay, rec);
+            let patch = feed_delay(&mut patched, train, hop, delay, rec);
             assert!(!patch.changed);
             assert!(patch.remapped.is_empty());
         }
@@ -336,10 +328,9 @@ mod tests {
         assert_eq!(batched.generation(), 1, "a feed costs exactly one bump");
 
         let mut sequential = tt.clone();
-        sequential.patch_delay(TrainId(0), 0, Dur::minutes(5), Recovery::None);
-        sequential.patch_delay(TrainId(1), 1, Dur::minutes(9), Recovery::None);
-        sequential.patch_delay(TrainId(0), 1, Dur::minutes(3), Recovery::None);
-        sequential.patch_cancel(TrainId(1));
+        for event in events {
+            sequential.patch_feed(&[event]);
+        }
         assert_eq!(batched.connections(), sequential.connections());
 
         // The merged remap is a valid permutation: ids follow their conns.
@@ -383,7 +374,7 @@ mod tests {
     fn cancel_of_never_delayed_train_is_unchanged() {
         let (tt, _) = line();
         let mut patched = tt.clone();
-        let patch = patched.patch_cancel(TrainId(0));
+        let patch = patched.patch_feed(&[DelayEvent::Cancel { train: TrainId(0) }]);
         assert!(!patch.changed);
         assert_eq!(patched.generation(), 0);
         assert_eq!(patched.connections(), tt.connections());
@@ -395,9 +386,9 @@ mod tests {
         let mut patched = tt.clone();
         // +70 min pushes the 08:00 train behind the 09:00 one: buckets
         // re-sort, ConnIds move — the schedule times must move with them.
-        patched.patch_delay(TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        feed_delay(&mut patched, TrainId(0), 0, Dur::minutes(70), Recovery::None);
         let delayed_conns = patched.connections().to_vec();
-        let patch = patched.patch_cancel(TrainId(0));
+        let patch = patched.patch_feed(&[DelayEvent::Cancel { train: TrainId(0) }]);
         assert!(patch.changed);
         assert_eq!(patched.connections(), tt.connections(), "cancel restores the schedule");
         for st in [s[0], s[1]] {
@@ -406,7 +397,7 @@ mod tests {
             }
         }
         // Re-announcing the same delay round-trips to the delayed state.
-        patched.patch_delay(TrainId(0), 0, Dur::minutes(70), Recovery::None);
+        feed_delay(&mut patched, TrainId(0), 0, Dur::minutes(70), Recovery::None);
         assert_eq!(patched.connections(), delayed_conns.as_slice());
     }
 
@@ -426,7 +417,7 @@ mod tests {
         let c = b.add_named_station("B", Dur::ZERO);
         b.add_simple_trip(&[a, c], Time::hm(23, 50), &[Dur::minutes(20)], Dur::ZERO).unwrap();
         let tt = b.build().unwrap();
-        let delayed = apply_delay(&tt, TrainId(0), 0, Dur::minutes(30), Recovery::None);
+        let delayed = with_delay(&tt, TrainId(0), 0, Dur::minutes(30), Recovery::None);
         let conn = &delayed.conn(a)[0];
         // 23:50 + 30 min wraps to 00:20 next day, period-local.
         assert_eq!(conn.dep, Time::hm(0, 20));

@@ -35,6 +35,6 @@ pub use builder::{TimetableBuilder, TripStop};
 pub use calendar::{
     CalendarError, Date, DayTimetable, ServiceCalendar, ServiceId, ServicePattern, Weekday,
 };
-pub use delay::{apply_delay, DelayEvent, DelayPatch, FeedPatch, Recovery};
+pub use delay::{DelayEvent, FeedPatch, Recovery};
 pub use model::{Connection, Station, Timetable, TimetableError, TimetableStats};
 pub use routes::{RouteInfo, Routes};

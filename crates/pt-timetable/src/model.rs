@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use pt_core::{ConnId, Dur, Period, StationId, Time, TrainId};
 
-use crate::delay::{effective_delay, DelayEvent, DelayPatch, FeedPatch, Recovery};
+use crate::delay::{effective_delay, DelayEvent, FeedPatch};
 
 /// A station `S ∈ S` with its minimum transfer time `T(S)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -187,9 +187,9 @@ pub struct Timetable {
     /// `first_out`'s ranges). Immutable after validation.
     conn_station: Arc<Vec<StationId>>,
     /// Monotonically-increasing update stamp, bumped by every in-place
-    /// mutation ([`Timetable::patch_delay`], [`Timetable::patch_feed`]) that
-    /// changes at least one connection time. Query caches key on it: a
-    /// bumped generation invalidates every cached result for free.
+    /// mutation ([`Timetable::patch_feed`]) that changes at least one
+    /// connection time. Query caches key on it: a bumped generation
+    /// invalidates every cached result for free.
     generation: u64,
 }
 
@@ -258,56 +258,32 @@ impl Timetable {
 
     /// The update generation: 0 for a freshly validated timetable, bumped by
     /// every mutation that changes connection times
-    /// ([`Timetable::patch_delay`]). Monotonically increasing, so any result
+    /// ([`Timetable::patch_feed`]). Monotonically increasing, so any result
     /// derived from generation `g` is stale exactly when `generation() > g`.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Applies a delay **in place**: `train` runs `delay` late from its
-    /// `from_hop`-th hop onward, recovering per [`Recovery`]. Durations are
-    /// preserved (`arr` shifts with `dep`), so the station graph of the
-    /// timetable is invariant under this operation.
-    ///
-    /// Only the affected train's connections are rewritten and only the
-    /// touched `conn(S)` buckets are re-sorted — the rest of the index
-    /// (`first_out`, untouched buckets) is untouched, which is what makes
-    /// the fully dynamic scenario (paper §5.1) cheap. Because `conn(S)` must
-    /// stay ordered by departure time, re-sorting a bucket can renumber the
-    /// [`ConnId`]s inside it; the returned [`DelayPatch`] records that
-    /// remapping so derived structures (`Routes`, `TdGraph`) can follow
-    /// without a rebuild.
-    ///
-    /// Bumps [`Timetable::generation`] iff at least one connection changed.
-    /// A `train`/`from_hop` combination matching no connection, or a delay
-    /// fully absorbed by the recovery, is a no-op (`patch.changed == false`).
-    pub fn patch_delay(
-        &mut self,
-        train: TrainId,
-        from_hop: u16,
-        delay: Dur,
-        recovery: Recovery,
-    ) -> DelayPatch {
-        let feed = self.patch_feed(&[DelayEvent::Delay { train, from_hop, delay, recovery }]);
-        DelayPatch { train, changed: feed.changed, remapped: feed.remapped }
-    }
-
-    /// Cancels every previous delay announcement for `train` **in place**:
-    /// all its hops return to their published schedule times (the
-    /// [`DelayEvent::Cancel`] of a feed, applied alone). A never-delayed
-    /// train is a no-op (`patch.changed == false`, generation untouched).
-    pub fn patch_cancel(&mut self, train: TrainId) -> DelayPatch {
-        let feed = self.patch_feed(&[DelayEvent::Cancel { train }]);
-        DelayPatch { train, changed: feed.changed, remapped: feed.remapped }
-    }
-
     /// Applies a whole realtime feed **in place**, in one pass: events are
     /// coalesced per train (each applied in feed order on top of its
-    /// predecessors, exactly as one-at-a-time [`Timetable::patch_delay`] /
-    /// [`Timetable::patch_cancel`] calls would), connections are rewritten
-    /// once with their *net* new times, each touched `conn(S)` bucket is
-    /// re-sorted once, and a single merged [`ConnId`] remap is returned.
+    /// predecessors, exactly as one-event feeds applied one after another
+    /// would), connections are rewritten once with their *net* new times,
+    /// each touched `conn(S)` bucket is re-sorted once, and a single merged
+    /// [`ConnId`] remap is returned. A single delay or cancellation is the
+    /// one-event feed.
+    ///
+    /// Durations are preserved (`arr` shifts with `dep`), so the station
+    /// graph is invariant. Only the mentioned trains' connections are
+    /// rewritten and only the touched buckets re-sorted — the rest of the
+    /// index (`first_out`, untouched buckets) stays, which is what makes the
+    /// fully dynamic scenario (paper §5.1) cheap. Because `conn(S)` must stay
+    /// ordered by departure time, a re-sort can renumber the [`ConnId`]s
+    /// inside a bucket; [`FeedPatch::remapped`] records that so derived
+    /// structures (`Routes`, `TdGraph`) can follow without a rebuild. An
+    /// event matching no connection (unknown train, hop out of range), a
+    /// delay fully absorbed by its recovery and the cancellation of a
+    /// never-delayed train are no-ops.
     ///
     /// Bumps [`Timetable::generation`] **once** iff at least one connection
     /// ended up with a different time than before the feed — a feed whose

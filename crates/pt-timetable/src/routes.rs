@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use pt_core::{ConnId, RouteId, StationId, Time, TrainId};
 
-use crate::delay::{DelayPatch, FeedPatch};
+use crate::delay::FeedPatch;
 use crate::model::Timetable;
 
 /// One route: a maximal overtaking-free set of trains sharing a stop
@@ -198,35 +198,17 @@ impl Routes {
         self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// Follows a [`Timetable::patch_delay`]: rewrites every remapped
-    /// [`ConnId`] in the per-train connection lists and restores the
-    /// "trains ordered by first-stop departure" invariant on the delayed
-    /// train's route. The partition itself (which trains share a route) is
-    /// deliberately **not** recomputed — call [`Routes::route_is_fifo`] on
-    /// the delayed route afterwards to learn whether it is still valid, and
-    /// fall back to a fresh [`Routes::partition`] if not.
+    /// Follows a [`Timetable::patch_feed`]: rewrites every remapped
+    /// [`ConnId`] in the per-train connection lists once and restores the
+    /// "trains ordered by first-stop departure" invariant on **each** route
+    /// that carries a net-changed train, returning those routes sorted and
+    /// deduplicated — each appears exactly once, so the caller rewrites (or
+    /// refits) every touched route exactly once regardless of how many feed
+    /// events hit it. The partition itself (which trains share a route) is
+    /// deliberately **not** recomputed; run [`Routes::route_is_fifo`] on the
+    /// returned routes and [`Routes::refit`] the ones that fail.
     ///
     /// `tt` must be the already-patched timetable the patch came from.
-    pub fn repatch(&mut self, tt: &Timetable, patch: &DelayPatch) {
-        if !patch.changed {
-            return;
-        }
-        self.apply_remap(tt, &patch.remapped);
-        let r = self.train_route[patch.train.idx()];
-        if r != RouteId(u32::MAX) {
-            self.resort_route_trains(tt, r);
-        }
-    }
-
-    /// The multi-train analogue of [`Routes::repatch`], following a
-    /// [`Timetable::patch_feed`]: rewrites every remapped [`ConnId`] once
-    /// and restores the train order on **each** route that carries a
-    /// net-changed train, returning those routes sorted and deduplicated —
-    /// each appears exactly once, so the caller rewrites (or refits) every
-    /// touched route exactly once regardless of how many feed events hit
-    /// it. The partition itself is not recomputed; run
-    /// [`Routes::route_is_fifo`] on the returned routes and
-    /// [`Routes::refit`] the ones that fail.
     pub fn repatch_feed(&mut self, tt: &Timetable, patch: &FeedPatch) -> Vec<RouteId> {
         if !patch.changed {
             return Vec::new();
@@ -537,7 +519,7 @@ mod tests {
         // train on every hop (no overtake — it also arrives later).
         let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(70), Recovery::None);
         assert!(patch.changed && !patch.remapped.is_empty());
-        routes.repatch(&tt, &patch);
+        routes.repatch_feed(&tt, &patch);
         // train_connections point at the right (train, hop) again.
         for t in [TrainId(0), TrainId(1)] {
             for (h, &c) in routes.train_connections(t).iter().enumerate() {
@@ -569,7 +551,7 @@ mod tests {
         // same duration: departs later (08:35 > 08:30), arrives 08:45 >
         // 08:40 — still FIFO. Make it *equal* departure instead: broken.
         let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(30), Recovery::None);
-        routes.repatch(&tt, &patch);
+        routes.repatch_feed(&tt, &patch);
         assert!(!routes.route_is_fifo(&tt, r), "equal departures must break FIFO");
     }
 
@@ -578,8 +560,13 @@ mod tests {
         train: TrainId,
         delay: Dur,
         rec: crate::delay::Recovery,
-    ) -> DelayPatch {
-        tt.patch_delay(train, 0, delay, rec)
+    ) -> FeedPatch {
+        tt.patch_feed(&[crate::delay::DelayEvent::Delay {
+            train,
+            from_hop: 0,
+            delay,
+            recovery: rec,
+        }])
     }
 
     #[test]
@@ -652,17 +639,8 @@ mod tests {
         let rb = routes.route_of(TrainId(2));
         // Land train 0 exactly on train 1's slot: equal departures on route
         // A break FIFO; route B is untouched.
-        let patch = tt.patch_delay(TrainId(0), 0, Dur::minutes(30), Recovery::None);
-        let touched = routes.repatch_feed(
-            &tt,
-            &FeedPatch {
-                changed: true,
-                event_changed: vec![true],
-                trains: vec![TrainId(0)],
-                remapped: patch.remapped.clone(),
-                touched_stations: vec![s[0]],
-            },
-        );
+        let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(30), Recovery::None);
+        let touched = routes.repatch_feed(&tt, &patch);
         let ra = routes.route_of(TrainId(0));
         assert_eq!(touched, vec![ra]);
         assert!(!routes.route_is_fifo(&tt, ra));

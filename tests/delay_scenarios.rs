@@ -3,11 +3,12 @@
 //! Drives deterministic random sequences of ~50 interleaved delays and
 //! queries against a live [`Network`]. After **every** patch, the invariant
 //! under test is the acceptance contract of the dynamic path: the
-//! incrementally patched network (`Timetable::patch_delay` +
-//! `Routes::repatch` + `TdGraph::repatch`, with the overtaking fallback)
-//! must be **query-identical** to a from-scratch `Network::build` of the
-//! same timetable — from every source. Queries in between stream through a
-//! persistent cached engine and must equal an uncached one.
+//! incrementally patched network (`Timetable::patch_feed` +
+//! `Routes::repatch_feed` + `TdGraph::repatch_routes`, with the overtaking
+//! fallback — each delay a one-event feed) must be **query-identical** to a
+//! from-scratch `Network::build` of the same timetable — from every source.
+//! Queries in between stream through a persistent cached engine and must
+//! equal an uncached one.
 //!
 //! Deterministic companions below the proptest pin down the two update
 //! kinds (`Patched` vs `Rebuilt`) and the warm-workspace guarantee across a

@@ -161,7 +161,7 @@ fn dynamic_scenario_delays_propagate_through_searches() {
     // The paper's §5.1 point: no preprocessing ⇒ "we can directly use this
     // approach in a fully dynamic scenario". Delay a train, rebuild, and
     // every invariant must still hold while the affected profile worsens.
-    use best_connections::timetable::{apply_delay, Recovery};
+    use best_connections::timetable::{DelayEvent, Recovery};
     let tt = generate_city(&CityConfig::sized(36, 5, 61)).clone();
     let net = Network::new(tt.clone());
     let source = StationId(0);
@@ -169,7 +169,13 @@ fn dynamic_scenario_delays_propagate_through_searches() {
 
     // Delay the train serving the first outgoing connection by 45 minutes.
     let victim = tt.conn(source)[0].train;
-    let delayed_tt = apply_delay(&tt, victim, 0, Dur::minutes(45), Recovery::None);
+    let mut delayed_tt = tt.clone();
+    delayed_tt.patch_feed(&[DelayEvent::Delay {
+        train: victim,
+        from_hop: 0,
+        delay: Dur::minutes(45),
+        recovery: Recovery::None,
+    }]);
     let delayed = Network::new(delayed_tt);
     let after_engine = ProfileEngine::new().threads(2).one_to_all(&delayed, source);
 

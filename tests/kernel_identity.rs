@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
+use best_connections::spcs::QueryKind;
 
 /// A random trip: station path (indices into 0..n), start minute, leg
 /// durations in minutes, dwell minutes.
@@ -107,7 +108,6 @@ proptest! {
         for round in 0..2 {
             for s in net.station_ids() {
                 for t in net.station_ids() {
-                    if s == t { continue; }
                     let want = scalar.query(&net, s, t);
                     let got = soa.query(&net, s, t);
                     prop_assert_eq!(
@@ -160,4 +160,16 @@ fn kernel_identity_on_generated_city() {
         assert_eq!(s2s_soa.query(&net, s, t).profile, want.profile, "{s} → {t}");
         assert_eq!(nostop.query(&net, s, t).profile, want.profile, "{s} → {t} no-stop");
     }
+    // Only rule `Plain` has a ring path: a forced-SoA engine sweeps buckets
+    // on a plain query and none on a table-pruned `Global` one.
+    let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.2));
+    let tabled = S2sEngine::new().kernel(KernelMode::Soa).with_table(&table);
+    let (s, t, pruned) = sources
+        .iter()
+        .flat_map(|&s| sources.iter().map(move |&t| (s, t)))
+        .map(|(s, t)| (s, t, tabled.query(&net, s, t)))
+        .find(|(_, _, r)| r.kind == QueryKind::Global && r.stats.settled > 0)
+        .expect("some sampled pair is a global query that searches");
+    assert_eq!(pruned.stats.bucket_phases, 0, "{s} → {t}: table rules run on the heap");
+    assert!(s2s_soa.query(&net, s, t).stats.bucket_phases > 0, "{s} → {t}: plain SoA");
 }

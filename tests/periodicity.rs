@@ -104,13 +104,19 @@ fn s2s_with_table_works_under_custom_period() {
 
 #[test]
 fn delays_wrap_correctly_in_short_periods() {
-    use best_connections::timetable::{apply_delay, Recovery};
+    use best_connections::timetable::{DelayEvent, Recovery};
     let (net, s) = two_hour_net();
     let tt = net.timetable();
     // Delay the express (the last train added) past the period boundary.
     let express_train =
         tt.conn(s[0]).iter().find(|c| c.dep == Time(115 * 60)).expect("express exists").train;
-    let delayed = apply_delay(tt, express_train, 0, Dur::minutes(10), Recovery::None);
+    let mut delayed = tt.clone();
+    delayed.patch_feed(&[DelayEvent::Delay {
+        train: express_train,
+        from_hop: 0,
+        delay: Dur::minutes(10),
+        recovery: Recovery::None,
+    }]);
     let conns = delayed.connections();
     let c = conns.iter().find(|c| c.train == express_train).unwrap();
     // 1:55 + 10 min wraps to 0:05 of the next period.
