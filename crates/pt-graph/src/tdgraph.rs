@@ -13,8 +13,8 @@
 
 use std::sync::Arc;
 
-use pt_core::{ConnId, Dur, NodeId, Period, Plf, PlfPoint, StationId, Time};
-use pt_timetable::{Routes, Timetable};
+use pt_core::{ConnId, Dur, NodeId, Period, Plf, PlfPoint, RouteId, StationId, Time};
+use pt_timetable::{RouteInfo, Routes, Timetable};
 
 /// Weight of a graph edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,13 +40,14 @@ pub struct Edge {
 /// walks homogeneous lanes (head index + raw weight seconds, or head index
 /// + PLF index) with no per-edge enum dispatch.
 ///
-/// The view is topology-shaped: [`TdGraph::repatch_routes`] rewrites PLF
-/// *contents* only, never heads, weights or PLF indices, so the view stays
-/// valid across delay/feed patches and lives inside the refcount-shared
-/// `Topology`. The one patch-tracking scalar — the maximum PLF duration —
-/// lives on [`TdGraph`] itself (see [`TdGraph::max_edge_span_secs`]), where
-/// it can grow monotonically without unsharing the topology.
-#[derive(Debug, Clone)]
+/// The view is topology-shaped: rewriting a route's PLFs changes their
+/// *contents* only, never heads, weights or PLF indices, so the view lives
+/// inside the refcount-shared `Topology` and is re-derived only with it
+/// (when a refit appends routes). The one patch-tracking scalar — the
+/// maximum PLF duration — lives on [`TdGraph`] itself (see
+/// [`TdGraph::max_edge_span_secs`]), where it can grow monotonically
+/// without unsharing the topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeKindCsr {
     const_first: Vec<u32>,
     const_head: Vec<u32>,
@@ -108,18 +109,19 @@ impl EdgeKindCsr {
     }
 }
 
-/// Everything about the graph a delay/feed patch can never change: nodes,
+/// Everything about the graph a FIFO-preserving patch never changes: nodes,
 /// edge topology, transfer weights, the kind-grouped CSR view. One `Arc`
 /// of this is shared by refcount across every snapshot of the graph —
-/// cloning a [`TdGraph`] never copies it.
-#[derive(Debug, Clone)]
+/// cloning a [`TdGraph`] never copies it; a refit builds the grown
+/// topology *beside* this one, so pinned snapshots keep theirs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Topology {
     first_edge: Vec<u32>,
     edges: Vec<Edge>,
     /// `st(v)` — the station every node belongs to.
     node_station: Vec<StationId>,
     /// For route nodes (offset by `num_stations`): `(route, stop index)`.
-    route_node_info: Vec<(pt_core::RouteId, u16)>,
+    route_node_info: Vec<(RouteId, u16)>,
     /// First route node of each route (route nodes are contiguous per
     /// route) — the anchor [`TdGraph::repatch_routes`] needs to find a
     /// route's hop edges without a search.
@@ -130,20 +132,43 @@ struct Topology {
     kinds: EdgeKindCsr,
 }
 
+impl Topology {
+    /// The one constructor: the kind-grouped lanes are derived from the CSR.
+    fn new(
+        first_edge: Vec<u32>,
+        edges: Vec<Edge>,
+        node_station: Vec<StationId>,
+        route_node_info: Vec<(RouteId, u16)>,
+        route_first_node: Vec<NodeId>,
+        transfer: Vec<Dur>,
+    ) -> Topology {
+        let kinds = EdgeKindCsr::build(&first_edge, &edges);
+        Topology {
+            first_edge,
+            edges,
+            node_station,
+            route_node_info,
+            route_first_node,
+            transfer,
+            kinds,
+        }
+    }
+}
+
 /// The realistic time-dependent graph of a timetable.
 ///
-/// Split for copy-on-write publishing: the immutable `Topology` is one
-/// shared `Arc`; the hop PLFs are individually `Arc`-shared and a
+/// Split for copy-on-write publishing: the `Topology` is one shared `Arc`;
+/// the hop PLFs are individually `Arc`-shared and a
 /// [`TdGraph::repatch_routes`] *replaces* exactly the touched routes' hop
 /// PLFs (every other PLF stays physically shared with older snapshots);
 /// `conn_start` copies-on-first-touch after a clone. A clone is therefore
 /// O(#PLFs) refcount bumps, never a copy of the adjacency.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TdGraph {
     period: Period,
     num_stations: u32,
     topo: Arc<Topology>,
-    /// The PLF arena, one entry per (route, hop) in build order.
+    /// The PLF arena, one entry per (route, hop) in route order.
     plfs: Vec<Arc<Plf>>,
     /// For every elementary connection: the route node where it departs.
     conn_start: Arc<Vec<NodeId>>,
@@ -153,116 +178,138 @@ pub struct TdGraph {
     max_td_secs: u32,
 }
 
+/// The travel-time function of one hop of a route: one connection point per
+/// train of the route, which must be FIFO ([`Routes::route_is_fifo`]).
+fn hop_plf(tt: &Timetable, route: &RouteInfo, hop: usize) -> Plf {
+    let points: Vec<PlfPoint> = route
+        .trains
+        .iter()
+        .map(|&t| {
+            let c = tt.connection(tt.train_connections(t)[hop]);
+            PlfPoint::new(c.dep, c.dur())
+        })
+        .collect();
+    let expected = points.len();
+    let plf = Plf::from_points(points, tt.period());
+    debug_assert_eq!(plf.len(), expected, "hop PLF of a non-FIFO route");
+    plf
+}
+
 impl TdGraph {
-    /// Builds the graph from a timetable and its route partition.
+    /// Builds the graph from a timetable and its route partition: the
+    /// station nodes, then every route appended as after a refit.
     pub fn build(tt: &Timetable, routes: &Routes) -> TdGraph {
-        let period = tt.period();
         let ns = tt.num_stations();
-        let mut node_station: Vec<StationId> = (0..ns as u32).map(StationId).collect();
-
-        // Route nodes, contiguous per route.
-        let mut route_first_node: Vec<NodeId> = Vec::with_capacity(routes.len());
-        let mut route_node_info: Vec<(pt_core::RouteId, u16)> = Vec::new();
-        for (ri, r) in routes.iter_routes().enumerate() {
-            route_first_node.push(NodeId::from_idx(node_station.len()));
-            node_station.extend(r.stations.iter().copied());
-            route_node_info
-                .extend((0..r.stations.len()).map(|j| (pt_core::RouteId::from_idx(ri), j as u16)));
-        }
-        let num_nodes = node_station.len();
-
-        let mut adj: Vec<Vec<Edge>> = vec![Vec::new(); num_nodes];
-        let mut plfs: Vec<Plf> = Vec::new();
-        for (ri, r) in routes.iter_routes().enumerate() {
-            let base = route_first_node[ri].idx();
-            for (j, &s) in r.stations.iter().enumerate() {
-                let rn = NodeId::from_idx(base + j);
-                // Board / alight edges.
-                adj[s.idx()]
-                    .push(Edge { head: rn, weight: EdgeWeight::Const(tt.transfer_time(s)) });
-                adj[rn.idx()]
-                    .push(Edge { head: NodeId(s.0), weight: EdgeWeight::Const(Dur::ZERO) });
-            }
-            // Route edges with one PLF per hop.
-            for hop in 0..r.num_hops() {
-                let points: Vec<PlfPoint> = r
-                    .trains
-                    .iter()
-                    .map(|&t| {
-                        let c = tt.connection(routes.connection_at(t, hop));
-                        PlfPoint::new(c.dep, c.dur())
-                    })
-                    .collect();
-                let expected = points.len();
-                let plf = Plf::from_points(points, period);
-                debug_assert_eq!(plf.len(), expected, "route partition produced a non-FIFO hop");
-                let idx = plfs.len() as u32;
-                plfs.push(plf);
-                adj[base + hop].push(Edge {
-                    head: NodeId::from_idx(base + hop + 1),
-                    weight: EdgeWeight::Td(idx),
-                });
-            }
-        }
-
-        // Flatten to CSR.
-        let mut first_edge = Vec::with_capacity(num_nodes + 1);
-        let mut edges = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        first_edge.push(0u32);
-        for a in &adj {
-            edges.extend_from_slice(a);
-            first_edge.push(edges.len() as u32);
-        }
-
-        // Start node of each connection: route node of (route(train), seq).
-        let conn_start: Vec<NodeId> = tt
-            .connections()
-            .iter()
-            .map(|c| {
-                let r = routes.route_of(c.train);
-                NodeId::from_idx(route_first_node[r.idx()].idx() + c.seq as usize)
-            })
-            .collect();
-
-        let transfer = (0..ns).map(|s| tt.transfer_time(StationId(s as u32))).collect();
-        let kinds = EdgeKindCsr::build(&first_edge, &edges);
-        let max_td_secs = plfs.iter().map(|p| p.max_dur().secs()).max().unwrap_or(0);
-
-        TdGraph {
-            period,
+        let mut g = TdGraph {
+            period: tt.period(),
             num_stations: ns as u32,
-            topo: Arc::new(Topology {
-                first_edge,
-                edges,
-                node_station,
-                route_node_info,
-                route_first_node,
-                transfer,
-                kinds,
-            }),
-            plfs: plfs.into_iter().map(Arc::new).collect(),
-            conn_start: Arc::new(conn_start),
-            max_td_secs,
-        }
+            topo: Arc::new(Topology::new(
+                vec![0; ns + 1],
+                Vec::new(),
+                tt.station_ids().collect(),
+                Vec::new(),
+                Vec::new(),
+                tt.station_ids().map(|s| tt.transfer_time(s)).collect(),
+            )),
+            plfs: Vec::new(),
+            conn_start: Arc::new(vec![NodeId(u32::MAX); tt.num_connections()]),
+            max_td_secs: 0,
+        };
+        g.append_routes(tt, routes);
+        g
     }
 
-    /// Incrementally follows a [`Timetable::patch_feed`]: applies the feed's
-    /// merged `ConnId` remap to `conn_start` once, then rewrites the
-    /// interpolation points of the hop PLFs of each route in `touched` — the
-    /// only edges a delay can touch — exactly once, however many feed events
-    /// hit the route. Everything else (nodes, edge topology, transfer
-    /// weights, all other PLFs) is untouched, so a warm engine keeps its
-    /// workspace sizes.
+    /// Appends the routes the graph does not hold yet — `routes[k..]` for a
+    /// graph of `k` routes — without renumbering anything that exists: their
+    /// route nodes go after all existing nodes, their board edges at the
+    /// end of the served stations' adjacency, their hop PLFs at the end of
+    /// the arena, and their trains' connections start at the new nodes.
+    fn append_routes(&mut self, tt: &Timetable, routes: &Routes) {
+        let old = &*self.topo;
+        let ns = self.num_stations as usize;
+        let held = old.route_first_node.len();
+        let mut node_station = old.node_station.clone();
+        let mut route_node_info = old.route_node_info.clone();
+        let mut route_first_node = old.route_first_node.clone();
+        for (ri, r) in routes.iter_routes().enumerate().skip(held) {
+            route_first_node.push(NodeId::from_idx(node_station.len()));
+            node_station.extend(&r.stations);
+            route_node_info
+                .extend((0..r.stations.len()).map(|j| (RouteId::from_idx(ri), j as u16)));
+        }
+        // New route nodes by station; stable, so in route order per station.
+        let mut boards: Vec<usize> = (old.node_station.len()..node_station.len()).collect();
+        boards.sort_by_key(|&v| node_station[v]);
+
+        // Station nodes: the old adjacency, then the new board edges.
+        let mut first_edge = Vec::with_capacity(node_station.len() + 1);
+        let mut edges = Vec::with_capacity(old.edges.len() + 3 * boards.len());
+        let mut boards = boards.into_iter().peekable();
+        for s in 0..ns {
+            first_edge.push(edges.len() as u32);
+            edges.extend_from_slice(
+                &old.edges[old.first_edge[s] as usize..old.first_edge[s + 1] as usize],
+            );
+            let weight = EdgeWeight::Const(old.transfer[s]);
+            while let Some(v) = boards.next_if(|&v| node_station[v].idx() == s) {
+                edges.push(Edge { head: NodeId::from_idx(v), weight });
+            }
+        }
+        // Existing route nodes: one block, shifted by the new board edges.
+        let shift = edges.len() as u32 - old.first_edge[ns];
+        first_edge.extend(old.first_edge[ns..old.node_station.len()].iter().map(|&e| e + shift));
+        edges.extend_from_slice(&old.edges[old.first_edge[ns] as usize..]);
+        // New route nodes: alight, then ride on over the hop's fresh PLF.
+        let conn_start = Arc::make_mut(&mut self.conn_start);
+        for (r, &base) in routes.iter_routes().zip(&route_first_node).skip(held) {
+            for (j, &s) in r.stations.iter().enumerate() {
+                first_edge.push(edges.len() as u32);
+                edges.push(Edge { head: NodeId(s.0), weight: EdgeWeight::Const(Dur::ZERO) });
+                if j < r.num_hops() {
+                    let plf = hop_plf(tt, r, j);
+                    self.max_td_secs = self.max_td_secs.max(plf.max_dur().secs());
+                    edges.push(Edge {
+                        head: NodeId::from_idx(base.idx() + j + 1),
+                        weight: EdgeWeight::Td(self.plfs.len() as u32),
+                    });
+                    self.plfs.push(Arc::new(plf));
+                }
+            }
+            for &t in &r.trains {
+                for (hop, &c) in tt.train_connections(t).iter().enumerate() {
+                    conn_start[c.idx()] = NodeId::from_idx(base.idx() + hop);
+                }
+            }
+        }
+        first_edge.push(edges.len() as u32);
+
+        self.topo = Arc::new(Topology::new(
+            first_edge,
+            edges,
+            node_station,
+            route_node_info,
+            route_first_node,
+            old.transfer.clone(),
+        ));
+    }
+
+    /// Incrementally follows a [`Timetable::patch_feed`] — the only
+    /// follower, refit or not: applies the feed's merged `ConnId` remap to
+    /// `conn_start` once, appends the routes a [`Routes::refit`] added
+    /// since the graph last saw `routes` (existing ids stay), then rewrites
+    /// the hop PLFs of each route in `touched` — the only edges a delay can
+    /// touch — exactly once, however many feed events hit the route. All
+    /// other PLFs stay shared with older clones.
     ///
-    /// All routes must already be [`Routes::repatch_feed`]ed and pass
-    /// [`Routes::route_is_fifo`]; a delay that makes one train overtake
-    /// another changes which trains may share route edges, so send non-FIFO
-    /// routes through [`Routes::refit`] + [`TdGraph::build`] instead.
+    /// `touched` is what [`Routes::repatch_feed`] returned for the patch —
+    /// *every* touched route, also a refit one (its id keeps the first
+    /// subroute) — and each must pass [`Routes::route_is_fifo`] by now. A
+    /// renumbered partition ([`Routes::partition`]) needs [`TdGraph::build`].
     pub fn repatch_routes(
         &mut self,
         tt: &Timetable,
         routes: &Routes,
-        touched: &[pt_core::RouteId],
+        touched: &[RouteId],
         remapped: &[(ConnId, ConnId)],
     ) {
         // conn_start entries move with their connections (the start node
@@ -276,38 +323,30 @@ impl TdGraph {
                 conn_start[new.idx()] = node;
             }
         }
+        // After the remap: appended routes read the patched timetable.
+        if routes.len() > self.topo.route_first_node.len() {
+            self.append_routes(tt, routes);
+        }
 
         // Rebuild the PLF of every hop of each touched route, *replacing*
         // the arena entry so snapshots sharing the old PLF are untouched.
         for &r in touched {
             let info = routes.route(r);
             let base = self.topo.route_first_node[r.idx()].idx();
+            debug_assert_eq!(
+                info.stations[..],
+                self.topo.node_station[base..base + info.stations.len()],
+                "route {r:?} was renumbered, not refit"
+            );
+            // A route's hop PLFs are contiguous in the arena, in hop order.
+            let first_plf = self.topo.kinds.td_edges(base).1[0] as usize;
             for hop in 0..info.num_hops() {
-                let points: Vec<PlfPoint> = info
-                    .trains
-                    .iter()
-                    .map(|&t| {
-                        let c = tt.connection(routes.connection_at(t, hop));
-                        PlfPoint::new(c.dep, c.dur())
-                    })
-                    .collect();
-                let expected = points.len();
-                let plf = Plf::from_points(points, self.period);
-                debug_assert_eq!(plf.len(), expected, "repatch on a non-FIFO route");
-                let lo = self.topo.first_edge[base + hop] as usize;
-                let hi = self.topo.first_edge[base + hop + 1] as usize;
-                let idx = self.topo.edges[lo..hi]
-                    .iter()
-                    .find_map(|e| match e.weight {
-                        EdgeWeight::Td(idx) => Some(idx),
-                        EdgeWeight::Const(_) => None,
-                    })
-                    .expect("route node has a time-dependent hop edge");
+                let plf = hop_plf(tt, info, hop);
                 // Keep the ring bound valid: the maximum only ever grows
                 // (shrinking would require a full rescan for no
                 // correctness gain — an oversized ring is still correct).
                 self.max_td_secs = self.max_td_secs.max(plf.max_dur().secs());
-                self.plfs[idx as usize] = Arc::new(plf);
+                self.plfs[first_plf + hop] = Arc::new(plf);
             }
         }
     }
@@ -330,7 +369,7 @@ impl TdGraph {
 
     /// For a route node: its `(route, stop index)`; `None` on station nodes.
     #[inline]
-    pub fn route_node_info(&self, v: NodeId) -> Option<(pt_core::RouteId, u16)> {
+    pub fn route_node_info(&self, v: NodeId) -> Option<(RouteId, u16)> {
         let i = v.idx().checked_sub(self.num_stations as usize)?;
         self.topo.route_node_info.get(i).copied()
     }
@@ -671,6 +710,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Incremental ≡ rebuilt, field for field (`PartialEq` is derived), after
+    /// every feed of a stream whose refits append routes.
+    #[test]
+    fn repatch_with_refits_equals_build_after_every_feed() {
+        use pt_timetable::synthetic::city::{generate_city, CityConfig};
+        use pt_timetable::{DelayEvent, Recovery};
+        let mut tt = generate_city(&CityConfig::sized(30, 4, 9));
+        let mut routes = Routes::partition(&tt);
+        let mut g = TdGraph::build(&tt, &routes);
+        let trains = tt.num_trains() as u32;
+        // A seed-pinned LCG: this crate does not link `rand`.
+        let mut x = 7u32;
+        let mut below = |n: u32| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (x >> 8) % n
+        };
+        let mut refits = 0;
+        for feed in 0..40 {
+            let events: Vec<DelayEvent> = (0..8)
+                .map(|_| match below(4) {
+                    0 => DelayEvent::Cancel { train: pt_core::TrainId(below(trains)) },
+                    _ => DelayEvent::Delay {
+                        train: pt_core::TrainId(below(trains)),
+                        from_hop: below(3) as u16,
+                        delay: Dur::minutes(1 + below(30)),
+                        recovery: Recovery::None,
+                    },
+                })
+                .collect();
+            let patch = tt.patch_feed(&events);
+            let touched = routes.repatch_feed(&tt, &patch);
+            let offending: Vec<RouteId> =
+                touched.iter().copied().filter(|&r| !routes.route_is_fifo(&tt, r)).collect();
+            refits += usize::from(!offending.is_empty());
+            routes.refit(&tt, &offending);
+            g.repatch_routes(&tt, &routes, &touched, &patch.remapped);
+            assert!(g == TdGraph::build(&tt, &routes), "patched != built after feed {feed}");
+        }
+        assert!(refits >= 10, "only {refits} of 40 feeds refit: the append is not exercised");
     }
 
     #[test]

@@ -161,11 +161,11 @@ pub fn earliest_journey(
             .iter()
             .copied()
             .min_by_key(|&z| {
-                let c = tt.connection(routes.connection_at(z, hop));
+                let c = tt.connection(tt.train_connections(z)[hop]);
                 period.delta(period.local(t_here), c.dep)
             })
             .expect("route has trains");
-        let c = tt.connection(routes.connection_at(train, hop));
+        let c = tt.connection(tt.train_connections(train)[hop]);
         let leg_dep = t_here + period.delta(period.local(t_here), c.dep);
         let leg_arr = leg_dep + c.dur();
         match legs.last_mut() {

@@ -45,8 +45,8 @@ pub enum DelayUpdate {
     Patched,
     /// The delay made the route partition stale (a train now overtakes a
     /// companion on its route, or departures collide): the offending route
-    /// was re-split ([`Routes::refit`]) and the time-dependent graph
-    /// rebuilt from the patched timetable.
+    /// was re-split ([`Routes::refit`]) and its extra subroutes appended
+    /// to the graph — nothing is rebuilt (the name predates that).
     Rebuilt,
 }
 
@@ -64,11 +64,11 @@ pub struct FeedSummary {
     pub events: Vec<DelayUpdate>,
     /// Distinct routes carrying a net-changed train.
     pub touched_routes: usize,
-    /// Touched routes that stayed FIFO and were rewritten in place — each
-    /// exactly once ([`TdGraph::repatch_routes`]).
+    /// Touched routes that stayed FIFO: rewritten in place, each exactly
+    /// once ([`TdGraph::repatch_routes`]), or rebuilt by a heal.
     pub repatched_routes: usize,
     /// Touched routes that lost FIFO and were re-split in place
-    /// ([`Routes::refit`]); non-zero means the graph was rebuilt once.
+    /// ([`Routes::refit`]); non-zero means the graph grew route nodes.
     pub refit_routes: usize,
     /// Departure stations of every net-changed connection, sorted and
     /// deduplicated. Informational — the network records the same data per
@@ -86,7 +86,7 @@ impl FeedSummary {
         self.touched_routes > 0
     }
 
-    /// `true` iff the overtaking fallback ran (graph rebuilt once).
+    /// `true` iff the overtaking fallback ran (routes re-split, appended).
     pub fn rebuilt(&self) -> bool {
         self.refit_routes > 0
     }
@@ -211,15 +211,15 @@ impl Network {
     ///   bucket once and bumps the generation **once** (so
     ///   generation-keyed caches are invalidated once per feed, not once
     ///   per event),
-    /// * [`Routes::repatch_feed`] follows the merged remap and returns the
-    ///   touched routes, each exactly once,
-    /// * touched routes that kept the FIFO property are rewritten in place
-    ///   by [`TdGraph::repatch_routes`] — **at most one repatch per touched
-    ///   route** regardless of how many events hit it,
+    /// * [`Routes::repatch_feed`] re-sorts and returns the touched routes,
+    ///   each exactly once,
     /// * the overtaking fallback is scoped to the offending routes: only
-    ///   they are re-split ([`Routes::refit`]); the graph is then rebuilt
-    ///   once (route-node topology changed), every other route keeping its
-    ///   trains,
+    ///   they are re-split ([`Routes::refit`]), every other route keeping
+    ///   its id and trains,
+    /// * [`TdGraph::repatch_routes`] follows either way: it appends the
+    ///   refit's extra subroutes and rewrites the touched routes' PLFs in
+    ///   place — **one rewrite per touched route** however many events hit
+    ///   it; only the rare fragmentation heal rebuilds the graph,
     /// * the station graph is invariant (delays and cancellations shift
     ///   times, never durations or the edge set) and is always kept.
     ///
@@ -237,8 +237,11 @@ impl Network {
             return FeedSummary::unchanged(events.len());
         }
         let touched = self.routes.repatch_feed(&self.timetable, &patch);
-        let (fifo, offending): (Vec<RouteId>, Vec<RouteId>) =
-            touched.iter().partition(|&&r| self.routes.route_is_fifo(&self.timetable, r));
+        let offending: Vec<RouteId> = touched
+            .iter()
+            .copied()
+            .filter(|&r| !self.routes.route_is_fifo(&self.timetable, r))
+            .collect();
 
         // Attribute outcomes before refit renumbers trains' routes.
         let events_out: Vec<DelayUpdate> = events
@@ -256,27 +259,27 @@ impl Network {
             })
             .collect();
 
-        if offending.is_empty() {
-            self.graph.repatch_routes(&self.timetable, &self.routes, &fifo, &patch.remapped);
-        } else {
-            // Scoped fallback: re-split only the offending routes, then
-            // rebuild the graph (its route-node topology changed). The
-            // still-FIFO touched routes are covered by the rebuild too.
+        if !offending.is_empty() {
+            // Scoped fallback: re-split only the offending routes; the
+            // graph appends the extra subroutes below.
             let routes_before = self.routes.len();
             self.routes.refit(&self.timetable, &offending);
             self.refit_extra_routes += self.routes.len() - routes_before;
-            // Scoped refits only ever split; nothing re-merges trains whose
-            // delays were later cancelled, so a long-lived stream would
-            // fragment the partition monotonically. Heal by amortization:
-            // once the accumulated splits are substantial, spend one full
-            // partition here — the graph is being rebuilt anyway.
-            if self.refit_extra_routes >= REFIT_HEAL_FLOOR
-                && self.refit_extra_routes * 8 > self.routes.len()
-            {
-                self.routes = Routes::partition(&self.timetable);
-                self.refit_extra_routes = 0;
-            }
+        }
+        // Scoped refits only ever split; nothing re-merges trains whose
+        // delays were later cancelled, so a long-lived stream would
+        // fragment the partition monotonically. Heal by amortization: once
+        // the accumulated splits are substantial (which only a refit just
+        // above can make true), spend one full partition — it renumbers
+        // every route, so this is the one feed the graph cannot follow.
+        if self.refit_extra_routes >= REFIT_HEAL_FLOOR
+            && self.refit_extra_routes * 8 > self.routes.len()
+        {
+            self.routes = Routes::partition(&self.timetable);
+            self.refit_extra_routes = 0;
             self.graph = TdGraph::build(&self.timetable, &self.routes);
+        } else {
+            self.graph.repatch_routes(&self.timetable, &self.routes, &touched, &patch.remapped);
         }
         self.feed_log.push((self.generation(), patch.touched_stations.clone().into()));
         if self.feed_log.len() > FEED_LOG_CAP {
@@ -285,7 +288,7 @@ impl Network {
         FeedSummary {
             events: events_out,
             touched_routes: touched.len(),
-            repatched_routes: if offending.is_empty() { fifo.len() } else { 0 },
+            repatched_routes: touched.len() - offending.len(),
             refit_routes: offending.len(),
             touched_stations: patch.touched_stations,
         }
@@ -403,7 +406,7 @@ impl Network {
     /// this for a copy that will be mutated independently (that is what
     /// [`Clone`] is for — it stamps a fresh epoch).
     ///
-    /// This is a *spine* clone: O(stations + routes + trains) refcount
+    /// This is a *spine* clone: O(stations + routes + PLFs) refcount
     /// bumps, no payload copies. The master unshares only the buckets,
     /// route blocks and PLFs it rewrites on later feeds, so successive
     /// snapshots share everything a feed did not touch.
@@ -634,6 +637,39 @@ mod tests {
         assert!(Arc::ptr_eq(&fresh, outcome.published.as_ref().unwrap()));
         assert!(!Arc::ptr_eq(&fresh, &pinned));
         assert_eq!(cnet.publishes(), 1);
+    }
+
+    #[test]
+    fn refit_feed_is_copy_on_write_and_leaves_pinned_snapshots_alone() {
+        use crate::ProfileEngine;
+        let base = net();
+        // Some delay of train 0 lands it on a companion's slot or past it.
+        let event = (1..240)
+            .map(|minutes| delay(0, minutes))
+            .find(|&ev| base.clone().apply_feed(&[ev]).rebuilt())
+            .expect("a delay of train 0 that breaks its route's FIFO order");
+        let engine = ProfileEngine::new();
+        let sources = [StationId(0), StationId(7), StationId(19)];
+        let before: Vec<_> = sources.iter().map(|&s| engine.one_to_all(&base, s)).collect();
+
+        let cnet = ConcurrentNetwork::new(base);
+        let pinned = cnet.snapshot();
+        let outcome = cnet.apply_feed(&[event]);
+        assert!(outcome.summary.rebuilt());
+        assert_eq!(outcome.summary.events, [DelayUpdate::Rebuilt]);
+        let fresh = cnet.snapshot();
+        assert!(fresh.routes().len() > pinned.routes().len(), "the refit appended routes");
+
+        // The pinned snapshot still answers the pre-feed state.
+        for (&s, profiles) in sources.iter().zip(&before) {
+            assert_eq!(&engine.one_to_all(&pinned, s), profiles, "pinned source {s}");
+        }
+        // The new one shares every PLF but the touched route's hops with it.
+        let plfs: usize = pinned.routes().iter_routes().map(|r| r.num_hops()).sum();
+        let touched = pinned.routes().route(pinned.routes().route_of(TrainId(0)));
+        let (shared, same_topology) = fresh.graph().shared_plfs_with(pinned.graph());
+        assert_eq!(shared, plfs - touched.num_hops());
+        assert!(!same_topology, "appended route nodes live in a topology of their own");
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub fn save_dir(tt: &Timetable, dir: impl AsRef<Path>) -> Result<(), GtfsError> 
     writeln!(stop_times, "trip_id,arrival_time,departure_time,stop_id,stop_sequence")?;
     for t in 0..tt.num_trains() {
         let train = pt_core::TrainId::from_idx(t);
-        let conns = routes.train_connections(train);
+        let conns = tt.train_connections(train);
         if conns.is_empty() {
             continue;
         }

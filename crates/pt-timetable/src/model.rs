@@ -99,6 +99,18 @@ pub enum TimetableError {
         /// The train whose trip is too short.
         train: TrainId,
     },
+    /// A connection names a train `≥ num_trains`.
+    UnknownTrain {
+        /// Index of the offending connection in construction order.
+        conn: usize,
+        /// The out-of-range train it named.
+        train: TrainId,
+    },
+    /// A train's hop indices are not exactly `0..k` (a gap or a duplicate).
+    HopsNotDense {
+        /// The train whose hops are not numbered densely.
+        train: TrainId,
+    },
 }
 
 impl fmt::Display for TimetableError {
@@ -124,6 +136,12 @@ impl fmt::Display for TimetableError {
             }
             TimetableError::TripTooShort { train } => {
                 write!(f, "trip of train {train} has fewer than two stops")
+            }
+            TimetableError::UnknownTrain { conn, train } => {
+                write!(f, "connection {conn} names unknown train {train}")
+            }
+            TimetableError::HopsNotDense { train } => {
+                write!(f, "hops of train {train} are not numbered 0..k without gap or duplicate")
             }
         }
     }
@@ -186,6 +204,13 @@ pub struct Timetable {
     /// Departure station of each global [`ConnId`] (the inverse of
     /// `first_out`'s ranges). Immutable after validation.
     conn_station: Arc<Vec<StationId>>,
+    /// `train_first[t] .. train_first[t+1]` is train `t`'s slice of
+    /// `train_conns`. Immutable after validation.
+    train_first: Arc<Vec<u32>>,
+    /// The one train → connections index: `train_conns[train_first[t] + h]`
+    /// is hop `h` of train `t` (position = hop, validated in
+    /// [`Timetable::new`]). Follows every re-sort, copy-on-first-touch.
+    train_conns: Arc<Vec<ConnId>>,
     /// Monotonically-increasing update stamp, bumped by every in-place
     /// mutation ([`Timetable::patch_feed`]) that changes at least one
     /// connection time. Query caches key on it: a bumped generation
@@ -202,6 +227,7 @@ impl Timetable {
         num_trains: u32,
     ) -> Result<Self, TimetableError> {
         let n = stations.len() as u32;
+        let mut train_first = vec![0u32; num_trains as usize + 1];
         for (i, c) in conns.iter().enumerate() {
             if c.from.0 >= n {
                 return Err(TimetableError::UnknownStation { conn: i, station: c.from.0 });
@@ -221,6 +247,13 @@ impl Timetable {
             if c.from == c.to {
                 return Err(TimetableError::SelfLoop { conn: i, station: c.from });
             }
+            if c.train.0 >= num_trains {
+                return Err(TimetableError::UnknownTrain { conn: i, train: c.train });
+            }
+            train_first[c.train.idx() + 1] += 1;
+        }
+        for t in 1..train_first.len() {
+            train_first[t] += train_first[t - 1];
         }
         conns.sort_unstable_by_key(|c| (c.from, c.dep, c.train, c.seq));
         let mut first_out = vec![0u32; stations.len() + 1];
@@ -231,6 +264,17 @@ impl Timetable {
             first_out[i] += first_out[i - 1];
         }
         let conn_station: Vec<StationId> = conns.iter().map(|c| c.from).collect();
+        // A train with k connections owns k slots; hop h goes to slot h, so
+        // the slice is dense exactly when no hop is out of range or taken.
+        const UNSET: ConnId = ConnId(u32::MAX);
+        let mut train_conns = vec![UNSET; conns.len()];
+        for (i, c) in conns.iter().enumerate() {
+            let (lo, hi) = (train_first[c.train.idx()], train_first[c.train.idx() + 1]);
+            match train_conns[lo as usize..hi as usize].get_mut(c.seq as usize) {
+                Some(slot) if *slot == UNSET => *slot = ConnId::from_idx(i),
+                _ => return Err(TimetableError::HopsNotDense { train: c.train }),
+            }
+        }
         let buckets = (0..stations.len())
             .map(|s| {
                 let (lo, hi) = (first_out[s] as usize, first_out[s + 1] as usize);
@@ -246,6 +290,8 @@ impl Timetable {
             buckets,
             first_out: Arc::new(first_out),
             conn_station: Arc::new(conn_station),
+            train_first: Arc::new(train_first),
+            train_conns: Arc::new(train_conns),
             generation: 0,
         })
     }
@@ -268,10 +314,10 @@ impl Timetable {
     /// Applies a whole realtime feed **in place**, in one pass: events are
     /// coalesced per train (each applied in feed order on top of its
     /// predecessors, exactly as one-event feeds applied one after another
-    /// would), connections are rewritten once with their *net* new times,
-    /// each touched `conn(S)` bucket is re-sorted once, and a single merged
-    /// [`ConnId`] remap is returned. A single delay or cancellation is the
-    /// one-event feed.
+    /// would), connections — found through the per-train index, not by a
+    /// scan — are rewritten once with their *net* new times, each touched
+    /// `conn(S)` bucket is re-sorted once, and one merged [`ConnId`] remap
+    /// is returned. A single delay or cancellation is the one-event feed.
     ///
     /// Durations are preserved (`arr` shifts with `dep`), so the station
     /// graph is invariant. Only the mentioned trains' connections are
@@ -279,8 +325,8 @@ impl Timetable {
     /// index (`first_out`, untouched buckets) stays, which is what makes the
     /// fully dynamic scenario (paper §5.1) cheap. Because `conn(S)` must stay
     /// ordered by departure time, a re-sort can renumber the [`ConnId`]s
-    /// inside a bucket; [`FeedPatch::remapped`] records that so derived
-    /// structures (`Routes`, `TdGraph`) can follow without a rebuild. An
+    /// inside a bucket; the per-train index follows here, and
+    /// [`FeedPatch::remapped`] records the moves so the graph can. An
     /// event matching no connection (unknown train, hop out of range), a
     /// delay fully absorbed by its recovery and the cancellation of a
     /// never-delayed train are no-ops.
@@ -297,43 +343,26 @@ impl Timetable {
         let mut feed_trains: Vec<TrainId> = events.iter().map(DelayEvent::train).collect();
         feed_trains.sort_unstable();
         feed_trains.dedup();
-        let slot_of = |t: TrainId| feed_trains.binary_search(&t).ok();
-
-        // Connection indices of every train the feed mentions (one scan).
-        let mut train_conns: Vec<Vec<usize>> = vec![Vec::new(); feed_trains.len()];
-        for (st, b) in self.buckets.iter().enumerate() {
-            let lo = self.first_out[st] as usize;
-            for (k, c) in b.conns.iter().enumerate() {
-                if let Some(s) = slot_of(c.train) {
-                    train_conns[s].push(lo + k);
-                }
-            }
-        }
 
         // Simulate the feed on working copies of the departure times.
         let pi = self.period.len() as u64;
-        let mut deps: Vec<Vec<Time>> = train_conns
+        let mut deps: Vec<Vec<Time>> = feed_trains
             .iter()
-            .map(|ixs| ixs.iter().map(|&i| self.conn_at(i).dep).collect())
+            .map(|&t| self.train_connections(t).iter().map(|&c| self.connection(c).dep).collect())
             .collect();
         let mut event_changed = vec![false; events.len()];
         for (ei, ev) in events.iter().enumerate() {
-            let s = slot_of(ev.train()).expect("every feed train is indexed");
+            let s = feed_trains.binary_search(&ev.train()).expect("every feed train is indexed");
             match *ev {
                 DelayEvent::Delay { from_hop, delay, recovery, .. } => {
-                    for (k, &ci) in train_conns[s].iter().enumerate() {
-                        let seq = self.conn_at(ci).seq;
-                        if seq < from_hop {
-                            continue;
-                        }
-                        let effective = effective_delay(delay, recovery, (seq - from_hop) as u32);
+                    for (hops_in, d) in deps[s].iter_mut().skip(from_hop as usize).enumerate() {
+                        let effective = effective_delay(delay, recovery, hops_in as u32);
                         if effective == Dur::ZERO {
                             continue;
                         }
                         // 64-bit reduction: `dep + effective` may exceed u32
                         // for adversarial delays; the period-local result
                         // never does.
-                        let d = &mut deps[s][k];
                         let shifted =
                             Time(((d.secs() as u64 + effective.secs() as u64) % pi) as u32);
                         if *d != shifted {
@@ -342,11 +371,11 @@ impl Timetable {
                         }
                     }
                 }
-                DelayEvent::Cancel { .. } => {
-                    for (k, &ci) in train_conns[s].iter().enumerate() {
-                        let published = self.sched_at(ci);
-                        if deps[s][k] != published {
-                            deps[s][k] = published;
+                DelayEvent::Cancel { train } => {
+                    for (d, &c) in deps[s].iter_mut().zip(self.train_connections(train)) {
+                        let published = self.scheduled_dep(c);
+                        if *d != published {
+                            *d = published;
                             event_changed[ei] = true;
                         }
                     }
@@ -357,10 +386,10 @@ impl Timetable {
         // One coalesced write-back of the *net* new times.
         let mut touched: Vec<StationId> = Vec::new();
         let mut trains: Vec<TrainId> = Vec::new();
-        for (s, ixs) in train_conns.iter().enumerate() {
+        for (&t, deps) in feed_trains.iter().zip(&deps) {
             let mut train_changed = false;
-            for (k, &ci) in ixs.iter().enumerate() {
-                let new_dep = deps[s][k];
+            for (hop, &new_dep) in deps.iter().enumerate() {
+                let ci = self.train_connections(t)[hop].idx();
                 if self.conn_at(ci).dep != new_dep {
                     let st = self.conn_station[ci].idx();
                     let lo = self.first_out[st] as usize;
@@ -375,7 +404,7 @@ impl Timetable {
                 }
             }
             if train_changed {
-                trains.push(feed_trains[s]);
+                trains.push(t);
             }
         }
         if touched.is_empty() {
@@ -389,8 +418,8 @@ impl Timetable {
     }
 
     /// Restores per-bucket departure order after connection times moved,
-    /// recording every [`ConnId`] move. The schedule times ride along so
-    /// cancellations keep working after any number of re-sorts.
+    /// recording every [`ConnId`] move; the per-train index follows and the
+    /// schedule times ride along (cancellations survive any re-sort).
     fn resort_buckets(&mut self, touched: &[StationId]) -> Vec<(ConnId, ConnId)> {
         let mut remapped: Vec<(ConnId, ConnId)> = Vec::new();
         for &s in touched {
@@ -406,13 +435,21 @@ impl Timetable {
                 .zip(lo as u32..)
                 .map(|((c, sd), i)| (c, sd, i))
                 .collect();
-            tagged.sort_unstable_by_key(|&(c, _, _)| (c.dep, c.train, c.seq));
+            // Stable on purpose: the key is unique, so the order is the
+            // same, and the run-adaptive stable sort merges the few runs of
+            // a bucket that is sorted but for its re-timed entries.
+            tagged.sort_by_key(|&(c, _, _)| (c.dep, c.train, c.seq));
             for (offset, &(c, sd, old)) in tagged.iter().enumerate() {
                 let new = (lo + offset) as u32;
                 b.conns[offset] = c;
                 b.sched[offset] = sd;
                 if old != new {
                     remapped.push((ConnId(old), ConnId(new)));
+                    // Position = hop, so the index follows a move with one
+                    // write and no search — also when ids swap inside one
+                    // train's slice. Copies on the first move after a clone.
+                    let slot = self.train_first[c.train.idx()] as usize + c.seq as usize;
+                    Arc::make_mut(&mut self.train_conns)[slot] = ConnId(new);
                 }
             }
         }
@@ -426,19 +463,13 @@ impl Timetable {
         &self.buckets[s].conns[i - self.first_out[s] as usize]
     }
 
-    /// A schedule departure time by global index (bucket-indirected).
-    #[inline]
-    fn sched_at(&self, i: usize) -> Time {
-        let s = self.conn_station[i].idx();
-        self.buckets[s].sched[i - self.first_out[s] as usize]
-    }
-
     /// The published (schedule) departure time of a connection — what a
     /// [`DelayEvent::Cancel`] restores. Equals [`Connection::dep`] unless
     /// the connection currently carries a delay.
     #[inline]
     pub fn scheduled_dep(&self, c: ConnId) -> Time {
-        self.sched_at(c.idx())
+        let s = self.conn_station[c.idx()].idx();
+        self.buckets[s].sched[c.idx() - self.first_out[s] as usize]
     }
 
     /// Number of stations `|S|`.
@@ -495,6 +526,17 @@ impl Timetable {
         self.conn_at(c.idx())
     }
 
+    /// The connections of train `t` ordered by hop index (entry `h` is hop
+    /// `h`); empty for a train the timetable does not know.
+    #[inline]
+    pub fn train_connections(&self, t: TrainId) -> &[ConnId] {
+        if t.0 >= self.num_trains {
+            return &[];
+        }
+        let (lo, hi) = (self.train_first[t.idx()], self.train_first[t.idx() + 1]);
+        &self.train_conns[lo as usize..hi as usize]
+    }
+
     /// `conn(S)`: the outgoing connections of `s`, ordered non-decreasingly
     /// by departure time.
     #[inline]
@@ -536,13 +578,14 @@ impl Timetable {
 mod tests {
     use super::*;
 
-    fn conn(from: u32, to: u32, dep_min: u32, arr_min: u32) -> Connection {
+    /// Hop 0 of train `train`.
+    fn conn(train: u32, from: u32, to: u32, dep_min: u32, arr_min: u32) -> Connection {
         Connection {
             from: StationId(from),
             to: StationId(to),
             dep: Time::hm(0, dep_min),
             arr: Time::hm(0, arr_min),
-            train: TrainId(0),
+            train: TrainId(train),
             seq: 0,
         }
     }
@@ -556,8 +599,8 @@ mod tests {
         let tt = Timetable::new(
             Period::DAY,
             stations(3),
-            vec![conn(0, 1, 30, 40), conn(0, 2, 10, 25), conn(1, 2, 5, 9)],
-            1,
+            vec![conn(0, 0, 1, 30, 40), conn(1, 0, 2, 10, 25), conn(2, 1, 2, 5, 9)],
+            3,
         )
         .unwrap();
         let out: Vec<u32> = tt.conn(StationId(0)).iter().map(|c| c.dep.secs() / 60).collect();
@@ -570,17 +613,17 @@ mod tests {
     #[test]
     fn validation_rejects_bad_connections() {
         let err = |c: Connection| Timetable::new(Period::DAY, stations(2), vec![c], 1).unwrap_err();
-        assert!(matches!(err(conn(0, 5, 0, 10)), TimetableError::UnknownStation { .. }));
-        assert!(matches!(err(conn(0, 0, 0, 10)), TimetableError::SelfLoop { .. }));
-        assert!(matches!(err(conn(0, 1, 10, 10)), TimetableError::ZeroDuration { .. }));
-        let mut c = conn(0, 1, 0, 10);
+        assert!(matches!(err(conn(0, 0, 5, 0, 10)), TimetableError::UnknownStation { .. }));
+        assert!(matches!(err(conn(0, 0, 0, 0, 10)), TimetableError::SelfLoop { .. }));
+        assert!(matches!(err(conn(0, 0, 1, 10, 10)), TimetableError::ZeroDuration { .. }));
+        let mut c = conn(0, 0, 1, 0, 10);
         c.dep = Time::hm(25, 0);
         c.arr = Time::hm(25, 10);
         assert!(matches!(
             Timetable::new(Period::DAY, stations(2), vec![c], 1).unwrap_err(),
             TimetableError::DepartureNotLocal { .. }
         ));
-        let mut c = conn(0, 1, 20, 10);
+        let mut c = conn(0, 0, 1, 20, 10);
         c.arr = Time::hm(0, 10);
         assert!(matches!(
             Timetable::new(Period::DAY, stations(2), vec![c], 1).unwrap_err(),
@@ -589,12 +632,110 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_unknown_trains_and_non_dense_hops() {
+        let new = |conns, trains| Timetable::new(Period::DAY, stations(3), conns, trains);
+        let err = new(vec![conn(1, 0, 1, 0, 10)], 1).unwrap_err();
+        assert_eq!(err, TimetableError::UnknownTrain { conn: 0, train: TrainId(1) });
+        assert!(err.to_string().contains("unknown train"));
+        let hop = |seq, from, to, dep| Connection { seq, ..conn(0, from, to, dep, dep + 5) };
+        // Hops {0, 2}: a gap. Hops {0, 0}: a duplicate. Hop {1}: no hop 0.
+        for hops in [
+            vec![hop(0, 0, 1, 0), hop(2, 1, 2, 10)],
+            vec![hop(0, 0, 1, 0), hop(0, 1, 2, 10)],
+            vec![hop(1, 0, 1, 0)],
+        ] {
+            let err = new(hops, 1).unwrap_err();
+            assert_eq!(err, TimetableError::HopsNotDense { train: TrainId(0) });
+            assert!(err.to_string().contains("0..k"));
+        }
+        assert!(new(vec![hop(1, 1, 2, 10), hop(0, 0, 1, 0)], 1).is_ok(), "any input order");
+    }
+
+    /// `train_connections(t)[h]` is the connection `(t, h)` for every train.
+    fn assert_index_exact(tt: &Timetable) {
+        for t in (0..tt.num_trains()).map(TrainId::from_idx) {
+            for (h, &c) in tt.train_connections(t).iter().enumerate() {
+                let c = tt.connection(c);
+                assert_eq!((c.train, c.seq as usize), (t, h));
+            }
+        }
+    }
+
+    #[test]
+    fn train_index_follows_every_feed_of_a_random_stream() {
+        use crate::delay::Recovery;
+        use crate::synthetic::city::{generate_city, CityConfig};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut tt = generate_city(&CityConfig::sized(30, 4, 9));
+        assert_index_exact(&tt);
+        let trains = tt.num_trains() as u32;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut moved = 0;
+        for _ in 0..40 {
+            let events: Vec<DelayEvent> = (0..8)
+                .map(|_| match rng.gen_range(0..4u8) {
+                    0 => DelayEvent::Cancel { train: TrainId(rng.gen_range(0..trains)) },
+                    _ => DelayEvent::Delay {
+                        train: TrainId(rng.gen_range(0..trains)),
+                        from_hop: rng.gen_range(0..3u16),
+                        delay: Dur::minutes(rng.gen_range(1..60u32)),
+                        recovery: Recovery::None,
+                    },
+                })
+                .collect();
+            moved += tt.patch_feed(&events).remapped.len();
+            assert_index_exact(&tt);
+            // The patched index is the one a fresh validation computes.
+            let fresh = Timetable::new(
+                tt.period(),
+                tt.stations().to_vec(),
+                tt.connections(),
+                tt.num_trains() as u32,
+            )
+            .unwrap();
+            assert_eq!(tt.train_conns, fresh.train_conns);
+        }
+        assert!(moved > 0, "no feed renumbered a connection: the follow-up never ran");
+        assert!(tt.train_connections(TrainId(trains)).is_empty(), "unknown train");
+    }
+
+    #[test]
+    fn train_index_follows_a_swap_inside_one_trains_slice() {
+        use crate::delay::Recovery;
+        // One train A→B→A→C: hops 0 and 2 share A's bucket. Running hop 0
+        // 90 min late and catching up 45 min per hop moves 08:00 behind the
+        // untouched 09:00, so the two ids swap within one feed.
+        let at = |h, m| Time::hm(h, m);
+        let hop = |seq, from, to, dep: Time| Connection {
+            from: StationId(from),
+            to: StationId(to),
+            dep,
+            arr: dep + Dur::minutes(20),
+            train: TrainId(0),
+            seq,
+        };
+        let conns = vec![hop(0, 0, 1, at(8, 0)), hop(1, 1, 0, at(8, 30)), hop(2, 0, 2, at(9, 0))];
+        let mut tt = Timetable::new(Period::DAY, stations(3), conns, 1).unwrap();
+        let before = tt.train_connections(TrainId(0)).to_vec();
+        let patch = tt.patch_feed(&[DelayEvent::Delay {
+            train: TrainId(0),
+            from_hop: 0,
+            delay: Dur::minutes(90),
+            recovery: Recovery::CatchUp { per_hop: Dur::minutes(45) },
+        }]);
+        let (a, b) = (before[0], before[2]);
+        assert_eq!(patch.remapped, vec![(b, a), (a, b)]);
+        assert_eq!(tt.train_connections(TrainId(0)), [b, before[1], a]);
+        assert_index_exact(&tt);
+    }
+
+    #[test]
     fn stats_report_ratio() {
         let tt = Timetable::new(
             Period::DAY,
             stations(2),
-            vec![conn(0, 1, 0, 10), conn(0, 1, 30, 40), conn(1, 0, 15, 25)],
-            2,
+            vec![conn(0, 0, 1, 0, 10), conn(1, 0, 1, 30, 40), conn(2, 1, 0, 15, 25)],
+            3,
         )
         .unwrap();
         let s = tt.stats();

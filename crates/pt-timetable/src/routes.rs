@@ -25,10 +25,10 @@
 //! (the train "leaves before it arrived") turns one into almost the whole
 //! period — each can manufacture it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pt_core::{ConnId, RouteId, StationId, Time, TrainId};
+use pt_core::{RouteId, StationId, Time, TrainId};
 
 use crate::delay::FeedPatch;
 use crate::model::Timetable;
@@ -53,87 +53,44 @@ impl RouteInfo {
 
 /// The route partition of a timetable.
 ///
-/// Every aggregate is individually `Arc`-shared so a clone is O(routes +
-/// trains) refcount bumps and the incremental followers
-/// ([`Routes::repatch_feed`], [`Routes::refit`]) copy-on-write only the
-/// routes and per-train lists they actually rewrite — the rest stays
-/// physically shared with any snapshot cloned earlier.
+/// Every route is individually `Arc`-shared so a clone is O(routes)
+/// refcount bumps and the incremental followers ([`Routes::repatch_feed`],
+/// [`Routes::refit`]) copy-on-write only the routes they actually rewrite —
+/// the rest stays physically shared with any snapshot cloned earlier. Which
+/// connection is hop `h` of train `t` is the timetable's business
+/// ([`Timetable::train_connections`]); every method that needs it takes `tt`.
 #[derive(Debug, Clone)]
 pub struct Routes {
     routes: Vec<Arc<RouteInfo>>,
     /// Route of each train, indexed by [`TrainId`]. Rewritten only by
     /// [`Routes::refit`] (topology change), never by a plain repatch.
     train_route: Arc<Vec<RouteId>>,
-    /// Connections of each train ordered by hop index, indexed by [`TrainId`].
-    train_conns: Vec<Arc<Vec<ConnId>>>,
 }
 
 impl Routes {
     /// Computes the route partition. Deterministic: routes are numbered by
     /// stop sequence, then by departure of their first train.
     pub fn partition(tt: &Timetable) -> Routes {
-        // Connections of every train, ordered by hop index.
-        let mut train_conns: Vec<Vec<ConnId>> = vec![Vec::new(); tt.num_trains()];
-        for (i, c) in tt.connections().iter().enumerate() {
-            train_conns[c.train.idx()].push(ConnId::from_idx(i));
-        }
-        for conns in &mut train_conns {
-            conns.sort_unstable_by_key(|&c| tt.connection(c).seq);
-            debug_assert!(
-                conns.windows(2).all(|w| { tt.connection(w[0]).to == tt.connection(w[1]).from }),
-                "train journey is not contiguous"
-            );
-        }
-
         // Group trains by stop sequence (BTreeMap for determinism).
         let mut groups: BTreeMap<Vec<StationId>, Vec<TrainId>> = BTreeMap::new();
-        for (t, conns) in train_conns.iter().enumerate() {
-            if conns.is_empty() {
-                continue;
-            }
+        for t in (0..tt.num_trains()).map(TrainId::from_idx) {
+            let conns = tt.train_connections(t);
+            let Some(&first) = conns.first() else { continue };
+            debug_assert!(
+                conns.windows(2).all(|w| tt.connection(w[0]).to == tt.connection(w[1]).from),
+                "train journey is not contiguous"
+            );
             let mut seq = Vec::with_capacity(conns.len() + 1);
-            seq.push(tt.connection(conns[0]).from);
-            for &c in conns {
-                seq.push(tt.connection(c).to);
-            }
-            groups.entry(seq).or_default().push(TrainId::from_idx(t));
+            seq.push(tt.connection(first).from);
+            seq.extend(conns.iter().map(|&c| tt.connection(c).to));
+            groups.entry(seq).or_default().push(t);
         }
 
         let mut routes = Vec::new();
         let mut train_route = vec![RouteId(u32::MAX); tt.num_trains()];
-        let pi = tt.period().len();
         for (stations, mut trains) in groups {
-            trains.sort_unstable_by_key(|&t| (tt.connection(train_conns[t.idx()][0]).dep, t));
-            // Greedy first-fit split into overtaking- and co-dwell-free
-            // subroutes. Per subroute: its trains, and per train the
-            // (dep, arr) legs.
-            type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
-            let hops = stations.len() - 1;
-            let mut subroutes: Vec<Subroute> = Vec::new();
-            'train: for &t in &trains {
-                let legs: Vec<(Time, Time)> = train_conns[t.idx()]
-                    .iter()
-                    .map(|&c| {
-                        let c = tt.connection(c);
-                        (c.dep, c.arr)
-                    })
-                    .collect();
-                for (members, hop_points) in &mut subroutes {
-                    if fits(hop_points, &legs, pi) {
-                        for (h, &leg) in legs.iter().enumerate() {
-                            hop_points[h].push(leg); // `fits` admits only appends
-                        }
-                        members.push(t);
-                        continue 'train;
-                    }
-                }
-                let mut hop_points = vec![Vec::new(); hops];
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg);
-                }
-                subroutes.push((vec![t], hop_points));
-            }
-            for (members, _) in subroutes {
+            trains.sort_unstable_by_key(|&t| first_departure(tt, t));
+            for members in split_fifo(tt, &trains) {
                 let id = RouteId::from_idx(routes.len());
                 for &t in &members {
                     train_route[t.idx()] = id;
@@ -141,11 +98,7 @@ impl Routes {
                 routes.push(Arc::new(RouteInfo { stations: stations.clone(), trains: members }));
             }
         }
-        Routes {
-            routes,
-            train_route: Arc::new(train_route),
-            train_conns: train_conns.into_iter().map(Arc::new).collect(),
-        }
+        Routes { routes, train_route: Arc::new(train_route) }
     }
 
     /// Iterates over all routes in [`RouteId`] order.
@@ -178,18 +131,6 @@ impl Routes {
         self.train_route[t.idx()]
     }
 
-    /// The connections of a train, ordered by hop index.
-    #[inline]
-    pub fn train_connections(&self, t: TrainId) -> &[ConnId] {
-        &self.train_conns[t.idx()]
-    }
-
-    /// The connection of train `t` on hop `hop` of its route.
-    #[inline]
-    pub fn connection_at(&self, t: TrainId, hop: usize) -> ConnId {
-        self.train_conns[t.idx()][hop]
-    }
-
     /// How many routes of `self` are *physically shared* (same allocation,
     /// by refcount) with `other`. Diagnostics for the copy-on-write publish
     /// path, the route-level analogue of
@@ -198,22 +139,17 @@ impl Routes {
         self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// Follows a [`Timetable::patch_feed`]: rewrites every remapped
-    /// [`ConnId`] in the per-train connection lists once and restores the
-    /// "trains ordered by first-stop departure" invariant on **each** route
-    /// that carries a net-changed train, returning those routes sorted and
-    /// deduplicated — each appears exactly once, so the caller rewrites (or
-    /// refits) every touched route exactly once regardless of how many feed
-    /// events hit it. The partition itself (which trains share a route) is
+    /// Follows a [`Timetable::patch_feed`]: restores the "trains ordered by
+    /// first-stop departure" invariant on **each** route that carries a
+    /// net-changed train, returning those routes sorted and deduplicated —
+    /// each appears exactly once, so the caller rewrites (or refits) every
+    /// touched route exactly once regardless of how many feed events hit
+    /// it. The partition itself (which trains share a route) is
     /// deliberately **not** recomputed; run [`Routes::route_is_fifo`] on the
     /// returned routes and [`Routes::refit`] the ones that fail.
     ///
     /// `tt` must be the already-patched timetable the patch came from.
     pub fn repatch_feed(&mut self, tt: &Timetable, patch: &FeedPatch) -> Vec<RouteId> {
-        if !patch.changed {
-            return Vec::new();
-        }
-        self.apply_remap(tt, &patch.remapped);
         let mut touched: Vec<RouteId> = patch
             .trains
             .iter()
@@ -223,40 +159,11 @@ impl Routes {
         touched.sort_unstable();
         touched.dedup();
         for &r in &touched {
-            self.resort_route_trains(tt, r);
+            Arc::make_mut(&mut self.routes[r.idx()])
+                .trains
+                .sort_unstable_by_key(|&t| first_departure(tt, t));
         }
         touched
-    }
-
-    /// Rewrites every remapped [`ConnId`] in the per-train connection lists.
-    fn apply_remap(&mut self, tt: &Timetable, remapped: &[(ConnId, ConnId)]) {
-        if remapped.is_empty() {
-            return;
-        }
-        let map: HashMap<ConnId, ConnId> = remapped.iter().copied().collect();
-        // Trains owning a moved connection (read at the new id).
-        let mut trains: Vec<TrainId> =
-            remapped.iter().map(|&(_, n)| tt.connection(n).train).collect();
-        trains.sort_unstable();
-        trains.dedup();
-        for t in trains {
-            // Copy-on-touch: only the lists of trains that actually own a
-            // moved connection are cloned out of sharing.
-            for c in Arc::make_mut(&mut self.train_conns[t.idx()]).iter_mut() {
-                if let Some(&n) = map.get(c) {
-                    *c = n;
-                }
-            }
-        }
-    }
-
-    /// Restores the "trains ordered by first-stop departure" invariant of
-    /// one route.
-    fn resort_route_trains(&mut self, tt: &Timetable, r: RouteId) {
-        let train_conns = &self.train_conns;
-        Arc::make_mut(&mut self.routes[r.idx()])
-            .trains
-            .sort_unstable_by_key(|&t| (tt.connection(train_conns[t.idx()][0]).dep, t));
     }
 
     /// Re-splits each of the given (presumed non-FIFO) routes into
@@ -264,55 +171,27 @@ impl Routes {
     /// a train overtake a companion: only the offending routes are
     /// repartitioned, every other route keeps its id and trains. The first
     /// subroute reuses the stale [`RouteId`]; extra subroutes are appended
-    /// at fresh ids (so the graph must be rebuilt afterwards — route-node
-    /// topology changed — but the partition work is proportional to the
-    /// offending routes, not the whole timetable).
+    /// at fresh ids — the append-only contract `TdGraph::repatch_routes`
+    /// relies on to append their route nodes instead of rebuilding — so the
+    /// work is proportional to the offending routes, not the timetable.
     ///
     /// Any finer-than-maximal split is a *sound* partition for the
     /// realistic time-dependent model, so queries on the refit partition
     /// are identical to a from-scratch [`Routes::partition`]. Each
     /// resulting route passes [`Routes::route_is_fifo`] by construction —
-    /// refit and partition share the exact same fit check, which covers the
-    /// per-hop FIFO, cyclic, and co-dwell conditions.
+    /// refit and partition share the one greedy split, whose fit check
+    /// covers the per-hop FIFO, cyclic, and co-dwell conditions.
     pub fn refit(&mut self, tt: &Timetable, stale: &[RouteId]) {
-        let pi = tt.period().len();
         for &r in stale {
             let info = &self.routes[r.idx()];
             if info.trains.len() <= 1 {
                 continue; // a single train can never overtake itself
             }
             let stations = info.stations.clone();
-            let trains = info.trains.clone();
-            let hops = stations.len() - 1;
-            type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
-            let mut subroutes: Vec<Subroute> = Vec::new();
-            'train: for &t in &trains {
-                let legs: Vec<(Time, Time)> = self.train_conns[t.idx()]
-                    .iter()
-                    .map(|&c| {
-                        let c = tt.connection(c);
-                        (c.dep, c.arr)
-                    })
-                    .collect();
-                for (members, hop_points) in &mut subroutes {
-                    if fits(hop_points, &legs, pi) {
-                        for (h, &leg) in legs.iter().enumerate() {
-                            hop_points[h].push(leg); // `fits` admits only appends
-                        }
-                        members.push(t);
-                        continue 'train;
-                    }
-                }
-                let mut hop_points = vec![Vec::new(); hops];
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg);
-                }
-                subroutes.push((vec![t], hop_points));
-            }
-            let mut subroutes = subroutes.into_iter();
-            let (first, _) = subroutes.next().expect("a non-empty route splits non-trivially");
-            Arc::make_mut(&mut self.routes[r.idx()]).trains = first;
-            for (members, _) in subroutes {
+            let mut subroutes = split_fifo(tt, &info.trains).into_iter();
+            Arc::make_mut(&mut self.routes[r.idx()]).trains =
+                subroutes.next().expect("a non-empty route splits non-trivially");
+            for members in subroutes {
                 let id = RouteId::from_idx(self.routes.len());
                 for &t in &members {
                     Arc::make_mut(&mut self.train_route)[t.idx()] = id;
@@ -342,7 +221,7 @@ impl Routes {
         for hop in 0..info.num_hops() {
             legs.clear();
             legs.extend(info.trains.iter().map(|&t| {
-                let c = tt.connection(self.connection_at(t, hop));
+                let c = tt.connection(tt.train_connections(t)[hop]);
                 (c.dep, c.arr)
             }));
             // Checked in *train order*, not sorted: sorting per hop would
@@ -372,6 +251,42 @@ impl Routes {
         }
         true
     }
+}
+
+/// The order of a route's trains: departure at the first stop, then id.
+fn first_departure(tt: &Timetable, t: TrainId) -> (Time, TrainId) {
+    (tt.connection(tt.train_connections(t)[0]).dep, t)
+}
+
+/// Greedy first-fit split of `trains` — one stop sequence, ordered by
+/// [`first_departure`] — into overtaking- and co-dwell-free subroutes, each
+/// keeping that order.
+fn split_fifo(tt: &Timetable, trains: &[TrainId]) -> Vec<Vec<TrainId>> {
+    let pi = tt.period().len();
+    // Per subroute: its trains, and per hop the (dep, arr) legs of each.
+    type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
+    let mut subroutes: Vec<Subroute> = Vec::new();
+    'train: for &t in trains {
+        let legs: Vec<(Time, Time)> = tt
+            .train_connections(t)
+            .iter()
+            .map(|&c| {
+                let c = tt.connection(c);
+                (c.dep, c.arr)
+            })
+            .collect();
+        for (members, hop_points) in &mut subroutes {
+            if fits(hop_points, &legs, pi) {
+                for (h, &leg) in legs.iter().enumerate() {
+                    hop_points[h].push(leg); // `fits` admits only appends
+                }
+                members.push(t);
+                continue 'train;
+            }
+        }
+        subroutes.push((vec![t], legs.iter().map(|&leg| vec![leg]).collect()));
+    }
+    subroutes.into_iter().map(|(members, _)| members).collect()
 }
 
 /// Can `legs` join the subroute as its new *last* train? Candidates are
@@ -498,13 +413,13 @@ mod tests {
         line(&mut b, &[s[0], s[1], s[2], s[3]], &[Time::hm(6, 0)], Dur::minutes(5));
         let tt = b.build().unwrap();
         let routes = Routes::partition(&tt);
-        let conns = routes.train_connections(TrainId(0));
+        let conns = tt.train_connections(TrainId(0));
         assert_eq!(conns.len(), 3);
         for (h, &c) in conns.iter().enumerate() {
             assert_eq!(tt.connection(c).seq as usize, h);
             assert_eq!(tt.connection(c).from, s[h]);
         }
-        assert_eq!(routes.connection_at(TrainId(0), 2), conns[2]);
+        assert_eq!(routes.route(routes.route_of(TrainId(0))).stations, s);
     }
 
     #[test]
@@ -522,7 +437,7 @@ mod tests {
         routes.repatch_feed(&tt, &patch);
         // train_connections point at the right (train, hop) again.
         for t in [TrainId(0), TrainId(1)] {
-            for (h, &c) in routes.train_connections(t).iter().enumerate() {
+            for (h, &c) in tt.train_connections(t).iter().enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }
@@ -610,7 +525,7 @@ mod tests {
         // Per-train lists point at the right (train, hop) again, and every
         // touched route's trains are re-sorted by first-stop departure.
         for t in [TrainId(0), TrainId(1), TrainId(2)] {
-            for (h, &c) in routes.train_connections(t).iter().enumerate() {
+            for (h, &c) in tt.train_connections(t).iter().enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }

@@ -128,6 +128,12 @@ fn run_scenario(tt: Timetable, ops: Vec<Op>, sources_per_delay: u32) -> Result<(
                     prop_assert!(net.generation() > last_gen, "update must bump the generation");
                 }
                 last_gen = net.generation();
+                prop_assert!(
+                    *net.graph() == TdGraph::build(net.timetable(), net.routes()),
+                    "graph != TdGraph::build after {:?} of {:?}",
+                    update,
+                    train
+                );
 
                 // The acceptance contract: bit-identical query results to a
                 // from-scratch build of the same (patched) timetable.

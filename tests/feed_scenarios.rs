@@ -176,6 +176,12 @@ fn run_scenario(tt: Timetable, ops: Vec<Op>, sources_per_feed: u32) -> Result<()
                 if !summary.changed() {
                     prop_assert!(summary.events.iter().all(|&u| u == DelayUpdate::Unchanged));
                 }
+                // The followed graph is the graph of the followed partition.
+                prop_assert!(
+                    *net.graph() == TdGraph::build(net.timetable(), net.routes()),
+                    "graph != TdGraph::build after {:?}",
+                    summary.events
+                );
 
                 // The acceptance contract: bit-identical query results to a
                 // from-scratch build of the same (patched) timetable.
@@ -272,6 +278,32 @@ fn assert_fed_equals_rebuilt(net: &Network) {
             engine.one_to_all(&rebuilt, s),
             "fed != rebuilt from {s}"
         );
+    }
+}
+
+/// Incremental ≡ rebuilt on the two shards the benchmark's feed metrics are
+/// taken from, at its batch sizes: after **every** feed the graph that
+/// followed (appending the refits' subroutes) equals `TdGraph::build` of the
+/// same partition field for field, and most feeds do refit.
+#[test]
+fn refit_streams_keep_the_graph_equal_to_a_build() {
+    use best_connections::timetable::synthetic::presets::{germany_like, metro_like};
+    use rand::{rngs::StdRng, SeedableRng};
+    for (preset, batch) in [(metro_like(0.05), 32), (germany_like(0.5), 16)] {
+        let mut rng = StdRng::seed_from_u64(0xFEED);
+        let mut net = Network::new(preset.timetable);
+        let trains = net.timetable().num_trains() as u32;
+        let mut refits = 0;
+        for feed in 0..60 {
+            let summary = net.apply_feed(&pt_bench::random_feed(&mut rng, trains, batch, 45));
+            refits += usize::from(summary.rebuilt());
+            assert!(
+                *net.graph() == TdGraph::build(net.timetable(), net.routes()),
+                "{}: graph != TdGraph::build after feed {feed}",
+                preset.name
+            );
+        }
+        assert!(refits > 20, "{}: only {refits} of 60 feeds took the refit path", preset.name);
     }
 }
 
