@@ -1,26 +1,26 @@
-//! Diagnostic: connectivity of the generated evaluation networks, plus the
+//! Diagnostic: health of the generated evaluation networks, plus the
 //! cross-algorithm equivalence check.
 //!
-//! Section 1 prints, for each preset, the number of weakly connected
-//! components of the station graph and the count of entirely unserved
-//! stations. Real feeds are connected; the generators guarantee it via
-//! connector lines — this tool verifies that invariant at any scale.
+//! Section 1 prints, for each preset, the [`pt_timetable::validate`]
+//! report: weakly connected components of the station graph (unserved
+//! stations count as singletons), unserved stations, routes and
+//! stop-sequence classes. Real feeds are connected; the generators
+//! guarantee it via connector lines — this tool verifies that invariant at
+//! any scale.
 //!
 //! Section 2 runs [`pt_bench::conncheck::cross_check`]: sequential SPCS vs
 //! label-correcting vs parallel SPCS (all three partition strategies, at
 //! the `BC_THREADS` thread counts) vs the label-setting time-query
 //! baseline, on `BC_QUERIES` sampled sources per network — then repeats
-//! the battery after a burst of single delay patches (delay mode) and
-//! after batched feeds of delays + cancellations (feed mode, which also
-//! checks the incremental distance-table refresh entry-for-entry against
-//! a from-scratch build). Any disagreement is printed and the process
-//! exits non-zero.
+//! the battery after batched feeds of delays + cancellations (feed mode,
+//! which holds fed ≡ rebuilt after every feed and checks the incremental
+//! distance-table refresh entry-for-entry against a from-scratch build).
+//! Any disagreement is printed and the process exits non-zero.
 //!
 //! With `--kernel` the binary switches to the kernel ablation battery
 //! instead: the scalar heap kernel and the SoA bucket-ring kernel are
 //! forced explicitly and both cross-validated against the time-query
-//! ground truth — on the pristine networks, after the same delay burst as
-//! delay mode, and after the same batched feeds as feed mode.
+//! ground truth — on the pristine networks and after random feeds.
 //!
 //! With `--gateway` it runs the cross-shard gateway battery instead:
 //! generated region shards sharing border stations are served through a
@@ -46,61 +46,42 @@
 //! `BC_NETWORKS` name filter, `BC_SEED`.
 
 use pt_bench::conncheck::{
-    apply_random_delays, apply_random_feeds, calendar_check, cross_check, cross_check_after_delays,
-    cross_check_after_feed, disrupt_scenario, gateway_check, gateway_scenario, kernel_check,
-    standard_departures,
+    apply_random_feeds, calendar_check, cross_check, cross_check_after_feed, disrupt_scenario,
+    gateway_check, gateway_scenario, kernel_check, standard_departures, CheckOutcome,
 };
 use pt_bench::BenchConfig;
-use pt_core::StationId;
-use pt_graph::StationGraph;
 use pt_spcs::Network;
+use pt_timetable::validate;
+
+/// Prints one outcome row and its mismatches; returns the mismatch count.
+fn report(outcome: &CheckOutcome) -> usize {
+    println!(
+        "{:<16} sources={:<4} comparisons={:<8} mismatches={}",
+        outcome.network,
+        outcome.sources,
+        outcome.comparisons,
+        outcome.mismatches.len()
+    );
+    for m in &outcome.mismatches {
+        eprintln!("  MISMATCH: {m}");
+    }
+    outcome.mismatches.len()
+}
 
 fn main() {
     let cfg = BenchConfig::from_env();
     let mut networks = Vec::new();
     for preset in cfg.networks() {
         let tt = preset.timetable;
-        let sg = StationGraph::build(&tt);
-        let n = sg.num_stations();
-        let mut comp = vec![usize::MAX; n];
-        let mut ncomp = 0;
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![s];
-            comp[s] = ncomp;
-            while let Some(v) = stack.pop() {
-                let vid = StationId(v as u32);
-                for (h, _) in sg.out(vid) {
-                    if comp[h.idx()] == usize::MAX {
-                        comp[h.idx()] = ncomp;
-                        stack.push(h.idx());
-                    }
-                }
-                for &h in sg.incoming(vid) {
-                    if comp[h.idx()] == usize::MAX {
-                        comp[h.idx()] = ncomp;
-                        stack.push(h.idx());
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        let mut sizes = vec![0usize; ncomp];
-        for &c in &comp {
-            sizes[c] += 1;
-        }
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        let unserved = (0..n)
-            .filter(|&s| {
-                let sid = StationId(s as u32);
-                tt.conn(sid).is_empty() && sg.incoming(sid).is_empty()
-            })
-            .count();
+        let r = validate::check(&tt);
         println!(
-            "{:<16} stations={:<6} components={:<3} largest={:<6} unserved={}",
-            preset.name, n, ncomp, sizes[0], unserved
+            "{:<16} stations={:<6} components={:<3} unserved={:<4} routes={:<6} sequence_classes={}",
+            preset.name,
+            tt.num_stations(),
+            r.components,
+            r.unserved_stations.len(),
+            r.routes,
+            r.sequence_classes
         );
         networks.push((preset.name, tt));
     }
@@ -112,208 +93,101 @@ fn main() {
 
     let departures = standard_departures();
     let sources_per_net = cfg.queries.clamp(1, 64);
-    let mut total_mismatches = 0usize;
-
-    // --gateway: the cross-shard gateway battery (stitched vs monolithic)
-    // on generated region scenarios, instead of the full cross-algorithm
-    // battery over the presets.
-    if std::env::args().skip(1).any(|a| a == "--gateway") {
-        println!();
-        println!("gateway: stitched cross-shard profiles vs the merged monolith");
-        let pairs = sources_per_net.clamp(1, 16);
-        // (shards, borders, locals, trips): a two-region cut with one
-        // border, and a three-region cut with two borders (multi-alias
-        // groups and border-chain journeys).
-        for (shards, borders, locals, trips) in [(2usize, 1usize, 5usize, 14usize), (3, 2, 4, 12)] {
-            let name = format!("gw{shards}x{borders}");
-            let sc = gateway_scenario(shards, borders, locals, trips, cfg.seed);
-            let pristine = gateway_check(&name, &sc, pairs, 0, 0, cfg.seed);
-            let delayed_sc = disrupt_scenario(&sc, 6, cfg.seed);
-            let delayed =
-                gateway_check(&format!("{name}+delays"), &delayed_sc, pairs, 0, 0, cfg.seed);
-            // Live feeds through the service: 3 rounds of 8 mixed events,
-            // re-checked after every round.
-            let fed = gateway_check(&format!("{name}+feed"), &sc, pairs, 3, 8, cfg.seed);
-            for outcome in [&pristine, &delayed, &fed] {
-                println!(
-                    "{:<16} pairs={:<4} comparisons={:<8} mismatches={}",
-                    outcome.network,
-                    outcome.sources,
-                    outcome.comparisons,
-                    outcome.mismatches.len()
-                );
-                for m in &outcome.mismatches {
-                    eprintln!("  MISMATCH: {m}");
-                }
-                total_mismatches += outcome.mismatches.len();
-            }
-        }
-        if total_mismatches > 0 {
-            eprintln!("conncheck --gateway FAILED: {total_mismatches} mismatch(es)");
-            std::process::exit(1);
-        }
-        println!("conncheck --gateway OK: zero mismatches");
-        return;
-    }
-
-    // --calendar: the service-calendar battery — every preset's trains are
-    // striped across weekday/weekend/summer services, several concrete
-    // query days are materialized through `Timetable::for_day`, and each
-    // day network is held equal to an independent filter + rebuild (dates
-    // re-derived with a different weekday algorithm), both structurally
-    // and on profile / time-query answers. Pristine and after a feed: a
-    // delayed dataset's day must filter the *delayed* connections.
-    if std::env::args().skip(1).any(|a| a == "--calendar") {
-        println!();
-        println!("calendar: for_day vs independent filter + rebuild");
-        for (name, tt) in networks {
-            let net = Network::new(tt);
-            let sources = pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-            let pristine = calendar_check(name, &net, &sources, &departures);
-            let (fed_net, events) = apply_random_feeds(&net, 2, 10, cfg.seed);
-            let fed = calendar_check(&format!("{name}+feed"), &fed_net, &sources, &departures);
-            for outcome in [&pristine, &fed] {
-                println!(
-                    "{:<16} sources={:<3} comparisons={:<8} mismatches={}",
-                    outcome.network,
-                    outcome.sources,
-                    outcome.comparisons,
-                    outcome.mismatches.len()
-                );
-                for m in &outcome.mismatches {
-                    eprintln!("  MISMATCH: {m}");
-                }
-                total_mismatches += outcome.mismatches.len();
-            }
-            println!("{:<16} ({} feed events before the second battery)", name, events);
-        }
-        if total_mismatches > 0 {
-            eprintln!("conncheck --calendar FAILED: {total_mismatches} mismatch(es)");
-            std::process::exit(1);
-        }
-        println!("conncheck --calendar OK: zero mismatches");
-        return;
-    }
-
-    // --kernel: the kernel ablation battery (scalar vs SoA vs time-query)
-    // on pristine, delayed and fed networks, instead of the full
-    // cross-algorithm battery.
-    if std::env::args().skip(1).any(|a| a == "--kernel") {
-        println!();
-        println!("kernel ablation: scalar heap vs SoA bucket ring vs time-query");
-        for (name, tt) in networks {
-            let net = Network::new(tt);
-            let sources = pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-            let pristine = kernel_check(name, &net, &sources, &cfg.threads, &departures);
-            let (delayed_net, patched, rebuilt) = apply_random_delays(&net, 8, cfg.seed);
-            let delayed = kernel_check(
-                &format!("{name}+delays"),
-                &delayed_net,
-                &sources,
-                &cfg.threads,
-                &departures,
-            );
-            let (fed_net, events) = apply_random_feeds(&net, 3, 12, cfg.seed);
-            let fed = kernel_check(
-                &format!("{name}+feed"),
-                &fed_net,
-                &sources,
-                &cfg.threads,
-                &departures,
-            );
-            for outcome in [&pristine, &delayed, &fed] {
-                println!(
-                    "{:<16} sources={:<3} comparisons={:<8} mismatches={}",
-                    outcome.network,
-                    outcome.sources,
-                    outcome.comparisons,
-                    outcome.mismatches.len()
-                );
-                for m in &outcome.mismatches {
-                    eprintln!("  MISMATCH: {m}");
-                }
-                total_mismatches += outcome.mismatches.len();
-            }
-            println!(
-                "{:<16} (disruptions: {patched} patched, {rebuilt} rebuilt, {events} feed events)",
-                name
-            );
-        }
-        if total_mismatches > 0 {
-            eprintln!("conncheck --kernel FAILED: {total_mismatches} mismatch(es)");
-            std::process::exit(1);
-        }
-        println!("conncheck --kernel OK: zero mismatches");
-        return;
-    }
-
+    let flag = ["--gateway", "--calendar", "--kernel"]
+        .into_iter()
+        .find(|&f| std::env::args().skip(1).any(|a| a == f));
+    let mut mismatches = 0usize;
     println!();
-    println!("cross-check: sequential SPCS vs LC vs parallel SPCS vs time-query");
-    for (name, tt) in networks {
-        let net = Network::new(tt);
-        let sources = pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-        let outcome = cross_check(name, &net, &sources, &cfg.threads, &departures);
-        println!(
-            "{:<16} sources={:<3} comparisons={:<8} mismatches={}",
-            outcome.network,
-            outcome.sources,
-            outcome.comparisons,
-            outcome.mismatches.len()
-        );
-        for m in &outcome.mismatches {
-            eprintln!("  MISMATCH: {m}");
+    match flag {
+        // The cross-shard gateway battery (stitched vs monolithic) on
+        // generated region scenarios; `sources` counts the sampled pairs.
+        Some("--gateway") => {
+            println!("gateway: stitched cross-shard profiles vs the merged monolith");
+            let pairs = sources_per_net.clamp(1, 16);
+            // (shards, borders, locals, trips): a two-region cut with one
+            // border, and a three-region cut with two borders (multi-alias
+            // groups and border-chain journeys).
+            for (shards, borders, locals, trips) in
+                [(2usize, 1usize, 5usize, 14usize), (3, 2, 4, 12)]
+            {
+                let name = format!("gw{shards}x{borders}");
+                let sc = gateway_scenario(shards, borders, locals, trips, cfg.seed);
+                mismatches += report(&gateway_check(&name, &sc, pairs, 0, 0, cfg.seed));
+                let delayed_sc = disrupt_scenario(&sc, 6, cfg.seed);
+                let delayed_name = format!("{name}+delays");
+                mismatches +=
+                    report(&gateway_check(&delayed_name, &delayed_sc, pairs, 0, 0, cfg.seed));
+                // Live feeds through the service: 3 rounds of 8 mixed
+                // events, re-checked after every round.
+                let fed_name = format!("{name}+feed");
+                mismatches += report(&gateway_check(&fed_name, &sc, pairs, 3, 8, cfg.seed));
+            }
         }
-        total_mismatches += outcome.mismatches.len();
-
-        // Delay mode: the same battery on a network disrupted through the
-        // incremental patch path, checked against a full rebuild first.
-        let (delayed, patched, rebuilt) =
-            cross_check_after_delays(name, &net, &sources, &cfg.threads, &departures, 8, cfg.seed);
-        println!(
-            "{:<16} sources={:<3} comparisons={:<8} mismatches={} (updates: {patched} patched, {rebuilt} rebuilt)",
-            delayed.network,
-            delayed.sources,
-            delayed.comparisons,
-            delayed.mismatches.len()
-        );
-        for m in &delayed.mismatches {
-            eprintln!("  MISMATCH: {m}");
+        // The service-calendar battery, pristine and after a feed: a
+        // delayed dataset's day must filter the *delayed* connections.
+        Some("--calendar") => {
+            println!("calendar: for_day vs independent filter + rebuild");
+            for (name, tt) in networks {
+                let net = Network::new(tt);
+                let sources =
+                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
+                mismatches += report(&calendar_check(name, &net, &sources, &departures));
+                let (fed_net, events) = apply_random_feeds(&net, 2, 10, cfg.seed);
+                let fed_name = format!("{name}+feed");
+                mismatches += report(&calendar_check(&fed_name, &fed_net, &sources, &departures));
+                println!("{name:<16} ({events} feed events before the +feed battery)");
+            }
         }
-        total_mismatches += delayed.mismatches.len();
-
-        // Feed mode: batched delays + cancellations through apply_feed,
-        // with the incremental distance-table refresh checked entry for
-        // entry against a from-scratch build after every feed.
-        let (fed, feed_stats) = cross_check_after_feed(
-            name,
-            &net,
-            &sources,
-            &cfg.threads,
-            &departures,
-            3,
-            12,
-            cfg.seed,
-        );
-        println!(
-            "{:<16} sources={:<3} comparisons={:<8} mismatches={} (feed: {} events, {} patched, \
-             {} rebuilt, {} table rows refreshed)",
-            fed.network,
-            fed.sources,
-            fed.comparisons,
-            fed.mismatches.len(),
-            feed_stats.events,
-            feed_stats.patched,
-            feed_stats.rebuilt,
-            feed_stats.rows_refreshed
-        );
-        for m in &fed.mismatches {
-            eprintln!("  MISMATCH: {m}");
+        // The kernel ablation battery (scalar vs SoA vs time-query) on
+        // pristine and fed networks.
+        Some("--kernel") => {
+            println!("kernel ablation: scalar heap vs SoA bucket ring vs time-query");
+            for (name, tt) in networks {
+                let net = Network::new(tt);
+                let sources =
+                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
+                mismatches +=
+                    report(&kernel_check(name, &net, &sources, &cfg.threads, &departures));
+                let (fed_net, events) = apply_random_feeds(&net, 3, 12, cfg.seed);
+                let fed_name = format!("{name}+feed");
+                mismatches +=
+                    report(&kernel_check(&fed_name, &fed_net, &sources, &cfg.threads, &departures));
+                println!("{name:<16} ({events} feed events before the +feed battery)");
+            }
         }
-        total_mismatches += fed.mismatches.len();
+        _ => {
+            println!("cross-check: sequential SPCS vs LC vs parallel SPCS vs time-query");
+            for (name, tt) in networks {
+                let net = Network::new(tt);
+                let sources =
+                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
+                mismatches += report(&cross_check(name, &net, &sources, &cfg.threads, &departures));
+                // Feed mode: batched delays + cancellations through
+                // apply_feed, fed ≡ rebuilt and the incremental table
+                // refresh checked entry for entry after every feed.
+                let (fed, stats) = cross_check_after_feed(
+                    name,
+                    &net,
+                    &sources,
+                    &cfg.threads,
+                    &departures,
+                    3,
+                    12,
+                    cfg.seed,
+                );
+                mismatches += report(&fed);
+                println!(
+                    "{name:<16} (feed: {} events, {} patched, {} rebuilt, {} table rows refreshed)",
+                    stats.events, stats.patched, stats.rebuilt, stats.rows_refreshed
+                );
+            }
+        }
     }
-    if total_mismatches > 0 {
-        eprintln!("conncheck FAILED: {total_mismatches} mismatch(es)");
+
+    let mode = flag.map_or("conncheck".to_string(), |f| format!("conncheck {f}"));
+    if mismatches > 0 {
+        eprintln!("{mode} FAILED: {mismatches} mismatch(es)");
         std::process::exit(1);
     }
-    println!("conncheck OK: zero mismatches");
+    println!("{mode} OK: zero mismatches");
 }

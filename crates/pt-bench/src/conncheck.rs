@@ -19,6 +19,11 @@
 //!   profiles at sampled departure times (including late-night wrap-around
 //!   departures).
 //!
+//! [`cross_check_after_feed`] is the dynamic battery: random feeds of
+//! delays and cancellations through [`Network::apply_feed`] (a single
+//! delay is the one-event feed), fed ≡ rebuilt after every feed, then the
+//! whole static battery on the fed network.
+//!
 //! Used by the `conncheck` binary (full networks) and by the tier-1
 //! integration test `tests/conncheck_fast.rs` (scaled-down fast mode).
 
@@ -30,7 +35,7 @@ use pt_spcs::{
     PartitionStrategy, ProfileEngine, ProfileSet, S2sEngine, ShardId, ShardedService,
     TransferSelection,
 };
-use pt_timetable::{DelayEvent, Recovery, TimetableBuilder};
+use pt_timetable::{DelayEvent, TimetableBuilder};
 
 /// The three partition strategies of §3.2, with display names.
 pub const STRATEGIES: [(&str, PartitionStrategy); 3] = [
@@ -337,6 +342,8 @@ pub struct GatewayScenario {
 /// regions sharing `borders` border stations (named `b0..`, 3-minute
 /// transfers), each with `locals` region-local stations (`s{shard}_{i}`,
 /// 2-minute transfers) and `trips` random trips over 2–4 of its stations.
+/// It draws its own trips because each one is added to a shard and to the
+/// monolith in lockstep.
 pub fn gateway_scenario(
     num_shards: usize,
     borders: usize,
@@ -551,36 +558,6 @@ pub fn gateway_check(
     }
 
     CheckOutcome { network: name.to_string(), sources: pairs.len(), comparisons, mismatches }
-}
-
-/// Applies `num_delays` deterministic random delays to a copy of `net`
-/// through the incremental patch path; returns the patched copy plus
-/// (`patched`, `rebuilt`) update counts. Shared by the delay-mode battery
-/// and the `--kernel` ablation so both disrupt the network identically.
-pub fn apply_random_delays(net: &Network, num_delays: usize, seed: u64) -> (Network, usize, usize) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xDE1A);
-    let mut patched_net = net.clone();
-    let trains = patched_net.timetable().num_trains() as u32;
-    let (mut patched, mut rebuilt) = (0usize, 0usize);
-    for _ in 0..num_delays {
-        let train = TrainId(rng.gen_range(0..trains.max(1)));
-        let from_hop = rng.gen_range(0..4u16);
-        let delay = Dur::minutes(rng.gen_range(1..90u32));
-        let recovery = if rng.gen_range(0..2u8) == 0 {
-            Recovery::None
-        } else {
-            Recovery::CatchUp { per_hop: Dur::minutes(rng.gen_range(1..20u32)) }
-        };
-        match patched_net.apply_delay(train, from_hop, delay, recovery) {
-            DelayUpdate::Unchanged => {}
-            DelayUpdate::Patched => patched += 1,
-            DelayUpdate::Rebuilt => rebuilt += 1,
-        }
-    }
-    (patched_net, patched, rebuilt)
 }
 
 /// Drives `num_feeds` random batched feeds through [`Network::apply_feed`]
@@ -798,59 +775,6 @@ pub fn calendar_check(
         comparisons,
         mismatches,
     }
-}
-
-/// The fully dynamic scenario (§5.1): applies `num_delays` deterministic
-/// delays to a copy of `net` through the incremental path
-/// ([`Network::apply_delay`]), asserts the patched network is
-/// query-equivalent to a from-scratch rebuild of its timetable, and then
-/// runs the whole [`cross_check`] battery on the patched network — so the
-/// dynamic path inherits the zero-mismatch guarantee of the static one.
-///
-/// Returns the outcome plus the patched network's update counts
-/// (`patched`, `rebuilt`) for reporting.
-pub fn cross_check_after_delays(
-    name: &str,
-    net: &Network,
-    sources: &[StationId],
-    threads: &[usize],
-    departures: &[Time],
-    num_delays: usize,
-    seed: u64,
-) -> (CheckOutcome, usize, usize) {
-    let (patched_net, patched, rebuilt) = apply_random_delays(net, num_delays, seed);
-
-    let mut outcome = {
-        // The patched network must answer exactly like a fresh build of the
-        // same (patched) timetable.
-        let rebuilt_net = Network::build(patched_net.timetable());
-        let mut mismatches = Vec::new();
-        let mut comparisons = 0usize;
-        for &s in sources {
-            comparisons += 1;
-            let from_patch = ProfileEngine::new().one_to_all(&patched_net, s);
-            let from_rebuild = ProfileEngine::new().one_to_all(&rebuilt_net, s);
-            if from_patch != from_rebuild {
-                record(
-                    &mut mismatches,
-                    format!("{name}: patched network != rebuilt network from {s}"),
-                );
-            }
-        }
-        CheckOutcome {
-            network: format!("{name}+delays"),
-            sources: sources.len(),
-            comparisons,
-            mismatches,
-        }
-    };
-
-    // The full static battery on the patched network.
-    let inner = cross_check(&format!("{name}+delays"), &patched_net, sources, threads, departures);
-    outcome.comparisons += inner.comparisons;
-    outcome.mismatches.extend(inner.mismatches);
-    outcome.mismatches.truncate(MAX_REPORTED);
-    (outcome, patched, rebuilt)
 }
 
 /// Aggregate counters of one [`cross_check_after_feed`] run.

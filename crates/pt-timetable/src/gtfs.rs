@@ -197,6 +197,13 @@ pub fn load_dir(
         let lon_c = stops.header.get("stop_lon").copied();
         for (i, rec) in stops.records.iter().enumerate() {
             let id = stops.field(rec, id_c, i)?.to_string();
+            if stop_ids.contains_key(&id) {
+                return Err(GtfsError::Parse {
+                    file: "stops.txt".into(),
+                    line: i + 2,
+                    msg: format!("duplicate stop_id `{id}`"),
+                });
+            }
             let name = stops.field(rec, name_c, i)?.to_string();
             let mut station = Station::new(name, default_transfer);
             if let (Some(lat), Some(lon)) = (lat_c, lon_c) {
@@ -418,5 +425,26 @@ mod tests {
         let err = load_dir(&dir, Period::DAY, Dur::ZERO).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, GtfsError::Parse { .. }));
+    }
+
+    #[test]
+    fn duplicate_stop_id_is_an_error() {
+        // Merging the two rows would leave the first station an unreachable
+        // orphan and attach every `s0` stop time to the second.
+        let dir = std::env::temp_dir().join(format!("gtfs-duplicate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("stops.txt"), "stop_id,stop_name\ns0,Alpha\ns1,Beta\ns0,Gamma\n")
+            .unwrap();
+        std::fs::write(
+            dir.join("stop_times.txt"),
+            "trip_id,arrival_time,departure_time,stop_id,stop_sequence\n\
+             t0,08:00:00,08:00:00,s0,1\nt0,08:10:00,08:10:00,s1,2\n",
+        )
+        .unwrap();
+        let err = load_dir(&dir, Period::DAY, Dur::ZERO).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        let GtfsError::Parse { file, line, msg } = err else { panic!("expected Parse, got {err}") };
+        assert_eq!((file.as_str(), line), ("stops.txt", 4));
+        assert!(msg.contains("duplicate stop_id `s0`"), "{msg}");
     }
 }

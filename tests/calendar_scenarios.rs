@@ -24,7 +24,9 @@ struct TripSpec {
 
 /// Deterministic trip specs over `n` stations (simple congruences — the
 /// point is variety, not realism: branching paths, shared stations,
-/// different speeds and start times).
+/// different speeds and start times). Not the shared `tests/common`
+/// generator: the oracle re-feeds a filtered subset of these specs through
+/// a fresh builder, so every spec must build.
 fn trip_specs(n: u32, trips: usize, seed: u64) -> Vec<TripSpec> {
     (0..trips)
         .map(|k| {

@@ -12,30 +12,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use best_connections::prelude::*;
 use best_connections::timetable::synthetic::city::{generate_city, CityConfig};
-
-/// A deterministic pseudo-random delay feed: `k` delay/cancel events on
-/// the first trains, parameterized by `step` so successive feeds differ.
-fn feed(step: u64, num_trains: u32) -> Vec<DelayEvent> {
-    let k = 2 + (step % 3) as u32;
-    (0..k)
-        .map(|i| {
-            let train = TrainId((step as u32).wrapping_mul(7).wrapping_add(i * 3) % num_trains);
-            if (step + u64::from(i)) % 5 == 4 {
-                DelayEvent::Cancel { train }
-            } else {
-                DelayEvent::Delay {
-                    train,
-                    from_hop: (step % 2) as u16,
-                    delay: Dur::minutes(1 + (step as u32 + i) % 40),
-                    recovery: Recovery::None,
-                }
-            }
-        })
-        .collect()
-}
+use pt_bench::random_feed;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
@@ -64,14 +45,20 @@ proptest! {
 
         let violations: Vec<String> = std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                let mut step = seed;
-                while !done.load(Ordering::Relaxed) {
-                    let outcome = cnet.apply_feed(&feed(step, num_trains));
+                // A bounded stream spread over the readers' run: most random
+                // feeds overtake and split routes, so an unbounded stream
+                // fragments the network until every query is slow.
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..32 {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let len = rng.gen_range(1..=4);
+                    let outcome = cnet.apply_feed(&random_feed(&mut rng, num_trains, len, 60));
                     if let Some(snap) = outcome.published {
                         published.lock().unwrap().push(snap.generation());
                     }
-                    step += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    std::thread::sleep(std::time::Duration::from_millis(10));
                 }
             });
             let readers: Vec<_> = (0..readers)
@@ -150,17 +137,24 @@ fn sharded_service_survives_concurrent_readers_and_feeds() {
 
     let violations: Vec<String> = std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
-            let mut step = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                let shard = ShardId((step % 3) as u32);
+            // Bounded and spread out, as in the proptest above.
+            let mut rng = StdRng::seed_from_u64(0);
+            for step in 0..36u32 {
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+                let shard = ShardId(step % 3);
+                let len = rng.gen_range(1..=4);
                 let events: Vec<(ShardId, DelayEvent)> =
-                    feed(step, num_trains[shard.idx()]).into_iter().map(|e| (shard, e)).collect();
+                    random_feed(&mut rng, num_trains[shard.idx()], len, 60)
+                        .into_iter()
+                        .map(|e| (shard, e))
+                        .collect();
                 let summary = svc.apply_feed(&events).expect("known shard");
                 if summary.changed() {
                     states[shard.idx()].lock().unwrap().push(svc.network(shard).unwrap());
                 }
-                step += 1;
-                std::thread::sleep(std::time::Duration::from_micros(300));
+                std::thread::sleep(std::time::Duration::from_millis(10));
             }
         });
         let readers: Vec<_> = (0..4)

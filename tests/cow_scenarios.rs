@@ -11,34 +11,11 @@
 //! it first) shows up as a diverged connection or profile.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use best_connections::prelude::*;
 use best_connections::timetable::synthetic::city::{generate_city, CityConfig};
-
-/// A deterministic mixed feed (delays + cancellations), varying with
-/// `step` so successive feeds hit different trains and routes.
-fn feed(step: u64, num_trains: u32) -> Vec<DelayEvent> {
-    let k = 1 + (step % 4) as u32;
-    (0..k)
-        .map(|i| {
-            let train = TrainId((step as u32).wrapping_mul(13).wrapping_add(i * 5) % num_trains);
-            if (step + u64::from(i)) % 6 == 5 {
-                DelayEvent::Cancel { train }
-            } else {
-                DelayEvent::Delay {
-                    train,
-                    from_hop: ((step + u64::from(i)) % 3) as u16,
-                    delay: Dur::minutes(1 + (step as u32 * 3 + i) % 55),
-                    recovery: if step.is_multiple_of(4) {
-                        Recovery::CatchUp { per_hop: Dur::minutes(2) }
-                    } else {
-                        Recovery::None
-                    },
-                }
-            }
-        })
-        .collect()
-}
+use pt_bench::random_feed;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
@@ -60,10 +37,13 @@ proptest! {
         }
         let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.4));
 
-        // Advance the master a little before pinning, so the pin is not
-        // always the pristine initial state.
-        for step in 0..pin_after {
-            cnet.apply_feed(&feed(step as u64, num_trains));
+        // Mixed feeds of 1–4 delays + cancellations. Advance the master a
+        // little before pinning, so the pin is not always the pristine
+        // initial state.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..pin_after {
+            let len = rng.gen_range(1..=4);
+            cnet.apply_feed(&random_feed(&mut rng, num_trains, len, 60));
         }
 
         let pinned = cnet.snapshot();
@@ -77,8 +57,9 @@ proptest! {
 
         // K mixed feeds mutate the master; the pinned snapshot must not
         // observe any of them.
-        for step in 0..num_feeds {
-            cnet.apply_feed(&feed(100 + step as u64, num_trains));
+        for _ in 0..num_feeds {
+            let len = rng.gen_range(1..=4);
+            cnet.apply_feed(&random_feed(&mut rng, num_trains, len, 60));
         }
 
         prop_assert_eq!(pinned.generation(), pinned_gen, "pinned generation moved");
@@ -180,7 +161,8 @@ fn table_rows_unshare_exactly_when_rewritten() {
     let pinned_table = pinned.shared_table().unwrap();
     let rebuilt_at_pin = Network::build(pinned.timetable());
 
-    let outcome = cnet.apply_feed(&feed(1, num_trains));
+    let mut rng = StdRng::seed_from_u64(1);
+    let outcome = cnet.apply_feed(&random_feed(&mut rng, num_trains, 4, 60));
     assert!(outcome.summary.changed());
     let after = cnet.snapshot();
     let after_table = after.shared_table().unwrap();

@@ -1,111 +1,35 @@
-//! Scenario harness for **batched** delay feeds (the server scenario of
-//! §5, under GTFS-RT-style streams).
+//! Scenario harness for the dynamic path: delay feeds (the server scenario
+//! of §5, under GTFS-RT-style streams). A single delay or cancellation is
+//! the one-event feed, so this suite is also the fully dynamic scenario's
+//! oracle (§5.1).
 //!
-//! Drives deterministic random sequences of feeds — each a batch of delay
-//! *and cancellation* events, with events piling up on the same trains and
-//! mid-feed overtaking — against a live [`Network`] via
-//! [`Network::apply_feed`]. After **every** feed, the acceptance contract
-//! of the batched dynamic path is asserted:
+//! Drives deterministic random sequences of feeds — each a batch of 1–12
+//! delay *and cancellation* events drawn from the shared adversarial mix
+//! (`tests/common`), with events piling up on the same trains and mid-feed
+//! overtaking — against a live [`Network`] via [`Network::apply_feed`].
+//! After **every** feed, the acceptance contract is asserted:
 //!
 //! * the patched network is **query-identical** to a from-scratch
 //!   `Network::build` of the same timetable,
 //! * a feed of N events costs **exactly one** generation bump (zero when
-//!   its net effect is nil), and
+//!   its net effect is nil),
 //! * each touched route is rewritten at most once
-//!   (`repatched + refit ≤ touched`, every count from the summary).
+//!   (`repatched + refit ≤ touched`, every count from the summary),
+//! * the followed graph equals `TdGraph::build`, and cached queries equal
+//!   uncached ones.
 //!
 //! Deterministic companions below the proptest pin down the 100-event
 //! acceptance criterion, feed ≡ sequential-patch equivalence, the scoped
-//! overtaking fallback, and cache invalidation (once per feed, not per
-//! event).
+//! overtaking fallback, cancellation round trips, and cache invalidation
+//! (once per feed, not per event).
+
+mod common;
 
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
 use best_connections::timetable::synthetic::city::{generate_city, CityConfig};
-
-/// A random trip, as in `tests/delay_scenarios.rs`.
-#[derive(Debug, Clone)]
-struct TripSpec {
-    path: Vec<u8>,
-    start_min: u32,
-    leg_min: Vec<u16>,
-    dwell_min: u8,
-}
-
-fn trip_strategy(n: u8) -> impl Strategy<Value = TripSpec> {
-    (2usize..=5)
-        .prop_flat_map(move |len| {
-            (
-                prop::collection::vec(0..n, len),
-                0u32..(24 * 60),
-                prop::collection::vec(1u16..=130, len - 1),
-                0u8..=5,
-            )
-        })
-        .prop_map(|(path, start_min, leg_min, dwell_min)| TripSpec {
-            path,
-            start_min,
-            leg_min,
-            dwell_min,
-        })
-}
-
-fn build(transfer_min: &[u8], trips: Vec<TripSpec>) -> Option<Timetable> {
-    let mut b = TimetableBuilder::new(Period::DAY);
-    for (i, &tm) in transfer_min.iter().enumerate() {
-        b.add_named_station(format!("S{i}"), Dur::minutes(tm as u32));
-    }
-    let mut added = 0;
-    for t in trips {
-        let mut path: Vec<StationId> = Vec::new();
-        for &p in &t.path {
-            let s = StationId(p as u32);
-            if path.last() != Some(&s) {
-                path.push(s);
-            }
-        }
-        if path.len() < 2 {
-            continue;
-        }
-        let legs: Vec<Dur> =
-            t.leg_min.iter().take(path.len() - 1).map(|&m| Dur::minutes(m as u32)).collect();
-        if b.add_simple_trip(&path, Time(t.start_min * 60), &legs, Dur::minutes(t.dwell_min as u32))
-            .is_err()
-        {
-            return None;
-        }
-        added += 1;
-    }
-    if added == 0 {
-        return None;
-    }
-    b.build().ok()
-}
-
-/// One raw feed event; train ids are reduced modulo the train count at run
-/// time so overlapping (same-train) events occur often.
-#[derive(Debug, Clone)]
-enum RawEvent {
-    Delay { train: u32, hop: u16, delay_min: u16, recover_min: u8 },
-    Cancel { train: u32 },
-}
-
-/// Delays of up to a day push departures over the end of the period, and
-/// a `recover_min` above the trips' 0–5 min dwell has the train leave a stop
-/// before it arrived there — both are inputs a feed may carry.
-fn event_strategy() -> impl Strategy<Value = RawEvent> {
-    let delay = |minutes: std::ops::Range<u16>| {
-        (0u32..1024, 0u16..4, minutes, 0u8..30).prop_map(|(train, hop, delay_min, recover_min)| {
-            RawEvent::Delay { train, hop, delay_min, recover_min }
-        })
-    };
-    prop_oneof![
-        3 => delay(1..200),
-        1 => delay(200..1440),
-        1 => (0u32..1024).prop_map(|train| RawEvent::Cancel { train }),
-    ]
-}
+use common::{build, event_strategy, to_events, trip_strategy, RawEvent};
 
 /// One step of a scenario: apply a whole feed, or answer a cached query.
 #[derive(Debug, Clone)]
@@ -119,24 +43,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => prop::collection::vec(event_strategy(), 1..=12).prop_map(Op::Feed),
         1 => (0u32..1024).prop_map(|source| Op::Query { source }),
     ]
-}
-
-fn to_events(raw: &[RawEvent], num_trains: u32) -> Vec<DelayEvent> {
-    raw.iter()
-        .map(|e| match *e {
-            RawEvent::Delay { train, hop, delay_min, recover_min } => DelayEvent::Delay {
-                train: TrainId(train % num_trains),
-                from_hop: hop,
-                delay: Dur::minutes(delay_min as u32),
-                recovery: if recover_min == 0 {
-                    Recovery::None
-                } else {
-                    Recovery::CatchUp { per_hop: Dur::minutes(recover_min as u32) }
-                },
-            },
-            RawEvent::Cancel { train } => DelayEvent::Cancel { train: TrainId(train % num_trains) },
-        })
-        .collect()
 }
 
 /// Runs one scenario; see the module docs for the invariants.
@@ -217,7 +123,7 @@ proptest! {
         trips in prop::collection::vec(trip_strategy(6), 2..=10),
         ops in prop::collection::vec(op_strategy(), 8..=14),
     ) {
-        let Some(tt) = build(&transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         run_scenario(tt, ops, 6)?;
     }
 
@@ -242,7 +148,7 @@ proptest! {
         feeds in prop::collection::vec(
             prop::collection::vec(event_strategy(), 1..=8), 1..=4),
     ) {
-        let Some(tt) = build(&transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let num_trains = tt.num_trains() as u32;
         let mut net = Network::new(tt);
         let mut table = DistanceTable::build(&net, &TransferSelection::Fraction(0.6));
@@ -322,6 +228,47 @@ fn two_route_net() -> Timetable {
     }
     b.add_simple_trip(&[s[3], s[1]], Time::hm(8, 30), &[Dur::minutes(5)], Dur::ZERO).unwrap();
     b.build().unwrap()
+}
+
+#[test]
+fn cancelling_a_never_delayed_train_is_unchanged() {
+    let mut net = Network::new(two_route_net());
+    let g0 = net.generation();
+    let before = net.timetable().connections().to_vec();
+    assert_eq!(net.apply_cancel(TrainId(0)), DelayUpdate::Unchanged);
+    // The feed form agrees, and neither bumps the generation.
+    let summary = net.apply_feed(&[DelayEvent::Cancel { train: TrainId(1) }]);
+    assert_eq!(summary.events, vec![DelayUpdate::Unchanged]);
+    assert!(!summary.changed());
+    assert_eq!(net.generation(), g0, "no-op cancels must not invalidate caches");
+    assert_eq!(net.timetable().connections(), before.as_slice());
+}
+
+#[test]
+fn cancel_then_redelay_round_trips() {
+    let mut net = Network::new(two_route_net());
+    let schedule = net.timetable().connections().to_vec();
+    // Delay enough to re-sort buckets (the 08:00 train moves behind the
+    // 09:00 one), remember the delayed state.
+    assert_ne!(
+        net.apply_delay(TrainId(0), 0, Dur::minutes(70), Recovery::None),
+        DelayUpdate::Unchanged
+    );
+    let delayed = net.timetable().connections().to_vec();
+    // Cancel restores the schedule exactly…
+    assert_ne!(net.apply_cancel(TrainId(0)), DelayUpdate::Unchanged);
+    assert_eq!(net.timetable().connections(), schedule.as_slice());
+    // …re-announcing the same delay restores the delayed state exactly…
+    assert_ne!(
+        net.apply_delay(TrainId(0), 0, Dur::minutes(70), Recovery::None),
+        DelayUpdate::Unchanged
+    );
+    assert_eq!(net.timetable().connections(), delayed.as_slice());
+    // …and a second cancel round-trips again, with the network still
+    // query-identical to a from-scratch build.
+    assert_ne!(net.apply_cancel(TrainId(0)), DelayUpdate::Unchanged);
+    assert_eq!(net.timetable().connections(), schedule.as_slice());
+    assert_fed_equals_rebuilt(&net);
 }
 
 #[test]

@@ -5,69 +5,13 @@
 //! tests force both kernels explicitly (`Auto` would route the tiny
 //! random networks to the scalar path and test nothing).
 
+mod common;
+
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
 use best_connections::spcs::QueryKind;
-
-/// A random trip: station path (indices into 0..n), start minute, leg
-/// durations in minutes, dwell minutes.
-#[derive(Debug, Clone)]
-struct TripSpec {
-    path: Vec<u8>,
-    start_min: u32,
-    leg_min: Vec<u16>,
-    dwell_min: u8,
-}
-
-fn trip_strategy(n: u8) -> impl Strategy<Value = TripSpec> {
-    (2usize..=5)
-        .prop_flat_map(move |len| {
-            (
-                prop::collection::vec(0..n, len),
-                0u32..(24 * 60),
-                prop::collection::vec(1u16..=130, len - 1),
-                0u8..=5,
-            )
-        })
-        .prop_map(|(path, start_min, leg_min, dwell_min)| TripSpec {
-            path,
-            start_min,
-            leg_min,
-            dwell_min,
-        })
-}
-
-/// Builds a timetable from specs; consecutive duplicate stations in a path
-/// are skipped (the builder rejects self-loops).
-fn build(transfer_min: &[u8], trips: Vec<TripSpec>) -> Option<Timetable> {
-    let mut b = TimetableBuilder::new(Period::DAY);
-    for (i, &tm) in transfer_min.iter().enumerate() {
-        b.add_named_station(format!("S{i}"), Dur::minutes(tm as u32));
-    }
-    let mut added = 0;
-    for t in trips {
-        let mut path: Vec<StationId> = Vec::new();
-        for &p in &t.path {
-            let s = StationId(p as u32);
-            if path.last() != Some(&s) {
-                path.push(s);
-            }
-        }
-        if path.len() < 2 {
-            continue;
-        }
-        let legs: Vec<Dur> =
-            t.leg_min.iter().take(path.len() - 1).map(|&m| Dur::minutes(m as u32)).collect();
-        b.add_simple_trip(&path, Time(t.start_min * 60), &legs, Dur::minutes(t.dwell_min as u32))
-            .ok()?;
-        added += 1;
-    }
-    if added == 0 {
-        return None;
-    }
-    b.build().ok()
-}
+use common::{build, trip_strategy};
 
 fn one_to_all_engines() -> (ProfileEngine, ProfileEngine) {
     (ProfileEngine::new().kernel(KernelMode::Scalar), ProfileEngine::new().kernel(KernelMode::Soa))
@@ -81,7 +25,7 @@ proptest! {
         transfer_min in prop::collection::vec(0u8..=8, 3..=6),
         trips in prop::collection::vec(trip_strategy(6), 1..=10),
     ) {
-        let Some(tt) = build(&transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let net = Network::new(tt);
         let (scalar, soa) = one_to_all_engines();
         let par = ProfileEngine::new().kernel(KernelMode::Soa).threads(3);
@@ -99,7 +43,7 @@ proptest! {
         trips in prop::collection::vec(trip_strategy(6), 2..=10),
         delay_min in 1u32..=90,
     ) {
-        let Some(tt) = build(&transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let mut net = Network::new(tt);
         let scalar = S2sEngine::new().kernel(KernelMode::Scalar);
         let soa = S2sEngine::new().kernel(KernelMode::Soa);

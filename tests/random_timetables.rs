@@ -3,70 +3,13 @@
 //! including midnight wraps and disconnected pieces — must satisfy every
 //! cross-algorithm equivalence.
 
+mod common;
+
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
 use best_connections::spcs::{label_correcting, time_query};
-
-/// A random trip: station path (indices into 0..n), start minute, leg
-/// durations in minutes, dwell minutes.
-#[derive(Debug, Clone)]
-struct TripSpec {
-    path: Vec<u8>,
-    start_min: u32,
-    leg_min: Vec<u16>,
-    dwell_min: u8,
-}
-
-fn trip_strategy(n: u8) -> impl Strategy<Value = TripSpec> {
-    (2usize..=5)
-        .prop_flat_map(move |len| {
-            (
-                prop::collection::vec(0..n, len),
-                0u32..(24 * 60),
-                prop::collection::vec(1u16..=130, len - 1),
-                0u8..=5,
-            )
-        })
-        .prop_map(|(path, start_min, leg_min, dwell_min)| TripSpec {
-            path,
-            start_min,
-            leg_min,
-            dwell_min,
-        })
-}
-
-/// Builds a timetable from specs; consecutive duplicate stations in a path
-/// are skipped (the builder rejects self-loops).
-fn build(n: u8, transfer_min: Vec<u8>, trips: Vec<TripSpec>) -> Option<Timetable> {
-    let mut b = TimetableBuilder::new(Period::DAY);
-    for (i, &tm) in transfer_min.iter().enumerate() {
-        b.add_named_station(format!("S{i}"), Dur::minutes(tm as u32));
-    }
-    let _ = n;
-    let mut added = 0;
-    for t in trips {
-        let mut path: Vec<StationId> = Vec::new();
-        for &p in &t.path {
-            let s = StationId(p as u32);
-            if path.last() != Some(&s) {
-                path.push(s);
-            }
-        }
-        if path.len() < 2 {
-            continue;
-        }
-        let legs: Vec<Dur> =
-            t.leg_min.iter().take(path.len() - 1).map(|&m| Dur::minutes(m as u32)).collect();
-        b.add_simple_trip(&path, Time(t.start_min * 60), &legs, Dur::minutes(t.dwell_min as u32))
-            .ok()?;
-        added += 1;
-    }
-    if added == 0 {
-        return None;
-    }
-    b.build().ok()
-}
+use common::{build, event_strategy, trip_strategy, RawEvent};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
@@ -76,8 +19,7 @@ proptest! {
         transfer_min in prop::collection::vec(0u8..=8, 3..=6),
         trips in prop::collection::vec(trip_strategy(6), 1..=10),
     ) {
-        let n = transfer_min.len() as u8;
-        let Some(tt) = build(n, transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let net = Network::new(tt);
         for s in net.station_ids() {
             let cs = ProfileEngine::new().one_to_all(&net, s);
@@ -95,8 +37,7 @@ proptest! {
         trips in prop::collection::vec(trip_strategy(6), 1..=10),
         dep_mins in prop::collection::vec(0u32..(24 * 60), 1..=6),
     ) {
-        let n = transfer_min.len() as u8;
-        let Some(tt) = build(n, transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let net = Network::new(tt);
         let source = StationId(0);
         let set = ProfileEngine::new().threads(2).one_to_all(&net, source);
@@ -122,8 +63,7 @@ proptest! {
         trips in prop::collection::vec(trip_strategy(6), 2..=10),
         frac in 0.2f64..0.8,
     ) {
-        let n = transfer_min.len() as u8;
-        let Some(tt) = build(n, transfer_min, trips) else { return Ok(()) };
+        let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
         let net = Network::new(tt);
         let table = DistanceTable::build(&net, &TransferSelection::Fraction(frac));
         let engine = S2sEngine::new().threads(2).with_table(&table);
@@ -145,4 +85,41 @@ proptest! {
             }
         }
     }
+}
+
+/// Guards the shared generators (`tests/common`) against going vacuous:
+/// drawn the way `proptest!` draws them, a few hundred timetables must
+/// keep building at today's rate and include routes with several trains
+/// (so FIFO checks and refits have work to do), and the event mix must
+/// keep reaching the two classes that once made fed ≠ rebuilt.
+#[test]
+fn shared_generators_reach_the_adversarial_cases() {
+    use best_connections::timetable::Routes;
+
+    let mut rng = proptest::TestRng::deterministic("shared_generators");
+    let timetables =
+        (prop::collection::vec(0u8..=8, 3..=6), prop::collection::vec(trip_strategy(6), 2..=10));
+    let draws = 400;
+    let (mut built, mut shared_route) = (0, false);
+    for _ in 0..draws {
+        let (transfer_min, trips) = timetables.gen_value(&mut rng);
+        if let Some(tt) = build(&transfer_min, &trips) {
+            built += 1;
+            shared_route |= Routes::partition(&tt).iter_routes().any(|r| r.trains.len() >= 2);
+        }
+    }
+    // Paths name stations 0..6 over 3–6 stations, so about one draw in
+    // four builds (99 of these 400); the floor sits just under that.
+    assert!(built >= 90, "only {built} of {draws} draws built a timetable");
+    assert!(shared_route, "no built timetable has a route with two trains");
+
+    let (mut over_period, mut over_dwell) = (0, 0);
+    for event in prop::collection::vec(event_strategy(), draws).gen_value(&mut rng) {
+        if let RawEvent::Delay { delay_min, recover_min, .. } = event {
+            over_period += usize::from(delay_min >= 200);
+            over_dwell += usize::from(recover_min > 5);
+        }
+    }
+    assert!(over_period > 0, "no delay crosses the end of the period");
+    assert!(over_dwell > 0, "no catch-up exceeds the trips' 0–5 min dwell");
 }

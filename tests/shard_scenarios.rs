@@ -2,9 +2,10 @@
 //! layer above the paper's engines).
 //!
 //! Drives deterministic random scenarios — interleaved routed queries,
-//! batches, station-to-station calls and *mixed* shard-tagged feeds of
-//! delays + cancellations — against a [`ShardedService`], mirrored by one
-//! standalone [`Network`] per shard that receives exactly the same events.
+//! batches, station-to-station calls and *mixed* shard-tagged feeds drawn
+//! from the shared adversarial event mix (`tests/common`) — against a
+//! [`ShardedService`], mirrored by one standalone [`Network`] per shard
+//! that receives exactly the same events.
 //! After every step the routing contract is asserted:
 //!
 //! * every routed query result is **identical** to the same query on the
@@ -21,38 +22,15 @@
 //! maps every station, the `WrongShard` redirect round-trip, the
 //! empty-shard (net-nil) feed, and per-shard cache isolation.
 
+mod common;
+
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
+use common::{build, event_strategy, trip_strategy, RawEvent, TripSpec};
 
-/// A random trip, as in `tests/feed_scenarios.rs`.
-#[derive(Debug, Clone)]
-struct TripSpec {
-    path: Vec<u8>,
-    start_min: u32,
-    leg_min: Vec<u16>,
-    dwell_min: u8,
-}
-
-fn trip_strategy(n: u8) -> impl Strategy<Value = TripSpec> {
-    (2usize..=4)
-        .prop_flat_map(move |len| {
-            (
-                prop::collection::vec(0..n, len),
-                0u32..(24 * 60),
-                prop::collection::vec(1u16..=120, len - 1),
-                0u8..=4,
-            )
-        })
-        .prop_map(|(path, start_min, leg_min, dwell_min)| TripSpec {
-            path,
-            start_min,
-            leg_min,
-            dwell_min,
-        })
-}
-
-/// One shard's timetable: station count (3..=5) plus trips.
+/// One shard's timetable: a transfer time per station (3..=5 stations)
+/// plus trips over them, built by the shared [`build`].
 #[derive(Debug, Clone)]
 struct ShardSpec {
     transfer_min: Vec<u8>,
@@ -70,58 +48,6 @@ fn shard_strategy() -> impl Strategy<Value = ShardSpec> {
         .prop_map(|(transfer_min, trips)| ShardSpec { transfer_min, trips })
 }
 
-fn build(spec: &ShardSpec) -> Option<Timetable> {
-    let mut b = TimetableBuilder::new(Period::DAY);
-    for (i, &tm) in spec.transfer_min.iter().enumerate() {
-        b.add_named_station(format!("S{i}"), Dur::minutes(tm as u32));
-    }
-    let mut added = 0;
-    for t in &spec.trips {
-        let mut path: Vec<StationId> = Vec::new();
-        for &p in &t.path {
-            let s = StationId(p as u32);
-            if path.last() != Some(&s) {
-                path.push(s);
-            }
-        }
-        if path.len() < 2 {
-            continue;
-        }
-        let legs: Vec<Dur> =
-            t.leg_min.iter().take(path.len() - 1).map(|&m| Dur::minutes(m as u32)).collect();
-        if b.add_simple_trip(&path, Time(t.start_min * 60), &legs, Dur::minutes(t.dwell_min as u32))
-            .is_err()
-        {
-            return None;
-        }
-        added += 1;
-    }
-    if added == 0 {
-        return None;
-    }
-    b.build().ok()
-}
-
-/// One raw feed event, tagged with a shard pick; ids are reduced modulo
-/// the shard/train counts at run time.
-#[derive(Debug, Clone)]
-enum RawEvent {
-    Delay { train: u32, hop: u16, delay_min: u16, recover_min: u8 },
-    Cancel { train: u32 },
-}
-
-fn event_strategy() -> impl Strategy<Value = (u8, RawEvent)> {
-    let ev = prop_oneof![
-        3 => (0u32..1024, 0u16..4, 1u16..180, 0u8..25).prop_map(
-            |(train, hop, delay_min, recover_min)| RawEvent::Delay {
-                train, hop, delay_min, recover_min
-            }
-        ),
-        1 => (0u32..1024).prop_map(|train| RawEvent::Cancel { train }),
-    ];
-    (0u8..8, ev)
-}
-
 /// One step of a scenario.
 #[derive(Debug, Clone)]
 enum Op {
@@ -133,27 +59,11 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        2 => prop::collection::vec(event_strategy(), 1..=10).prop_map(Op::Feed),
+        2 => prop::collection::vec((0u8..8, event_strategy()), 1..=10).prop_map(Op::Feed),
         2 => (0u32..1024).prop_map(|station| Op::Query { station }),
         1 => (0u32..1024, 0u32..1024).prop_map(|(s, t)| Op::S2s { s, t }),
         1 => prop::collection::vec(0u32..1024, 2..=6).prop_map(|stations| Op::Batch { stations }),
     ]
-}
-
-fn to_event(raw: &RawEvent, num_trains: u32) -> DelayEvent {
-    match *raw {
-        RawEvent::Delay { train, hop, delay_min, recover_min } => DelayEvent::Delay {
-            train: TrainId(train % num_trains),
-            from_hop: hop,
-            delay: Dur::minutes(delay_min as u32),
-            recovery: if recover_min == 0 {
-                Recovery::None
-            } else {
-                Recovery::CatchUp { per_hop: Dur::minutes(recover_min as u32) }
-            },
-        },
-        RawEvent::Cancel { train } => DelayEvent::Cancel { train: TrainId(train % num_trains) },
-    }
 }
 
 /// Asserts one routed one-to-all against the standalone mirror.
@@ -174,7 +84,7 @@ fn check_query(
 fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> {
     let mut nets = Vec::new();
     for spec in specs {
-        match build(spec) {
+        match build(&spec.transfer_min, &spec.trips) {
             Some(tt) => nets.push(Network::new(tt)),
             None => return Ok(()), // degenerate timetable: skip the case
         }
@@ -201,7 +111,7 @@ fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> 
                     .map(|(pick, ev)| {
                         let shard = ShardId((pick % num_shards) as u32);
                         let trains = mirrors[shard.idx()].timetable().num_trains() as u32;
-                        (shard, to_event(ev, trains.max(1)))
+                        (shard, ev.to_event(trains.max(1)))
                     })
                     .collect();
                 let gens: Vec<u64> =
