@@ -472,12 +472,8 @@ fn search_scalar(
         // Relax outgoing edges.
         let child_anc = is_target_mode && (ws.anc(slot) || at_transfer.is_some());
         let base = i * nv;
-        for e in g.edges(NodeId::from_idx(v)) {
-            let ta = g.eval_edge(e, t);
-            if ta.is_infinite() {
-                continue;
-            }
-            let wslot = base + e.head.idx();
+        for (w, ta) in g.arrivals(NodeId::from_idx(v), t, None) {
+            let wslot = base + w.idx();
             if ws.arr(wslot) != INFINITY {
                 continue; // already settled (or pruned) for connection i
             }

@@ -2,15 +2,15 @@
 //! itinerary — which trains to board, where, and when.
 //!
 //! The paper's algorithms compute distance functions; a downstream journey
-//! planner also needs the path. This module runs a time-query with parent
-//! pointers over the realistic time-dependent graph and unpacks the node
-//! path into train legs: consecutive route edges ridden on the same train
-//! merge into one leg, board/alight edges become transfers.
+//! planner also needs the path. This module follows the parent pointers of
+//! a [`time_query`] over the realistic time-dependent graph and unpacks the
+//! node path into train legs: consecutive route edges ridden on the same
+//! train merge into one leg, board/alight edges become transfers.
 
-use pt_core::{Dur, NodeId, StationId, Time, TrainId, INFINITY};
-use pt_heap::BinaryHeap;
+use pt_core::{Dur, NodeId, StationId, Time, TrainId};
 
 use crate::network::Network;
+use crate::time_query;
 
 /// One leg of a journey: stay on `train` from `from` (departing `dep`) to
 /// `to` (arriving `arr`).
@@ -92,45 +92,16 @@ pub fn earliest_journey(
         return None;
     }
     let g = net.graph();
-    let n = g.num_nodes();
-    let mut arr: Vec<Time> = vec![INFINITY; n];
-    let mut parent: Vec<u32> = vec![u32::MAX; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new(n);
-
-    let src = g.station_node(source);
-    let tgt = g.station_node(target);
-    arr[src.idx()] = dep;
-    heap.push_or_decrease(src.idx(), dep.secs() as u64);
-
-    while let Some((slot, key)) = heap.pop() {
-        let v = NodeId::from_idx(slot);
-        let t = Time(key as u32);
-        arr[slot] = t;
-        settled[slot] = true;
-        if v == tgt {
-            break;
-        }
-        let from_source = v == src;
-        for e in g.edges(v) {
-            let ta = if from_source { g.eval_edge_free_transfer(e, t) } else { g.eval_edge(e, t) };
-            if ta.is_infinite() || settled[e.head.idx()] {
-                continue;
-            }
-            if heap.key_of(e.head.idx()).is_none_or(|k| (ta.secs() as u64) < k) {
-                heap.push_or_decrease(e.head.idx(), ta.secs() as u64);
-                parent[e.head.idx()] = slot as u32;
-            }
-        }
-    }
-    if !settled[tgt.idx()] {
+    let search = time_query::run(net, source, dep, Some(target));
+    let (src, tgt) = (g.station_node(source), g.station_node(target));
+    if search.arrival[tgt.idx()].is_infinite() {
         return None;
     }
 
     // Node path source → target.
     let mut path = vec![tgt];
     while *path.last().expect("non-empty") != src {
-        let p = parent[path.last().expect("non-empty").idx()];
+        let p = search.parent[path.last().expect("non-empty").idx()];
         debug_assert_ne!(p, u32::MAX, "broken parent chain");
         path.push(NodeId(p));
     }
@@ -153,7 +124,7 @@ pub fn earliest_journey(
         }
         // Identify the train ridden on this hop: the one departing next at
         // or after our arrival time at v.
-        let t_here = arr[v.idx()];
+        let t_here = search.arrival[v.idx()];
         let hop = stop_v as usize;
         let train = routes
             .route(route)
@@ -186,7 +157,6 @@ pub fn earliest_journey(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time_query;
     use pt_core::Period;
     use pt_timetable::synthetic::city::{generate_city, CityConfig};
     use pt_timetable::TimetableBuilder;

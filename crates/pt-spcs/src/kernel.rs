@@ -2,24 +2,25 @@
 //!
 //! The scalar search in [`connection_setting`](crate::connection_setting)
 //! pops one `(connection, node)` slot at a time from a binary heap and
-//! dispatches on the edge kind per relaxation — correct, but every step is
-//! a data-dependent branch chasing pointers through the heap. This module
-//! runs the same search — one loop, `search_soa`, for one-to-all and
-//! station-to-station alike (one-to-all is the target-less case; see
-//! `Goal`) — on a **time-bucketed frontier**
-//! (a Dial-style ring of width-1-second buckets over the key space) and
-//! restructures each bucket's work into three wide sweeps over contiguous
-//! `u32` lanes:
+//! walks that node's edges one by one
+//! ([`TdGraph::arrivals`](pt_graph::TdGraph::arrivals)) — correct, but
+//! every step is a data-dependent branch chasing pointers through the
+//! heap. This module runs the same search — one loop, `search_soa`, for
+//! one-to-all and station-to-station alike (one-to-all is the target-less
+//! case; see `Goal`) — on a **time-bucketed frontier** (a Dial-style ring
+//! of width-1-second buckets over the key space) and restructures each
+//! bucket's work into three wide sweeps over contiguous `u32` lanes:
 //!
 //! 1. **Settle sweep** — every live slot in the current bucket is settled
 //!    at once; self-pruning becomes a masked select on the dense
 //!    `arr`/`maxconn` arrays (`arr ← prune ? PRUNED : key`) instead of a
 //!    taken/not-taken branch per pop.
-//! 2. **Relax sweep** — outgoing edges are walked grouped by kind via
-//!    [`EdgeKindCsr`](pt_graph::EdgeKindCsr): all constant edges of the
-//!    frontier share the settle key, so their lane is a pure gather +
-//!    saturating add ([`Time::lane_add`]) the compiler can vectorize; the
-//!    time-dependent lane follows with one PLF evaluation per edge.
+//! 2. **Relax sweep** — outgoing edges are read straight from the graph's
+//!    kind-grouped lanes ([`EdgeKindCsr`](pt_graph::EdgeKindCsr)): all
+//!    constant edges of the frontier share the settle key, so their lane is
+//!    a pure gather + saturating add ([`Time::lane_add`]) the compiler can
+//!    vectorize; the time-dependent lane follows with one PLF evaluation
+//!    per edge.
 //!    Candidates accumulate as `(slot, key)` pairs in chunked lanes.
 //! 3. **Commit sweep** — one comparison per candidate (`key < tent[slot]`)
 //!    folds together "candidate unreachable" (`key = u32::MAX` from the
@@ -106,9 +107,9 @@ impl std::fmt::Display for KernelMode {
 }
 
 /// Number of buckets the ring needs for `net`: strictly more than the
-/// widest spread of pending keys, which is bounded by the maximum edge
-/// span ([`EdgeKindCsr::max_edge_span_secs`](pt_graph::EdgeKindCsr)) and —
-/// because all initial departures are injected up front — by the
+/// widest spread of pending keys, which is bounded by the maximum edge span
+/// ([`TdGraph::max_edge_span_secs`](pt_graph::TdGraph::max_edge_span_secs))
+/// and — because all initial departures are injected up front — by the
 /// one-period spread of `conn(S)`. Rounded up to a power of two so the
 /// bucket index is a mask.
 pub(crate) fn ring_size(net: &Network) -> usize {

@@ -11,7 +11,7 @@
 //! connection contributes the point `(τdep, τdep)` at the route node it
 //! departs from, so both algorithms compute the same `dist(S, ·, ·)`.
 
-use pt_core::{NodeId, Profile, ProfilePoint, StationId};
+use pt_core::{Dur, NodeId, Profile, ProfilePoint, StationId};
 use pt_heap::BinaryHeap;
 
 use crate::network::Network;
@@ -62,16 +62,17 @@ pub fn profile_search(net: &Network, source: StationId) -> LcResult {
     while let Some((v, _)) = heap.pop() {
         stats.settled += labels[v].len() as u64;
         let label = labels[v].clone();
-        for e in g.edges(NodeId::from_idx(v)) {
-            let linked = match e.weight {
-                pt_graph::EdgeWeight::Const(d) => label.link_const(d, period),
-                pt_graph::EdgeWeight::Td(idx) => label.link_plf(g.plf(idx), period),
-            };
+        // Link the whole profile over each edge, constant lane first.
+        let (heads, secs) = g.kind_csr().const_edges(v);
+        let consts = heads.iter().zip(secs).map(|(&w, &d)| (w, label.link_const(Dur(d), period)));
+        let (heads, plfs) = g.kind_csr().td_edges(v);
+        let hops = heads.iter().zip(plfs).map(|(&w, &p)| (w, label.link_plf(g.plf(p), period)));
+        for (w, linked) in consts.chain(hops) {
             if linked.is_empty() {
                 continue;
             }
             stats.relaxed += 1;
-            let w = e.head.idx();
+            let w = w as usize;
             if labels[w].merge(&linked, period) {
                 let key = labels[w].min_arr().secs() as u64;
                 if heap.contains(w) {

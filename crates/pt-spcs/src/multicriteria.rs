@@ -93,7 +93,7 @@ pub fn pareto_query(
     let tn = g.station_node(target);
     while let Some((slot, k)) = heap.pop() {
         stats.settled += 1;
-        let v = slot / buckets;
+        let v = NodeId::from_idx(slot / buckets);
         let transfers = (slot % buckets) as u8;
         let t = Time((k >> 8) as u32);
         if t > best[slot] {
@@ -101,32 +101,27 @@ pub fn pareto_query(
         }
         // Dominated by a label with fewer transfers and equal-or-earlier
         // arrival?
-        if (0..transfers).any(|b| best[v * buckets + b as usize] <= t) {
+        if (0..transfers).any(|b| best[v.idx() * buckets + b as usize] <= t) {
             stats.self_pruned += 1;
             continue;
         }
-        if v == tn.idx() {
+        if v == tn {
             continue; // target labels need no expansion
         }
-        let from_source = v == src.idx();
-        for e in g.edges(NodeId::from_idx(v)) {
-            let boarding = g.is_station_node(NodeId::from_idx(v)) && !g.is_station_node(e.head);
-            let ta = if from_source { g.eval_edge_free_transfer(e, t) } else { g.eval_edge(e, t) };
-            if ta.is_infinite() {
-                continue;
-            }
-            // The first boarding is free; later boardings are transfers.
-            let nk = if boarding && !from_source {
-                (transfers + 1).min(MAX_TRANSFERS)
-            } else {
-                transfers
-            };
-            let wslot = e.head.idx() * buckets + nk as usize;
+        // Every edge of a station node boards a route. The first boarding
+        // is free; later boardings are transfers.
+        let nk = if g.is_station_node(v) && v != src {
+            (transfers + 1).min(MAX_TRANSFERS)
+        } else {
+            transfers
+        };
+        for (w, ta) in g.arrivals(v, t, Some(src)) {
+            let wslot = w.idx() * buckets + nk as usize;
             if best[wslot] <= ta {
                 continue;
             }
             // Dominance against fewer-transfer labels of the head.
-            if (0..=nk).any(|b| best[e.head.idx() * buckets + b as usize] <= ta) {
+            if (0..=nk).any(|b| best[w.idx() * buckets + b as usize] <= ta) {
                 continue;
             }
             stats.relaxed += 1;

@@ -1,9 +1,12 @@
 //! Time-queries: `dist(S, ·, τ)` by time-dependent Dijkstra (paper §2).
 //!
 //! The label-setting baseline: visits graph nodes in non-decreasing arrival
-//! order from the source. Boarding at the source station is free (no
-//! transfer time before the first train), matching the connection-setting
-//! initialization that starts directly at route nodes.
+//! order from the source, walking each node's edges with
+//! [`TdGraph::arrivals`](pt_graph::TdGraph::arrivals). Boarding at the
+//! source station is free (no transfer time before the first train),
+//! matching the connection-setting initialization that starts directly at
+//! route nodes. The search also records parent pointers, from which
+//! [`journey`](crate::journey) unpacks the itinerary.
 
 use pt_core::{NodeId, StationId, Time, INFINITY};
 use pt_heap::BinaryHeap;
@@ -31,7 +34,9 @@ impl TimeQueryResult {
 /// Computes earliest arrivals at every station when departing `source` at
 /// absolute time `dep`.
 pub fn earliest_arrivals(net: &Network, source: StationId, dep: Time) -> TimeQueryResult {
-    run(net, source, dep, None)
+    let mut labels = run(net, source, dep, None);
+    labels.arrival.truncate(net.num_stations());
+    TimeQueryResult { arrival: labels.arrival, stats: labels.stats }
 }
 
 /// Earliest arrival at `target` when departing `source` at `dep`
@@ -40,11 +45,29 @@ pub fn earliest_arrival(net: &Network, source: StationId, dep: Time, target: Sta
     run(net, source, dep, Some(target)).arrival[target.idx()]
 }
 
-fn run(net: &Network, source: StationId, dep: Time, target: Option<StationId>) -> TimeQueryResult {
+/// Node-level labels of one time-query.
+pub(crate) struct NodeLabels {
+    /// Settle time per graph node ([`INFINITY`] = not settled).
+    pub(crate) arrival: Vec<Time>,
+    /// The node each node was last pushed or decreased from (`u32::MAX` for
+    /// the source and never-reached nodes).
+    pub(crate) parent: Vec<u32>,
+    /// Operation counters.
+    pub(crate) stats: QueryStats,
+}
+
+/// The time-query: settles every node reachable from `source` departing at
+/// `dep`, or stops once `target` is settled.
+pub(crate) fn run(
+    net: &Network,
+    source: StationId,
+    dep: Time,
+    target: Option<StationId>,
+) -> NodeLabels {
     let g = net.graph();
     let n = g.num_nodes();
-    let mut arr: Vec<Time> = vec![INFINITY; n];
-    let mut settled = vec![false; n];
+    let mut arrival: Vec<Time> = vec![INFINITY; n];
+    let mut parent = vec![u32::MAX; n];
     let mut heap = BinaryHeap::new(n);
     let mut stats = QueryStats::default();
 
@@ -56,36 +79,29 @@ fn run(net: &Network, source: StationId, dep: Time, target: Option<StationId>) -
     while let Some((slot, key)) = heap.pop() {
         let v = NodeId::from_idx(slot);
         let t = Time(key as u32);
-        arr[slot] = t;
-        settled[slot] = true;
+        arrival[slot] = t;
         stats.settled += 1;
         if target_node == Some(v) {
             break;
         }
-        let from_source = v == src;
-        for e in g.edges(v) {
-            let ta = if from_source {
-                // Boarding at the source needs no transfer buffer.
-                g.eval_edge_free_transfer(e, t)
-            } else {
-                g.eval_edge(e, t)
-            };
-            if ta.is_infinite() || settled[e.head.idx()] {
-                continue;
+        for (w, ta) in g.arrivals(v, t, Some(src)) {
+            let w = w.idx();
+            if !arrival[w].is_infinite() {
+                continue; // settled
             }
             stats.relaxed += 1;
-            if heap.contains(e.head.idx()) {
-                if heap.push_or_decrease(e.head.idx(), ta.secs() as u64) {
+            let queued = heap.contains(w);
+            if heap.push_or_decrease(w, ta.secs() as u64) {
+                parent[w] = slot as u32;
+                if queued {
                     stats.decreases += 1;
+                } else {
+                    stats.pushes += 1;
                 }
-            } else {
-                heap.push_or_decrease(e.head.idx(), ta.secs() as u64);
-                stats.pushes += 1;
             }
         }
     }
-
-    TimeQueryResult { arrival: arr[..net.num_stations()].to_vec(), stats }
+    NodeLabels { arrival, parent, stats }
 }
 
 #[cfg(test)]

@@ -100,7 +100,7 @@ fn quote_csv(field: &str) -> String {
     }
 }
 
-/// Parses `HH:MM:SS` (hours may exceed 24).
+/// Parses `HH:MM:SS` (hours may exceed 24, not the range of [`Time`]).
 fn parse_time(s: &str) -> Option<Time> {
     let mut it = s.trim().split(':');
     let h: u32 = it.next()?.parse().ok()?;
@@ -109,7 +109,8 @@ fn parse_time(s: &str) -> Option<Time> {
     if it.next().is_some() || m >= 60 || sec >= 60 {
         return None;
     }
-    Some(Time::hms(h, m, sec))
+    let secs = h.checked_mul(3600)?.checked_add(m * 60 + sec)?;
+    Some(Time(secs)).filter(|t| !t.is_infinite())
 }
 
 fn format_time(t: Time) -> String {
@@ -222,7 +223,7 @@ pub fn load_dir(
     let dep_c = stop_times.col("departure_time")?;
     let stop_c = stop_times.col("stop_id")?;
     let seq_c = stop_times.col("stop_sequence")?;
-    let mut trips: HashMap<String, Vec<(u32, TripStop)>> = HashMap::new();
+    let mut trips: HashMap<String, Vec<(u32, usize, TripStop)>> = HashMap::new();
     let mut trip_order: Vec<String> = Vec::new();
     for (i, rec) in stop_times.records.iter().enumerate() {
         let parse_err =
@@ -244,12 +245,19 @@ pub fn load_dir(
             trip_order.push(trip);
             Vec::new()
         });
-        entry.push((seq, TripStop { station, arr, dep }));
+        entry.push((seq, i + 2, TripStop { station, arr, dep }));
     }
     for trip in &trip_order {
         let stops = trips.get_mut(trip).expect("trip recorded");
-        stops.sort_unstable_by_key(|&(seq, _)| seq);
-        let stops: Vec<TripStop> = stops.iter().map(|&(_, s)| s).collect();
+        stops.sort_unstable_by_key(|&(seq, line, _)| (seq, line));
+        if let Some(w) = stops.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(GtfsError::Parse {
+                file: "stop_times.txt".into(),
+                line: w[1].1,
+                msg: format!("trip `{trip}` repeats stop_sequence {}", w[0].0),
+            });
+        }
+        let stops: Vec<TripStop> = stops.iter().map(|&(_, _, s)| s).collect();
         builder.add_trip(&stops).map_err(GtfsError::Invalid)?;
     }
 
@@ -375,6 +383,10 @@ mod tests {
         assert_eq!(parse_time("8:05:00"), Some(Time::hm(8, 5)));
         assert_eq!(parse_time("8:65:00"), None);
         assert_eq!(parse_time("junk"), None);
+        // Hours beyond the range of `Time` are a parse error, not a wrap.
+        assert_eq!(parse_time("1193047:00:00"), None);
+        assert_eq!(parse_time("1193046:28:15"), None); // u32::MAX is ∞
+        assert_eq!(parse_time("1193046:28:14"), Some(Time(u32::MAX - 1)));
         assert_eq!(format_time(Time::hms(25, 5, 30)), "25:05:30");
     }
 
@@ -446,5 +458,26 @@ mod tests {
         let GtfsError::Parse { file, line, msg } = err else { panic!("expected Parse, got {err}") };
         assert_eq!((file.as_str(), line), ("stops.txt", 4));
         assert!(msg.contains("duplicate stop_id `s0`"), "{msg}");
+    }
+
+    #[test]
+    fn duplicate_stop_sequence_is_an_error() {
+        // Sorting two stops with one sequence number would order them
+        // arbitrarily and could ride the trip backwards.
+        let dir = std::env::temp_dir().join(format!("gtfs-dup-seq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("stops.txt"), "stop_id,stop_name\ns0,Alpha\ns1,Beta\ns2,Gamma\n")
+            .unwrap();
+        std::fs::write(
+            dir.join("stop_times.txt"),
+            "trip_id,arrival_time,departure_time,stop_id,stop_sequence\n\
+             t0,08:00:00,08:00:00,s0,1\nt0,08:10:00,08:10:00,s1,2\nt0,08:20:00,08:20:00,s2,2\n",
+        )
+        .unwrap();
+        let err = load_dir(&dir, Period::DAY, Dur::ZERO).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        let GtfsError::Parse { file, line, msg } = err else { panic!("expected Parse, got {err}") };
+        assert_eq!((file.as_str(), line), ("stop_times.txt", 4));
+        assert!(msg.contains("trip `t0` repeats stop_sequence 2"), "{msg}");
     }
 }

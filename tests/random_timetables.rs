@@ -8,7 +8,7 @@ mod common;
 use proptest::prelude::*;
 
 use best_connections::prelude::*;
-use best_connections::spcs::{label_correcting, time_query};
+use best_connections::spcs::{journey, label_correcting, multicriteria, time_query};
 use common::{build, event_strategy, trip_strategy, RawEvent};
 
 proptest! {
@@ -41,18 +41,40 @@ proptest! {
         let net = Network::new(tt);
         let source = StationId(0);
         let set = ProfileEngine::new().threads(2).one_to_all(&net, source);
-        for &m in &dep_mins {
-            let dep = Time(m * 60);
+        // The drawn instants, then every departure from the source: there
+        // the free first boarding decides the answer.
+        let tt = net.timetable();
+        let deps = dep_mins.iter().map(|&m| Time(m * 60));
+        let deps = deps.chain(tt.conn_ids(source).map(|c| tt.connection(ConnId(c)).dep));
+        for dep in deps {
             let truth = time_query::earliest_arrivals(&net, source, dep);
             for s in net.station_ids() {
                 if s == source {
                     continue; // source-profile convention, see ProfileSet::profile
                 }
+                let want = truth.arrival_at(s);
                 prop_assert_eq!(
-                    set.profile(s).eval_arr(dep, Period::DAY),
-                    truth.arrival_at(s),
+                    set.profile(s).eval_arr(dep, Period::DAY), want,
                     "station {} dep {}", s, dep
                 );
+                // The journey and the Pareto walk reach the same optimum,
+                // and nothing exactly where the truth is unreachable; the
+                // journey's legs chain with the transfer times.
+                let journey = journey::earliest_journey(&net, source, dep, s);
+                let want_some = (!want.is_infinite()).then_some(want);
+                prop_assert_eq!(
+                    journey.as_ref().map(|j| j.arr()), want_some,
+                    "journey to {} dep {}", s, dep
+                );
+                if let Some(j) = journey {
+                    let chained = j.legs.windows(2).all(|w| {
+                        w[0].to == w[1].from && w[1].dep >= w[0].arr + tt.transfer_time(w[0].to)
+                    });
+                    prop_assert!(chained, "journey to {} dep {} breaks its chain:\n{}", s, dep, j);
+                }
+                let front = multicriteria::pareto_query(&net, source, dep, s).options;
+                let best = front.iter().map(|o| o.arrival).min();
+                prop_assert_eq!(best, want_some, "Pareto front to {} dep {}", s, dep);
             }
         }
     }
