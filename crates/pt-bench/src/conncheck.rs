@@ -217,7 +217,8 @@ pub fn standard_departures() -> Vec<Time> {
 /// ground truth — not just against each other, so a bug shared by the
 /// profile reduction cannot survive the A/B. Covers sequential and
 /// parallel one-to-all with and without self-pruning, plus sequential and
-/// parallel station-to-station with and without the stopping criterion.
+/// parallel station-to-station with and without the stopping criterion,
+/// plain and with a distance table (the §4 table rules on both frontiers).
 pub fn kernel_check(
     name: &str,
     net: &Network,
@@ -284,29 +285,30 @@ pub fn kernel_check(
     }
 
     // Station-to-station: the SoA s2s kernel (with and without the
-    // stopping criterion) against the scalar s2s kernel.
+    // stopping criterion, without and with a distance table, so the §4
+    // table rules run on the ring too) against the scalar s2s kernel.
+    let table = DistanceTable::build(net, &TransferSelection::Fraction(0.1));
     let s2s_scalar = S2sEngine::new().kernel(KernelMode::Scalar);
-    let s2s_soa = S2sEngine::new().kernel(KernelMode::Soa);
-    let s2s_nostop = S2sEngine::new().kernel(KernelMode::Soa).stopping_criterion(false);
+    let soa = || S2sEngine::new().kernel(KernelMode::Soa);
+    let mut s2s_soa =
+        vec![(String::new(), soa()), (" (no stop)".into(), soa().stopping_criterion(false))];
+    s2s_soa.extend(threads.iter().map(|&p| (format!(" (p={p})"), soa().threads(p))));
     let ns = net.num_stations() as u32;
     for (i, &s) in sources.iter().enumerate() {
         let t = StationId((i as u32 * 7 + 1) % ns);
-        if s == t {
-            continue;
-        }
-        let want = s2s_scalar.query(net, s, t);
-        comparisons += 2;
-        if s2s_soa.query(net, s, t).profile != want.profile {
-            record(&mut mismatches, format!("{name}: SoA s2s {s} -> {t} != scalar s2s"));
-        }
-        if s2s_nostop.query(net, s, t).profile != want.profile {
-            record(&mut mismatches, format!("{name}: SoA s2s (no stop) {s} -> {t} != scalar"));
-        }
-        for &p in threads {
-            comparisons += 1;
-            let par = S2sEngine::new().kernel(KernelMode::Soa).threads(p);
-            if par.query(net, s, t).profile != want.profile {
-                record(&mut mismatches, format!("{name}: SoA s2s (p={p}) {s} -> {t} != scalar"));
+        for tabled in [None, Some(&table)] {
+            let query =
+                |e: &S2sEngine<'_>| e.try_query_on(net, tabled, s, t).expect("fresh").profile;
+            let want = query(&s2s_scalar);
+            let how = if tabled.is_some() { "tabled" } else { "plain" };
+            for (label, e) in &s2s_soa {
+                comparisons += 1;
+                if query(e) != want {
+                    record(
+                        &mut mismatches,
+                        format!("{name}: SoA {how} s2s{label} {s} -> {t} != scalar"),
+                    );
+                }
             }
         }
     }

@@ -17,16 +17,17 @@
 //!
 //! The station-to-station query (§4) adds rules to the same loop — the
 //! stopping criterion, distance-table pruning, target pruning; see
-//! [`s2s`](crate::s2s) — so the loop is written once (per frontier: here on
-//! a binary heap, in [`kernel`] on a bucket ring) and takes a `Goal`:
-//! one-to-all is the search with no target and every §4 rule off.
+//! [`s2s`](crate::s2s). Every rule is written once, in the settle step both
+//! frontiers share (here a binary heap, in [`kernel`] a bucket ring), and
+//! the search takes a `Goal`: one-to-all has no target and every §4 rule off.
 //!
 //! All per-query state lives in a reusable [`SearchWorkspace`]; a warm
 //! engine answers a query without any full-size allocation.
 
 use std::sync::Arc;
 
-use pt_core::{ConnId, NodeId, Period, Profile, ProfilePoint, StationId, Time, INFINITY};
+use pt_core::{ConnId, NodeId, StationId, Time, INFINITY};
+use pt_graph::TdGraph;
 
 use crate::cache::{self, CacheStats, ProfileCache, Resolved};
 use crate::distance_table::DistanceTable;
@@ -274,10 +275,10 @@ pub(crate) struct Goal<'t> {
 /// `ws.arr_t[i]` holds on return the best arrival at the target per local
 /// connection `i`; without one, `ws.station_arr[i * ns + s]` holds the
 /// arrival label of `i` at station `s` ([`INFINITY`] = unreachable or
-/// pruned). The one place the frontier is chosen: the bucket ring of
-/// [`kernel`] when [`KernelMode`] asks for it and the rule is `Plain` — the
-/// per-settle table probes of `Via` / `Target` are inherently branchy and
-/// have no ring path — the binary heap otherwise.
+/// pruned). The one place the frontier is chosen, by size alone: the bucket
+/// ring of [`kernel`] when [`KernelMode`] asks for it, the binary heap
+/// otherwise. Both serve every goal, since both settle through the one
+/// [`Settler`].
 pub(crate) fn run_range(
     net: &Network,
     lo: u32,
@@ -289,9 +290,7 @@ pub(crate) fn run_range(
     let g = net.graph();
     let (nv, ns) = (g.num_nodes(), g.num_stations());
     let k = (hi - lo) as usize;
-    let ring =
-        matches!(goal.rule, Rule::Plain) && kernel_mode.use_soa(k * nv, kernel::ring_size(net));
-    let stats = if ring {
+    let stats = if kernel_mode.use_soa(k * nv, kernel::ring_size(net)) {
         kernel::search_soa(net, lo, hi, goal, ws)
     } else {
         search_scalar(net, lo, hi, goal, ws)
@@ -300,12 +299,10 @@ pub(crate) fn run_range(
         // Extract labels at station nodes (station nodes are 0..ns).
         ws.fresh_station_arr(k * ns);
         for i in 0..k {
-            let src = i * nv;
-            let dst = i * ns;
             for s in 0..ns {
-                let a = ws.arr(src + s);
+                let a = ws.arr(i * nv + s);
                 if a < PRUNED {
-                    ws.station_arr[dst + s] = a;
+                    ws.station_arr[i * ns + s] = a;
                 }
             }
         }
@@ -313,8 +310,180 @@ pub(crate) fn run_range(
     stats
 }
 
+/// What settling one slot decided.
+pub(crate) enum Settled {
+    /// `arr ← PRUNED`: stopping criterion, finished connection, self-pruning.
+    Pruned,
+    /// Labelled, edges useless: the target itself, or a §4 table rule fired.
+    Finished,
+    /// Labelled; the edge heads inherit `child_anc` (target pruning's flag).
+    Relax { child_anc: bool },
+}
+
+/// The settle step both frontiers share: every decision taken when a slot
+/// `(v, i)` is settled at key `t` (§3.1 self-pruning, the §4 rules) and the
+/// state those rules carry. A frontier pops or sweeps slots, relaxes on
+/// [`Settled::Relax`], and reports queue changes through
+/// [`Settler::enqueue`] / [`Settler::unqueue`] to keep `noanc` exact.
+pub(crate) struct Settler<'a> {
+    g: &'a TdGraph,
+    goal: Goal<'a>,
+    nv: usize,
+    /// Node of the target station; `usize::MAX` (no node) without one.
+    target_v: usize,
+    /// The rule is `Target`: `anc`, `noanc`, `γ` and `done` are live.
+    pub(crate) target_mode: bool,
+    /// Stopping criterion state: highest local connection settled at `T`.
+    tm: i64,
+}
+
+impl<'a> Settler<'a> {
+    /// Starts a search for `goal` over `k` local connections: prepares the
+    /// workspace (labels, `maxconn`, outputs, the §4 scratch).
+    pub(crate) fn begin(
+        net: &'a Network,
+        k: usize,
+        goal: &Goal<'a>,
+        ws: &mut SearchWorkspace,
+    ) -> Settler<'a> {
+        let g = net.graph();
+        let nv = g.num_nodes();
+        let target_mode = matches!(goal.rule, Rule::Target { .. });
+        // O(1): the generation counter invalidates the previous query.
+        ws.begin(k * nv, nv, target_mode);
+        if goal.target.is_some() {
+            ws.fresh_arr_t(k);
+        }
+        match goal.rule {
+            Rule::Plain => {}
+            Rule::Via { via, .. } => ws.fresh_mu(k * via.len()),
+            Rule::Target { .. } => ws.fresh_target_scratch(k),
+        }
+        let target_v = goal.target.map_or(usize::MAX, |t| g.station_node(t).idx());
+        Settler { g, goal: *goal, nv, target_v, target_mode, tm: -1 }
+    }
+
+    /// Settles `slot = i·|V| + v` at key `t`, in the order the paper states
+    /// the rules. Self-pruning raises `maxconn(v)` to `i` and prunes iff
+    /// `i < maxconn(v)`: the heap never settles a slot twice, and the ring's
+    /// pre-sweep has already raised `maxconn(v)` over the slot's ties.
+    #[inline]
+    pub(crate) fn settle(
+        &mut self,
+        ws: &mut SearchWorkspace,
+        slot: usize,
+        t: Time,
+        stats: &mut QueryStats,
+    ) -> Settled {
+        let (i, v) = (slot / self.nv, slot % self.nv);
+        // Stopping criterion (Thm 2).
+        if self.goal.stopping && (i as i64) <= self.tm {
+            stats.stop_pruned += 1;
+            ws.set_arr(slot, PRUNED);
+            return Settled::Pruned;
+        }
+        // Connection already finished by target pruning.
+        if self.target_mode && ws.done[i] {
+            stats.table_pruned += 1;
+            ws.set_arr(slot, PRUNED);
+            return Settled::Pruned;
+        }
+        // Self-pruning (§3.1): a later connection already settled v, so
+        // this one cannot be part of any reduced profile through v.
+        if self.goal.self_pruning {
+            let mc = ws.maxconn(v);
+            if mc != u32::MAX && (i as u32) < mc {
+                stats.self_pruned += 1;
+                ws.set_arr(slot, PRUNED);
+                return Settled::Pruned;
+            }
+            ws.set_maxconn(v, i as u32);
+        }
+        ws.set_arr(slot, t);
+
+        // Settling the target station finishes connection i.
+        if v == self.target_v {
+            ws.arr_t[i] = ws.arr_t[i].min(t);
+            self.tm = self.tm.max(i as i64);
+            if self.target_mode {
+                ws.done[i] = true;
+            }
+            return Settled::Finished;
+        }
+
+        // The §4 rules run where a transfer station is settled.
+        let (Rule::Via { table, .. } | Rule::Target { table }) = self.goal.rule else {
+            return Settled::Relax { child_anc: false };
+        };
+        let g = self.g;
+        let station_v = g.station_of(NodeId::from_idx(v));
+        if !table.is_transfer(station_v) {
+            return Settled::Relax { child_anc: self.target_mode && ws.anc(slot) };
+        }
+        match (self.goal.rule, self.goal.target) {
+            (Rule::Via { via, .. }, _) => {
+                // Tighten µ bounds, then try to prune (Thm 3).
+                let board = t + g.transfer_time(station_v);
+                let mu = &mut ws.mu[i * via.len()..(i + 1) * via.len()];
+                let mut prunable = true;
+                for (&vj, m) in via.iter().zip(mu) {
+                    let reach = table.eval(station_v, vj, board);
+                    if !reach.is_infinite() {
+                        *m = (*m).min(reach + g.transfer_time(vj));
+                    }
+                    prunable = prunable && table.eval(station_v, vj, t) > *m;
+                }
+                if prunable {
+                    stats.table_pruned += 1;
+                    return Settled::Finished; // v is useless for every via station
+                }
+            }
+            (Rule::Target { .. }, Some(target)) => {
+                // Lower bound γ_i (no transfer at st(v)).
+                ws.gamma[i] = ws.gamma[i].min(table.eval(station_v, target, t));
+                // Upper bound through st(v) with a transfer (Thm 4), final
+                // once no queue entry of i but this slot itself lacks a
+                // transfer ancestor.
+                let cand = table.eval(station_v, target, t + g.transfer_time(station_v));
+                let others = ws.noanc[i] - u32::from(!ws.anc(slot));
+                if others == 0 && !cand.is_infinite() && cand == ws.gamma[i] {
+                    ws.arr_t[i] = ws.arr_t[i].min(cand);
+                    ws.done[i] = true;
+                    stats.table_pruned += 1;
+                    return Settled::Finished;
+                }
+            }
+            _ => {}
+        }
+        // The path now passes a transfer station.
+        Settled::Relax { child_anc: self.target_mode }
+    }
+
+    /// Records that `slot` now sits in the queue on a path with (`anc`) or
+    /// without a transfer-station ancestor; `queued` when it was already
+    /// queued (a decrease) rather than just inserted.
+    #[inline]
+    pub(crate) fn enqueue(&self, ws: &mut SearchWorkspace, slot: usize, anc: bool, queued: bool) {
+        if queued {
+            self.unqueue(ws, slot);
+        }
+        if self.target_mode {
+            ws.noanc[slot / self.nv] += u32::from(!anc);
+            ws.set_anc(slot, anc);
+        }
+    }
+
+    /// Records that `slot` has left the queue (settled, or re-queued).
+    #[inline]
+    pub(crate) fn unqueue(&self, ws: &mut SearchWorkspace, slot: usize) {
+        if self.target_mode && !ws.anc(slot) {
+            ws.noanc[slot / self.nv] -= 1;
+        }
+    }
+}
+
 /// The binary-heap search behind [`run_range`] — the arbiter of
-/// correctness for the bucket-ring kernel.
+/// correctness for the bucket-ring kernel: init, pop, settle, relax.
 fn search_scalar(
     net: &Network,
     lo: u32,
@@ -323,210 +492,49 @@ fn search_scalar(
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
     let g = net.graph();
-    let tt = net.timetable();
     let nv = g.num_nodes();
     let k = (hi - lo) as usize;
-    let target_node = goal.target.map(|t| g.station_node(t).idx());
     let mut stats = QueryStats::default();
-
-    // Via-pruning state: µ[i * |via| + j].
-    let n_via = match goal.rule {
-        Rule::Via { via, .. } => via.len(),
-        _ => 0,
-    };
-    // Target-pruning state.
-    let is_target_mode = matches!(goal.rule, Rule::Target { .. });
-
-    // Labels arr(v, i) for the local connections, maxconn(v), and the queue
-    // all live in the workspace; begin() invalidates the previous query in
-    // O(1) via the generation counter.
-    ws.begin(k * nv, nv, is_target_mode);
-    if goal.target.is_some() {
-        ws.fresh_arr_t(k);
-    }
-    ws.fresh_mu(k * n_via); // empty unless the rule is `Via`
-    if is_target_mode {
-        ws.fresh_target_scratch(k);
-    }
-    // Stopping criterion state: highest local connection settled at T.
-    let mut tm: i64 = -1;
+    let mut settler = Settler::begin(net, k, goal, ws);
 
     // Initialization: one queue item per outgoing connection, at the route
-    // node it departs from, keyed by its departure time. `i` also derives
-    // the heap slot and (in target mode) indexes `noanc`, so an iterator
-    // over one of them would obscure the pairing.
-    #[allow(clippy::needless_range_loop)]
+    // node it departs from, keyed by its departure time. Two connections of
+    // one thread may depart from the same route node; distinct `i` gives
+    // distinct slots, so no key collision is possible.
     for i in 0..k {
         let c = ConnId(lo + i as u32);
-        let r = g.conn_start_node(c);
-        let dep = tt.connection(c).dep;
-        // Two connections of one thread may depart from the same route node;
-        // distinct `i` gives distinct slots, so no key collision is possible.
-        let slot = i * nv + r.idx();
-        ws.heap.push_or_decrease(slot, dep.secs() as u64);
+        let slot = i * nv + g.conn_start_node(c).idx();
+        ws.heap.push_or_decrease(slot, net.timetable().connection(c).dep.secs() as u64);
         stats.pushes += 1;
-        if is_target_mode {
-            // The source is never a transfer station in target mode
-            // (otherwise the query would have been answered from the table).
-            ws.noanc[i] += 1;
-        }
     }
 
     while let Some((slot, key)) = ws.heap.pop() {
         stats.settled += 1;
-        let i = slot / nv;
-        let v = slot % nv;
         let t = Time(key as u32);
-
-        if is_target_mode && !ws.anc(slot) {
-            ws.noanc[i] -= 1;
-        }
-
-        // Stopping criterion (Thm 2).
-        if goal.stopping && (i as i64) <= tm {
-            stats.stop_pruned += 1;
-            ws.set_arr(slot, PRUNED);
-            continue;
-        }
-        // Connection already finished by target pruning.
-        if is_target_mode && ws.done[i] {
-            stats.table_pruned += 1;
-            ws.set_arr(slot, PRUNED);
-            continue;
-        }
-        // Self-pruning (§3.1).
-        if goal.self_pruning {
-            let mc = ws.maxconn(v);
-            if mc != u32::MAX && i as u32 <= mc {
-                // A later connection already settled v: this one cannot be
-                // part of any reduced profile through v.
-                stats.self_pruned += 1;
-                ws.set_arr(slot, PRUNED);
-                continue;
-            }
-            ws.set_maxconn(v, i as u32);
-        }
-        ws.set_arr(slot, t);
-
-        // Settling the target station finishes connection i.
-        if Some(v) == target_node {
-            ws.arr_t[i] = ws.arr_t[i].min(t);
-            tm = tm.max(i as i64);
-            if is_target_mode {
-                ws.done[i] = true;
-            }
-            continue;
-        }
-
-        // The §4 rule runs where a transfer station is settled.
-        let at_transfer = match goal.rule {
-            Rule::Plain => None,
-            Rule::Via { table, .. } | Rule::Target { table } => {
-                Some(g.station_of(NodeId::from_idx(v))).filter(|&s| table.is_transfer(s))
-            }
-        };
-        match (goal.rule, at_transfer, goal.target) {
-            (Rule::Via { table, via }, Some(station_v), _) => {
-                // Tighten µ bounds, then try to prune (Thm 3).
-                let board = t + g.transfer_time(station_v);
-                let mut prunable = true;
-                for (j, &vj) in via.iter().enumerate() {
-                    let reach = table.eval(station_v, vj, board);
-                    if !reach.is_infinite() {
-                        let cand = reach + g.transfer_time(vj);
-                        let m = &mut ws.mu[i * n_via + j];
-                        if cand < *m {
-                            *m = cand;
-                        }
-                    }
-                    if prunable {
-                        let lower = table.eval(station_v, vj, t);
-                        if lower <= ws.mu[i * n_via + j] {
-                            prunable = false;
-                        }
-                    }
-                }
-                if prunable {
-                    stats.table_pruned += 1;
-                    continue; // v is provably useless for every via station
-                }
-            }
-            (Rule::Target { table }, Some(station_v), Some(target)) => {
-                // Lower bound γ_i (no transfer at st(v)).
-                let lower = table.eval(station_v, target, t);
-                if lower < ws.gamma[i] {
-                    ws.gamma[i] = lower;
-                }
-                // Upper bound through st(v) with a transfer (Thm 4).
-                let cand = table.eval(station_v, target, t + g.transfer_time(station_v));
-                if ws.noanc[i] == 0 && !cand.is_infinite() && cand == ws.gamma[i] {
-                    ws.arr_t[i] = ws.arr_t[i].min(cand);
-                    ws.done[i] = true;
-                    stats.table_pruned += 1;
-                    continue;
-                }
-            }
-            _ => {}
-        }
-
-        // Relax outgoing edges.
-        let child_anc = is_target_mode && (ws.anc(slot) || at_transfer.is_some());
-        let base = i * nv;
+        let settled = settler.settle(ws, slot, t, &mut stats);
+        settler.unqueue(ws, slot);
+        let Settled::Relax { child_anc } = settled else { continue };
+        let v = slot % nv;
         for (w, ta) in g.arrivals(NodeId::from_idx(v), t, None) {
-            let wslot = base + w.idx();
+            let wslot = slot - v + w.idx();
             if ws.arr(wslot) != INFINITY {
-                continue; // already settled (or pruned) for connection i
+                continue; // already settled (or pruned) for this connection
             }
             stats.relaxed += 1;
-            let new_key = ta.secs() as u64;
-            if ws.heap.contains(wslot) {
-                if ws.heap.push_or_decrease(wslot, new_key) {
-                    stats.decreases += 1;
-                    if is_target_mode && ws.anc(wslot) != child_anc {
-                        // The better path replaces the flag.
-                        if child_anc {
-                            ws.noanc[i] -= 1;
-                        } else {
-                            ws.noanc[i] += 1;
-                        }
-                        ws.set_anc(wslot, child_anc);
-                    }
-                }
-            } else {
-                ws.heap.push_or_decrease(wslot, new_key);
-                stats.pushes += 1;
-                if is_target_mode {
-                    ws.set_anc(wslot, child_anc);
-                    if !child_anc {
-                        ws.noanc[i] += 1;
-                    }
-                }
+            let queued = ws.heap.contains(wslot);
+            if ws.heap.push_or_decrease(wslot, ta.secs() as u64) {
+                *if queued { &mut stats.decreases } else { &mut stats.pushes } += 1;
+                settler.enqueue(ws, wslot, child_anc, queued);
             }
         }
     }
     stats
 }
 
-/// Builds the reduced profile of one station out of per-connection labels.
-///
-/// `points` lists, in global connection order, `(departure, arrival)` pairs;
-/// infinite arrivals are skipped. This is the paper's connection reduction
-/// applied to the merged label `arr(v, ·)`.
-pub(crate) fn reduce_station_profile(
-    points: impl Iterator<Item = (Time, Time)>,
-    period: Period,
-) -> Profile {
-    let raw: Vec<ProfilePoint> = points
-        .filter(|(_, arr)| !arr.is_infinite())
-        .map(|(dep, arr)| ProfilePoint::new(dep, arr))
-        .collect();
-    Profile::from_unreduced(raw, period)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pt_core::Dur;
+    use pt_core::{Dur, Period};
     use pt_timetable::TimetableBuilder;
 
     /// Line A→B→C every 30 min 08:00–10:00 (10-min legs, no dwell) and a

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pt_core::{Period, Profile, StationId, Time, INFINITY};
 
@@ -435,10 +435,12 @@ impl DistanceTable {
 }
 
 /// The engine `build`/`refresh` distribute their one-to-all searches on
-/// (shared with the gateway's border-set builds).
-pub(crate) fn build_engine() -> ProfileEngine {
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    ProfileEngine::new().threads(workers)
+/// (shared with the gateway's border-set builds): one per process, so every
+/// refresh after the first runs on warm workspaces.
+pub(crate) fn build_engine() -> &'static ProfileEngine {
+    static ENGINE: OnceLock<ProfileEngine> = OnceLock::new();
+    let workers = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    ENGINE.get_or_init(|| ProfileEngine::new().threads(workers()))
 }
 
 #[cfg(test)]

@@ -5,28 +5,30 @@
 //! walks that node's edges one by one
 //! ([`TdGraph::arrivals`](pt_graph::TdGraph::arrivals)) — correct, but
 //! every step is a data-dependent branch chasing pointers through the
-//! heap. This module runs the same search — one loop, `search_soa`, for
-//! one-to-all and station-to-station alike (one-to-all is the target-less
-//! case; see `Goal`) — on a **time-bucketed frontier** (a Dial-style ring
-//! of width-1-second buckets over the key space) and restructures each
-//! bucket's work into three wide sweeps over contiguous `u32` lanes:
+//! heap. This module runs the same search for every goal — one-to-all and
+//! station-to-station, with or without the §4 table rules — on a
+//! **time-bucketed frontier** (a Dial-style ring of width-1-second buckets
+//! over the key space) and restructures each bucket's work into sweeps:
 //!
-//! 1. **Settle sweep** — every live slot in the current bucket is settled
-//!    at once; self-pruning becomes a masked select on the dense
-//!    `arr`/`maxconn` arrays (`arr ← prune ? PRUNED : key`) instead of a
-//!    taken/not-taken branch per pop.
+//! 1. **Settle sweep** — a pre-sweep raises `maxconn(v)` to the bucket's
+//!    highest live connection at `v`, then every live slot goes through the
+//!    settle step the heap uses too (`connection_setting::Settler`), so the
+//!    stopping criterion, self-pruning and the §4 rules are written once.
 //! 2. **Relax sweep** — outgoing edges are read straight from the graph's
 //!    kind-grouped lanes ([`EdgeKindCsr`](pt_graph::EdgeKindCsr)): all
 //!    constant edges of the frontier share the settle key, so their lane is
 //!    a pure gather + saturating add ([`Time::lane_add`]) the compiler can
 //!    vectorize; the time-dependent lane follows with one PLF evaluation
-//!    per edge.
-//!    Candidates accumulate as `(slot, key)` pairs in chunked lanes.
+//!    per edge. Candidates accumulate as `(slot, key)` pairs in chunked
+//!    lanes, plus target pruning's `anc` flag in target mode.
 //! 3. **Commit sweep** — one comparison per candidate (`key < tent[slot]`)
 //!    folds together "candidate unreachable" (`key = u32::MAX` from the
 //!    saturating add), "slot already settled or pruned" (a settled slot's
 //!    tentative key is ≤ the current bucket, hence ≤ every candidate) and
-//!    "no improvement", with no other branches in the loop.
+//!    "no improvement"; an improvement updates `noanc` as a heap push or
+//!    decrease would. The phase's own slots leave `noanc` only after it, so
+//!    each settle saw its ties as queued: the heap order in which it pops
+//!    first among them.
 //!
 //! Correctness relies on the keys being monotone: every candidate key is
 //! `≥` the current bucket key, so buckets are settled in Dijkstra order and
@@ -34,21 +36,21 @@
 //! span plus the one-period spread of the initial departures). Within one
 //! bucket the settle order differs from the heap's tie order; the per-slot
 //! labels may differ on ties, but the *reduced profiles* are identical —
-//! `conn(S)` is departure-ordered, so among equal-key ties the reduction
-//! keeps the latest departure either way. The scalar path remains the
-//! arbiter of correctness: `tests/kernel_identity.rs` and the conncheck
-//! `--kernel` ablation assert equality on random and patched timetables.
-//! Which frontier a search takes is decided in one place,
+//! among equal-key ties the reduction keeps the latest departure either way.
+//! The scalar path remains the arbiter of correctness:
+//! `tests/kernel_identity.rs` and the conncheck `--kernel` ablation assert
+//! equality on random, patched and tabled timetables. Which frontier a
+//! search takes is decided in one place, by size alone:
 //! `connection_setting::run_range`.
 
 use std::str::FromStr;
 
 use pt_core::{Time, INFINITY};
 
-use crate::connection_setting::{Goal, Rule, PRUNED};
+use crate::connection_setting::{Goal, Settled, Settler};
 use crate::network::Network;
 use crate::stats::QueryStats;
-use crate::workspace::SearchWorkspace;
+use crate::workspace::{RingScratch, SearchWorkspace};
 
 /// Which label kernel an engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,12 +76,6 @@ impl KernelMode {
             KernelMode::Soa => true,
             KernelMode::Auto => slots >= ring,
         }
-    }
-
-    /// `true` unless the scalar path is forced — the SoA master-merge has
-    /// no ring overhead, so `Auto` always takes it.
-    pub(crate) fn soa_merge(self) -> bool {
-        self != KernelMode::Scalar
     }
 }
 
@@ -118,11 +114,11 @@ pub(crate) fn ring_size(net: &Network) -> usize {
     (span.max(g.period().len() as usize - 1) + 1).next_power_of_two()
 }
 
-/// The bucket-ring path of [`run_range`](crate::connection_setting::run_range):
-/// the connection-setting search for `goal` (rule `Plain` — see there) over
-/// the global connection-id range `lo..hi`, leaving its labels in the
-/// workspace exactly where the heap path does. Label-for-label identical
-/// to it up to tie order (see the module docs).
+/// The bucket-ring path of [`run_range`](crate::connection_setting::run_range)
+/// for any `goal` over the connection ids `lo..hi`, leaving its labels where
+/// the heap path does (identical up to tie order, see the module docs).
+/// Every settle decision is the shared [`Settler`]'s; the ring keeps only
+/// its own: the `maxconn` pre-sweep, the lanes and the bucket bookkeeping.
 pub(crate) fn search_soa(
     net: &Network,
     lo: u32,
@@ -130,26 +126,15 @@ pub(crate) fn search_soa(
     goal: &Goal<'_>,
     ws: &mut SearchWorkspace,
 ) -> QueryStats {
-    debug_assert!(matches!(goal.rule, Rule::Plain), "table rules have no ring path");
-    let g = net.graph();
-    let nv = g.num_nodes();
+    let nv = net.graph().num_nodes();
     let k = (hi - lo) as usize;
-    // No slot has node `usize::MAX`: without a target the check never fires.
-    let target_v = goal.target.map_or(usize::MAX, |t| g.station_node(t).idx());
     let mut stats = QueryStats::default();
-
-    ws.begin(k * nv, nv, false);
-    if goal.target.is_some() {
-        ws.fresh_arr_t(k);
-    }
+    let mut settler = Settler::begin(net, k, goal, ws);
     if k == 0 {
         return stats;
     }
     let ring = ring_size(net);
     ws.ensure_kernel(ring);
-
-    // Highest local connection settled at the target (stopping criterion).
-    let mut tm: i64 = -1;
 
     let mut state = RingState::init(net, lo, k, ws, ring, &mut stats);
     while state.pending > 0 {
@@ -165,8 +150,10 @@ pub(crate) fn search_soa(
             // settle a low connection before the high one that would have
             // pruned it; the bucket sweep sees all ties at once and always
             // picks the best order.) A boosted bound stays sound even if
-            // its own entry is stop-pruned below — any `j < i ≤ tm` it
-            // prunes was covered by the stopping criterion anyway.
+            // its own entry is stop-pruned or finished below: any `j < i ≤
+            // tm` it prunes was covered by the stopping criterion anyway,
+            // and a finished `i` already holds an arrival no later than
+            // any `j < i` can reach through this slot.
             let mut bvec = std::mem::take(&mut ws.buckets[b]);
             if goal.self_pruning {
                 for &s32 in &bvec {
@@ -180,8 +167,8 @@ pub(crate) fn search_soa(
                     }
                 }
             }
-            // Phase 1b — settle sweep with the masked pruning selects.
-            state.frontier.clear();
+            // Phase 1b — settle sweep, through the shared settle step.
+            state.scratch.frontier.clear();
             for &s32 in &bvec {
                 let slot = s32 as usize;
                 if ws.arr(slot) != INFINITY {
@@ -189,43 +176,24 @@ pub(crate) fn search_soa(
                 }
                 debug_assert_eq!(ws.tent(slot), state.cur);
                 stats.settled += 1;
-                let i = (slot / nv) as u32;
-                let v = slot % nv;
-                // Stopping criterion (Thm 2), as a masked select like
-                // self-pruning below. Ties inside one bucket settle in
-                // bucket order rather than heap order; the reduced profile
-                // is invariant under that reordering (module docs).
-                if goal.stopping & ((i as i64) <= tm) {
-                    stats.stop_pruned += 1;
-                    stats.masked_prunes += 1;
-                    ws.set_arr(slot, PRUNED);
-                    continue;
+                if settler.target_mode {
+                    state.scratch.unqueued.push(s32);
                 }
-                // After the pre-sweep `maxconn(v) ≥ i`; only the maximum
-                // survives.
-                if goal.self_pruning && i < ws.maxconn(v) {
-                    stats.self_pruned += 1;
-                    stats.masked_prunes += 1;
-                    ws.set_arr(slot, PRUNED);
-                    continue;
+                let settled = settler.settle(ws, slot, Time(state.cur), &mut stats);
+                if let Settled::Relax { child_anc } = settled {
+                    state.scratch.frontier.push((s32, child_anc));
                 }
-                ws.set_arr(slot, Time(state.cur));
-                // Settling the target finishes connection i: record the
-                // arrival and do not relax its edges.
-                if v == target_v {
-                    let iu = i as usize;
-                    ws.arr_t[iu] = ws.arr_t[iu].min(Time(state.cur));
-                    tm = tm.max(i as i64);
-                    continue;
-                }
-                state.frontier.push(s32);
             }
             state.pending -= bvec.len();
             bvec.clear();
             ws.buckets[b] = bvec;
 
             // Phases 2 + 3 — relax by edge kind, then commit.
-            state.relax_and_commit(net, nv, ws, &mut stats);
+            state.relax_and_commit(net, nv, ws, &settler, &mut stats);
+            // The phase's slots leave the queue only now (module docs).
+            for s32 in state.scratch.unqueued.drain(..) {
+                settler.unqueue(ws, s32 as usize);
+            }
         }
         if !state.advance(ws, b) {
             break;
@@ -241,9 +209,9 @@ struct RingState {
     mask: u32,
     ring: usize,
     pending: usize,
-    frontier: Vec<u32>,
-    lane_slots: Vec<u32>,
-    lane_keys: Vec<u32>,
+    /// The workspace's scratch, and its capacity when taken.
+    scratch: RingScratch,
+    capacity: usize,
 }
 
 impl RingState {
@@ -275,64 +243,69 @@ impl RingState {
             stats.pushes += 1;
             cur = cur.min(dep);
         }
-        RingState {
-            cur,
-            mask,
-            ring,
-            pending: k,
-            frontier: std::mem::take(&mut ws.frontier),
-            lane_slots: std::mem::take(&mut ws.lane_slots),
-            lane_keys: std::mem::take(&mut ws.lane_keys),
-        }
+        let scratch = std::mem::take(&mut ws.ring);
+        RingState { cur, mask, ring, pending: k, capacity: scratch.capacity(), scratch }
     }
 
     /// Relax sweep grouped by edge kind + commit sweep, for the slots in
-    /// `self.frontier` (all settled at key `self.cur`).
+    /// the scratch frontier (all settled at key `self.cur`).
     fn relax_and_commit(
         &mut self,
         net: &Network,
         nv: usize,
         ws: &mut SearchWorkspace,
+        settler: &Settler<'_>,
         stats: &mut QueryStats,
     ) {
         let g = net.graph();
         let kinds = g.kind_csr();
         let period = g.period();
         let cur = self.cur;
+        let target_mode = settler.target_mode;
+        let sc = &mut self.scratch;
 
-        self.lane_slots.clear();
-        self.lane_keys.clear();
+        sc.slots.clear();
+        sc.keys.clear();
+        sc.anc.clear();
         // Constant lane: every candidate shares the settle key, so this is
         // a gather + saturating add with no data-dependent branches.
-        for &s32 in &self.frontier {
+        for &(s32, anc) in &sc.frontier {
             let slot = s32 as usize;
             let v = slot % nv;
             let base = (slot - v) as u32;
             let (heads, secs) = kinds.const_edges(v);
             for j in 0..heads.len() {
-                self.lane_slots.push(base + heads[j]);
-                self.lane_keys.push(Time::lane_add(cur, secs[j]));
+                sc.slots.push(base + heads[j]);
+                sc.keys.push(Time::lane_add(cur, secs[j]));
+            }
+            if target_mode {
+                sc.anc.extend(std::iter::repeat_n(anc, heads.len()));
             }
         }
         // Time-dependent lane: one PLF evaluation per edge; an unserved
         // edge yields `u32::MAX`, which the commit comparison absorbs.
-        for &s32 in &self.frontier {
+        for &(s32, anc) in &sc.frontier {
             let slot = s32 as usize;
             let v = slot % nv;
             let base = (slot - v) as u32;
             let (heads, plf_idx) = kinds.td_edges(v);
             for j in 0..heads.len() {
-                self.lane_slots.push(base + heads[j]);
-                self.lane_keys.push(g.plf(plf_idx[j]).eval_arr_secs(cur, period));
+                sc.slots.push(base + heads[j]);
+                sc.keys.push(g.plf(plf_idx[j]).eval_arr_secs(cur, period));
+            }
+            if target_mode {
+                sc.anc.extend(std::iter::repeat_n(anc, heads.len()));
             }
         }
-        stats.lane_chunks += (self.lane_slots.len() as u64).div_ceil(64);
+        stats.lane_chunks += (sc.slots.len() as u64).div_ceil(64);
 
         // Commit: one comparison folds unreachable, settled/pruned and
-        // non-improving candidates (tent of a settled slot is ≤ cur ≤ key).
-        for idx in 0..self.lane_slots.len() {
-            let key = self.lane_keys[idx];
-            let wslot = self.lane_slots[idx] as usize;
+        // non-improving candidates (tent of a settled slot is ≤ cur ≤ key);
+        // in target mode the `anc` lane updates `noanc` as a heap push or
+        // decrease would.
+        for idx in 0..sc.slots.len() {
+            let key = sc.keys[idx];
+            let wslot = sc.slots[idx] as usize;
             let t0 = ws.tent(wslot);
             if key < t0 {
                 ws.set_tent(wslot, key);
@@ -341,10 +314,10 @@ impl RingState {
                 ws.occ[bb >> 6] |= 1 << (bb & 63);
                 self.pending += 1;
                 stats.relaxed += 1;
-                if t0 == u32::MAX {
-                    stats.pushes += 1;
-                } else {
-                    stats.decreases += 1;
+                let queued = t0 != u32::MAX;
+                *if queued { &mut stats.decreases } else { &mut stats.pushes } += 1;
+                if target_mode {
+                    settler.enqueue(ws, wslot, sc.anc[idx], queued);
                 }
             }
         }
@@ -361,13 +334,12 @@ impl RingState {
         true
     }
 
-    /// Returns the taken scratch vectors to the workspace.
+    /// Returns the taken scratch to the workspace, counting its growth.
     fn finish(self, ws: &mut SearchWorkspace) {
         debug_assert_eq!(self.pending, 0);
         debug_assert!(ws.occ.iter().all(|&w| w == 0), "ring not drained");
-        ws.frontier = self.frontier;
-        ws.lane_slots = self.lane_slots;
-        ws.lane_keys = self.lane_keys;
+        ws.grow_events += u64::from(self.scratch.capacity() > self.capacity);
+        ws.ring = self.scratch;
     }
 }
 
@@ -416,8 +388,6 @@ mod tests {
         assert!(KernelMode::Auto.use_soa(2048, 1024));
         assert!(KernelMode::Soa.use_soa(1, 1 << 20));
         assert!(!KernelMode::Scalar.use_soa(1 << 30, 64));
-        assert!(KernelMode::Auto.soa_merge());
-        assert!(!KernelMode::Scalar.soa_merge());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! * [`label_correcting`] — the label-correcting profile search the paper
 //!   compares against in Table 1 (propagates whole functions),
 //! * [`connection_setting`] — **SPCS**, the self-pruning connection-setting
-//!   profile search (§3.1), written once and parameterised by its goal:
-//!   one-to-all is the station-to-station search (§4) without a target; the
-//!   one place the frontier (binary heap or bucket ring) is chosen,
+//!   profile search (§3.1), parameterised by its goal (one-to-all is the
+//!   station-to-station search of §4 without a target): one settle step
+//!   holds every pruning rule for both frontiers, and one place picks the
+//!   frontier (binary heap or bucket ring) by size alone,
 //! * [`partition`] — the `conn(S)` partition strategies for parallel
 //!   execution (§3.2): equal time-slots, equal number of connections,
 //!   1-D k-means,
@@ -15,10 +16,10 @@
 //!   connection subset, merge + connection reduction at the master (§3.2);
 //!   also the one batch dispatch (across queries when a batch fills the
 //!   workers, within a query otherwise) both engines use,
-//! * [`kernel`] — the same search on a branch-light structure-of-arrays
-//!   frontier: a time-bucket ring replaces the binary heap, relaxations
-//!   sweep edges grouped by kind into contiguous `u32` lanes, and a single
-//!   masked comparison commits improvements
+//! * [`kernel`] — the same search, for every goal, on a branch-light
+//!   structure-of-arrays frontier: a time-bucket ring replaces the binary
+//!   heap, relaxations sweep edges grouped by kind into contiguous `u32`
+//!   lanes, and a single comparison commits improvements
 //!   ([`KernelMode::{Scalar, Soa, Auto}`](KernelMode) on both engines;
 //!   the scalar path stays the arbiter of correctness),
 //! * [`s2s`] — the station-to-station engine (§4): resolves a query to its

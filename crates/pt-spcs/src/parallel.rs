@@ -157,24 +157,7 @@ pub(crate) fn one_to_all(
     // connection order, then reduce. The merged label need not be FIFO
     // (threads do not prune each other), the reduction restores it.
     let merge_start = Instant::now();
-    let used = &workspaces[..ranges.len()];
-    let profiles = if kernel.soa_merge() {
-        master_merge(used, &ranges, conns, ns, period, p)
-    } else {
-        let mut profiles = Vec::with_capacity(ns);
-        for s in 0..ns {
-            let points = used.iter().zip(&ranges).flat_map(|(ws, r)| {
-                let k = r.len();
-                (0..k).map(move |i| {
-                    let dep = conns[r.start as usize + i].dep;
-                    let arr = ws.station_arr[i * ns + s];
-                    (dep, arr)
-                })
-            });
-            profiles.push(connection_setting::reduce_station_profile(points, period));
-        }
-        profiles
-    };
+    let profiles = master_merge(&workspaces[..ranges.len()], &ranges, conns, ns, period, p);
     stats.merge_ns = merge_start.elapsed().as_nanos() as u64;
     OneToAllResult {
         profiles: Arc::new(ProfileSet::new(source, period, profiles)),
@@ -183,7 +166,7 @@ pub(crate) fn one_to_all(
     }
 }
 
-/// The SoA master merge: reduces the per-class station labels into profiles
+/// The master merge: reduces the per-class station labels into profiles
 /// through one reusable scratch buffer per merge job
 /// ([`Profile::from_unreduced_in`] — one allocation per job instead of one
 /// per station), and splits the stations into contiguous chunks on the

@@ -36,10 +36,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pt_core::{Profile, StationId};
+use pt_core::{Profile, ProfilePoint, StationId};
 
 use crate::cache::{self, CacheStats, LruCore, Resolved};
-use crate::connection_setting::{reduce_station_profile, run_range, Goal, Rule};
+use crate::connection_setting::{run_range, Goal, Rule};
 use crate::distance_table::{DistanceTable, StaleTable};
 use crate::kernel::KernelMode;
 use crate::network::Network;
@@ -199,9 +199,8 @@ impl<'a> S2sEngine<'a> {
         self
     }
 
-    /// Selects the label kernel (see [`KernelMode`]). Only plain/local
-    /// searches — no distance-table pruning inside the search — have an
-    /// SoA path; via/target-pruned searches always run scalar.
+    /// Selects the label kernel (see [`KernelMode`]); both frontiers serve
+    /// every query kind, the table-pruned ones included.
     pub fn kernel(mut self, mode: KernelMode) -> Self {
         self.kernel = mode;
         self
@@ -419,10 +418,11 @@ fn query_with(
     let mut stats = QueryStats::sum(per_stats);
     let merge_start = Instant::now();
     let used = &workspaces[..ranges.len()];
-    let points = used.iter().zip(&ranges).flat_map(|(ws, r)| {
-        ws.arr_t.iter().enumerate().map(move |(i, &arr)| (conns[r.start as usize + i].dep, arr))
+    let raw = used.iter().zip(&ranges).flat_map(|(ws, r)| {
+        let deps = conns[r.start as usize..].iter().map(|c| c.dep);
+        deps.zip(&ws.arr_t).filter(|(_, a)| !a.is_infinite()).map(|(d, &a)| ProfilePoint::new(d, a))
     });
-    let profile = reduce_station_profile(points, period);
+    let profile = Profile::from_unreduced(raw.collect(), period);
     stats.merge_ns = merge_start.elapsed().as_nanos() as u64;
     S2sResult { profile, stats, kind }
 }
@@ -539,18 +539,20 @@ mod tests {
     fn warm_s2s_engine_reuses_workspaces() {
         let net = city();
         let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
-        let engine = S2sEngine::new().with_table(&table);
         // Warm up with one query of every search kind (they size different
-        // scratch arrays), then repeat: no further growth allowed.
-        let warmup: &[(u32, u32)] = &[(0, 48), (1, 37), (9, 22), (30, 4), (11, 44), (17, 8)];
-        for &(s, t) in warmup {
-            engine.query(&net, StationId(s), StationId(t));
+        // scratch arrays), then repeat: no further growth allowed — on the
+        // ring too, whose target-pruned queries add the `anc` lane and the
+        // deferred `noanc` decrements.
+        let warmup: &[(u32, u32)] = &[(0, 48), (1, 37), (9, 22), (30, 4), (11, 44), (17, 38)];
+        for mode in [KernelMode::Auto, KernelMode::Soa] {
+            let engine = S2sEngine::new().with_table(&table).kernel(mode);
+            let query = |&(s, t): &(u32, u32)| engine.query(&net, StationId(s), StationId(t));
+            let kinds: Vec<QueryKind> = warmup.iter().map(|p| query(p).kind).collect();
+            assert!(kinds.contains(&QueryKind::TargetTransfer), "{kinds:?}");
+            let warm = engine.workspace_grow_events();
+            warmup.iter().for_each(|p| drop(query(p)));
+            assert_eq!(engine.workspace_grow_events(), warm, "{mode}: hot path must not allocate");
         }
-        let warm = engine.workspace_grow_events();
-        for &(s, t) in warmup {
-            engine.query(&net, StationId(s), StationId(t));
-        }
-        assert_eq!(engine.workspace_grow_events(), warm, "hot path must not allocate");
     }
 
     #[test]

@@ -39,9 +39,6 @@ pub struct QueryStats {
     pub bucket_phases: u64,
     /// 64-wide candidate chunks pushed through the SoA commit loop.
     pub lane_chunks: u64,
-    /// Labels discarded by the kernel's masked select (the branch-light
-    /// form of self-pruning; also counted in `self_pruned`/`stop_pruned`).
-    pub masked_prunes: u64,
 }
 
 impl AddAssign for QueryStats {
@@ -59,7 +56,6 @@ impl AddAssign for QueryStats {
         self.cache_evictions += rhs.cache_evictions;
         self.bucket_phases += rhs.bucket_phases;
         self.lane_chunks += rhs.lane_chunks;
-        self.masked_prunes += rhs.masked_prunes;
     }
 }
 

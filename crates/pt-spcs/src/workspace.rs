@@ -73,13 +73,10 @@ pub struct SearchWorkspace {
     /// SoA kernel: bucket-ring occupancy bitmap (one bit per bucket).
     /// Invariant between queries: all zero.
     pub(crate) occ: Vec<u64>,
-    /// SoA kernel: slots settled by the current bucket phase.
-    pub(crate) frontier: Vec<u32>,
-    /// SoA kernel: candidate lanes `(slot, key)` from the relax sweep.
-    pub(crate) lane_slots: Vec<u32>,
-    pub(crate) lane_keys: Vec<u32>,
+    /// SoA kernel: the per-phase sweep scratch, lent out for a search.
+    pub(crate) ring: RingScratch,
     /// Number of backing-array growth events since construction.
-    grow_events: u64,
+    pub(crate) grow_events: u64,
 }
 
 impl Default for SearchWorkspace {
@@ -108,9 +105,7 @@ impl SearchWorkspace {
             tent: Vec::new(),
             buckets: Vec::new(),
             occ: Vec::new(),
-            frontier: Vec::new(),
-            lane_slots: Vec::new(),
-            lane_keys: Vec::new(),
+            ring: RingScratch::default(),
             grow_events: 0,
         }
     }
@@ -237,11 +232,13 @@ impl SearchWorkspace {
         fresh_vec(&mut self.mu, n, INFINITY, &mut self.grow_events);
     }
 
-    /// Prepares the target-pruning scratch (`k` slots each).
+    /// Prepares the target-pruning scratch (`k` slots each). Each connection
+    /// starts with one queue entry without a transfer ancestor: in target
+    /// mode the source is no transfer station (the table answers those).
     pub(crate) fn fresh_target_scratch(&mut self, k: usize) {
         fresh_vec(&mut self.gamma, k, INFINITY, &mut self.grow_events);
         fresh_vec(&mut self.done, k, false, &mut self.grow_events);
-        fresh_vec(&mut self.noanc, k, 0, &mut self.grow_events);
+        fresh_vec(&mut self.noanc, k, 1, &mut self.grow_events);
     }
 
     /// Sizes the SoA kernel scratch: `tent` to the slot space of the last
@@ -280,6 +277,34 @@ impl SearchWorkspace {
     pub(crate) fn set_tent(&mut self, slot: usize, key: u32) {
         self.stamp_slot(slot);
         self.tent[slot] = key;
+    }
+}
+
+/// The SoA kernel's per-bucket-phase scratch; a search takes it out of the
+/// workspace and puts it back warm.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RingScratch {
+    /// Slots settled by the phase that relax, each with the `anc` flag its
+    /// edge heads inherit.
+    pub(crate) frontier: Vec<(u32, bool)>,
+    /// Candidate lanes `(slot, key, anc)` from the relax sweep; the `anc`
+    /// lane is filled in target mode only.
+    pub(crate) slots: Vec<u32>,
+    pub(crate) keys: Vec<u32>,
+    pub(crate) anc: Vec<bool>,
+    /// Target mode: slots settled by the phase, whose `noanc` decrements
+    /// wait for the phase's commit sweep.
+    pub(crate) unqueued: Vec<u32>,
+}
+
+impl RingScratch {
+    /// Total capacity; any growth of it counts as one grow event.
+    pub(crate) fn capacity(&self) -> usize {
+        self.frontier.capacity()
+            + self.slots.capacity()
+            + self.keys.capacity()
+            + self.anc.capacity()
+            + self.unqueued.capacity()
     }
 }
 

@@ -14,8 +14,9 @@ use proptest::prelude::*;
 
 use best_connections::prelude::*;
 
-/// A random trip: station path (indices into `0..n`), start minute, leg
-/// durations in minutes, dwell minutes.
+/// A random trip: station path (indices into `0..n`, taken modulo the
+/// network's station count by [`build`]), start minute, leg durations in
+/// minutes, dwell minutes.
 #[derive(Debug, Clone)]
 pub struct TripSpec {
     pub path: Vec<u8>,
@@ -42,10 +43,10 @@ pub fn trip_strategy(n: u8) -> impl Strategy<Value = TripSpec> {
         })
 }
 
-/// Builds a timetable with one station per `transfer_min` entry.
-/// Consecutive duplicate stations in a path are skipped (the builder
-/// rejects self-loops); `None` when a trip names a station that does not
-/// exist or no trip is left.
+/// Builds a timetable with one station per `transfer_min` entry, so every
+/// draw names stations that exist. Consecutive duplicate stations in a path
+/// are skipped (the builder rejects self-loops), as is a trip the builder
+/// rejects; `None` when no trip is left.
 pub fn build(transfer_min: &[u8], trips: &[TripSpec]) -> Option<Timetable> {
     let mut b = TimetableBuilder::new(Period::DAY);
     for (i, &tm) in transfer_min.iter().enumerate() {
@@ -55,7 +56,7 @@ pub fn build(transfer_min: &[u8], trips: &[TripSpec]) -> Option<Timetable> {
     for t in trips {
         let mut path: Vec<StationId> = Vec::new();
         for &p in &t.path {
-            let s = StationId(p as u32);
+            let s = StationId(u32::from(p) % transfer_min.len() as u32);
             if path.last() != Some(&s) {
                 path.push(s);
             }
@@ -65,9 +66,9 @@ pub fn build(transfer_min: &[u8], trips: &[TripSpec]) -> Option<Timetable> {
         }
         let legs: Vec<Dur> =
             t.leg_min.iter().take(path.len() - 1).map(|&m| Dur::minutes(m as u32)).collect();
-        b.add_simple_trip(&path, Time(t.start_min * 60), &legs, Dur::minutes(t.dwell_min as u32))
-            .ok()?;
-        added += 1;
+        let dwell = Dur::minutes(t.dwell_min as u32);
+        added +=
+            usize::from(b.add_simple_trip(&path, Time(t.start_min * 60), &legs, dwell).is_ok());
     }
     if added == 0 {
         return None;

@@ -1,9 +1,9 @@
 //! Kernel identity: the bucketed SoA kernel and the scalar binary-heap
 //! reference must produce exactly equal reduced profiles — one-to-all and
-//! station-to-station, sequential and parallel, before and after live
-//! delay updates. The scalar path is the arbiter of correctness; these
-//! tests force both kernels explicitly (`Auto` would route the tiny
-//! random networks to the scalar path and test nothing).
+//! station-to-station with and without the §4 table rules, sequential and
+//! parallel, before and after live feeds. The scalar path is the arbiter of
+//! correctness; these tests force both kernels explicitly (`Auto` would
+//! route the tiny random networks to the scalar path and test nothing).
 
 mod common;
 
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use best_connections::prelude::*;
 use best_connections::spcs::QueryKind;
-use common::{build, trip_strategy};
+use common::{build, event_strategy, to_events, trip_strategy};
 
 fn one_to_all_engines() -> (ProfileEngine, ProfileEngine) {
     (ProfileEngine::new().kernel(KernelMode::Scalar), ProfileEngine::new().kernel(KernelMode::Soa))
@@ -38,29 +38,35 @@ proptest! {
     }
 
     #[test]
-    fn s2s_soa_equals_scalar_incl_after_delay(
+    fn s2s_soa_equals_scalar_plain_and_tabled_incl_after_feed(
         transfer_min in prop::collection::vec(0u8..=8, 3..=6),
         trips in prop::collection::vec(trip_strategy(6), 2..=10),
-        delay_min in 1u32..=90,
+        frac in 0.2f64..0.8,
+        events in prop::collection::vec(event_strategy(), 1..=4),
     ) {
         let Some(tt) = build(&transfer_min, &trips) else { return Ok(()) };
+        let num_trains = tt.num_trains() as u32;
         let mut net = Network::new(tt);
-        let scalar = S2sEngine::new().kernel(KernelMode::Scalar);
-        let soa = S2sEngine::new().kernel(KernelMode::Soa);
-        // Before and after a live delay patch: the kernel's edge-span bound
-        // must stay valid under repatched travel-time functions.
+        let mut table = DistanceTable::build(&net, &TransferSelection::Fraction(frac));
+        // Before and after a feed: the kernel's edge-span bound must stay
+        // valid under repatched travel-time functions, and the refreshed
+        // table must prune alike on both frontiers (every query kind occurs:
+        // plain, local, global via-pruned, target-pruned).
         for round in 0..2 {
-            for s in net.station_ids() {
-                for t in net.station_ids() {
-                    let want = scalar.query(&net, s, t);
-                    let got = soa.query(&net, s, t);
+            for (p, tabled) in [(1, None), (1, Some(&table)), (3, Some(&table))] {
+                let [scalar, soa] =
+                    [KernelMode::Scalar, KernelMode::Soa].map(|k| S2sEngine::new().kernel(k).threads(p));
+                for (s, t) in net.station_ids().flat_map(|s| net.station_ids().map(move |t| (s, t))) {
+                    let want = scalar.try_query_on(&net, tabled, s, t).unwrap();
+                    let got = soa.try_query_on(&net, tabled, s, t).unwrap();
                     prop_assert_eq!(
                         &got.profile, &want.profile,
-                        "{} → {} round {}", s, t, round
+                        "{} → {} ({:?}, p={}) round {}", s, t, want.kind, p, round
                     );
                 }
             }
-            net.apply_delay(TrainId(0), 0, Dur::minutes(delay_min), Recovery::None);
+            net.apply_feed(&to_events(&events, num_trains));
+            table.refresh(&net).unwrap();
         }
     }
 }
@@ -104,16 +110,18 @@ fn kernel_identity_on_generated_city() {
         assert_eq!(s2s_soa.query(&net, s, t).profile, want.profile, "{s} → {t}");
         assert_eq!(nostop.query(&net, s, t).profile, want.profile, "{s} → {t} no-stop");
     }
-    // Only rule `Plain` has a ring path: a forced-SoA engine sweeps buckets
-    // on a plain query and none on a table-pruned `Global` one.
+    // Every rule has a ring path: a forced-SoA engine sweeps buckets on a
+    // table-pruned `Global` and a `TargetTransfer` query alike.
     let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.2));
     let tabled = S2sEngine::new().kernel(KernelMode::Soa).with_table(&table);
-    let (s, t, pruned) = sources
-        .iter()
-        .flat_map(|&s| sources.iter().map(move |&t| (s, t)))
-        .map(|(s, t)| (s, t, tabled.query(&net, s, t)))
-        .find(|(_, _, r)| r.kind == QueryKind::Global && r.stats.settled > 0)
-        .expect("some sampled pair is a global query that searches");
-    assert_eq!(pruned.stats.bucket_phases, 0, "{s} → {t}: table rules run on the heap");
-    assert!(s2s_soa.query(&net, s, t).stats.bucket_phases > 0, "{s} → {t}: plain SoA");
+    for kind in [QueryKind::Global, QueryKind::TargetTransfer] {
+        let (s, t, r) = sources
+            .iter()
+            .flat_map(|&s| sources.iter().map(move |&t| (s, t)))
+            .map(|(s, t)| (s, t, tabled.query(&net, s, t)))
+            .find(|(_, _, r)| r.kind == kind && r.stats.settled > 0)
+            .expect("some sampled pair of each kind searches");
+        assert!(r.stats.bucket_phases > 0, "{s} → {t} ({kind:?}): table rules run on the ring");
+        assert_eq!(r.profile, s2s_scalar.try_query_on(&net, Some(&table), s, t).unwrap().profile);
+    }
 }

@@ -130,9 +130,10 @@ fn shared_generators_reach_the_adversarial_cases() {
             shared_route |= Routes::partition(&tt).iter_routes().any(|r| r.trains.len() >= 2);
         }
     }
-    // Paths name stations 0..6 over 3–6 stations, so about one draw in
-    // four builds (99 of these 400); the floor sits just under that.
-    assert!(built >= 90, "only {built} of {draws} draws built a timetable");
+    // `build` maps path stations into the network and skips rejected trips,
+    // so a draw fails only when every path collapses to one station (none
+    // of these 400 do); the floor sits just under that.
+    assert!(built >= 395, "only {built} of {draws} draws built a timetable");
     assert!(shared_route, "no built timetable has a route with two trains");
 
     let (mut over_period, mut over_dwell) = (0, 0);
