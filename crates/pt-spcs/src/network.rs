@@ -25,12 +25,6 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
 /// behind than this falls back to a full recompute.
 const FEED_LOG_CAP: usize = 64;
 
-/// Scoped refits accumulate extra routes; once they exceed this floor
-/// *and* an eighth of the partition, the next overtaking fallback runs a
-/// full [`Routes::partition`] instead, re-coalescing every split (including
-/// those whose delays were since cancelled) at the same graph-rebuild cost.
-const REFIT_HEAL_FLOOR: usize = 16;
-
 /// How [`Network::apply_delay`] serviced an update — the fully dynamic
 /// scenario of the paper (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +32,13 @@ pub enum DelayUpdate {
     /// The delay matched no connection (or was fully absorbed by the
     /// recovery): nothing changed, the generation did not move.
     Unchanged,
-    /// The fast path: the timetable was patched in place and only the
-    /// delayed route's PLFs were rewritten ([`TdGraph::repatch_routes`]).
-    /// Node and edge counts are untouched, so warm engine workspaces stay
-    /// sized.
+    /// The event's train kept its route id: the timetable was patched in
+    /// place and the route's PLFs were rewritten
+    /// ([`TdGraph::repatch_routes`]).
     Patched,
-    /// The delay made the route partition stale (a train now overtakes a
-    /// companion on its route, or departures collide): the offending route
-    /// was re-split ([`Routes::refit`]) and its extra subroutes appended
-    /// to the graph — nothing is rebuilt (the name predates that).
+    /// The event's train rides a different route id after the feed: the
+    /// re-split of its class ([`Routes::repatch_feed`]) moved it — nothing
+    /// is rebuilt (the name predates that).
     Rebuilt,
 }
 
@@ -58,17 +50,18 @@ pub struct FeedSummary {
     /// Per event, in feed order, how it was serviced. An event whose train
     /// ended up with unchanged times (a no-op delay, a cancellation of a
     /// never-delayed train, or a delay+cancel pair that nets out) is
-    /// [`DelayUpdate::Unchanged`]; an event on a route that stayed FIFO is
-    /// [`DelayUpdate::Patched`]; an event on an offending (refit) route is
+    /// [`DelayUpdate::Unchanged`]; an event whose train kept its route id is
+    /// [`DelayUpdate::Patched`]; one whose train changed route id is
     /// [`DelayUpdate::Rebuilt`].
     pub events: Vec<DelayUpdate>,
     /// Distinct routes carrying a net-changed train.
     pub touched_routes: usize,
-    /// Touched routes that stayed FIFO: rewritten in place, each exactly
-    /// once ([`TdGraph::repatch_routes`]), or rebuilt by a heal.
+    /// Existing routes rewritten in place, each exactly once
+    /// ([`TdGraph::repatch_routes`]): the touched ones plus every route
+    /// whose trains the re-split of their classes changed.
     pub repatched_routes: usize,
-    /// Touched routes that lost FIFO and were re-split in place
-    /// ([`Routes::refit`]); non-zero means the graph grew route nodes.
+    /// Routes the re-split appended ([`Routes::refit`]); non-zero means the
+    /// graph grew route nodes.
     pub refit_routes: usize,
     /// Departure stations of every net-changed connection, sorted and
     /// deduplicated. Informational — the network records the same data per
@@ -86,7 +79,7 @@ impl FeedSummary {
         self.touched_routes > 0
     }
 
-    /// `true` iff the overtaking fallback ran (routes re-split, appended).
+    /// `true` iff the feed's re-split appended routes.
     pub fn rebuilt(&self) -> bool {
         self.refit_routes > 0
     }
@@ -128,9 +121,6 @@ pub struct Network {
     /// for incremental distance-table refreshes. Entries are immutable
     /// once recorded, so clones share them by refcount.
     feed_log: Vec<(u64, Arc<[StationId]>)>,
-    /// Routes added by scoped [`Routes::refit`]s since the last full
-    /// partition; drives the fragmentation heal (see [`REFIT_HEAL_FLOOR`]).
-    refit_extra_routes: usize,
 }
 
 impl Clone for Network {
@@ -147,7 +137,6 @@ impl Clone for Network {
             stations: self.stations.clone(),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             feed_log: self.feed_log.clone(),
-            refit_extra_routes: self.refit_extra_routes,
         }
     }
 }
@@ -166,7 +155,6 @@ impl Network {
             stations: Arc::new(stations),
             epoch,
             feed_log: Vec::new(),
-            refit_extra_routes: 0,
         }
     }
 
@@ -178,8 +166,8 @@ impl Network {
     /// Applies a delay to the live network: `train` runs `delay` late from
     /// its `from_hop`-th hop onward, recovering per [`Recovery`] — the
     /// one-event [`Network::apply_feed`], which describes the update path:
-    /// [`DelayUpdate::Patched`] if the delayed route is still FIFO,
-    /// [`DelayUpdate::Rebuilt`] otherwise.
+    /// [`DelayUpdate::Rebuilt`] if the train changed route id,
+    /// [`DelayUpdate::Patched`] otherwise.
     ///
     /// Every change bumps [`Network::generation`], invalidating
     /// generation-keyed caches. Precomputed [`crate::DistanceTable`]s are
@@ -211,15 +199,15 @@ impl Network {
     ///   bucket once and bumps the generation **once** (so
     ///   generation-keyed caches are invalidated once per feed, not once
     ///   per event),
-    /// * [`Routes::repatch_feed`] re-sorts and returns the touched routes,
-    ///   each exactly once,
-    /// * the overtaking fallback is scoped to the offending routes: only
-    ///   they are re-split ([`Routes::refit`]), every other route keeping
-    ///   its id and trains,
-    /// * [`TdGraph::repatch_routes`] follows either way: it appends the
-    ///   refit's extra subroutes and rewrites the touched routes' PLFs in
-    ///   place — **one rewrite per touched route** however many events hit
-    ///   it; only the rare fragmentation heal rebuilds the graph,
+    /// * [`Routes::repatch_feed`] re-splits the class (stop sequence) of
+    ///   every touched route with the greedy split [`Routes::partition`]
+    ///   runs, so the partition's train sets stay those of a from-scratch
+    ///   partition; each class keeps its route ids, empties the ids it no
+    ///   longer needs and appends the ones it lacks,
+    /// * [`TdGraph::repatch_routes`] appends those routes and rewrites the
+    ///   PLFs of every touched or re-split route in place — **one rewrite
+    ///   per route** however many events hit it; the graph is never
+    ///   rebuilt,
     /// * the station graph is invariant (delays and cancellations shift
     ///   times, never durations or the edge set) and is always kept.
     ///
@@ -236,51 +224,25 @@ impl Network {
         if !patch.changed {
             return FeedSummary::unchanged(events.len());
         }
-        let touched = self.routes.repatch_feed(&self.timetable, &patch);
-        let offending: Vec<RouteId> = touched
-            .iter()
-            .copied()
-            .filter(|&r| !self.routes.route_is_fifo(&self.timetable, r))
-            .collect();
-
-        // Attribute outcomes before refit renumbers trains' routes.
+        let before: Vec<RouteId> = patch.trains.iter().map(|&t| self.routes.route_of(t)).collect();
+        let routes_before = self.routes.len();
+        let rewrite = self.routes.repatch_feed(&self.timetable, &patch);
+        self.graph.repatch_routes(&self.timetable, &self.routes, &rewrite, &patch.remapped);
         let events_out: Vec<DelayUpdate> = events
             .iter()
             .zip(&patch.event_changed)
-            .map(|(ev, &changed)| {
-                let train = ev.train();
-                if !changed || patch.trains.binary_search(&train).is_err() {
-                    DelayUpdate::Unchanged
-                } else if offending.contains(&self.routes.route_of(train)) {
-                    DelayUpdate::Rebuilt
-                } else {
+            .map(|(ev, &changed)| match patch.trains.binary_search(&ev.train()) {
+                Ok(i) if changed && self.routes.route_of(ev.train()) == before[i] => {
                     DelayUpdate::Patched
                 }
+                Ok(_) if changed => DelayUpdate::Rebuilt,
+                _ => DelayUpdate::Unchanged,
             })
             .collect();
+        let mut touched = before;
+        touched.sort_unstable();
+        touched.dedup();
 
-        if !offending.is_empty() {
-            // Scoped fallback: re-split only the offending routes; the
-            // graph appends the extra subroutes below.
-            let routes_before = self.routes.len();
-            self.routes.refit(&self.timetable, &offending);
-            self.refit_extra_routes += self.routes.len() - routes_before;
-        }
-        // Scoped refits only ever split; nothing re-merges trains whose
-        // delays were later cancelled, so a long-lived stream would
-        // fragment the partition monotonically. Heal by amortization: once
-        // the accumulated splits are substantial (which only a refit just
-        // above can make true), spend one full partition — it renumbers
-        // every route, so this is the one feed the graph cannot follow.
-        if self.refit_extra_routes >= REFIT_HEAL_FLOOR
-            && self.refit_extra_routes * 8 > self.routes.len()
-        {
-            self.routes = Routes::partition(&self.timetable);
-            self.refit_extra_routes = 0;
-            self.graph = TdGraph::build(&self.timetable, &self.routes);
-        } else {
-            self.graph.repatch_routes(&self.timetable, &self.routes, &touched, &patch.remapped);
-        }
         self.feed_log.push((self.generation(), patch.touched_stations.clone().into()));
         if self.feed_log.len() > FEED_LOG_CAP {
             self.feed_log.remove(0);
@@ -288,8 +250,8 @@ impl Network {
         FeedSummary {
             events: events_out,
             touched_routes: touched.len(),
-            repatched_routes: touched.len() - offending.len(),
-            refit_routes: offending.len(),
+            repatched_routes: rewrite.len(),
+            refit_routes: self.routes.len() - routes_before,
             touched_stations: patch.touched_stations,
         }
     }
@@ -418,7 +380,6 @@ impl Network {
             stations: self.stations.clone(),
             epoch: self.epoch,
             feed_log: self.feed_log.clone(),
-            refit_extra_routes: self.refit_extra_routes,
         }
     }
 }
@@ -647,7 +608,7 @@ mod tests {
         let event = (1..240)
             .map(|minutes| delay(0, minutes))
             .find(|&ev| base.clone().apply_feed(&[ev]).rebuilt())
-            .expect("a delay of train 0 that breaks its route's FIFO order");
+            .expect("a delay of train 0 that splits its route");
         let engine = ProfileEngine::new();
         let sources = [StationId(0), StationId(7), StationId(19)];
         let before: Vec<_> = sources.iter().map(|&s| engine.one_to_all(&base, s)).collect();
@@ -656,19 +617,21 @@ mod tests {
         let pinned = cnet.snapshot();
         let outcome = cnet.apply_feed(&[event]);
         assert!(outcome.summary.rebuilt());
-        assert_eq!(outcome.summary.events, [DelayUpdate::Rebuilt]);
+        assert_ne!(outcome.summary.events, [DelayUpdate::Unchanged]);
         let fresh = cnet.snapshot();
-        assert!(fresh.routes().len() > pinned.routes().len(), "the refit appended routes");
+        assert!(fresh.routes().len() > pinned.routes().len(), "the re-split appended routes");
 
         // The pinned snapshot still answers the pre-feed state.
         for (&s, profiles) in sources.iter().zip(&before) {
             assert_eq!(&engine.one_to_all(&pinned, s), profiles, "pinned source {s}");
         }
-        // The new one shares every PLF but the touched route's hops with it.
+        // The new one shares every PLF but the rewritten routes' hops with
+        // it: the feed re-split one class, whose routes have train 0's hops.
         let plfs: usize = pinned.routes().iter_routes().map(|r| r.num_hops()).sum();
         let touched = pinned.routes().route(pinned.routes().route_of(TrainId(0)));
         let (shared, same_topology) = fresh.graph().shared_plfs_with(pinned.graph());
-        assert_eq!(shared, plfs - touched.num_hops());
+        assert!(outcome.summary.repatched_routes >= 1);
+        assert_eq!(shared, plfs - outcome.summary.repatched_routes * touched.num_hops());
         assert!(!same_topology, "appended route nodes live in a topology of their own");
     }
 

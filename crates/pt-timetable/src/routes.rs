@@ -1,29 +1,35 @@
 //! Partition of trains into *routes* (paper, §2).
 //!
 //! Two trains are equivalent if they run through the same sequence of
-//! stations. The realistic time-dependent model creates one route node per
-//! (route, station) pair, and its route edges carry the travel-time PLFs of
-//! all trains on the route — which is only sound if no train *overtakes*
-//! another on any leg (otherwise the edge function would silently drop the
-//! overtaken train) **and** no two trains of the route are ever catchably
-//! co-dwelling at an intermediate station: a rider chained along the route
-//! nodes arrives at station `i` at `arr_i(B)` and the hop PLF hands them
-//! the first departure at or after that instant — if an *earlier* train `A`
-//! of the route is still in the station (`dep_i(A) >= arr_i(B)`), the model
-//! would board `A` without paying the station's transfer time, fabricating
-//! a connection faster than the timetable allows. We therefore split each
-//! stop-sequence equivalence class further, greedily, so that within one
-//! route all legs are FIFO — departures strictly increasing and arrivals
-//! strictly increasing on every hop — and no train of the route departs an
-//! intermediate station while another one dwells there: the windows
-//! `[arr_i(k), dep_i(k))` are pairwise disjoint **on the period circle**
-//! (departures are period-local while arrivals are absolute, so a linear
-//! comparison goes blind exactly when a train crosses the end of the
-//! period between two hops). Schedules rarely violate the dwell condition,
-//! but a `from_hop >= 1` delay stretches exactly one dwell, a delay over
-//! the end of the period moves one, and a catch-up larger than the dwell
-//! (the train "leaves before it arrived") turns one into almost the whole
-//! period — each can manufacture it.
+//! stations; the trains of one stop sequence form a *class*. The realistic
+//! time-dependent model creates one route node per (route, station) pair,
+//! and its route edges carry the travel-time PLFs of all trains on the
+//! route — which is only sound if no train *overtakes* another on any leg
+//! (otherwise the edge function would silently drop the overtaken train)
+//! **and** no two trains of the route are ever catchably co-dwelling at an
+//! intermediate station: a rider chained along the route nodes arrives at
+//! station `i` at `arr_i(B)` and the hop PLF hands them the first departure
+//! at or after that instant — if an *earlier* train `A` of the route is
+//! still in the station (`dep_i(A) >= arr_i(B)`), the model would board `A`
+//! without paying the station's transfer time, fabricating a connection
+//! faster than the timetable allows. We therefore split each class
+//! further, greedily, so that within one route all legs are FIFO —
+//! departures strictly increasing and arrivals strictly increasing on every
+//! hop — and no train of the route departs an intermediate station while
+//! another one dwells there: the windows `[arr_i(k), dep_i(k))` are
+//! pairwise disjoint **on the period circle** (departures are period-local
+//! while arrivals are absolute, so a linear comparison goes blind exactly
+//! when a train crosses the end of the period between two hops). Schedules
+//! rarely violate the dwell condition, but a `from_hop >= 1` delay
+//! stretches exactly one dwell, a delay over the end of the period moves
+//! one, and a catch-up larger than the dwell (the train "leaves before it
+//! arrived") turns one into almost the whole period — each can manufacture
+//! it.
+//!
+//! One greedy split serves both the static partition and every feed: a
+//! feed re-splits the whole class of each touched route, so the partition
+//! a feed leaves behind has exactly the train sets [`Routes::partition`]
+//! of the patched timetable has — only the ids differ.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,7 +45,8 @@ use crate::model::Timetable;
 pub struct RouteInfo {
     /// The stop sequence (length ≥ 2).
     pub stations: Vec<StationId>,
-    /// Trains on this route, ordered by departure at the first stop.
+    /// Trains on this route, ordered by departure at the first stop. Empty
+    /// for a route a feed's re-split no longer needed.
     pub trains: Vec<TrainId>,
 }
 
@@ -54,22 +61,26 @@ impl RouteInfo {
 /// The route partition of a timetable.
 ///
 /// Every route is individually `Arc`-shared so a clone is O(routes)
-/// refcount bumps and the incremental followers ([`Routes::repatch_feed`],
-/// [`Routes::refit`]) copy-on-write only the routes they actually rewrite —
-/// the rest stays physically shared with any snapshot cloned earlier. Which
-/// connection is hop `h` of train `t` is the timetable's business
-/// ([`Timetable::train_connections`]); every method that needs it takes `tt`.
+/// refcount bumps and a re-split ([`Routes::repatch_feed`],
+/// [`Routes::refit`]) copies-on-write only the routes whose trains it
+/// changes — the rest stays physically shared with any snapshot cloned
+/// earlier. Which connection is hop `h` of train `t` is the timetable's
+/// business ([`Timetable::train_connections`]); every method that needs it
+/// takes `tt`.
 #[derive(Debug, Clone)]
 pub struct Routes {
     routes: Vec<Arc<RouteInfo>>,
-    /// Route of each train, indexed by [`TrainId`]. Rewritten only by
-    /// [`Routes::refit`] (topology change), never by a plain repatch.
+    /// Class (stop sequence) of each route, indexed by [`RouteId`]: a
+    /// class's routes are the ids with its number, in id order.
+    class: Vec<u32>,
+    /// Route of each train, indexed by [`TrainId`].
     train_route: Arc<Vec<RouteId>>,
 }
 
 impl Routes {
-    /// Computes the route partition. Deterministic: routes are numbered by
-    /// stop sequence, then by departure of their first train.
+    /// Computes the route partition: fits every class, starting from no
+    /// routes. Deterministic: routes are numbered by stop sequence, then by
+    /// departure of their first train.
     pub fn partition(tt: &Timetable) -> Routes {
         // Group trains by stop sequence (BTreeMap for determinism).
         let mut groups: BTreeMap<Vec<StationId>, Vec<TrainId>> = BTreeMap::new();
@@ -86,19 +97,15 @@ impl Routes {
             groups.entry(seq).or_default().push(t);
         }
 
-        let mut routes = Vec::new();
-        let mut train_route = vec![RouteId(u32::MAX); tt.num_trains()];
-        for (stations, mut trains) in groups {
-            trains.sort_unstable_by_key(|&t| first_departure(tt, t));
-            for members in split_fifo(tt, &trains) {
-                let id = RouteId::from_idx(routes.len());
-                for &t in &members {
-                    train_route[t.idx()] = id;
-                }
-                routes.push(Arc::new(RouteInfo { stations: stations.clone(), trains: members }));
-            }
+        let mut routes = Routes {
+            routes: Vec::new(),
+            class: Vec::new(),
+            train_route: Arc::new(vec![RouteId(u32::MAX); tt.num_trains()]),
+        };
+        for (c, (stations, trains)) in groups.into_iter().enumerate() {
+            routes.fit_class(tt, c as u32, &stations, Vec::new(), trains);
         }
-        Routes { routes, train_route: Arc::new(train_route) }
+        routes
     }
 
     /// Iterates over all routes in [`RouteId`] order.
@@ -139,68 +146,86 @@ impl Routes {
         self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// Follows a [`Timetable::patch_feed`]: restores the "trains ordered by
-    /// first-stop departure" invariant on **each** route that carries a
-    /// net-changed train, returning those routes sorted and deduplicated —
-    /// each appears exactly once, so the caller rewrites (or refits) every
-    /// touched route exactly once regardless of how many feed events hit
-    /// it. The partition itself (which trains share a route) is
-    /// deliberately **not** recomputed; run [`Routes::route_is_fifo`] on the
-    /// returned routes and [`Routes::refit`] the ones that fail.
-    ///
-    /// `tt` must be the already-patched timetable the patch came from.
+    /// Follows a [`Timetable::patch_feed`]: [`Routes::refit`]s every route
+    /// that carries a net-changed train and returns what it returns, so the
+    /// caller rewrites each route exactly once however many feed events hit
+    /// it. `tt` must be the already-patched timetable the patch came from.
     pub fn repatch_feed(&mut self, tt: &Timetable, patch: &FeedPatch) -> Vec<RouteId> {
-        let mut touched: Vec<RouteId> = patch
-            .trains
-            .iter()
-            .map(|&t| self.train_route[t.idx()])
-            .filter(|&r| r != RouteId(u32::MAX))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for &r in &touched {
-            Arc::make_mut(&mut self.routes[r.idx()])
-                .trains
-                .sort_unstable_by_key(|&t| first_departure(tt, t));
-        }
-        touched
+        let touched: Vec<RouteId> = patch.trains.iter().map(|&t| self.route_of(t)).collect();
+        self.refit(tt, &touched)
     }
 
-    /// Re-splits each of the given (presumed non-FIFO) routes into
-    /// overtaking-free subroutes — the *scoped* fallback when a delay makes
-    /// a train overtake a companion: only the offending routes are
-    /// repartitioned, every other route keeps its id and trains. The first
-    /// subroute reuses the stale [`RouteId`]; extra subroutes are appended
-    /// at fresh ids — the append-only contract `TdGraph::repatch_routes`
-    /// relies on to append their route nodes instead of rebuilding — so the
-    /// work is proportional to the offending routes, not the timetable.
-    ///
-    /// Any finer-than-maximal split is a *sound* partition for the
-    /// realistic time-dependent model, so queries on the refit partition
-    /// are identical to a from-scratch [`Routes::partition`]. Each
-    /// resulting route passes [`Routes::route_is_fifo`] by construction —
-    /// refit and partition share the one greedy split, whose fit check
-    /// covers the per-hop FIFO, cyclic, and co-dwell conditions.
-    pub fn refit(&mut self, tt: &Timetable, stale: &[RouteId]) {
-        for &r in stale {
-            let info = &self.routes[r.idx()];
-            if info.trains.len() <= 1 {
-                continue; // a single train can never overtake itself
+    /// Re-splits the classes of `routes` with the greedy split of
+    /// [`Routes::partition`], over each class's current trains: a class's
+    /// existing ids take its new subroutes in order, ids it no longer needs
+    /// stay as routes with zero trains, and missing ids are appended — the
+    /// append-only contract `TdGraph::repatch_routes` relies on. Every
+    /// other class keeps its ids and trains. Returns, sorted and
+    /// deduplicated, every route whose PLFs must be rewritten: `routes`
+    /// plus each existing route whose trains changed (the appended ones
+    /// the graph appends whole).
+    pub fn refit(&mut self, tt: &Timetable, routes: &[RouteId]) -> Vec<RouteId> {
+        let mut classes: Vec<u32> = routes.iter().map(|r| self.class[r.idx()]).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        // One pass gathers each class's ids, in id order.
+        let mut ids = vec![Vec::new(); classes.len()];
+        for (r, c) in self.class.iter().enumerate() {
+            if let Ok(k) = classes.binary_search(c) {
+                ids[k].push(RouteId::from_idx(r));
             }
-            let stations = info.stations.clone();
-            let mut subroutes = split_fifo(tt, &info.trains).into_iter();
-            Arc::make_mut(&mut self.routes[r.idx()]).trains =
-                subroutes.next().expect("a non-empty route splits non-trivially");
-            for members in subroutes {
-                let id = RouteId::from_idx(self.routes.len());
-                for &t in &members {
-                    Arc::make_mut(&mut self.train_route)[t.idx()] = id;
-                }
-                self.routes
-                    .push(Arc::new(RouteInfo { stations: stations.clone(), trains: members }));
-            }
-            debug_assert!(self.route_is_fifo(tt, r), "refit left route {r:?} non-FIFO");
         }
+        let mut rewrite = routes.to_vec();
+        for (c, ids) in classes.into_iter().zip(ids) {
+            let stations = self.routes[ids[0].idx()].stations.clone();
+            let trains =
+                ids.iter().flat_map(|r| self.routes[r.idx()].trains.iter().copied()).collect();
+            rewrite.extend(self.fit_class(tt, c, &stations, ids, trains));
+        }
+        rewrite.sort_unstable();
+        rewrite.dedup();
+        rewrite
+    }
+
+    /// The one greedy split: orders the `trains` of class `c` (stop
+    /// sequence `stations`) by [`first_departure`], splits them with
+    /// [`split_fifo`] and lays the subroutes on the class's `ids` in order,
+    /// appending the ids missing and emptying the ids left over. Returns
+    /// the given ids whose trains changed.
+    fn fit_class(
+        &mut self,
+        tt: &Timetable,
+        c: u32,
+        stations: &[StationId],
+        mut ids: Vec<RouteId>,
+        mut trains: Vec<TrainId>,
+    ) -> Vec<RouteId> {
+        trains.sort_unstable_by_key(|&t| first_departure(tt, t));
+        let subroutes = split_fifo(tt, &trains);
+        let held = ids.len();
+        for _ in held..subroutes.len() {
+            ids.push(RouteId::from_idx(self.routes.len()));
+            self.routes.push(Arc::new(RouteInfo { stations: stations.to_vec(), trains: vec![] }));
+            self.class.push(c);
+        }
+        let mut subroutes = subroutes.into_iter();
+        let mut changed = Vec::new();
+        for (k, r) in ids.into_iter().enumerate() {
+            let members = subroutes.next().unwrap_or_default();
+            if self.routes[r.idx()].trains == members {
+                continue; // stays shared with older clones
+            }
+            for &t in &members {
+                if self.train_route[t.idx()] != r {
+                    Arc::make_mut(&mut self.train_route)[t.idx()] = r;
+                }
+            }
+            Arc::make_mut(&mut self.routes[r.idx()]).trains = members;
+            if k < held {
+                changed.push(r);
+            }
+        }
+        changed
     }
 
     /// `true` iff route `r` still satisfies everything the realistic
@@ -211,8 +236,8 @@ impl Routes {
     /// and at every intermediate station no train departs while another
     /// one dwells there, on the period circle.
     /// [`Routes::partition`] and [`Routes::refit`] guarantee all of this by
-    /// construction; a delay can break any of it, at which point the
-    /// offending routes must be refit.
+    /// construction; a delay can break any of it until its feed's
+    /// [`Routes::repatch_feed`] re-splits the route's class.
     pub fn route_is_fifo(&self, tt: &Timetable, r: RouteId) -> bool {
         let info = &self.routes[r.idx()];
         let pi = tt.period().len() as u64;
@@ -262,62 +287,56 @@ fn first_departure(tt: &Timetable, t: TrainId) -> (Time, TrainId) {
 /// [`first_departure`] — into overtaking- and co-dwell-free subroutes, each
 /// keeping that order.
 fn split_fifo(tt: &Timetable, trains: &[TrainId]) -> Vec<Vec<TrainId>> {
-    let pi = tt.period().len();
-    // Per subroute: its trains, and per hop the (dep, arr) legs of each.
-    type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
+    // Per subroute: its trains, and the per-hop (dep, arr) legs of its
+    // first and of its last train — all that `fits` reads.
+    type Subroute = (Vec<TrainId>, Vec<(Time, Time)>, Vec<(Time, Time)>);
     let mut subroutes: Vec<Subroute> = Vec::new();
-    'train: for &t in trains {
-        let legs: Vec<(Time, Time)> = tt
-            .train_connections(t)
-            .iter()
-            .map(|&c| {
-                let c = tt.connection(c);
-                (c.dep, c.arr)
-            })
-            .collect();
-        for (members, hop_points) in &mut subroutes {
-            if fits(hop_points, &legs, pi) {
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg); // `fits` admits only appends
-                }
-                members.push(t);
-                continue 'train;
+    let mut legs = Vec::new();
+    for &t in trains {
+        legs.clear();
+        legs.extend(
+            tt.train_connections(t).iter().map(|&c| tt.connection(c)).map(|c| (c.dep, c.arr)),
+        );
+        match subroutes
+            .iter_mut()
+            .find(|(_, first, last)| fits(first, last, &legs, tt.period().len()))
+        {
+            Some((members, _, last)) => {
+                members.push(t); // `fits` admits only appends
+                std::mem::swap(last, &mut legs);
             }
+            None => subroutes.push((vec![t], legs.clone(), legs.clone())),
         }
-        subroutes.push((vec![t], legs.iter().map(|&leg| vec![leg]).collect()));
     }
-    subroutes.into_iter().map(|(members, _)| members).collect()
+    subroutes.into_iter().map(|(members, _, _)| members).collect()
 }
 
-/// Can `legs` join the subroute as its new *last* train? Candidates are
-/// scanned in order of first-hop departure, so a train that joins always
-/// appends, on every hop. Enforces, per hop, everything
-/// [`Routes::route_is_fifo`] later checks: the newcomer departs and arrives
-/// strictly after the current last train; its arrival stays within one
-/// period of the hop's earliest; and at the station the hop departs from
-/// (intermediate stations only) the current last train does not leave
-/// while the newcomer dwells, nor the newcomer while the first train does
-/// — its neighbours on the period circle, which suffices because the
-/// members' dwell windows are already disjoint and departures increase.
-fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> bool {
+/// Can `legs` join the subroute whose first and last trains run `first`
+/// and `last` as its new *last* train? Candidates are scanned in order of
+/// first-hop departure, so a train that joins always appends, on every
+/// hop. Enforces, per hop, everything [`Routes::route_is_fifo`] later
+/// checks: the newcomer departs and arrives strictly after the current
+/// last train; its arrival stays within one period of the hop's earliest;
+/// and at the station the hop departs from (intermediate stations only)
+/// the current last train does not leave while the newcomer dwells, nor
+/// the newcomer while the first train does — its neighbours on the period
+/// circle, which suffices because the members' dwell windows are already
+/// disjoint and departures increase.
+fn fits(first: &[(Time, Time)], last: &[(Time, Time)], legs: &[(Time, Time)], pi: u32) -> bool {
     let pi = pi as u64;
     legs.iter().enumerate().all(|(h, &(dep, arr))| {
-        let points = &hop_points[h];
-        let (Some(&first), Some(&last)) = (points.first(), points.last()) else {
-            return true;
-        };
-        if dep <= last.0 || arr <= last.1 {
+        if dep <= last[h].0 || arr <= last[h].1 {
             return false; // would not extend the hop's strict FIFO order
         }
-        if arr.secs() as u64 >= first.1.secs() as u64 + pi {
+        if arr.secs() as u64 >= first[h].1.secs() as u64 + pi {
             return false; // cyclic: arrival a full period after the earliest
         }
         if h > 0 {
             // No catchable co-dwell at the station this hop departs from.
-            if departs_during_dwell(last.0, legs[h - 1].1, dep, pi) {
+            if departs_during_dwell(last[h].0, legs[h - 1].1, dep, pi) {
                 return false; // current last train leaves while we are there
             }
-            if departs_during_dwell(dep, hop_points[h - 1][0].1, first.0, pi) {
+            if departs_during_dwell(dep, first[h - 1].1, first[h].0, pi) {
                 return false; // we leave while the first train is there
             }
         }
@@ -424,7 +443,6 @@ mod tests {
 
     #[test]
     fn repatch_follows_delay_remaps_and_reorders() {
-        use crate::delay::Recovery;
         let mut b = TimetableBuilder::new(Period::DAY);
         let s: Vec<_> = (0..3).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
         line(&mut b, &[s[0], s[1], s[2]], &[Time::hm(8, 0), Time::hm(9, 0)], Dur::minutes(10));
@@ -432,7 +450,7 @@ mod tests {
         let mut routes = Routes::partition(&tt);
         // Delay the 08:00 train to 09:10: it now departs after the 09:00
         // train on every hop (no overtake — it also arrives later).
-        let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(70), Recovery::None);
+        let patch = tt.patch_feed(&[late(0, 70)]);
         assert!(patch.changed && !patch.remapped.is_empty());
         routes.repatch_feed(&tt, &patch);
         // train_connections point at the right (train, hop) again.
@@ -450,43 +468,49 @@ mod tests {
         assert_eq!(Routes::partition(&tt).len(), routes.len());
     }
 
-    #[test]
-    fn route_is_fifo_detects_overtaking_delay() {
-        use crate::delay::Recovery;
+    /// Two classes: trains 0/1 on 0→1 (08:00, 08:30) and trains 2/3 on
+    /// 1→2 (09:00, 09:30). The patch lands train 0 on train 1's slot.
+    fn two_classes_with_a_collision() -> (Timetable, Routes, FeedPatch) {
         let mut b = TimetableBuilder::new(Period::DAY);
-        let s: Vec<_> = (0..2).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
+        let s: Vec<_> = (0..3).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
         line(&mut b, &[s[0], s[1]], &[Time::hm(8, 0), Time::hm(8, 30)], Dur::minutes(10));
+        line(&mut b, &[s[1], s[2]], &[Time::hm(9, 0), Time::hm(9, 30)], Dur::minutes(10));
         let mut tt = b.build().unwrap();
-        let mut routes = Routes::partition(&tt);
-        assert_eq!(routes.len(), 1);
-        let r = routes.route_of(TrainId(0));
-        assert!(routes.route_is_fifo(&tt, r));
-        // Delay the 08:00 train to 08:40: it departs after the 08:30 train
-        // but arrives after it too — still FIFO. Delay to 08:35 with the
-        // same duration: departs later (08:35 > 08:30), arrives 08:45 >
-        // 08:40 — still FIFO. Make it *equal* departure instead: broken.
-        let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(30), Recovery::None);
-        routes.repatch_feed(&tt, &patch);
-        assert!(!routes.route_is_fifo(&tt, r), "equal departures must break FIFO");
+        let routes = Routes::partition(&tt);
+        assert_eq!(routes.len(), 2);
+        assert!(routes.route_is_fifo(&tt, RouteId(0)) && routes.route_is_fifo(&tt, RouteId(1)));
+        let patch = tt.patch_feed(&[late(0, 30)]);
+        (tt, routes, patch)
     }
 
-    fn routes_patch(
-        tt: &mut Timetable,
-        train: TrainId,
-        delay: Dur,
-        rec: crate::delay::Recovery,
-    ) -> FeedPatch {
-        tt.patch_feed(&[crate::delay::DelayEvent::Delay {
-            train,
-            from_hop: 0,
-            delay,
-            recovery: rec,
-        }])
+    #[test]
+    fn route_is_fifo_detects_overtaking_delay() {
+        let (tt, mut routes, patch) = two_classes_with_a_collision();
+        // Equal departures break FIFO on the stale route…
+        assert!(!routes.route_is_fifo(&tt, RouteId(0)), "equal departures must break FIFO");
+        // …until the feed's re-split separates the two trains.
+        routes.repatch_feed(&tt, &patch);
+        assert_ne!(routes.route_of(TrainId(0)), routes.route_of(TrainId(1)));
+        assert!((0..routes.len()).all(|r| routes.route_is_fifo(&tt, RouteId::from_idx(r))));
+        // The bystander class kept its id and trains.
+        assert_eq!(routes.route_of(TrainId(2)), RouteId(1));
+        assert_eq!(routes.route(RouteId(1)).trains, [TrainId(2), TrainId(3)]);
+    }
+
+    /// The non-empty train sets of a partition: what a feed's re-split must
+    /// agree on with a fresh [`Routes::partition`] (ids may differ).
+    fn train_sets(routes: &Routes) -> std::collections::BTreeSet<Vec<TrainId>> {
+        routes.iter_routes().filter(|r| !r.trains.is_empty()).map(|r| r.trains.clone()).collect()
+    }
+
+    /// Train `train` runs `minutes` late from its first hop on.
+    fn late(train: u32, minutes: u32) -> crate::delay::DelayEvent {
+        let (delay, recovery) = (Dur::minutes(minutes), crate::delay::Recovery::None);
+        crate::delay::DelayEvent::Delay { train: TrainId(train), from_hop: 0, delay, recovery }
     }
 
     #[test]
     fn repatch_feed_touches_each_route_once() {
-        use crate::delay::{DelayEvent, Recovery};
         let mut b = TimetableBuilder::new(Period::DAY);
         let s: Vec<_> = (0..4).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
         // Route A: two trains 0/1 over 0→1→2; route B: one train 2 over 3→1.
@@ -496,26 +520,7 @@ mod tests {
         let mut routes = Routes::partition(&tt);
         // Three events, two of them on route A's trains: the touched list
         // must still name each route exactly once.
-        let patch = tt.patch_feed(&[
-            DelayEvent::Delay {
-                train: TrainId(0),
-                from_hop: 0,
-                delay: Dur::minutes(70),
-                recovery: Recovery::None,
-            },
-            DelayEvent::Delay {
-                train: TrainId(1),
-                from_hop: 0,
-                delay: Dur::minutes(5),
-                recovery: Recovery::None,
-            },
-            DelayEvent::Delay {
-                train: TrainId(2),
-                from_hop: 0,
-                delay: Dur::minutes(3),
-                recovery: Recovery::None,
-            },
-        ]);
+        let patch = tt.patch_feed(&[late(0, 70), late(1, 5), late(2, 3)]);
         assert!(patch.changed);
         let touched = routes.repatch_feed(&tt, &patch);
         assert_eq!(touched.len(), 2, "two distinct routes touched: {touched:?}");
@@ -542,39 +547,46 @@ mod tests {
 
     #[test]
     fn refit_splits_only_the_offending_route() {
-        use crate::delay::Recovery;
-        let mut b = TimetableBuilder::new(Period::DAY);
-        let s: Vec<_> = (0..3).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
-        // Route A: trains 0/1 on 0→1; route B: trains 2/3 on 1→2.
-        line(&mut b, &[s[0], s[1]], &[Time::hm(8, 0), Time::hm(8, 30)], Dur::minutes(10));
-        line(&mut b, &[s[1], s[2]], &[Time::hm(9, 0), Time::hm(9, 30)], Dur::minutes(10));
-        let mut tt = b.build().unwrap();
-        let mut routes = Routes::partition(&tt);
-        assert_eq!(routes.len(), 2);
-        let rb = routes.route_of(TrainId(2));
-        // Land train 0 exactly on train 1's slot: equal departures on route
-        // A break FIFO; route B is untouched.
-        let patch = routes_patch(&mut tt, TrainId(0), Dur::minutes(30), Recovery::None);
-        let touched = routes.repatch_feed(&tt, &patch);
-        let ra = routes.route_of(TrainId(0));
-        assert_eq!(touched, vec![ra]);
-        assert!(!routes.route_is_fifo(&tt, ra));
-        routes.refit(&tt, &[ra]);
+        let (mut tt, mut routes, patch) = two_classes_with_a_collision();
+        let (ra, rb) = (RouteId(0), RouteId(1));
+        assert_eq!(routes.repatch_feed(&tt, &patch), [ra], "the appended subroute is not listed");
         // The offending route split in two; route B kept its id and trains.
         assert_eq!(routes.len(), 3);
-        assert_ne!(routes.route_of(TrainId(0)), routes.route_of(TrainId(1)));
-        assert_eq!(routes.route_of(TrainId(2)), rb);
-        assert_eq!(routes.route(rb).trains, vec![TrainId(2), TrainId(3)]);
-        for r in 0..routes.len() {
-            assert!(routes.route_is_fifo(&tt, RouteId::from_idx(r)), "route {r} not FIFO");
+        assert_eq!(routes.route(ra).trains, [TrainId(0)]);
+        assert_eq!(routes.route(RouteId(2)).trains, [TrainId(1)]);
+        assert_eq!(routes.route(rb).trains, [TrainId(2), TrainId(3)]);
+        assert_eq!(train_sets(&routes), train_sets(&Routes::partition(&tt)));
+        // Re-splitting a converged class changes no train.
+        assert_eq!(routes.refit(&tt, &[rb, ra, rb]), [ra, rb]);
+        assert_eq!(routes.len(), 3);
+
+        // Withdrawing the delay re-merges the class: the existing id takes
+        // both trains and the appended one stays, empty.
+        let patch = tt.patch_feed(&[crate::delay::DelayEvent::Cancel { train: TrainId(0) }]);
+        assert_eq!(routes.repatch_feed(&tt, &patch), [ra, RouteId(2)]);
+        assert_eq!(routes.route(ra).trains, [TrainId(0), TrainId(1)]);
+        assert!(routes.route(RouteId(2)).trains.is_empty());
+        assert_eq!(routes.route_of(TrainId(1)), ra);
+        assert_eq!(train_sets(&routes), train_sets(&Routes::partition(&tt)));
+    }
+
+    #[test]
+    fn newcomer_leaving_while_the_first_train_dwells_is_split_off() {
+        use crate::builder::TripStop;
+        // Train 0 dwells at station 1 from 23:50 to 00:20; train 1 arrives
+        // after it and leaves at 23:55, inside that dwell. Period-local,
+        // 23:55 is after 00:20: only the check on the circle sees it.
+        let mut b = TimetableBuilder::new(Period::DAY);
+        let s: Vec<_> = (0..3).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
+        let at = |(h, m)| Time::hm(h, m);
+        for (dep, dwell, arr) in
+            [((23, 40), ((23, 50), (24, 20)), (24, 30)), ((23, 42), ((23, 52), (23, 55)), (24, 5))]
+        {
+            let mid = TripStop { station: s[1], arr: at(dwell.0), dep: at(dwell.1) };
+            b.add_trip(&[TripStop::passing(s[0], at(dep)), mid, TripStop::passing(s[2], at(arr))])
+                .unwrap();
         }
-        // The split partition answers like a fresh one: same train sets per
-        // stop sequence, every route FIFO (soundness is what matters — the
-        // fresh partition may group differently but both are valid).
-        let fresh = Routes::partition(&tt);
-        for r in 0..fresh.len() {
-            assert!(fresh.route_is_fifo(&tt, RouteId::from_idx(r)));
-        }
+        assert_eq!(Routes::partition(&b.build().unwrap()).len(), 2);
     }
 
     #[test]
