@@ -7,11 +7,11 @@
 //!   periodic timetable, including the cyclic length `Δ(τ1, τ2)` of the paper,
 //! * strongly typed identifiers ([`StationId`], [`RouteId`], [`TrainId`],
 //!   [`NodeId`], [`ConnId`]),
-//! * [`Plf`] — piecewise-linear *travel-time functions* attached to
-//!   time-dependent route edges, represented by their connection points,
-//! * [`Profile`] — piecewise-linear *arrival profiles* `dist(S, T, ·)`
-//!   produced by profile searches, together with the paper's
-//!   *connection reduction* (backward dominance scan).
+//! * [`Profile`] — piecewise-linear functions stored as their connection
+//!   points, together with the paper's *connection reduction* (backward
+//!   dominance scan). One type serves both of the paper's uses: the
+//!   *travel-time function* of a time-dependent route edge and the
+//!   *arrival profile* `dist(S, T, ·)` a profile search produces.
 //!
 //! All types are plain-old-data with no interior pointers, so they are cheap
 //! to send across threads — a prerequisite for the parallel search in
@@ -20,11 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod id;
-pub mod plf;
 pub mod profile;
 pub mod time;
 
 pub use id::{ConnId, NodeId, RouteId, StationId, TrainId};
-pub use plf::{Plf, PlfPoint};
 pub use profile::{Profile, ProfilePoint};
 pub use time::{Dur, Period, Time, INFINITY};

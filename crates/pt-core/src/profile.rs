@@ -14,10 +14,17 @@
 //! so the paper reduces it with a backward scan that deletes every point
 //! whose arrival is not strictly earlier than the best arrival among later
 //! departures. [`Profile::from_unreduced`] implements exactly that scan.
+//!
+//! A route edge's travel-time function (paper §2, Fig. 2) is the same kind
+//! of point set: one point per train serving the hop, departing its tail at
+//! `dep` and reaching its head at `arr`. Evaluating `f` at `τ` means taking
+//! the next departure at or after `τ`, which is [`Profile::eval_arr`]; so
+//! the time-dependent graph stores its hops as `Profile`s, and the
+//! label-correcting baseline links a profile over a hop with
+//! [`Profile::link_profile`] and a zero buffer.
 
 use serde::{Deserialize, Serialize};
 
-use crate::plf::Plf;
 use crate::time::{Dur, Period, Time, INFINITY};
 
 /// One point of an arrival profile: departing `S` at (period-local) `dep`
@@ -60,70 +67,27 @@ impl Profile {
     pub const EMPTY: Profile = Profile { points: Vec::new() };
 
     /// Connection reduction (paper, §3.1): builds a reduced profile from the
-    /// raw point set `P̂`. Points with infinite arrival are dropped; among
-    /// equal departures the earliest arrival wins; a backward scan keeps a
-    /// point only if its arrival is strictly earlier than the minimum
-    /// arrival of all later departures.
+    /// raw point set `P̂`, in the allocation of `points`. Points with
+    /// infinite arrival are dropped; among equal departures the earliest
+    /// arrival wins; a backward scan keeps a point only if its arrival is
+    /// strictly earlier than the minimum arrival of all later departures;
+    /// and a cyclic fix-up the paper's linear scan misses drops the points
+    /// the next period's first point dominates (arriving no earlier than
+    /// `π + arr₀`), so that next-departure evaluation is exact. Every
+    /// departure must be period-local.
     pub fn from_unreduced(mut points: Vec<ProfilePoint>, period: Period) -> Self {
-        points.retain(|p| !p.arr.is_infinite());
-        for p in &points {
-            assert!(period.contains(p.dep), "profile departure {} not period-local", p.dep);
-            debug_assert!(p.arr >= p.dep);
-        }
-        points.sort_unstable_by_key(|p| (p.dep, p.arr));
-        points.dedup_by_key(|p| p.dep); // earliest arrival per departure
-        let mut reduced: Vec<ProfilePoint> = Vec::with_capacity(points.len());
-        let mut min_arr = INFINITY;
-        for &p in points.iter().rev() {
-            if p.arr < min_arr {
-                min_arr = p.arr;
-                reduced.push(p);
-            }
-        }
-        reduced.reverse();
-        // Cyclic fixup (see `Plf::from_points`): drop points dominated by the
-        // next period's first point, so next-departure evaluation is exact.
-        if let Some(first) = reduced.first() {
-            let threshold = first.arr + Dur(period.len());
-            reduced.retain(|p| p.arr < threshold);
-        }
-        Profile { points: reduced }
+        reduce(&mut points, period);
+        Profile { points }
     }
 
     /// Scratch-reusing variant of [`Profile::from_unreduced`] for the merge
     /// kernels: reduces the points accumulated in `scratch` (clearing it but
     /// keeping its capacity for the next station) and allocates only the
-    /// reduced result. Semantically identical to
+    /// reduced result, at its exact size. Semantically identical to
     /// `Profile::from_unreduced(scratch.clone(), period)`.
     pub fn from_unreduced_in(scratch: &mut Vec<ProfilePoint>, period: Period) -> Self {
-        scratch.retain(|p| !p.arr.is_infinite());
-        for p in scratch.iter() {
-            assert!(period.contains(p.dep), "profile departure {} not period-local", p.dep);
-            debug_assert!(p.arr >= p.dep);
-        }
-        scratch.sort_unstable_by_key(|p| (p.dep, p.arr));
-        scratch.dedup_by_key(|p| p.dep); // earliest arrival per departure
-                                         // Backward dominance scan, compacting survivors to the tail of the
-                                         // scratch buffer in place (they come out sorted, like the forward
-                                         // `reverse()` of `from_unreduced`).
-        let mut min_arr = INFINITY;
-        let mut keep = scratch.len();
-        for i in (0..scratch.len()).rev() {
-            if scratch[i].arr < min_arr {
-                min_arr = scratch[i].arr;
-                keep -= 1;
-                scratch[keep] = scratch[i];
-            }
-        }
-        let kept = &scratch[keep..];
-        let points = match kept.first() {
-            Some(first) => {
-                // Cyclic fixup (see `from_unreduced`).
-                let threshold = first.arr + Dur(period.len());
-                kept.iter().copied().filter(|p| p.arr < threshold).collect()
-            }
-            None => Vec::new(),
-        };
+        reduce(scratch, period);
+        let points = scratch.to_vec();
         scratch.clear();
         Profile { points }
     }
@@ -160,6 +124,7 @@ impl Profile {
     /// Earliest absolute arrival when departing the source at absolute time
     /// `t`; [`INFINITY`] if unreachable. One binary search on a reduced
     /// profile.
+    #[inline]
     pub fn eval_arr(&self, t: Time, period: Period) -> Time {
         if self.points.is_empty() {
             return INFINITY;
@@ -218,22 +183,9 @@ impl Profile {
         tau + period.delta(tau, p.dep) + p.dur()
     }
 
-    /// Propagates the profile through a time-dependent edge `f`: each point
-    /// `(dep, arr)` becomes `(dep, arr + f(arr))`. The result is reduced.
-    /// Used by the label-correcting baseline.
-    pub fn link_plf(&self, f: &Plf, period: Period) -> Profile {
-        let linked: Vec<ProfilePoint> = self
-            .points
-            .iter()
-            .map(|p| ProfilePoint::new(p.dep, f.eval_arr(p.arr, period)))
-            .filter(|p| !p.arr.is_infinite())
-            .collect();
-        Profile::from_unreduced(linked, period)
-    }
-
     /// Propagates the profile through a constant edge of duration `d`.
     /// Stays reduced, so no re-reduction is needed.
-    pub fn link_const(&self, d: Dur, _period: Period) -> Profile {
+    pub fn link_const(&self, d: Dur) -> Profile {
         Profile {
             points: self.points.iter().map(|p| ProfilePoint::new(p.dep, p.arr + d)).collect(),
         }
@@ -279,15 +231,45 @@ impl Profile {
         self.points.iter().map(|p| p.arr).min().unwrap_or(INFINITY)
     }
 
-    /// Minimum travel duration over all points.
-    pub fn min_dur(&self) -> Dur {
-        self.points.iter().map(|p| p.dur()).min().unwrap_or(Dur::INFINITE)
+    /// Longest travel duration over all points (`Dur::ZERO` if empty) —
+    /// on a hop's travel-time function, an upper bound on the travel
+    /// component of one relaxation, which sizes the kernel's bucket ring.
+    pub fn max_dur(&self) -> Dur {
+        self.points.iter().map(|p| p.dur()).max().unwrap_or(Dur::ZERO)
     }
 
     /// Heap + inline memory footprint in bytes (for the space column of
     /// Table 2).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.points.capacity() * std::mem::size_of::<ProfilePoint>()
+    }
+}
+
+/// The connection reduction of [`Profile::from_unreduced`], in place: on
+/// return `points` holds the reduced profile of what it held.
+fn reduce(points: &mut Vec<ProfilePoint>, period: Period) {
+    points.retain(|p| !p.arr.is_infinite());
+    for p in points.iter() {
+        assert!(period.contains(p.dep), "profile departure {} not period-local", p.dep);
+        debug_assert!(p.arr >= p.dep);
+    }
+    points.sort_unstable_by_key(|p| (p.dep, p.arr));
+    points.dedup_by_key(|p| p.dep); // earliest arrival per departure
+                                    // Backward dominance scan, compacting the survivors (sorted) to the tail.
+    let mut min_arr = INFINITY;
+    let mut keep = points.len();
+    for i in (0..points.len()).rev() {
+        if points[i].arr < min_arr {
+            min_arr = points[i].arr;
+            keep -= 1;
+            points[keep] = points[i];
+        }
+    }
+    points.drain(..keep);
+    // Cyclic fix-up: arrivals now increase, so the survivors are a prefix.
+    if let Some(first) = points.first() {
+        let threshold = first.arr + Dur(period.len());
+        points.truncate(points.partition_point(|p| p.arr < threshold));
     }
 }
 
@@ -327,19 +309,42 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not period-local")]
+    fn non_local_departure_rejected() {
+        let _ =
+            Profile::from_unreduced(vec![ProfilePoint::new(Time::hm(25, 0), Time::hm(25, 5))], P);
+    }
+
+    #[test]
     fn scratch_reduction_matches_owned_reduction() {
-        let cases: &[Vec<ProfilePoint>] = &[
-            vec![],
-            vec![pt(10, 60), pt(20, 50)],
-            vec![pt(10, 50), pt(20, 50)],
-            vec![pt(10, 40), ProfilePoint { dep: Time::hm(0, 20), arr: INFINITY }],
-            vec![pt(30, 45), pt(10, 20), pt(20, 35), pt(40, 41)],
+        // (raw points, reduced points)
+        let cases: &[(Vec<ProfilePoint>, Vec<ProfilePoint>)] = &[
+            (vec![], vec![]),
+            (vec![pt(10, 60), pt(20, 50)], vec![pt(20, 50)]),
+            (vec![pt(10, 50), pt(20, 50)], vec![pt(20, 50)]),
+            (
+                vec![pt(10, 40), ProfilePoint { dep: Time::hm(0, 20), arr: INFINITY }],
+                vec![pt(10, 40)],
+            ),
+            // Equal departures keep the earliest arrival.
+            (vec![pt(10, 40), pt(10, 30)], vec![pt(10, 30)]),
+            (
+                vec![pt(30, 45), pt(10, 20), pt(20, 35), pt(40, 41)],
+                vec![pt(10, 20), pt(20, 35), pt(40, 41)],
+            ),
+            // Cyclic fix-up: leaving at 23:00 arrives after tomorrow's 00:10
+            // departure does.
+            (
+                vec![pt(10, 30), ProfilePoint::new(Time::hm(23, 0), Time::hm(24, 40))],
+                vec![pt(10, 30)],
+            ),
         ];
         let mut scratch = Vec::new();
-        for case in cases {
-            scratch.extend_from_slice(case);
+        for (raw, reduced) in cases {
+            scratch.extend_from_slice(raw);
             let got = Profile::from_unreduced_in(&mut scratch, P);
-            assert_eq!(got, Profile::from_unreduced(case.clone(), P));
+            assert_eq!(got.points(), reduced.as_slice());
+            assert_eq!(got, Profile::from_unreduced(raw.clone(), P));
             assert!(scratch.is_empty(), "scratch not cleared");
         }
     }
@@ -353,6 +358,9 @@ mod tests {
         assert_eq!(prof.eval_arr(Time::hm(0, 15), P), Time::hm(0, 55));
         // After the last: wrap to tomorrow's first.
         assert_eq!(prof.eval_arr(Time::hm(0, 45), P), Time::hm(24, 30));
+        // An absolute time the next day evaluates at its period-local time.
+        assert_eq!(prof.eval_arr(Time::hm(24, 10), P), Time::hm(24, 30));
+        assert_eq!(prof.eval_dur(Time::hm(24, 10), P), Dur::minutes(20));
     }
 
     #[test]
@@ -386,19 +394,9 @@ mod tests {
     #[test]
     fn link_const_shifts_arrivals() {
         let a = Profile::from_unreduced(vec![pt(10, 30), pt(40, 60)], P);
-        let b = a.link_const(Dur::minutes(5), P);
+        let b = a.link_const(Dur::minutes(5));
         assert_eq!(b.points(), &[pt(10, 35), pt(40, 65)]);
         assert!(b.is_reduced(P));
-    }
-
-    #[test]
-    fn link_plf_composes_travel_times() {
-        use crate::plf::PlfPoint;
-        let a = Profile::from_unreduced(vec![pt(10, 30)], P);
-        // Edge served at 00:35 taking 10 min.
-        let f = Plf::from_points(vec![PlfPoint::new(Time::hm(0, 35), Dur::minutes(10))], P);
-        let b = a.link_plf(&f, P);
-        assert_eq!(b.points(), &[pt(10, 45)]);
     }
 
     #[test]
@@ -412,6 +410,11 @@ mod tests {
         // dep 00:50: at junction 01:00, ready 01:05 → 01:20 train → 01:40.
         assert_eq!(stitched.points(), &[pt(10, 55), pt(50, 100)]);
         assert!(stitched.is_reduced(P));
+        // With no buffer the onward profile is a hop's travel-time
+        // function: served at 00:35 taking 10 min, reached at 00:30.
+        let hop = Profile::from_unreduced(vec![pt(35, 45)], P);
+        let linked = Profile::from_unreduced(vec![pt(10, 30)], P).link_profile(&hop, Dur::ZERO, P);
+        assert_eq!(linked.points(), &[pt(10, 45)]);
     }
 
     #[test]
@@ -471,6 +474,7 @@ mod tests {
     fn min_arr_and_dur() {
         let a = Profile::from_unreduced(vec![pt(10, 30), pt(40, 50)], P);
         assert_eq!(a.min_arr(), Time::hm(0, 30));
-        assert_eq!(a.min_dur(), Dur::minutes(10));
+        assert_eq!(a.max_dur(), Dur::minutes(20));
+        assert_eq!(Profile::EMPTY.max_dur(), Dur::ZERO);
     }
 }

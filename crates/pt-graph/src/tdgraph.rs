@@ -8,8 +8,8 @@
 //!   station is free, see [`TdGraph::arrivals`]) — and
 //!   `routenode(ρ, j) → station(S)` with weight `0` — alighting;
 //! * time-dependent: `routenode(ρ, j) → routenode(ρ, j+1)`, weighted by the
-//!   PLF whose connection points are the departures of all trains of `ρ`
-//!   on that hop.
+//!   hop's travel-time function (PLF): a [`Profile`] with one point
+//!   `(dep, arr)` per train of `ρ` on that hop.
 //!
 //! The adjacency is stored once, one CSR lane per kind ([`EdgeKindCsr`]).
 //! The heap searches walk it through [`TdGraph::arrivals`]; the ring kernel
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use pt_core::{ConnId, Dur, NodeId, Period, Plf, PlfPoint, RouteId, StationId, Time};
+use pt_core::{ConnId, Dur, NodeId, Period, Profile, ProfilePoint, RouteId, StationId, Time};
 use pt_timetable::{RouteInfo, Routes, Timetable};
 
 /// One edge kind's CSR: node `v`'s edges are `head[first[v]..first[v + 1]]`
@@ -105,7 +105,8 @@ struct Topology {
 /// The realistic time-dependent graph of a timetable.
 ///
 /// Split for copy-on-write publishing: the `Topology` is one shared `Arc`;
-/// the hop PLFs are individually `Arc`-shared and a
+/// the hop PLFs (each hop's travel-time function, a [`Profile`]) are
+/// individually `Arc`-shared and a
 /// [`TdGraph::repatch_routes`] *replaces* exactly the touched routes' hop
 /// PLFs (every other PLF stays physically shared with older snapshots);
 /// `conn_start` copies-on-first-touch after a clone. A clone is therefore
@@ -116,7 +117,7 @@ pub struct TdGraph {
     num_stations: u32,
     topo: Arc<Topology>,
     /// The PLF arena, one entry per (route, hop) in route order.
-    plfs: Vec<Arc<Plf>>,
+    plfs: Vec<Arc<Profile>>,
     /// For every elementary connection: the route node where it departs.
     conn_start: Arc<Vec<NodeId>>,
     /// Longest PLF duration over the arena, tracked monotonically across
@@ -126,19 +127,20 @@ pub struct TdGraph {
 }
 
 /// The travel-time function of one hop of a route: one connection point per
-/// train of the route, which must be FIFO ([`Routes::route_is_fifo`]). A
-/// route a re-split emptied has the empty, never-served PLF.
-fn hop_plf(tt: &Timetable, route: &RouteInfo, hop: usize) -> Plf {
-    let points: Vec<PlfPoint> = route
+/// train of the route, which must be FIFO ([`Routes::route_is_fifo`]), so
+/// the connection reduction keeps every point. A route a re-split emptied
+/// has the empty, never-served PLF.
+fn hop_plf(tt: &Timetable, route: &RouteInfo, hop: usize) -> Profile {
+    let points: Vec<ProfilePoint> = route
         .trains
         .iter()
         .map(|&t| {
             let c = tt.connection(tt.train_connections(t)[hop]);
-            PlfPoint::new(c.dep, c.dur())
+            ProfilePoint::new(c.dep, c.arr)
         })
         .collect();
     let expected = points.len();
-    let plf = Plf::from_points(points, tt.period());
+    let plf = Profile::from_unreduced(points, tt.period());
     debug_assert_eq!(plf.len(), expected, "hop PLF of a non-FIFO route");
     plf
 }
@@ -386,9 +388,10 @@ impl TdGraph {
         v.0 < self.num_stations
     }
 
-    /// The PLF arena entry of a time-dependent edge.
+    /// The PLF arena entry of a time-dependent edge: the hop's travel-time
+    /// function, a [`Profile`] over the hop's trains.
     #[inline]
-    pub fn plf(&self, idx: u32) -> &Plf {
+    pub fn plf(&self, idx: u32) -> &Profile {
         &self.plfs[idx as usize]
     }
 

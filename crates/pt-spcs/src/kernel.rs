@@ -291,7 +291,7 @@ impl RingState {
             let (heads, plf_idx) = kinds.td_edges(v);
             for j in 0..heads.len() {
                 sc.slots.push(base + heads[j]);
-                sc.keys.push(g.plf(plf_idx[j]).eval_arr_secs(cur, period));
+                sc.keys.push(g.plf(plf_idx[j]).eval_arr(Time(cur), period).secs());
             }
             if target_mode {
                 sc.anc.extend(std::iter::repeat_n(anc, heads.len()));

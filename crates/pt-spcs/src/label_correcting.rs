@@ -64,9 +64,12 @@ pub fn profile_search(net: &Network, source: StationId) -> LcResult {
         let label = labels[v].clone();
         // Link the whole profile over each edge, constant lane first.
         let (heads, secs) = g.kind_csr().const_edges(v);
-        let consts = heads.iter().zip(secs).map(|(&w, &d)| (w, label.link_const(Dur(d), period)));
+        let consts = heads.iter().zip(secs).map(|(&w, &d)| (w, label.link_const(Dur(d))));
         let (heads, plfs) = g.kind_csr().td_edges(v);
-        let hops = heads.iter().zip(plfs).map(|(&w, &p)| (w, label.link_plf(g.plf(p), period)));
+        let hops = heads
+            .iter()
+            .zip(plfs)
+            .map(|(&w, &p)| (w, label.link_profile(g.plf(p), Dur::ZERO, period)));
         for (w, linked) in consts.chain(hops) {
             if linked.is_empty() {
                 continue;

@@ -232,7 +232,7 @@ impl Routes {
     /// time-dependent model requires of a route (see the module docs): in
     /// train order, per hop, departures strictly increasing and arrivals
     /// strictly increasing; no arrival a full period (or more) after the
-    /// hop's earliest (the cyclic condition of [`pt_core::Plf::is_fifo`]);
+    /// hop's earliest (the cyclic condition of [`pt_core::Profile::is_reduced`]);
     /// and at every intermediate station no train departs while another
     /// one dwells there, on the period circle.
     /// [`Routes::partition`] and [`Routes::refit`] guarantee all of this by

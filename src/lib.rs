@@ -63,8 +63,8 @@ pub use pt_timetable as timetable;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use pt_core::{
-        ConnId, Dur, NodeId, Period, Plf, PlfPoint, Profile, ProfilePoint, RouteId, StationId,
-        Time, TrainId, INFINITY,
+        ConnId, Dur, NodeId, Period, Profile, ProfilePoint, RouteId, StationId, Time, TrainId,
+        INFINITY,
     };
     pub use pt_feed::{
         FeedDecoder, FeedDriver, FeedDriverConfig, FeedSource, FeedStats, RecordedFeed, WireEvent,
