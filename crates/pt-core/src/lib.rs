@@ -20,6 +20,8 @@
 #![warn(missing_docs)]
 
 pub mod id;
+#[cfg(test)]
+mod plf;
 pub mod profile;
 pub mod time;
 

@@ -358,9 +358,6 @@ mod tests {
         assert_eq!(prof.eval_arr(Time::hm(0, 15), P), Time::hm(0, 55));
         // After the last: wrap to tomorrow's first.
         assert_eq!(prof.eval_arr(Time::hm(0, 45), P), Time::hm(24, 30));
-        // An absolute time the next day evaluates at its period-local time.
-        assert_eq!(prof.eval_arr(Time::hm(24, 10), P), Time::hm(24, 30));
-        assert_eq!(prof.eval_dur(Time::hm(24, 10), P), Dur::minutes(20));
     }
 
     #[test]
@@ -410,11 +407,15 @@ mod tests {
         // dep 00:50: at junction 01:00, ready 01:05 → 01:20 train → 01:40.
         assert_eq!(stitched.points(), &[pt(10, 55), pt(50, 100)]);
         assert!(stitched.is_reduced(P));
+    }
+
+    #[test]
+    fn link_plf_composes_travel_times() {
         // With no buffer the onward profile is a hop's travel-time
-        // function: served at 00:35 taking 10 min, reached at 00:30.
+        // function (PLF): edge served at 00:35 taking 10 min.
+        let a = Profile::from_unreduced(vec![pt(10, 30)], P);
         let hop = Profile::from_unreduced(vec![pt(35, 45)], P);
-        let linked = Profile::from_unreduced(vec![pt(10, 30)], P).link_profile(&hop, Dur::ZERO, P);
-        assert_eq!(linked.points(), &[pt(10, 45)]);
+        assert_eq!(a.link_profile(&hop, Dur::ZERO, P).points(), &[pt(10, 45)]);
     }
 
     #[test]

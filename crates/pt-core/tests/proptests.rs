@@ -32,15 +32,45 @@ fn raw_points() -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..PI, 0..3 * PI), 0..24)
 }
 
+/// The reduced profile of raw (departure, duration) points; on a hop,
+/// the travel-time function (PLF) the time-dependent graph builds.
+fn reduced(points: &[(u32, u32)]) -> Profile {
+    Profile::from_unreduced(
+        points.iter().map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w))).collect(),
+        period(),
+    )
+}
+
 proptest! {
     #[test]
+    fn plf_construction_is_fifo(pts in raw_points()) {
+        prop_assert!(reduced(&pts).is_reduced(period()));
+    }
+
+    #[test]
+    fn plf_reduction_preserves_function(pts in raw_points(), taus in prop::collection::vec(0..PI, 1..16)) {
+        let f = reduced(&pts);
+        for tau in taus {
+            let fast = f.eval_dur(Time(tau), period());
+            match raw_min_dur(&pts, tau) {
+                None => prop_assert!(fast.is_infinite()),
+                Some(want) => prop_assert_eq!(fast.secs(), want, "tau={}", tau),
+            }
+        }
+    }
+
+    #[test]
+    fn plf_fast_eval_matches_exhaustive(pts in raw_points(), tau in 0..4 * PI) {
+        // The binary search against a scan of every reduced point.
+        let f = reduced(&pts);
+        let local = period().local(Time(tau));
+        let exhaustive = f.points().iter().map(|q| period().delta(local, q.dep) + q.dur()).min();
+        prop_assert_eq!(f.eval_dur(Time(tau), period()), exhaustive.unwrap_or(Dur::INFINITE));
+    }
+
+    #[test]
     fn profile_reduction_preserves_function(pts in raw_points(), taus in prop::collection::vec(0..4 * PI, 1..16)) {
-        let prof = Profile::from_unreduced(
-            pts.iter()
-                .map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w)))
-                .collect(),
-            period(),
-        );
+        let prof = reduced(&pts);
         prop_assert!(prof.is_reduced(period()));
         for tau in taus {
             let arr = prof.eval_arr(Time(tau), period());
@@ -53,26 +83,15 @@ proptest! {
 
     #[test]
     fn profile_reduction_is_idempotent(pts in raw_points()) {
-        let once = Profile::from_unreduced(
-            pts.iter()
-                .map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w)))
-                .collect(),
-            period(),
-        );
+        let once = reduced(&pts);
         let twice = Profile::from_unreduced(once.points().to_vec(), period());
         prop_assert_eq!(once, twice);
     }
 
     #[test]
     fn merge_is_pointwise_minimum(a in raw_points(), b in raw_points(), taus in prop::collection::vec(0..PI, 1..16)) {
-        let pa = Profile::from_unreduced(
-            a.iter().map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w))).collect(),
-            period(),
-        );
-        let pb = Profile::from_unreduced(
-            b.iter().map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w))).collect(),
-            period(),
-        );
+        let pa = reduced(&a);
+        let pb = reduced(&b);
         let mut merged = pa.clone();
         merged.merge(&pb, period());
         prop_assert!(merged.is_reduced(period()));
@@ -86,10 +105,7 @@ proptest! {
 
     #[test]
     fn link_const_shifts_evaluation(pts in raw_points(), shift in 0..PI, tau in 0..PI) {
-        let prof = Profile::from_unreduced(
-            pts.iter().map(|&(d, w)| ProfilePoint::new(Time(d), Time(d + w))).collect(),
-            period(),
-        );
+        let prof = reduced(&pts);
         let shifted = prof.link_const(Dur(shift));
         let base = prof.eval_arr(Time(tau), period());
         if base.is_infinite() {
