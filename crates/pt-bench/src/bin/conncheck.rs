@@ -177,8 +177,12 @@ fn main() {
                 );
                 mismatches += report(&fed);
                 println!(
-                    "{name:<16} (feed: {} events, {} patched, {} rebuilt, {} table rows refreshed)",
-                    stats.events, stats.patched, stats.rebuilt, stats.rows_refreshed
+                    "{name:<16} (feed: {} events, {} routes repatched, {} appended, \
+                     {} table rows refreshed)",
+                    stats.events,
+                    stats.repatched_routes,
+                    stats.appended_routes,
+                    stats.rows_refreshed
                 );
             }
         }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use pt_core::{Dur, StationId, Time, TrainId};
 use pt_spcs::{
-    label_correcting, time_query, BorderSpec, DelayUpdate, DistanceTable, KernelMode, Network,
+    label_correcting, time_query, BorderSpec, DistanceTable, KernelMode, Network,
     PartitionStrategy, ProfileEngine, ProfileSet, S2sEngine, ShardId, ShardedService,
     TransferSelection,
 };
@@ -784,10 +784,12 @@ pub fn calendar_check(
 pub struct FeedCheckStats {
     /// Feed events applied (over all batches).
     pub events: usize,
-    /// Per-event [`DelayUpdate::Patched`] outcomes.
-    pub patched: usize,
-    /// Per-event [`DelayUpdate::Rebuilt`] outcomes.
-    pub rebuilt: usize,
+    /// Routes rewritten in place (summed
+    /// [`FeedSummary::repatched_routes`](pt_spcs::FeedSummary::repatched_routes)).
+    pub repatched_routes: usize,
+    /// Routes the re-splits appended (summed
+    /// [`FeedSummary::refit_routes`](pt_spcs::FeedSummary::refit_routes)).
+    pub appended_routes: usize,
     /// Distance-table rows recomputed by the incremental refreshes.
     pub rows_refreshed: usize,
 }
@@ -834,8 +836,8 @@ pub fn cross_check_after_feed(
         let gen_before = fed.generation();
         let summary = fed.apply_feed(&events);
         stats.events += events.len();
-        stats.patched += summary.events.iter().filter(|&&u| u == DelayUpdate::Patched).count();
-        stats.rebuilt += summary.events.iter().filter(|&&u| u == DelayUpdate::Rebuilt).count();
+        stats.repatched_routes += summary.repatched_routes;
+        stats.appended_routes += summary.refit_routes;
 
         comparisons += 1;
         let expected_bump = u64::from(summary.changed());

@@ -345,11 +345,11 @@ impl<'a> FeedDriver<'a> {
         }
         let batch: Vec<(ShardId, DelayEvent)> = self.queue.drain(..n).collect();
         let start = Instant::now();
-        let summary = self.svc.apply_feed(&batch).map_err(DriverError::Apply)?;
+        let outcomes = self.svc.apply_feed(&batch).map_err(DriverError::Apply)?;
         self.stats.apply_ns += start.elapsed().as_nanos();
         self.stats.batches_applied += 1;
         self.stats.events_applied += batch.len() as u64;
-        if summary.changed() {
+        if outcomes.iter().any(|(_, o)| o.published.is_some()) {
             self.stats.changed_batches += 1;
         }
         Ok(())

@@ -202,11 +202,6 @@ impl FeedDecoder {
         FeedDecoder { roster: trains_per_shard, line_no: 0 }
     }
 
-    /// Lines seen so far (including skipped blanks/comments).
-    pub fn lines_seen(&self) -> u64 {
-        self.line_no
-    }
-
     /// Decodes one line. `Ok(None)` for blanks and `#` comments,
     /// `Err` for anything malformed — never panics, whatever the input.
     pub fn decode_line(&self, line: &str) -> Result<Option<WireEvent>, DecodeError> {

@@ -690,10 +690,7 @@ mod tests {
         let engine = ProfileEngine::new().with_cache(8);
         let before = engine.one_to_all(&net, s[0]);
         let g0 = net.generation();
-        assert_ne!(
-            net.apply_delay(TrainId(0), 0, Dur::minutes(7), Recovery::None),
-            crate::network::DelayUpdate::Unchanged
-        );
+        assert!(net.apply_delay(TrainId(0), 0, Dur::minutes(7), Recovery::None).changed());
         assert!(net.generation() > g0);
         // Same source, new generation: the stale entry cannot match.
         let after = engine.one_to_all_with_stats(&net, s[0]);

@@ -41,12 +41,17 @@
 //! * [`network`] also hosts [`ConcurrentNetwork`]: snapshot-isolated
 //!   serving, where readers pin immutable epoch-stamped
 //!   [`NetworkSnapshot`]s while one writer patches a private master and
-//!   publishes with an atomic swap,
+//!   publishes with an atomic swap. A feed reports one result per layer:
+//!   [`Network::apply_feed`] a [`FeedSummary`] of the routes it touched,
+//!   rewrote and appended, [`ConcurrentNetwork::apply_feed`] a
+//!   [`PublishOutcome`] carrying that summary and the snapshot it
+//!   published,
 //! * [`shard`] — the multi-network serving layer: a [`ShardedService`]
 //!   owns N snapshot-published shards behind a station-to-shard directory,
 //!   routes queries/batches/feeds to the owning shard's persistent engines
 //!   (all serving methods `&self`, one `apply_feed` with one scoped table
-//!   refresh per shard per feed, per-shard cache stripes, batches pin all
+//!   refresh per shard per feed that returns each fed shard's
+//!   [`PublishOutcome`], per-shard cache stripes, batches pin all
 //!   touched shards' snapshots up front); cross-shard pairs are refused
 //!   with a typed redirect ([`RouterError`]) unless a gateway is built,
 //! * [`gateway`] — the cross-shard gateway: border-station alias groups
@@ -87,17 +92,12 @@ pub use distance_table::{DistanceTable, StaleTable};
 pub use gateway::{BorderSpec, GatewayStats};
 pub use journey::{earliest_journey, Journey, Leg};
 pub use kernel::KernelMode;
-pub use network::{
-    ConcurrentNetwork, DelayUpdate, FeedSummary, Network, NetworkSnapshot, PublishOutcome,
-};
+pub use network::{ConcurrentNetwork, FeedSummary, Network, NetworkSnapshot, PublishOutcome};
 pub use parallel::OneToAllResult;
 pub use partition::PartitionStrategy;
 pub use profile_set::ProfileSet;
 pub use s2s::{QueryKind, S2sCache, S2sEngine, S2sResult};
-pub use shard::{
-    Routed, RouterError, ShardFeedOutcome, ShardId, ShardedFeedSummary, ShardedService,
-    ShardedServiceBuilder,
-};
+pub use shard::{Routed, RouterError, ShardId, ShardedService, ShardedServiceBuilder};
 pub use stats::QueryStats;
 pub use transfer_selection::TransferSelection;
 pub use workspace::{SearchWorkspace, WorkspacePool};

@@ -25,35 +25,11 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
 /// behind than this falls back to a full recompute.
 const FEED_LOG_CAP: usize = 64;
 
-/// How [`Network::apply_delay`] serviced an update — the fully dynamic
-/// scenario of the paper (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DelayUpdate {
-    /// The delay matched no connection (or was fully absorbed by the
-    /// recovery): nothing changed, the generation did not move.
-    Unchanged,
-    /// The event's train kept its route id: the timetable was patched in
-    /// place and the route's PLFs were rewritten
-    /// ([`TdGraph::repatch_routes`]).
-    Patched,
-    /// The event's train rides a different route id after the feed: the
-    /// re-split of its class ([`Routes::repatch_feed`]) moved it — nothing
-    /// is rebuilt (the name predates that).
-    Rebuilt,
-}
-
 /// What [`Network::apply_feed`] did with one batch of [`DelayEvent`]s —
-/// the per-event outcomes plus the aggregate counters a feed-driven server
-/// (and the repo benchmark) reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the fully dynamic scenario of the paper (§5.1). The default value is
+/// the nil feed's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FeedSummary {
-    /// Per event, in feed order, how it was serviced. An event whose train
-    /// ended up with unchanged times (a no-op delay, a cancellation of a
-    /// never-delayed train, or a delay+cancel pair that nets out) is
-    /// [`DelayUpdate::Unchanged`]; an event whose train kept its route id is
-    /// [`DelayUpdate::Patched`]; one whose train changed route id is
-    /// [`DelayUpdate::Rebuilt`].
-    pub events: Vec<DelayUpdate>,
     /// Distinct routes carrying a net-changed train.
     pub touched_routes: usize,
     /// Existing routes rewritten in place, each exactly once
@@ -63,13 +39,6 @@ pub struct FeedSummary {
     /// Routes the re-split appended ([`Routes::refit`]); non-zero means the
     /// graph grew route nodes.
     pub refit_routes: usize,
-    /// Departure stations of every net-changed connection, sorted and
-    /// deduplicated. Informational — the network records the same data per
-    /// generation in its own bounded log ([`Network::touched_since`]), which
-    /// is what [`DistanceTable::refresh`](crate::DistanceTable::refresh)
-    /// consults, so stale tables several feeds behind refresh correctly
-    /// without the caller accumulating these.
-    pub touched_stations: Vec<StationId>,
 }
 
 impl FeedSummary {
@@ -77,21 +46,6 @@ impl FeedSummary {
     /// when the generation was bumped — once).
     pub fn changed(&self) -> bool {
         self.touched_routes > 0
-    }
-
-    /// `true` iff the feed's re-split appended routes.
-    pub fn rebuilt(&self) -> bool {
-        self.refit_routes > 0
-    }
-
-    fn unchanged(num_events: usize) -> FeedSummary {
-        FeedSummary {
-            events: vec![DelayUpdate::Unchanged; num_events],
-            touched_routes: 0,
-            repatched_routes: 0,
-            refit_routes: 0,
-            touched_stations: Vec::new(),
-        }
     }
 }
 
@@ -165,9 +119,7 @@ impl Network {
 
     /// Applies a delay to the live network: `train` runs `delay` late from
     /// its `from_hop`-th hop onward, recovering per [`Recovery`] — the
-    /// one-event [`Network::apply_feed`], which describes the update path:
-    /// [`DelayUpdate::Rebuilt`] if the train changed route id,
-    /// [`DelayUpdate::Patched`] otherwise.
+    /// one-event [`Network::apply_feed`].
     ///
     /// Every change bumps [`Network::generation`], invalidating
     /// generation-keyed caches. Precomputed [`crate::DistanceTable`]s are
@@ -178,16 +130,16 @@ impl Network {
         from_hop: u16,
         delay: Dur,
         recovery: Recovery,
-    ) -> DelayUpdate {
-        self.apply_feed(&[DelayEvent::Delay { train, from_hop, delay, recovery }]).events[0]
+    ) -> FeedSummary {
+        self.apply_feed(&[DelayEvent::Delay { train, from_hop, delay, recovery }])
     }
 
-    /// Withdraws every previous delay announcement for `train`
-    /// ([`DelayEvent::Cancel`] applied alone): its hops return to the
-    /// published schedule. A never-delayed train is a no-op
-    /// ([`DelayUpdate::Unchanged`], no generation bump).
-    pub fn apply_cancel(&mut self, train: TrainId) -> DelayUpdate {
-        self.apply_feed(&[DelayEvent::Cancel { train }]).events[0]
+    /// Withdraws every previous delay announcement for `train` — the
+    /// one-event [`Network::apply_feed`] of a [`DelayEvent::Cancel`]: its
+    /// hops return to the published schedule. A never-delayed train is a
+    /// no-op (an unchanged summary, no generation bump).
+    pub fn apply_cancel(&mut self, train: TrainId) -> FeedSummary {
+        self.apply_feed(&[DelayEvent::Cancel { train }])
     }
 
     /// Applies a whole realtime feed to the live network in **one pass**,
@@ -211,48 +163,35 @@ impl Network {
     /// * the station graph is invariant (delays and cancellations shift
     ///   times, never durations or the edge set) and is always kept.
     ///
-    /// The returned [`FeedSummary`] carries a per-event [`DelayUpdate`]
-    /// (net semantics: events whose train ended up back on its previous
-    /// times report [`DelayUpdate::Unchanged`]) and the feed's touched
-    /// stations; the same stations are recorded per generation in the
-    /// network's bounded log ([`Network::touched_since`]) for incremental
+    /// The returned [`FeedSummary`] counts the routes the feed touched,
+    /// rewrote and appended (net semantics: a train that ended up back on
+    /// its previous times touches nothing). The feed's touched stations
+    /// are recorded per generation in the network's bounded log
+    /// ([`Network::touched_since`]) for incremental
     /// [`DistanceTable::refresh`](crate::DistanceTable::refresh)es. A feed
     /// with net effect nil leaves the network — and its generation —
     /// untouched.
     pub fn apply_feed(&mut self, events: &[DelayEvent]) -> FeedSummary {
         let patch = self.timetable.patch_feed(events);
         if !patch.changed {
-            return FeedSummary::unchanged(events.len());
+            return FeedSummary::default();
         }
-        let before: Vec<RouteId> = patch.trains.iter().map(|&t| self.routes.route_of(t)).collect();
+        let mut touched: Vec<RouteId> =
+            patch.trains.iter().map(|&t| self.routes.route_of(t)).collect();
+        touched.sort_unstable();
+        touched.dedup();
         let routes_before = self.routes.len();
         let rewrite = self.routes.repatch_feed(&self.timetable, &patch);
         self.graph.repatch_routes(&self.timetable, &self.routes, &rewrite, &patch.remapped);
-        let events_out: Vec<DelayUpdate> = events
-            .iter()
-            .zip(&patch.event_changed)
-            .map(|(ev, &changed)| match patch.trains.binary_search(&ev.train()) {
-                Ok(i) if changed && self.routes.route_of(ev.train()) == before[i] => {
-                    DelayUpdate::Patched
-                }
-                Ok(_) if changed => DelayUpdate::Rebuilt,
-                _ => DelayUpdate::Unchanged,
-            })
-            .collect();
-        let mut touched = before;
-        touched.sort_unstable();
-        touched.dedup();
 
-        self.feed_log.push((self.generation(), patch.touched_stations.clone().into()));
+        self.feed_log.push((self.generation(), patch.touched_stations.into()));
         if self.feed_log.len() > FEED_LOG_CAP {
             self.feed_log.remove(0);
         }
         FeedSummary {
-            events: events_out,
             touched_routes: touched.len(),
             repatched_routes: rewrite.len(),
             refit_routes: self.routes.len() - routes_before,
-            touched_stations: patch.touched_stations,
         }
     }
 
@@ -428,9 +367,11 @@ impl Deref for NetworkSnapshot {
 }
 
 /// What one [`ConcurrentNetwork::apply_feed`] call did.
-#[derive(Debug)]
+/// `published.is_some() == summary.changed()`: a feed publishes a snapshot
+/// exactly when it changed the network.
+#[derive(Debug, Default)]
 pub struct PublishOutcome {
-    /// The per-event outcomes and touched stations (see [`FeedSummary`]).
+    /// What the master network's [`Network::apply_feed`] did.
     pub summary: FeedSummary,
     /// Rows rewritten by the incremental table refresh (0 when no table is
     /// configured or the feed was net-nil).
@@ -524,30 +465,18 @@ impl ConcurrentNetwork {
         let mut master = self.master.lock().unwrap();
         let summary = master.net.apply_feed(events);
         if !summary.changed() {
-            return PublishOutcome {
-                summary,
-                table_rows_refreshed: 0,
-                publish_ns: 0,
-                published: None,
-            };
+            return PublishOutcome { summary, ..PublishOutcome::default() };
         }
-        let mut rows = 0;
         let Master { net, table } = &mut *master;
-        if let Some(table) = table {
-            rows = DistanceTable::refresh_shared(table, net)
-                .expect("master table refreshes in lock step");
-        }
+        let table_rows_refreshed = table.as_mut().map_or(0, |table| {
+            DistanceTable::refresh_shared(table, net).expect("master table refreshes in lock step")
+        });
         let start = std::time::Instant::now();
         let snapshot = Arc::new(publish_snapshot(&master.net, master.table.as_ref()));
         self.published.store(snapshot.clone());
         let publish_ns = start.elapsed().as_nanos() as u64;
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        PublishOutcome {
-            summary,
-            table_rows_refreshed: rows,
-            publish_ns,
-            published: Some(snapshot),
-        }
+        PublishOutcome { summary, table_rows_refreshed, publish_ns, published: Some(snapshot) }
     }
 }
 
@@ -607,7 +536,7 @@ mod tests {
         // Some delay of train 0 lands it on a companion's slot or past it.
         let event = (1..240)
             .map(|minutes| delay(0, minutes))
-            .find(|&ev| base.clone().apply_feed(&[ev]).rebuilt())
+            .find(|&ev| base.clone().apply_feed(&[ev]).refit_routes > 0)
             .expect("a delay of train 0 that splits its route");
         let engine = ProfileEngine::new();
         let sources = [StationId(0), StationId(7), StationId(19)];
@@ -616,8 +545,8 @@ mod tests {
         let cnet = ConcurrentNetwork::new(base);
         let pinned = cnet.snapshot();
         let outcome = cnet.apply_feed(&[event]);
-        assert!(outcome.summary.rebuilt());
-        assert_ne!(outcome.summary.events, [DelayUpdate::Unchanged]);
+        assert!(outcome.summary.refit_routes > 0);
+        assert!(outcome.summary.changed());
         let fresh = cnet.snapshot();
         assert!(fresh.routes().len() > pinned.routes().len(), "the re-split appended routes");
 

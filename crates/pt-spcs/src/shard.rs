@@ -4,7 +4,8 @@
 //! machine; the serving goal is hosting *many* networks (or one huge
 //! network split by region) behind one process. A [`ShardedService`] owns
 //! `N` shards — each a [`Network`] with its own persistent
-//! [`ProfileEngine`], [`S2sEngine`] and optional [`DistanceTable`] — plus a
+//! [`ProfileEngine`], [`S2sEngine`] and optional
+//! [`DistanceTable`](crate::DistanceTable) — plus a
 //! station-to-shard **directory**, and routes every call to the owning
 //! shard:
 //!
@@ -14,20 +15,21 @@
 //!   [`ShardedService::one_to_all`] / [`ShardedService::s2s`] dispatch to
 //!   the owning shard's engine; the batch forms go through the router's one
 //!   demultiplexer (group by shard, run once per shard, scatter back to
-//!   input order — shared with the feed path), so each shard's engine is
-//!   entered **once** per batch with all of its queries (keeping the
-//!   two-level batch parallelism per shard).
+//!   input order), so each shard's engine is entered **once** per batch
+//!   with all of its queries (keeping the two-level batch parallelism per
+//!   shard).
 //! * **Cache striping.** Each shard's `ProfileEngine` carries its own LRU
 //!   stripe, so the effective cache key is
 //!   `(shard, source, epoch, generation)`: a feed to shard A bumps only A's
 //!   generation and only A's stripe sees invalidations or capacity
 //!   pressure — shard B's hits are untouchable by A's traffic.
-//! * **Feeds.** [`ShardedService::apply_feed`] demultiplexes a mixed
-//!   [`DelayEvent`] stream so each shard receives **one**
-//!   [`Network::apply_feed`] call (one generation bump at most) and — when
-//!   the feed changed anything and the shard has a table — **one** scoped
-//!   [`DistanceTable::refresh`]. A shard with no events (or a net-nil
-//!   batch) is not touched at all.
+//! * **Feeds.** [`ShardedService::apply_feed`] checks every shard id of a
+//!   mixed [`DelayEvent`] stream and groups the events by shard before any
+//!   shard applies its batch, so each shard receives **one**
+//!   [`ConcurrentNetwork::apply_feed`] call: one generation bump at most,
+//!   **one** scoped table refresh when the batch changed anything, and one
+//!   published snapshot, handed back to the caller. A shard with no events
+//!   (or a net-nil batch) is not touched at all.
 //! * **Cross-shard journeys.** With a gateway configured
 //!   ([`ShardedServiceBuilder::gateway`]), a station-to-station query whose
 //!   endpoints live in different shards is answered by stitching
@@ -67,9 +69,8 @@ use pt_timetable::DelayEvent;
 
 use crate::cache::CacheStats;
 use crate::connection_setting::ProfileEngine;
-use crate::distance_table::DistanceTable;
 use crate::gateway::{BorderSpec, Gateway, GatewayStats};
-use crate::network::{ConcurrentNetwork, DelayUpdate, FeedSummary, Network, NetworkSnapshot};
+use crate::network::{ConcurrentNetwork, Network, NetworkSnapshot, PublishOutcome};
 use crate::partition::PartitionStrategy;
 use crate::profile_set::ProfileSet;
 use crate::s2s::{QueryKind, S2sEngine, S2sResult};
@@ -163,42 +164,6 @@ pub struct Routed<T> {
     pub shard: ShardId,
     /// The shard-local answer.
     pub value: T,
-}
-
-/// What one shard did with its slice of a mixed feed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFeedOutcome {
-    /// The shard the events were demultiplexed to.
-    pub shard: ShardId,
-    /// The shard's own [`Network::apply_feed`] summary (one call, so at
-    /// most one generation bump).
-    pub summary: FeedSummary,
-    /// Rows the shard's distance table recomputed in its one scoped
-    /// [`DistanceTable::refresh`]; `0` when the shard has no table or the
-    /// batch changed nothing.
-    pub table_rows_refreshed: usize,
-}
-
-/// What [`ShardedService::apply_feed`] did with one mixed event batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedFeedSummary {
-    /// Per event, in input order, how the owning shard serviced it.
-    pub events: Vec<DelayUpdate>,
-    /// One outcome per shard that received at least one event, ascending
-    /// by shard id. Shards absent here were not touched at all.
-    pub shards: Vec<ShardFeedOutcome>,
-}
-
-impl ShardedFeedSummary {
-    /// `true` iff at least one shard changed (bumped its generation).
-    pub fn changed(&self) -> bool {
-        self.shards.iter().any(|s| s.summary.changed())
-    }
-
-    /// The outcome of `shard`, if it received any events.
-    pub fn outcome(&self, shard: ShardId) -> Option<&ShardFeedOutcome> {
-        self.shards.iter().find(|o| o.shard == shard)
-    }
 }
 
 /// One shard: a snapshot-published network and its persistent serving
@@ -488,13 +453,6 @@ impl ShardedService {
         Ok(self.shards[shard.idx()].net.snapshot())
     }
 
-    /// The shard's distance table as published with its current snapshot,
-    /// if the service was built with tables.
-    pub fn table(&self, shard: ShardId) -> Result<Option<Arc<DistanceTable>>, RouterError> {
-        self.check_shard(shard)?;
-        Ok(self.shards[shard.idx()].net.snapshot().shared_table())
-    }
-
     /// How many snapshots `shard` has published (= feeds that changed it).
     pub fn publishes(&self, shard: ShardId) -> Result<u64, RouterError> {
         self.check_shard(shard)?;
@@ -764,17 +722,19 @@ impl ShardedService {
     }
 
     /// Applies a mixed realtime feed — events tagged with their shard — in
-    /// one pass per shard: the events are demultiplexed (preserving their
-    /// relative order), each shard with at least one event gets exactly
-    /// **one** [`Network::apply_feed`] call (so at most one generation bump
-    /// and one cache invalidation per shard per feed), and each *changed*
-    /// shard with a distance table gets exactly **one** scoped
-    /// [`DistanceTable::refresh`]. Untouched shards — and shards whose
-    /// batch nets out to nil — keep their generation, so their cache
-    /// stripes keep hitting.
+    /// one pass per shard. First every shard id is checked and the events
+    /// are grouped by shard (preserving their relative order); an unknown
+    /// shard id fails the whole call before any shard is fed. Then each
+    /// shard with at least one event gets exactly **one**
+    /// [`ConcurrentNetwork::apply_feed`] call: at most one generation bump
+    /// and one cache invalidation per shard per feed, and exactly one
+    /// scoped table refresh for each *changed* shard with a distance table.
+    /// Untouched shards — and shards whose batch nets out to nil — keep
+    /// their generation, so their cache stripes keep hitting.
     ///
-    /// An unknown shard id fails the whole call up front (no partial
-    /// application).
+    /// Returns one [`PublishOutcome`] per shard that received events, in
+    /// ascending shard order; each carries the snapshot that shard
+    /// published (`None` for a net-nil batch).
     ///
     /// Takes `&self`: each touched shard's feed runs under that shard's
     /// writer lock (writers serialize per shard) and publishes a new
@@ -783,23 +743,16 @@ impl ShardedService {
     pub fn apply_feed(
         &self,
         events: &[(ShardId, DelayEvent)],
-    ) -> Result<ShardedFeedSummary, RouterError> {
-        for &(shard, _) in events {
+    ) -> Result<Vec<(ShardId, PublishOutcome)>, RouterError> {
+        let mut batches: Vec<Vec<DelayEvent>> = vec![Vec::new(); self.shards.len()];
+        for &(shard, event) in events {
             self.check_shard(shard)?;
+            batches[shard.idx()].push(event);
         }
-        let mut shards = Vec::new();
-        let updates = self.demux(events.iter().map(|&tagged| Some(tagged)), |idx, batch| {
-            let outcome = self.shards[idx].net.apply_feed(batch);
-            let updates = outcome.summary.events.clone();
-            shards.push(ShardFeedOutcome {
-                shard: ShardId(idx as u32),
-                summary: outcome.summary,
-                table_rows_refreshed: outcome.table_rows_refreshed,
-            });
-            updates
-        });
-        let events = updates.into_iter().map(|u| u.expect("every event was routed")).collect();
-        Ok(ShardedFeedSummary { events, shards })
+        let fed = batches.iter().enumerate().filter(|(_, batch)| !batch.is_empty());
+        Ok(fed
+            .map(|(idx, batch)| (ShardId(idx as u32), self.shards[idx].net.apply_feed(batch)))
+            .collect())
     }
 
     fn check_shard(&self, shard: ShardId) -> Result<(), RouterError> {
@@ -1008,21 +961,24 @@ mod tests {
             ),
             (ShardId(0), DelayEvent::Cancel { train: TrainId(3) }),
         ];
-        let summary = svc.apply_feed(&feed).unwrap();
-        assert!(summary.changed());
-        assert_eq!(summary.events.len(), 4);
+        let outcomes = svc.apply_feed(&feed).unwrap();
+        // One outcome per shard that received events, ascending.
+        let fed: Vec<ShardId> = outcomes.iter().map(|&(sh, _)| sh).collect();
+        assert_eq!(fed, [ShardId(0), ShardId(2)]);
         // Shards 0 and 2 bumped exactly once, shard 1 not at all.
         let after: Vec<u64> =
             svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
         assert_eq!(after[0], gens[0] + 1, "three events, one bump");
         assert_eq!(after[1], gens[1], "untouched shard must not move");
         assert_eq!(after[2], gens[2] + 1);
-        assert_eq!(summary.shards.len(), 2);
-        assert!(summary.outcome(ShardId(1)).is_none());
-        // Each changed shard's table was refreshed in the same call.
-        for sh in [ShardId(0), ShardId(2)] {
-            assert!(summary.outcome(sh).unwrap().table_rows_refreshed > 0, "{sh}");
-            assert!(svc.table(sh).unwrap().unwrap().check_fresh(&svc.network(sh).unwrap()).is_ok());
+        // Each changed shard published the snapshot the router now pins,
+        // with its table refreshed in the same call.
+        for (sh, outcome) in &outcomes {
+            assert!(outcome.summary.changed(), "{sh}");
+            assert!(outcome.table_rows_refreshed > 0, "{sh}");
+            let published = outcome.published.as_ref().expect("a changed shard publishes");
+            assert!(Arc::ptr_eq(published, &svc.network(*sh).unwrap()), "{sh}");
+            assert!(published.table().unwrap().check_fresh(published.network()).is_ok());
         }
         // And s2s keeps answering without a stale-table panic.
         let s = svc.global_id(ShardId(0), StationId(0)).unwrap();
@@ -1049,7 +1005,7 @@ mod tests {
                 recovery: Recovery::None,
             },
         )];
-        assert!(svc.apply_feed(&feed).unwrap().changed());
+        assert!(svc.apply_feed(&feed).unwrap()[0].1.summary.changed());
         // Shard B's stripe still hits; shard A's entry stopped matching.
         let b_before = svc.shard_cache_stats(ShardId(1)).unwrap().unwrap();
         let _ = svc.one_to_all(b).unwrap();
@@ -1074,22 +1030,35 @@ mod tests {
     #[test]
     fn net_nil_feed_is_a_no_op_everywhere() {
         let svc = service();
-        let gens: Vec<u64> =
-            svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
+        let gens_now = || -> Vec<u64> {
+            svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect()
+        };
+        let gens = gens_now();
         // A cancellation of a never-delayed train nets out to nothing.
-        let summary =
-            svc.apply_feed(&[(ShardId(1), DelayEvent::Cancel { train: TrainId(0) })]).unwrap();
-        assert!(!summary.changed());
-        assert_eq!(summary.events, vec![DelayUpdate::Unchanged]);
-        assert_eq!(summary.outcome(ShardId(1)).unwrap().table_rows_refreshed, 0);
-        let after: Vec<u64> =
-            svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
-        assert_eq!(after, gens, "net-nil feed must not bump any shard");
-        // An unknown shard id fails up front.
-        assert_eq!(
-            svc.apply_feed(&[(ShardId(9), DelayEvent::Cancel { train: TrainId(0) })]),
-            Err(RouterError::UnknownShard { shard: ShardId(9) })
-        );
+        let cancel = DelayEvent::Cancel { train: TrainId(0) };
+        let outcomes = svc.apply_feed(&[(ShardId(1), cancel)]).unwrap();
+        assert_eq!(outcomes.len(), 1);
+        let (shard, outcome) = &outcomes[0];
+        assert_eq!(*shard, ShardId(1));
+        assert!(!outcome.summary.changed());
+        assert!(outcome.published.is_none());
+        assert_eq!(outcome.table_rows_refreshed, 0);
+        assert_eq!(gens_now(), gens, "net-nil feed must not bump any shard");
+        // An unknown shard id fails up front — even beside a real delay
+        // for a valid shard, which must then not be applied either.
+        let delay = DelayEvent::Delay {
+            train: TrainId(0),
+            from_hop: 0,
+            delay: Dur::minutes(10),
+            recovery: Recovery::None,
+        };
+        for feed in [vec![(ShardId(9), cancel)], vec![(ShardId(0), delay), (ShardId(9), cancel)]] {
+            assert_eq!(
+                svc.apply_feed(&feed).unwrap_err(),
+                RouterError::UnknownShard { shard: ShardId(9) }
+            );
+            assert_eq!(gens_now(), gens, "a rejected feed must feed no shard");
+        }
     }
 
     /// Two region shards meeting at one border station "B" (same name,
@@ -1212,7 +1181,7 @@ mod tests {
             delay: Dur::minutes(30),
             recovery: Recovery::None,
         };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap().changed());
+        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
         let after = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
         assert_ne!(before, after, "a delay on the onward leg must move the stitched profile");
 
@@ -1252,7 +1221,7 @@ mod tests {
             delay: Dur::minutes(30),
             recovery: Recovery::None,
         };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap().changed());
+        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
 
         // The pinned run answers entirely pre-feed…
         let pinned = svc.s2s_batch_pinned(located, &pins);
@@ -1282,7 +1251,7 @@ mod tests {
             delay: Dur::minutes(45),
             recovery: Recovery::None,
         };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap().changed());
+        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
         let pinned = svc.many_to_all_pinned(located, &pins);
         for (i, (p, r)) in pinned.iter().zip(&reference).enumerate() {
             assert_eq!(

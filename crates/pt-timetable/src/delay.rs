@@ -78,17 +78,12 @@ impl DelayEvent {
 /// without a rebuild.
 ///
 /// [`Timetable::patch_feed`]: crate::Timetable::patch_feed
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FeedPatch {
     /// `false` iff the feed's *net* effect was nil (every event a no-op, or
     /// events cancelling each other out); the generation is bumped — once —
     /// only when `true`.
     pub changed: bool,
-    /// Per event, in feed order: did applying it (on top of the preceding
-    /// events) move at least one departure? Sequential semantics: what
-    /// `changed` would have been for that event as a one-event feed at that
-    /// point of the feed.
-    pub event_changed: Vec<bool>,
     /// Trains with at least one connection whose time *net*-changed,
     /// sorted, deduplicated.
     pub trains: Vec<TrainId>,
@@ -102,19 +97,6 @@ pub struct FeedPatch {
     /// deduplicated — the seed set for reverse-reachability distance-table
     /// refreshes.
     pub touched_stations: Vec<StationId>,
-}
-
-impl FeedPatch {
-    /// A patch that changed nothing (the all-no-op feed).
-    pub(crate) fn unchanged(num_events: usize) -> FeedPatch {
-        FeedPatch {
-            changed: false,
-            event_changed: vec![false; num_events],
-            trains: Vec::new(),
-            remapped: Vec::new(),
-            touched_stations: Vec::new(),
-        }
-    }
 }
 
 /// The delay still left `hops_in` hops after the delayed hop. Saturating:
@@ -323,7 +305,7 @@ mod tests {
         let mut batched = tt.clone();
         let patch = batched.patch_feed(&events);
         assert!(patch.changed);
-        assert_eq!(patch.event_changed, vec![true, true, true, true]);
+        assert!(!patch.touched_stations.is_empty());
         assert_eq!(patch.trains, vec![TrainId(0)], "train 1's events cancelled out");
         assert_eq!(batched.generation(), 1, "a feed costs exactly one bump");
 
@@ -352,7 +334,7 @@ mod tests {
     fn net_nil_feed_is_a_no_op() {
         let (tt, _) = line();
         let mut patched = tt.clone();
-        let patch = patched.patch_feed(&[
+        let events = [
             DelayEvent::Delay {
                 train: TrainId(0),
                 from_hop: 0,
@@ -360,12 +342,11 @@ mod tests {
                 recovery: Recovery::None,
             },
             DelayEvent::Cancel { train: TrainId(0) },
-        ]);
-        // Both events moved departures *within the simulation*…
-        assert_eq!(patch.event_changed, vec![true, true]);
-        // …but the net effect is nil: no bump, no remap, identical conns.
-        assert!(!patch.changed);
-        assert!(patch.remapped.is_empty() && patch.trains.is_empty());
+        ];
+        // The delay alone moves departures…
+        assert!(tt.clone().patch_feed(&events[..1]).changed);
+        // …but the pair nets out: no bump, no remap, identical conns.
+        assert_eq!(patched.patch_feed(&events), FeedPatch::default());
         assert_eq!(patched.generation(), 0);
         assert_eq!(patched.connections(), tt.connections());
     }
@@ -406,7 +387,7 @@ mod tests {
         let (tt, _) = line();
         let mut patched = tt.clone();
         let patch = patched.patch_feed(&[]);
-        assert!(!patch.changed && patch.event_changed.is_empty());
+        assert_eq!(patch, FeedPatch::default());
         assert_eq!(patched.generation(), 0);
     }
 

@@ -334,11 +334,10 @@ impl Timetable {
     /// Bumps [`Timetable::generation`] **once** iff at least one connection
     /// ended up with a different time than before the feed — a feed whose
     /// events cancel out (delay + cancel of the same train) is a no-op and
-    /// leaves the generation alone, even though individual
-    /// [`FeedPatch::event_changed`] flags may be set.
+    /// leaves the generation alone.
     pub fn patch_feed(&mut self, events: &[DelayEvent]) -> FeedPatch {
         if events.is_empty() {
-            return FeedPatch::unchanged(0);
+            return FeedPatch::default();
         }
         let mut feed_trains: Vec<TrainId> = events.iter().map(DelayEvent::train).collect();
         feed_trains.sort_unstable();
@@ -350,8 +349,7 @@ impl Timetable {
             .iter()
             .map(|&t| self.train_connections(t).iter().map(|&c| self.connection(c).dep).collect())
             .collect();
-        let mut event_changed = vec![false; events.len()];
-        for (ei, ev) in events.iter().enumerate() {
+        for ev in events {
             let s = feed_trains.binary_search(&ev.train()).expect("every feed train is indexed");
             match *ev {
                 DelayEvent::Delay { from_hop, delay, recovery, .. } => {
@@ -363,21 +361,12 @@ impl Timetable {
                         // 64-bit reduction: `dep + effective` may exceed u32
                         // for adversarial delays; the period-local result
                         // never does.
-                        let shifted =
-                            Time(((d.secs() as u64 + effective.secs() as u64) % pi) as u32);
-                        if *d != shifted {
-                            *d = shifted;
-                            event_changed[ei] = true;
-                        }
+                        *d = Time(((d.secs() as u64 + effective.secs() as u64) % pi) as u32);
                     }
                 }
                 DelayEvent::Cancel { train } => {
                     for (d, &c) in deps[s].iter_mut().zip(self.train_connections(train)) {
-                        let published = self.scheduled_dep(c);
-                        if *d != published {
-                            *d = published;
-                            event_changed[ei] = true;
-                        }
+                        *d = self.scheduled_dep(c);
                     }
                 }
             }
@@ -408,13 +397,13 @@ impl Timetable {
             }
         }
         if touched.is_empty() {
-            return FeedPatch { event_changed, ..FeedPatch::unchanged(events.len()) };
+            return FeedPatch::default();
         }
         self.generation += 1;
         touched.sort_unstable();
         touched.dedup();
         let remapped = self.resort_buckets(&touched);
-        FeedPatch { changed: true, event_changed, trains, remapped, touched_stations: touched }
+        FeedPatch { changed: true, trains, remapped, touched_stations: touched }
     }
 
     /// Restores per-bucket departure order after connection times moved,

@@ -34,7 +34,7 @@ fn main() {
             range.start,
             range.end,
             net.timetable().num_connections(),
-            svc.table(shard).unwrap().unwrap().len(),
+            net.table().unwrap().len(),
         );
     }
 
@@ -106,18 +106,17 @@ fn main() {
             },
         ),
     ];
-    let summary = svc.apply_feed(&feed).unwrap();
-    println!("\nmixed feed of {} events → per-event {:?}", feed.len(), summary.events);
-    for outcome in &summary.shards {
+    let outcomes = svc.apply_feed(&feed).unwrap();
+    println!("\nmixed feed of {} events:", feed.len());
+    for (shard, outcome) in &outcomes {
         println!(
-            "  {}: {} routes touched, {} table rows refreshed, generation now {}",
-            outcome.shard,
+            "  {shard}: {} routes touched, {} table rows refreshed, generation now {}",
             outcome.summary.touched_routes,
             outcome.table_rows_refreshed,
-            svc.network(outcome.shard).unwrap().generation()
+            outcome.published.as_ref().map_or("unchanged".into(), |s| s.generation().to_string())
         );
     }
-    assert!(summary.outcome(ShardId(2)).is_none(), "shard 2 received no events");
+    assert!(outcomes.iter().all(|&(sh, _)| sh != ShardId(2)), "shard 2 received no events");
 
     // Post-feed queries keep answering — the router refreshed each touched
     // shard's table, so the §4 pruning stays hot.

@@ -150,9 +150,10 @@ fn sharded_service_survives_concurrent_readers_and_feeds() {
                         .into_iter()
                         .map(|e| (shard, e))
                         .collect();
-                let summary = svc.apply_feed(&events).expect("known shard");
-                if summary.changed() {
-                    states[shard.idx()].lock().unwrap().push(svc.network(shard).unwrap());
+                for (shard, outcome) in svc.apply_feed(&events).expect("known shard") {
+                    if let Some(snap) = outcome.published {
+                        states[shard.idx()].lock().unwrap().push(snap);
+                    }
                 }
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }

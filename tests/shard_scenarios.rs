@@ -116,8 +116,12 @@ fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> 
                     .collect();
                 let gens: Vec<u64> =
                     svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
-                let summary = svc.apply_feed(&feed).expect("tagged shards exist");
-                prop_assert_eq!(summary.events.len(), feed.len());
+                let outcomes = svc.apply_feed(&feed).expect("tagged shards exist");
+                // One outcome per fed shard, ascending.
+                let mut fed: Vec<ShardId> = feed.iter().map(|&(sh, _)| sh).collect();
+                fed.sort_unstable();
+                fed.dedup();
+                prop_assert_eq!(outcomes.iter().map(|&(sh, _)| sh).collect::<Vec<_>>(), fed);
 
                 // Mirror each shard's slice of the feed, in order.
                 for (shard, mirror) in svc.shard_ids().zip(mirrors.iter_mut()) {
@@ -127,11 +131,12 @@ fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> 
                     let before = gens[shard.idx()];
                     if slice.is_empty() {
                         prop_assert_eq!(gen_now, before, "untouched {} moved", shard);
-                        prop_assert!(summary.outcome(shard).is_none());
                         continue;
                     }
                     let mirror_summary = mirror.apply_feed(&slice);
-                    let outcome = summary.outcome(shard).expect("fed shard has an outcome");
+                    let (_, outcome) =
+                        outcomes.iter().find(|&&(sh, _)| sh == shard).expect("fed shard");
+                    prop_assert_eq!(outcome.published.is_some(), mirror_summary.changed());
                     prop_assert_eq!(
                         outcome.summary.changed(),
                         mirror_summary.changed(),
@@ -144,8 +149,8 @@ fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> 
                     // The router's scoped refresh left the table fresh (its
                     // row count may legitimately be zero: no transfer
                     // station needs to reach the touched set).
-                    let table = svc.table(shard).unwrap().expect("tables enabled");
-                    prop_assert!(table.check_fresh(&svc.network(shard).unwrap()).is_ok());
+                    let snap = svc.network(shard).unwrap();
+                    prop_assert!(snap.table().expect("tables enabled").check_fresh(&snap).is_ok());
                 }
                 // Post-feed: every shard still answers like its mirror.
                 for shard in svc.shard_ids() {
@@ -271,11 +276,13 @@ fn empty_shard_feed_bumps_nothing() {
     let gens: Vec<u64> = svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
     // A cancellation of a never-delayed train nets out: no bump anywhere,
     // and shard 1 received no events at all.
-    let summary =
+    let outcomes =
         svc.apply_feed(&[(ShardId(0), DelayEvent::Cancel { train: TrainId(0) })]).unwrap();
-    assert!(!summary.changed());
-    assert_eq!(summary.events, vec![DelayUpdate::Unchanged]);
-    assert!(summary.outcome(ShardId(1)).is_none(), "shard without events has no outcome");
+    assert_eq!(outcomes.len(), 1, "shard without events has no outcome");
+    let (shard, outcome) = &outcomes[0];
+    assert_eq!(*shard, ShardId(0));
+    assert!(!outcome.summary.changed());
+    assert!(outcome.published.is_none());
     let after: Vec<u64> = svc.shard_ids().map(|sh| svc.network(sh).unwrap().generation()).collect();
     assert_eq!(after, gens, "net-nil feed must not bump any shard");
 }
@@ -288,7 +295,7 @@ fn feed_to_one_shard_cannot_evict_anothers_hits() {
     let _ = svc.one_to_all(a).unwrap();
     let _ = svc.one_to_all(b).unwrap();
     // A real delay feed to shard A only.
-    let summary = svc
+    let outcomes = svc
         .apply_feed(&[(
             ShardId(0),
             DelayEvent::Delay {
@@ -299,7 +306,7 @@ fn feed_to_one_shard_cannot_evict_anothers_hits() {
             },
         )])
         .unwrap();
-    assert!(summary.changed());
+    assert!(outcomes[0].1.summary.changed());
     // Shard B's stripe still hits…
     let b_before = svc.shard_cache_stats(ShardId(1)).unwrap().unwrap();
     let _ = svc.one_to_all(b).unwrap();
