@@ -15,10 +15,9 @@
 //!
 //! Extra knobs: `BC_FRACTIONS` (default `0.01,0.025,0.05,0.10`),
 //! `BC_S2S_THREADS` (default `8`, the paper's Table 2 core count) and
-//! `BC_KERNEL` (`scalar`/`soa`/`auto`, default `auto`) selecting the label
-//! kernel; the `buckets` column (mean bucket phases swept by the SoA ring)
-//! shows which kernel actually answered each row — it is zero whenever the
-//! scalar heap ran.
+//! `BC_KERNEL` (`scalar`/`soa`, default `soa`) selecting the label kernel;
+//! the `buckets` column (mean bucket phases swept by the SoA ring) is zero
+//! whenever the forced scalar heap ran.
 
 use std::time::Instant;
 
@@ -30,7 +29,7 @@ fn main() {
     let fractions: Vec<f64> =
         env_list("BC_FRACTIONS").unwrap_or_else(|| vec![0.01, 0.025, 0.05, 0.10]);
     let threads: usize = env_parse("BC_S2S_THREADS", 8);
-    let kernel: KernelMode = env_parse("BC_KERNEL", KernelMode::Auto);
+    let kernel: KernelMode = env_parse("BC_KERNEL", KernelMode::Soa);
 
     println!("# Table 2 — station-to-station queries with distance-table pruning");
     println!(

@@ -212,8 +212,8 @@ pub fn standard_departures() -> Vec<Time> {
 }
 
 /// The `--kernel` ablation battery: forces the scalar heap kernel and the
-/// SoA bucket-ring kernel explicitly (never `Auto`, which would pick one)
-/// and cross-validates **both** against the label-setting time-query
+/// SoA bucket-ring kernel explicitly (the default engines run only the
+/// ring) and cross-validates **both** against the label-setting time-query
 /// ground truth — not just against each other, so a bug shared by the
 /// profile reduction cannot survive the A/B. Covers sequential and
 /// parallel one-to-all with and without self-pruning, plus sequential and

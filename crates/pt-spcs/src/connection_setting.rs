@@ -108,7 +108,7 @@ impl ProfileEngine {
             threads: 1,
             strategy: PartitionStrategy::EqualConnections,
             self_pruning: true,
-            kernel: KernelMode::Auto,
+            kernel: KernelMode::Soa,
             pool: WorkspacePool::new(),
             cache: None,
         }
@@ -133,8 +133,8 @@ impl ProfileEngine {
         self
     }
 
-    /// Selects the label kernel: the scalar binary-heap reference, the
-    /// bucketed SoA kernel, or (default) automatic per-query selection.
+    /// Selects the label kernel: the bucketed SoA ring (default), or the
+    /// scalar binary-heap reference that the identity checks force.
     /// Results are identical either way; see [`KernelMode`].
     pub fn kernel(mut self, mode: KernelMode) -> Self {
         self.kernel = mode;
@@ -275,10 +275,10 @@ pub(crate) struct Goal<'t> {
 /// `ws.arr_t[i]` holds on return the best arrival at the target per local
 /// connection `i`; without one, `ws.station_arr[i * ns + s]` holds the
 /// arrival label of `i` at station `s` ([`INFINITY`] = unreachable or
-/// pruned). The one place the frontier is chosen, by size alone: the bucket
-/// ring of [`kernel`] when [`KernelMode`] asks for it, the binary heap
-/// otherwise. Both serve every goal, since both settle through the one
-/// [`Settler`].
+/// pruned). The one place the frontier is chosen, by [`KernelMode`] alone:
+/// the bucket ring of [`kernel`] serves every query, and the binary heap
+/// runs only where a check forces [`KernelMode::Scalar`]. Both serve every
+/// goal, since both settle through the one [`Settler`].
 pub(crate) fn run_range(
     net: &Network,
     lo: u32,
@@ -290,10 +290,9 @@ pub(crate) fn run_range(
     let g = net.graph();
     let (nv, ns) = (g.num_nodes(), g.num_stations());
     let k = (hi - lo) as usize;
-    let stats = if kernel_mode.use_soa(k * nv, kernel::ring_size(net)) {
-        kernel::search_soa(net, lo, hi, goal, ws)
-    } else {
-        search_scalar(net, lo, hi, goal, ws)
+    let stats = match kernel_mode {
+        KernelMode::Soa => kernel::search_soa(net, lo, hi, goal, ws),
+        KernelMode::Scalar => search_scalar(net, lo, hi, goal, ws),
     };
     if goal.target.is_none() {
         // Extract labels at station nodes (station nodes are 0..ns).
@@ -483,7 +482,8 @@ impl<'a> Settler<'a> {
 }
 
 /// The binary-heap search behind [`run_range`] — the arbiter of
-/// correctness for the bucket-ring kernel: init, pop, settle, relax.
+/// correctness for the bucket-ring kernel: init, pop, settle, relax. Only
+/// this search sizes the heap, so a serving workspace never grows it.
 fn search_scalar(
     net: &Network,
     lo: u32,
@@ -496,6 +496,7 @@ fn search_scalar(
     let k = (hi - lo) as usize;
     let mut stats = QueryStats::default();
     let mut settler = Settler::begin(net, k, goal, ws);
+    ws.grow_events += u64::from(ws.heap.reset(k * nv));
 
     // Initialization: one queue item per outgoing connection, at the route
     // node it departs from, keyed by its departure time. Two connections of

@@ -39,9 +39,9 @@
 //! among equal-key ties the reduction keeps the latest departure either way.
 //! The scalar path remains the arbiter of correctness:
 //! `tests/kernel_identity.rs` and the conncheck `--kernel` ablation assert
-//! equality on random, patched and tabled timetables. Which frontier a
-//! search takes is decided in one place, by size alone:
-//! `connection_setting::run_range`.
+//! equality on random, patched and tabled timetables. The ring serves every
+//! query of a default engine; the heap runs only where a check forces
+//! [`KernelMode::Scalar`] (`connection_setting::run_range`).
 
 use std::str::FromStr;
 
@@ -55,28 +55,11 @@ use crate::workspace::{RingScratch, SearchWorkspace};
 /// Which label kernel an engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// The binary-heap reference path.
+    /// The binary-heap reference path: the oracle checks force it.
     Scalar,
-    /// The bucketed structure-of-arrays path.
-    Soa,
-    /// Per query class: SoA when the slot space is large enough to amortize
-    /// the ring scan, scalar otherwise.
+    /// The bucketed structure-of-arrays path, which serves every query.
     #[default]
-    Auto,
-}
-
-impl KernelMode {
-    /// Resolves the mode for one query class of `slots = k·|V|` label slots
-    /// against a bucket ring of `ring` buckets. The SoA kernel's fixed
-    /// overhead is the occupancy-bitmap scan (`ring/64` words); `Auto`
-    /// takes the kernel only when the touched slots can amortize it.
-    pub(crate) fn use_soa(self, slots: usize, ring: usize) -> bool {
-        match self {
-            KernelMode::Scalar => false,
-            KernelMode::Soa => true,
-            KernelMode::Auto => slots >= ring,
-        }
-    }
+    Soa,
 }
 
 impl FromStr for KernelMode {
@@ -86,8 +69,7 @@ impl FromStr for KernelMode {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Ok(KernelMode::Scalar),
             "soa" => Ok(KernelMode::Soa),
-            "auto" => Ok(KernelMode::Auto),
-            other => Err(format!("unknown kernel mode {other:?} (scalar|soa|auto)")),
+            other => Err(format!("unknown kernel mode {other:?} (scalar|soa)")),
         }
     }
 }
@@ -97,7 +79,6 @@ impl std::fmt::Display for KernelMode {
         f.write_str(match self {
             KernelMode::Scalar => "scalar",
             KernelMode::Soa => "soa",
-            KernelMode::Auto => "auto",
         })
     }
 }
@@ -133,10 +114,7 @@ pub(crate) fn search_soa(
     if k == 0 {
         return stats;
     }
-    let ring = ring_size(net);
-    ws.ensure_kernel(ring);
-
-    let mut state = RingState::init(net, lo, k, ws, ring, &mut stats);
+    let mut state = RingState::init(net, lo, k, ws, &mut stats);
     while state.pending > 0 {
         let b = (state.cur & state.mask) as usize;
         // Drain bucket b completely: zero-weight (alight) edges commit
@@ -215,17 +193,18 @@ struct RingState {
 }
 
 impl RingState {
-    /// Injects every outgoing connection of `lo..lo+k` up front (their
-    /// departure keys all lie within one period of the earliest, which the
-    /// ring covers) and positions the cursor on the earliest key.
+    /// Sizes the ring and injects every outgoing connection of `lo..lo+k`
+    /// up front (their keys lie within one period of the earliest, which
+    /// the ring covers); the cursor starts on the earliest key.
     fn init(
         net: &Network,
         lo: u32,
         k: usize,
         ws: &mut SearchWorkspace,
-        ring: usize,
         stats: &mut QueryStats,
     ) -> RingState {
+        let ring = ring_size(net);
+        ws.ensure_kernel(ring);
         let g = net.graph();
         let tt = net.timetable();
         let nv = g.num_nodes();
@@ -370,24 +349,56 @@ fn next_occupied_step(occ: &[u64], ring: usize, b: usize) -> usize {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kernel_mode_parses_and_displays() {
-        for (s, m) in
-            [("scalar", KernelMode::Scalar), ("SoA", KernelMode::Soa), ("AUTO", KernelMode::Auto)]
-        {
-            assert_eq!(s.parse::<KernelMode>().unwrap(), m);
-        }
-        assert!("vector".parse::<KernelMode>().is_err());
-        assert_eq!(KernelMode::Soa.to_string(), "soa");
-        assert_eq!(KernelMode::default(), KernelMode::Auto);
-    }
+    use crate::{DistanceTable, ProfileEngine, QueryKind, S2sEngine, TransferSelection};
+    use pt_core::{Dur, Period};
+    use pt_timetable::TimetableBuilder;
 
     #[test]
-    fn auto_mode_gates_on_slot_count() {
-        assert!(!KernelMode::Auto.use_soa(100, 1024));
-        assert!(KernelMode::Auto.use_soa(2048, 1024));
-        assert!(KernelMode::Soa.use_soa(1, 1 << 20));
-        assert!(!KernelMode::Scalar.use_soa(1 << 30, 64));
+    fn kernel_mode_parses_and_displays() {
+        for (s, m) in [("scalar", KernelMode::Scalar), ("SoA", KernelMode::Soa)] {
+            assert_eq!(s.parse::<KernelMode>().unwrap(), m);
+        }
+        for bad in ["vector", "auto"] {
+            assert!(bad.parse::<KernelMode>().unwrap_err().ends_with("(scalar|soa)"), "{bad}");
+        }
+        assert_eq!(KernelMode::Soa.to_string(), "soa");
+        assert_eq!(KernelMode::default(), KernelMode::Soa);
+    }
+
+    /// Four trains on the line 0 → 1 → 2 → 3: a few dozen label slots, far
+    /// below one ring. Every default engine still searches on the ring, for
+    /// every goal; a forced `Scalar` takes the heap, to the same profiles.
+    #[test]
+    fn default_engines_serve_every_goal_on_the_ring() {
+        let mut b = TimetableBuilder::new(Period::DAY);
+        let s: Vec<_> =
+            (0..4).map(|i| b.add_named_station(format!("{i}"), Dur::minutes(2))).collect();
+        for h in 6..10 {
+            b.add_simple_trip(&s, Time::hm(h, 0), &[Dur::minutes(10); 3], Dur::minutes(1)).unwrap();
+        }
+        let net = Network::new(b.build().unwrap());
+        let slots = net.timetable().conn(s[0]).len() * net.graph().num_nodes();
+        assert!(slots * 64 < ring_size(&net), "{slots} slots");
+        let ring = ProfileEngine::new().one_to_all_with_stats(&net, s[0]);
+        let heap =
+            ProfileEngine::new().kernel(KernelMode::Scalar).one_to_all_with_stats(&net, s[0]);
+        assert!(ring.stats.bucket_phases > 0, "one-to-all took the heap");
+        assert_eq!((heap.stats.bucket_phases, &ring.profiles), (0, &heap.profiles));
+        // Station 2 is the one transfer station: 0 → 3 is global (via 2),
+        // 0 → 2 is target-pruned.
+        let table = DistanceTable::build(&net, &TransferSelection::Explicit(vec![s[2]]));
+        let tabled = S2sEngine::new().with_table(&table);
+        for (engine, t, kind) in [
+            (S2sEngine::new(), s[3], QueryKind::Plain),
+            (tabled.clone(), s[3], QueryKind::Global),
+            (tabled, s[2], QueryKind::TargetTransfer),
+        ] {
+            let ring = engine.query(&net, s[0], t);
+            let heap = engine.kernel(KernelMode::Scalar).query(&net, s[0], t);
+            assert_eq!(ring.kind, kind);
+            assert!(ring.stats.bucket_phases > 0 && !ring.profile.is_empty(), "{kind:?}");
+            assert_eq!((heap.stats.bucket_phases, &ring.profile), (0, &heap.profile), "{kind:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   profile search (§3.1), parameterised by its goal (one-to-all is the
 //!   station-to-station search of §4 without a target): one settle step
 //!   holds every pruning rule for both frontiers, and one place picks the
-//!   frontier (binary heap or bucket ring) by size alone,
+//!   frontier by [`KernelMode`] alone (the bucket ring serves every query;
+//!   the binary heap runs where a check forces it),
 //! * [`partition`] — the `conn(S)` partition strategies for parallel
 //!   execution (§3.2): equal time-slots, equal number of connections,
 //!   1-D k-means,
@@ -20,8 +21,8 @@
 //!   structure-of-arrays frontier: a time-bucket ring replaces the binary
 //!   heap, relaxations sweep edges grouped by kind into contiguous `u32`
 //!   lanes, and a single comparison commits improvements
-//!   ([`KernelMode::{Scalar, Soa, Auto}`](KernelMode) on both engines;
-//!   the scalar path stays the arbiter of correctness),
+//!   ([`KernelMode::Soa`], the default of both engines; the forced
+//!   [`KernelMode::Scalar`] heap stays the arbiter of correctness),
 //! * [`s2s`] — the station-to-station engine (§4): resolves a query to its
 //!   kind and goal — stopping criterion, distance-table pruning via
 //!   `via(T)`, target pruning,

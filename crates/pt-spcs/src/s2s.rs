@@ -173,7 +173,7 @@ impl<'a> S2sEngine<'a> {
             threads: 1,
             strategy: PartitionStrategy::EqualConnections,
             stopping: true,
-            kernel: KernelMode::Auto,
+            kernel: KernelMode::Soa,
             table: None,
             pool: WorkspacePool::new(),
             cache: None,
@@ -199,8 +199,9 @@ impl<'a> S2sEngine<'a> {
         self
     }
 
-    /// Selects the label kernel (see [`KernelMode`]); both frontiers serve
-    /// every query kind, the table-pruned ones included.
+    /// Selects the label kernel (see [`KernelMode`]): the bucket ring by
+    /// default, the scalar heap where a check forces it; both serve every
+    /// query kind, the table-pruned ones included.
     pub fn kernel(mut self, mode: KernelMode) -> Self {
         self.kernel = mode;
         self
@@ -541,10 +542,10 @@ mod tests {
         let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
         // Warm up with one query of every search kind (they size different
         // scratch arrays), then repeat: no further growth allowed — on the
-        // ring too, whose target-pruned queries add the `anc` lane and the
-        // deferred `noanc` decrements.
+        // ring, whose target-pruned queries add the `anc` lane and the
+        // deferred `noanc` decrements, and on the heap, which sizes itself.
         let warmup: &[(u32, u32)] = &[(0, 48), (1, 37), (9, 22), (30, 4), (11, 44), (17, 38)];
-        for mode in [KernelMode::Auto, KernelMode::Soa] {
+        for mode in [KernelMode::Scalar, KernelMode::Soa] {
             let engine = S2sEngine::new().with_table(&table).kernel(mode);
             let query = |&(s, t): &(u32, u32)| engine.query(&net, StationId(s), StationId(t));
             let kinds: Vec<QueryKind> = warmup.iter().map(|p| query(p).kind).collect();

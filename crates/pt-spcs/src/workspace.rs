@@ -11,8 +11,8 @@
 //!   **generation counter** (`epoch`); a slot whose stamp differs from the
 //!   current epoch reads as "never touched this query", so starting a new
 //!   query is a single counter increment, not a `O(k·|V|)` memset,
-//! * the indexed heap is drained by the search itself and
-//!   [`pt_heap::IndexedHeap::reset`] keeps its allocations,
+//! * the indexed heap (scalar search only) is drained by that search, and
+//!   its [`pt_heap::IndexedHeap::reset`] keeps the allocations,
 //! * the small per-connection output/scratch vectors (`O(k)` and
 //!   `O(k·|via|)`) are `clear()`-ed, preserving capacity.
 //!
@@ -50,7 +50,7 @@ pub struct SearchWorkspace {
     node_epoch: Vec<u32>,
     /// `maxconn(v)`: highest connection index settled at `v`.
     maxconn: Vec<u32>,
-    /// The priority queue over `(connection, node)` slots.
+    /// The scalar search's priority queue; that search sizes and resets it.
     pub(crate) heap: BinaryHeap,
     /// One-to-all output: `station_arr[i * ns + s]`, filled by `run_range`.
     pub(crate) station_arr: Vec<Time>,
@@ -65,7 +65,7 @@ pub struct SearchWorkspace {
     pub(crate) done: Vec<bool>,
     /// Queue entries per connection whose path lacks a transfer ancestor.
     pub(crate) noanc: Vec<u32>,
-    /// SoA kernel: tentative key per slot, stamped with `slot_epoch`.
+    /// SoA kernel: tentative key per slot, stamped together with `arr`.
     tent: Vec<u32>,
     /// SoA kernel: bucket ring of slot queues, indexed `key & (ring − 1)`.
     /// Invariant between queries: every bucket is drained empty.
@@ -118,6 +118,7 @@ impl SearchWorkspace {
             self.grow_events += 1;
             self.slot_epoch.resize(slots, 0);
             self.arr.resize(slots, INFINITY);
+            self.tent.resize(slots, u32::MAX);
         }
         if with_anc && slots > self.anc.len() {
             self.grow_events += 1;
@@ -127,9 +128,6 @@ impl SearchWorkspace {
             self.grow_events += 1;
             self.node_epoch.resize(nodes, 0);
             self.maxconn.resize(nodes, u32::MAX);
-        }
-        if self.heap.reset(slots) {
-            self.grow_events += 1;
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -171,11 +169,7 @@ impl SearchWorkspace {
             if slot < self.anc.len() {
                 self.anc[slot] = false;
             }
-            // `tent` is only sized once a SoA kernel query has run; same
-            // deal as `anc` for queries wider than the last kernel one.
-            if slot < self.tent.len() {
-                self.tent[slot] = u32::MAX;
-            }
+            self.tent[slot] = u32::MAX;
         }
     }
 
@@ -241,16 +235,10 @@ impl SearchWorkspace {
         fresh_vec(&mut self.noanc, k, 1, &mut self.grow_events);
     }
 
-    /// Sizes the SoA kernel scratch: `tent` to the slot space of the last
-    /// [`SearchWorkspace::begin`], the bucket ring to `ring` buckets (a
-    /// power of two). Call right after `begin`, before any label writes
-    /// (so `stamp_slot` knows to reset `tent` stamps). O(1) when warm.
+    /// Sizes the SoA kernel's bucket ring to `ring` buckets (a power of
+    /// two). O(1) when warm.
     pub(crate) fn ensure_kernel(&mut self, ring: usize) {
         debug_assert!(ring.is_power_of_two());
-        if self.slot_epoch.len() > self.tent.len() {
-            self.grow_events += 1;
-            self.tent.resize(self.slot_epoch.len(), u32::MAX);
-        }
         // A previously grown, larger ring stays usable for a smaller mask:
         // the kernel only ever touches buckets `0..ring`.
         if ring > self.buckets.len() {
