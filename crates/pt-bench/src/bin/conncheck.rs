@@ -1,5 +1,5 @@
-//! Diagnostic: health of the generated evaluation networks, plus the
-//! cross-algorithm equivalence check.
+//! Diagnostic: health of the generated evaluation networks, plus every
+//! cross-algorithm equivalence battery in one pass.
 //!
 //! Section 1 prints, for each preset, the [`pt_timetable::validate`]
 //! report: weakly connected components of the station graph (unserved
@@ -8,37 +8,36 @@
 //! guarantee it via connector lines — this tool verifies that invariant at
 //! any scale.
 //!
-//! Section 2 runs [`pt_bench::conncheck::cross_check`]: sequential SPCS vs
-//! label-correcting vs parallel SPCS (all three partition strategies, at
-//! the `BC_THREADS` thread counts) vs the label-setting time-query
-//! baseline, on `BC_QUERIES` sampled sources per network — then repeats
-//! the battery after batched feeds of delays + cancellations (feed mode,
-//! which holds fed ≡ rebuilt after every feed and checks the incremental
-//! distance-table refresh entry-for-entry against a from-scratch build).
-//! Any disagreement is printed and the process exits non-zero.
+//! Section 2 runs, on `BC_QUERIES` sampled sources per network:
 //!
-//! With `--kernel` the binary switches to the kernel ablation battery
-//! instead: the scalar heap kernel and the SoA bucket-ring kernel are
-//! forced explicitly and both cross-validated against the time-query
-//! ground truth — on the pristine networks and after random feeds.
+//! * [`pt_bench::conncheck::cross_check`]: every engine configuration
+//!   (both frontiers, label-correcting, parallel SPCS under all three
+//!   partition strategies at the `BC_THREADS` thread counts, the batch
+//!   APIs, plain and tabled station-to-station) against one reference,
+//!   the sequential scalar-heap one-to-all, which is itself held against
+//!   the label-setting time-query baseline;
+//! * the feed battery (`<name>+feed`): batched delays + cancellations,
+//!   fed ≡ rebuilt after every feed, the incremental distance-table
+//!   refresh entry for entry against a from-scratch build, then the whole
+//!   static battery on the fed network;
+//! * the service-calendar battery (`<name>+calendar`, and
+//!   `<name>+feed+calendar` on the fed network): weekday / weekend /
+//!   summer services materialized through `Timetable::for_day`, each day
+//!   held equal to an independent filter-and-rebuild whose dates are
+//!   re-derived with a different weekday algorithm.
 //!
-//! With `--gateway` it runs the cross-shard gateway battery instead:
-//! generated region shards sharing border stations are served through a
-//! `ShardedService` with a by-name gateway, and every sampled cross-shard
-//! pair's stitched profile is held byte-equal to the merged monolithic
-//! network's sequential profile — pristine, after a delay burst, and
-//! across live mixed feeds applied through the service (exercising the
-//! scoped border-set refresh).
+//! Section 3 runs the cross-shard gateway battery: generated region shards
+//! sharing border stations are served through a `ShardedService` with a
+//! by-name gateway, and every sampled cross-shard pair's stitched profile
+//! is held byte-equal to the merged monolithic network's reference
+//! profile — pristine, after a delay burst, and across live mixed feeds
+//! applied through the service (exercising the scoped border-set refresh).
 //!
-//! With `--calendar` it runs the service-calendar battery instead: every
-//! preset's trains are striped across weekday / weekend / summer services
-//! and several concrete query days are materialized through
-//! `Timetable::for_day`, each held equal — structurally and on profile /
-//! time-query answers — to an independent filter-and-rebuild whose dates
-//! are re-derived with a different weekday algorithm.
+//! Any disagreement is printed and the process exits 1; a command-line
+//! argument, or a `BC_NETWORKS` filter that matches nothing, exits 2.
 //!
 //! ```text
-//! cargo run --release --bin conncheck [-- --kernel | --gateway | --calendar]
+//! cargo run --release --bin conncheck
 //! ```
 //!
 //! Knobs: `BC_SCALE` (default 0.5), `BC_QUERIES` sources per network
@@ -46,11 +45,11 @@
 //! `BC_NETWORKS` name filter, `BC_SEED`.
 
 use pt_bench::conncheck::{
-    apply_random_feeds, calendar_check, cross_check, cross_check_after_feed, disrupt_scenario,
-    gateway_check, gateway_scenario, kernel_check, standard_departures, CheckOutcome,
+    calendar_check, cross_check, cross_check_after_feed, disrupt_scenario, gateway_check,
+    gateway_scenario, standard_departures, CheckOutcome,
 };
 use pt_bench::BenchConfig;
-use pt_spcs::Network;
+use pt_spcs::{DistanceTable, Network, TransferSelection};
 use pt_timetable::validate;
 
 /// Prints one outcome row and its mismatches; returns the mismatch count.
@@ -69,6 +68,10 @@ fn report(outcome: &CheckOutcome) -> usize {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("conncheck: unexpected argument {arg:?}; every battery runs in one pass");
+        std::process::exit(2);
+    }
     let cfg = BenchConfig::from_env();
     let mut networks = Vec::new();
     for preset in cfg.networks() {
@@ -93,105 +96,63 @@ fn main() {
 
     let departures = standard_departures();
     let sources_per_net = cfg.queries.clamp(1, 64);
-    let flag = ["--gateway", "--calendar", "--kernel"]
-        .into_iter()
-        .find(|&f| std::env::args().skip(1).any(|a| a == f));
     let mut mismatches = 0usize;
     println!();
-    match flag {
-        // The cross-shard gateway battery (stitched vs monolithic) on
-        // generated region scenarios; `sources` counts the sampled pairs.
-        Some("--gateway") => {
-            println!("gateway: stitched cross-shard profiles vs the merged monolith");
-            let pairs = sources_per_net.clamp(1, 16);
-            // (shards, borders, locals, trips): a two-region cut with one
-            // border, and a three-region cut with two borders (multi-alias
-            // groups and border-chain journeys).
-            for (shards, borders, locals, trips) in
-                [(2usize, 1usize, 5usize, 14usize), (3, 2, 4, 12)]
-            {
-                let name = format!("gw{shards}x{borders}");
-                let sc = gateway_scenario(shards, borders, locals, trips, cfg.seed);
-                mismatches += report(&gateway_check(&name, &sc, pairs, 0, 0, cfg.seed));
-                let delayed_sc = disrupt_scenario(&sc, 6, cfg.seed);
-                let delayed_name = format!("{name}+delays");
-                mismatches +=
-                    report(&gateway_check(&delayed_name, &delayed_sc, pairs, 0, 0, cfg.seed));
-                // Live feeds through the service: 3 rounds of 8 mixed
-                // events, re-checked after every round.
-                let fed_name = format!("{name}+feed");
-                mismatches += report(&gateway_check(&fed_name, &sc, pairs, 3, 8, cfg.seed));
-            }
-        }
-        // The service-calendar battery, pristine and after a feed: a
-        // delayed dataset's day must filter the *delayed* connections.
-        Some("--calendar") => {
-            println!("calendar: for_day vs independent filter + rebuild");
-            for (name, tt) in networks {
-                let net = Network::new(tt);
-                let sources =
-                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-                mismatches += report(&calendar_check(name, &net, &sources, &departures));
-                let (fed_net, events) = apply_random_feeds(&net, 2, 10, cfg.seed);
-                let fed_name = format!("{name}+feed");
-                mismatches += report(&calendar_check(&fed_name, &fed_net, &sources, &departures));
-                println!("{name:<16} ({events} feed events before the +feed battery)");
-            }
-        }
-        // The kernel ablation battery (scalar vs SoA vs time-query) on
-        // pristine and fed networks.
-        Some("--kernel") => {
-            println!("kernel ablation: scalar heap vs SoA bucket ring vs time-query");
-            for (name, tt) in networks {
-                let net = Network::new(tt);
-                let sources =
-                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-                mismatches +=
-                    report(&kernel_check(name, &net, &sources, &cfg.threads, &departures));
-                let (fed_net, events) = apply_random_feeds(&net, 3, 12, cfg.seed);
-                let fed_name = format!("{name}+feed");
-                mismatches +=
-                    report(&kernel_check(&fed_name, &fed_net, &sources, &cfg.threads, &departures));
-                println!("{name:<16} ({events} feed events before the +feed battery)");
-            }
-        }
-        _ => {
-            println!("cross-check: sequential SPCS vs LC vs parallel SPCS vs time-query");
-            for (name, tt) in networks {
-                let net = Network::new(tt);
-                let sources =
-                    pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
-                mismatches += report(&cross_check(name, &net, &sources, &cfg.threads, &departures));
-                // Feed mode: batched delays + cancellations through
-                // apply_feed, fed ≡ rebuilt and the incremental table
-                // refresh checked entry for entry after every feed.
-                let (fed, stats) = cross_check_after_feed(
-                    name,
-                    &net,
-                    &sources,
-                    &cfg.threads,
-                    &departures,
-                    3,
-                    12,
-                    cfg.seed,
-                );
-                mismatches += report(&fed);
-                println!(
-                    "{name:<16} (feed: {} events, {} routes repatched, {} appended, \
-                     {} table rows refreshed)",
-                    stats.events,
-                    stats.repatched_routes,
-                    stats.appended_routes,
-                    stats.rows_refreshed
-                );
-            }
-        }
+    println!("cross-check: every engine vs the scalar-heap reference vs time-query");
+    for (name, tt) in networks {
+        let net = Network::new(tt);
+        let sources = pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
+        let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
+        mismatches += report(&cross_check(name, &net, &table, &sources, &cfg.threads, &departures));
+        // Feed mode: batched delays + cancellations through apply_feed,
+        // fed ≡ rebuilt and the incremental table refresh checked entry
+        // for entry after every feed.
+        let (outcome, stats, fed) = cross_check_after_feed(
+            name,
+            &net,
+            &sources,
+            &cfg.threads,
+            &departures,
+            3,
+            12,
+            cfg.seed,
+        );
+        mismatches += report(&outcome);
+        println!(
+            "{name:<16} (feed: {} events, {} routes repatched, {} appended, \
+             {} table rows refreshed)",
+            stats.events, stats.repatched_routes, stats.appended_routes, stats.rows_refreshed
+        );
+        // The service calendar, pristine and on the fed network: a delayed
+        // dataset's day must filter the *delayed* connections.
+        mismatches += report(&calendar_check(name, &net, &sources, &departures));
+        mismatches += report(&calendar_check(&format!("{name}+feed"), &fed, &sources, &departures));
     }
 
-    let mode = flag.map_or("conncheck".to_string(), |f| format!("conncheck {f}"));
+    // The cross-shard gateway battery (stitched vs monolithic) on
+    // generated region scenarios; `sources` counts the sampled pairs.
+    println!();
+    println!("gateway: stitched cross-shard profiles vs the merged monolith");
+    let pairs = sources_per_net.clamp(1, 16);
+    // (shards, borders, locals, trips): a two-region cut with one border,
+    // and a three-region cut with two borders (multi-alias groups and
+    // border-chain journeys).
+    for (shards, borders, locals, trips) in [(2usize, 1usize, 5usize, 14usize), (3, 2, 4, 12)] {
+        let name = format!("gw{shards}x{borders}");
+        let sc = gateway_scenario(shards, borders, locals, trips, cfg.seed);
+        mismatches += report(&gateway_check(&name, &sc, pairs, 0, 0, cfg.seed));
+        let delayed_sc = disrupt_scenario(&sc, 6, cfg.seed);
+        let delayed_name = format!("{name}+delays");
+        mismatches += report(&gateway_check(&delayed_name, &delayed_sc, pairs, 0, 0, cfg.seed));
+        // Live feeds through the service: 3 rounds of 8 mixed events,
+        // re-checked after every round.
+        let fed_name = format!("{name}+feed");
+        mismatches += report(&gateway_check(&fed_name, &sc, pairs, 3, 8, cfg.seed));
+    }
+
     if mismatches > 0 {
-        eprintln!("{mode} FAILED: {mismatches} mismatch(es)");
+        eprintln!("conncheck FAILED: {mismatches} mismatch(es)");
         std::process::exit(1);
     }
-    println!("{mode} OK: zero mismatches");
+    println!("conncheck OK: zero mismatches");
 }

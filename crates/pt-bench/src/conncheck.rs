@@ -3,26 +3,30 @@
 //! The correctness contract of the whole workspace (and of the paper): on
 //! any timetable, every profile algorithm computes *the same* reduced
 //! arrival profiles, and evaluating a profile at a departure time equals
-//! the label-setting time-query baseline (`dist(S, T, τ)`, §2). This
-//! module checks, for a set of sampled source stations:
+//! the label-setting time-query baseline (`dist(S, T, τ)`, §2). One
+//! reference decides: the sequential scalar-heap one-to-all (the binary
+//! heap of §5, forced with [`KernelMode::Scalar`]), itself held against
+//! `time_query::earliest_arrivals` at sampled departure times (including
+//! late-night wrap-around departures). [`cross_check`] holds every engine
+//! configuration against that reference, from a set of sampled sources:
 //!
-//! * sequential SPCS (`ProfileEngine`, 1 thread) — the reference,
+//! * sequential SPCS on the bucket ring, the frontier of every default
+//!   engine,
 //! * the label-correcting profile search (Table 1's baseline),
 //! * parallel SPCS under **all three** `conn(S)` partition strategies
 //!   (§3.2) at every requested thread count,
-//! * SPCS with self-pruning disabled (the ablation path), sequential and
-//!   parallel,
+//! * SPCS with self-pruning disabled (the ablation path) on both
+//!   frontiers, sequential and at every thread count,
 //! * the batch layer: `ProfileEngine::many_to_all` over all sources and
-//!   `S2sEngine::try_batch` over sampled pairs, both against the sequential
-//!   profiles,
-//! * `time_query::earliest_arrivals` evaluated against the sequential
-//!   profiles at sampled departure times (including late-night wrap-around
-//!   departures).
+//!   `S2sEngine::try_batch` over sampled pairs,
+//! * station-to-station queries over the same pairs, plain and through a
+//!   distance table (the §4 rules), with and without the stopping
+//!   criterion, on both frontiers, sequential and at every thread count.
 //!
 //! [`cross_check_after_feed`] is the dynamic battery: random feeds of
 //! delays and cancellations through [`Network::apply_feed`] (a single
 //! delay is the one-event feed), fed ≡ rebuilt after every feed, then the
-//! whole static battery on the fed network.
+//! whole static battery on the fed network and its refreshed table.
 //!
 //! Used by the `conncheck` binary (full networks) and by the tier-1
 //! integration test `tests/conncheck_fast.rs` (scaled-down fast mode).
@@ -43,6 +47,10 @@ pub const STRATEGIES: [(&str, PartitionStrategy); 3] = [
     ("equal_conns", PartitionStrategy::EqualConnections),
     ("kmeans", PartitionStrategy::KMeans { iters: 20 }),
 ];
+
+/// Both label frontiers: the binary heap (the reference) and the bucket
+/// ring (every default engine).
+const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Soa];
 
 /// Result of [`cross_check`] on one network.
 #[derive(Debug)]
@@ -69,10 +77,19 @@ fn record(mismatches: &mut Vec<String>, msg: String) {
     }
 }
 
-/// Runs every cross-algorithm comparison on `net`; see the module docs.
+/// The engine every other one is held against: sequential SPCS on the
+/// binary heap.
+fn reference() -> ProfileEngine {
+    ProfileEngine::new().kernel(KernelMode::Scalar)
+}
+
+/// Runs every cross-algorithm comparison on `net`, with `table` (a
+/// distance table fresh for `net`) serving the tabled station-to-station
+/// queries; see the module docs.
 pub fn cross_check(
     name: &str,
     net: &Network,
+    table: &DistanceTable,
     sources: &[StationId],
     threads: &[usize],
     departures: &[Time],
@@ -80,58 +97,11 @@ pub fn cross_check(
     let period = net.timetable().period();
     let mut comparisons = 0usize;
     let mut mismatches = Vec::new();
+    let refs: Vec<Arc<ProfileSet>> =
+        sources.iter().map(|&s| reference().one_to_all(net, s)).collect();
 
-    // Sequential SPCS is the reference for everything below.
-    let seqs: Vec<Arc<ProfileSet>> =
-        sources.iter().map(|&s| ProfileEngine::new().one_to_all(net, s)).collect();
-
-    for (&s, seq) in sources.iter().zip(&seqs) {
-        let lc = label_correcting::profile_search(net, s);
-        comparisons += 1;
-        if lc.profiles != **seq {
-            record(
-                &mut mismatches,
-                format!("{name}: label-correcting != sequential SPCS from {s}"),
-            );
-        }
-
-        // Ablation path: disabling self-pruning changes work, never results.
-        let nopruning = ProfileEngine::new().self_pruning(false).one_to_all(net, s);
-        comparisons += 1;
-        if &nopruning != seq {
-            record(
-                &mut mismatches,
-                format!("{name}: self_pruning(false) != sequential SPCS from {s}"),
-            );
-        }
-
-        for (strat_name, strat) in STRATEGIES {
-            for &p in threads {
-                let par = ProfileEngine::new().threads(p).strategy(strat).one_to_all(net, s);
-                comparisons += 1;
-                if &par != seq {
-                    record(
-                        &mut mismatches,
-                        format!(
-                            "{name}: parallel SPCS ({strat_name}, p={p}) != sequential from {s}"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Parallel ablation: no self-pruning on the split search either.
-        if let Some(&p) = threads.first() {
-            let par_nop = ProfileEngine::new().threads(p).self_pruning(false).one_to_all(net, s);
-            comparisons += 1;
-            if &par_nop != seq {
-                record(
-                    &mut mismatches,
-                    format!("{name}: parallel self_pruning(false) p={p} != sequential from {s}"),
-                );
-            }
-        }
-
+    // The reference against the time-query ground truth.
+    for (&s, want) in sources.iter().zip(&refs) {
         for &dep in departures {
             let truth = time_query::earliest_arrivals(net, s, dep);
             for t in net.station_ids() {
@@ -139,14 +109,14 @@ pub fn cross_check(
                     continue; // source-profile convention, see ProfileSet::profile
                 }
                 comparisons += 1;
-                let got = seq.profile(t).eval_arr(dep, period);
-                let want = truth.arrival_at(t);
-                if got != want {
+                let got = want.profile(t).eval_arr(dep, period);
+                let w = truth.arrival_at(t);
+                if got != w {
                     record(
                         &mut mismatches,
                         format!(
-                            "{name}: profile eval {s} -> {t} at dep {dep}: \
-                             profile says {got}, time-query says {want}"
+                            "{name}: reference {s} -> {t} at dep {dep}: \
+                             profile says {got}, time-query says {w}"
                         ),
                     );
                 }
@@ -154,50 +124,108 @@ pub fn cross_check(
         }
     }
 
-    // Batch layer: many_to_all must reproduce the per-source sequential
-    // profiles exactly, under both its across-query regime (sources >=
-    // threads) and its within-query fallback.
+    // Every one-to-all configuration against the reference. Disabling
+    // self-pruning changes the work, never the profiles.
+    let mut engines = vec![("sequential ring".to_string(), ProfileEngine::new())];
+    for (strat_name, strat) in STRATEGIES {
+        for &p in threads {
+            let e = ProfileEngine::new().threads(p).strategy(strat);
+            engines.push((format!("parallel ({strat_name}, p={p})"), e));
+        }
+    }
+    for kernel in KERNELS {
+        let unpruned = ProfileEngine::new().kernel(kernel).self_pruning(false);
+        engines.push((format!("{kernel} self_pruning(false)"), unpruned.clone()));
+        for &p in threads {
+            let e = unpruned.clone().threads(p);
+            engines.push((format!("{kernel} self_pruning(false) p={p}"), e));
+        }
+    }
+    for (&s, want) in sources.iter().zip(&refs) {
+        comparisons += 1;
+        if label_correcting::profile_search(net, s).profiles != **want {
+            record(&mut mismatches, format!("{name}: label-correcting != reference from {s}"));
+        }
+        for (label, e) in &engines {
+            comparisons += 1;
+            if e.one_to_all(net, s) != *want {
+                record(&mut mismatches, format!("{name}: {label} != reference from {s}"));
+            }
+        }
+    }
+
+    // Batch layer: many_to_all must reproduce the per-source profiles
+    // exactly, under both its across-query regime (sources >= threads) and
+    // its within-query fallback.
     for &p in threads {
         let batch = ProfileEngine::new().threads(p).many_to_all(net, sources);
-        for ((got, want), &s) in batch.iter().zip(&seqs).zip(sources) {
+        for ((got, want), &s) in batch.iter().zip(&refs).zip(sources) {
             comparisons += 1;
             if got != want {
                 record(
                     &mut mismatches,
-                    format!("{name}: many_to_all (p={p}) != sequential from {s}"),
+                    format!("{name}: many_to_all (p={p}) != reference from {s}"),
                 );
             }
         }
     }
 
-    // Batch station-to-station: every source paired with a spread of
-    // targets, answered by S2sEngine::try_batch, against the sequential
-    // one-to-all profiles.
+    // Station-to-station, against the reference's one-to-all profiles:
+    // S2sEngine::try_batch pairs every source with two spread targets,
+    // single queries of every configuration take the first of them.
     let ns = net.num_stations() as u32;
-    let pairs: Vec<(StationId, StationId)> = sources
+    let target = |i: usize, step: u32, offset: u32| StationId((i as u32 * step + offset) % ns);
+    let pairs: Vec<(usize, StationId, StationId)> = sources
         .iter()
         .enumerate()
-        .flat_map(|(i, &s)| {
-            [(s, StationId((i as u32 * 7 + 1) % ns)), (s, StationId((i as u32 * 13 + 3) % ns))]
-        })
-        .filter(|(s, t)| s != t)
+        .flat_map(|(i, &s)| [(i, s, target(i, 7, 1)), (i, s, target(i, 13, 3))])
+        .filter(|&(_, s, t)| s != t)
         .collect();
-    if !pairs.is_empty() {
-        for &p in threads {
-            let results = S2sEngine::new()
-                .threads(p)
-                .try_batch(net, &pairs)
-                .expect("an engine without a table is never stale");
-            for (r, &(s, t)) in results.iter().zip(&pairs) {
-                let si = sources.iter().position(|&x| x == s).expect("pair source is sampled");
+    let st: Vec<(StationId, StationId)> = pairs.iter().map(|&(_, s, t)| (s, t)).collect();
+    for &p in threads {
+        let results = S2sEngine::new()
+            .threads(p)
+            .try_batch(net, &st)
+            .expect("an engine without a table is never stale");
+        for (r, &(i, s, t)) in results.iter().zip(&pairs) {
+            comparisons += 1;
+            if &r.profile != refs[i].profile(t) {
+                record(
+                    &mut mismatches,
+                    format!("{name}: S2sEngine::try_batch (p={p}) {s}->{t} != reference"),
+                );
+            }
+        }
+    }
+    let mut s2s = Vec::new();
+    for stopping in [true, false] {
+        for kernel in KERNELS {
+            let e = S2sEngine::new().stopping_criterion(stopping).kernel(kernel);
+            let how = format!("{kernel} stopping={stopping}");
+            for &p in threads {
+                s2s.push((format!("{how} p={p}"), e.clone().threads(p)));
+            }
+            s2s.push((how, e));
+        }
+    }
+    for (i, &s) in sources.iter().enumerate() {
+        let t = target(i, 7, 1);
+        if s == t {
+            continue;
+        }
+        for tabled in [None, Some(table)] {
+            let how = if tabled.is_some() { "tabled" } else { "plain" };
+            for (label, e) in &s2s {
                 comparisons += 1;
-                if &r.profile != seqs[si].profile(t) {
-                    record(
+                match e.try_query_on(net, tabled, s, t) {
+                    Err(err) => {
+                        record(&mut mismatches, format!("{name}: {how} s2s rejected: {err}"))
+                    }
+                    Ok(r) if &r.profile != refs[i].profile(t) => record(
                         &mut mismatches,
-                        format!(
-                            "{name}: S2sEngine::try_batch (p={p}) {s}->{t} != sequential profile"
-                        ),
-                    );
+                        format!("{name}: {how} s2s ({label}) {s}->{t} != reference"),
+                    ),
+                    Ok(_) => {}
                 }
             }
         }
@@ -209,111 +237,6 @@ pub fn cross_check(
 /// Departure times exercising normal daytime plus the period wrap-around.
 pub fn standard_departures() -> Vec<Time> {
     vec![Time::hm(0, 30), Time::hm(7, 45), Time::hm(12, 0), Time::hm(23, 30)]
-}
-
-/// The `--kernel` ablation battery: forces the scalar heap kernel and the
-/// SoA bucket-ring kernel explicitly (the default engines run only the
-/// ring) and cross-validates **both** against the label-setting time-query
-/// ground truth — not just against each other, so a bug shared by the
-/// profile reduction cannot survive the A/B. Covers sequential and
-/// parallel one-to-all with and without self-pruning, plus sequential and
-/// parallel station-to-station with and without the stopping criterion,
-/// plain and with a distance table (the §4 table rules on both frontiers).
-pub fn kernel_check(
-    name: &str,
-    net: &Network,
-    sources: &[StationId],
-    threads: &[usize],
-    departures: &[Time],
-) -> CheckOutcome {
-    let period = net.timetable().period();
-    let mut comparisons = 0usize;
-    let mut mismatches = Vec::new();
-
-    let scalar = ProfileEngine::new().kernel(KernelMode::Scalar);
-    let soa = ProfileEngine::new().kernel(KernelMode::Soa);
-    let unpruned = [KernelMode::Scalar, KernelMode::Soa]
-        .map(|k| ProfileEngine::new().kernel(k).self_pruning(false));
-    for &s in sources {
-        let want = scalar.one_to_all(net, s);
-        let got = soa.one_to_all(net, s);
-        comparisons += 1;
-        if got != want {
-            record(&mut mismatches, format!("{name}: SoA kernel != scalar kernel from {s}"));
-        }
-        // Self-pruning off changes the work, never the profiles.
-        for e in &unpruned {
-            comparisons += 1;
-            if e.one_to_all(net, s) != want {
-                record(&mut mismatches, format!("{name}: unpruned kernel != scalar from {s}"));
-            }
-        }
-        for &p in threads {
-            for pruning in [true, false] {
-                let par = ProfileEngine::new().kernel(KernelMode::Soa).threads(p);
-                comparisons += 1;
-                if par.self_pruning(pruning).one_to_all(net, s) != want {
-                    record(
-                        &mut mismatches,
-                        format!("{name}: SoA (p={p}, self-pruning {pruning}) != scalar from {s}"),
-                    );
-                }
-            }
-        }
-        for &dep in departures {
-            let truth = time_query::earliest_arrivals(net, s, dep);
-            for t in net.station_ids() {
-                if t == s {
-                    continue; // source-profile convention, see ProfileSet::profile
-                }
-                comparisons += 2;
-                let w = truth.arrival_at(t);
-                if want.profile(t).eval_arr(dep, period) != w {
-                    record(
-                        &mut mismatches,
-                        format!("{name}: scalar kernel {s} -> {t} at {dep} != time-query"),
-                    );
-                }
-                if got.profile(t).eval_arr(dep, period) != w {
-                    record(
-                        &mut mismatches,
-                        format!("{name}: SoA kernel {s} -> {t} at {dep} != time-query"),
-                    );
-                }
-            }
-        }
-    }
-
-    // Station-to-station: the SoA s2s kernel (with and without the
-    // stopping criterion, without and with a distance table, so the §4
-    // table rules run on the ring too) against the scalar s2s kernel.
-    let table = DistanceTable::build(net, &TransferSelection::Fraction(0.1));
-    let s2s_scalar = S2sEngine::new().kernel(KernelMode::Scalar);
-    let soa = || S2sEngine::new().kernel(KernelMode::Soa);
-    let mut s2s_soa =
-        vec![(String::new(), soa()), (" (no stop)".into(), soa().stopping_criterion(false))];
-    s2s_soa.extend(threads.iter().map(|&p| (format!(" (p={p})"), soa().threads(p))));
-    let ns = net.num_stations() as u32;
-    for (i, &s) in sources.iter().enumerate() {
-        let t = StationId((i as u32 * 7 + 1) % ns);
-        for tabled in [None, Some(&table)] {
-            let query =
-                |e: &S2sEngine<'_>| e.try_query_on(net, tabled, s, t).expect("fresh").profile;
-            let want = query(&s2s_scalar);
-            let how = if tabled.is_some() { "tabled" } else { "plain" };
-            for (label, e) in &s2s_soa {
-                comparisons += 1;
-                if query(e) != want {
-                    record(
-                        &mut mismatches,
-                        format!("{name}: SoA {how} s2s{label} {s} -> {t} != scalar"),
-                    );
-                }
-            }
-        }
-    }
-
-    CheckOutcome { network: name.to_string(), sources: sources.len(), comparisons, mismatches }
 }
 
 /// A sharded region network **and** the merged monolithic network it was
@@ -459,10 +382,10 @@ fn remap_train(e: DelayEvent, base: u32) -> DelayEvent {
     }
 }
 
-/// The `--gateway` battery: builds a [`ShardedService`] with a
+/// The gateway battery: builds a [`ShardedService`] with a
 /// [`BorderSpec::ByName`] gateway over the scenario's shards and holds
 /// every sampled **cross-shard** pair's stitched profile byte-equal to the
-/// merged monolith's sequential profile — on the scenario as given, and
+/// merged monolith's reference profile — on the scenario as given, and
 /// again after each of `feeds` mixed feed rounds applied through
 /// [`ShardedService::apply_feed`] (with the mapped events applied to the
 /// monolith), so the border-set refresh path is exercised live. Pairs are
@@ -528,7 +451,7 @@ pub fn gateway_check(
                         continue;
                     }
                 };
-                let want = ProfileEngine::new().one_to_all(mono, ms);
+                let want = reference().one_to_all(mono, ms);
                 if &routed.value.profile != want.profile(mt) {
                     record(
                         mismatches,
@@ -560,32 +483,6 @@ pub fn gateway_check(
     }
 
     CheckOutcome { network: name.to_string(), sources: pairs.len(), comparisons, mismatches }
-}
-
-/// Drives `num_feeds` random batched feeds through [`Network::apply_feed`]
-/// on a copy of `net`; returns the fed copy and the event count. The
-/// lightweight sibling of [`cross_check_after_feed`] for batteries (like
-/// the `--kernel` ablation) that only need a feed-disrupted network, not
-/// the per-feed table checks.
-pub fn apply_random_feeds(
-    net: &Network,
-    num_feeds: usize,
-    events_per_feed: usize,
-    seed: u64,
-) -> (Network, usize) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
-    let mut fed = net.clone();
-    let trains = fed.timetable().num_trains() as u32;
-    let mut events = 0usize;
-    for _ in 0..num_feeds {
-        let feed = crate::random_feed(&mut rng, trains, events_per_feed, 90);
-        events += feed.len();
-        fed.apply_feed(&feed);
-    }
-    (fed, events)
 }
 
 /// The calendar battery: stripes `net`'s trains across a multi-service
@@ -807,8 +704,9 @@ pub struct FeedCheckStats {
 ///   build **entry for entry** — every ordered pair of transfer stations,
 ///
 /// and finally runs the whole static [`cross_check`] battery on the fed
-/// network plus an [`S2sEngine`] pass over the refreshed table. Any
-/// disagreement lands in the outcome's mismatch list.
+/// network, its tabled queries through the refreshed table. Any
+/// disagreement lands in the outcome's mismatch list. Returns the fed
+/// network too, for batteries that check it further.
 #[allow(clippy::too_many_arguments)]
 pub fn cross_check_after_feed(
     name: &str,
@@ -819,7 +717,7 @@ pub fn cross_check_after_feed(
     num_feeds: usize,
     events_per_feed: usize,
     seed: u64,
-) -> (CheckOutcome, FeedCheckStats) {
+) -> (CheckOutcome, FeedCheckStats, Network) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -891,32 +789,8 @@ pub fn cross_check_after_feed(
         }
     }
 
-    // Table-pruned s2s queries through the refreshed table agree with the
-    // sequential one-to-all profiles on the fed network.
-    let s2s = S2sEngine::new().with_table(&table);
-    let ns = fed.num_stations() as u32;
-    for (i, &s) in sources.iter().enumerate() {
-        let t = StationId((i as u32 * 11 + 5) % ns);
-        if s == t {
-            continue;
-        }
-        comparisons += 1;
-        match s2s.try_query(&fed, s, t) {
-            Err(e) => record(&mut mismatches, format!("{name}: refreshed table rejected: {e}")),
-            Ok(r) => {
-                let want = ProfileEngine::new().one_to_all(&fed, s);
-                if &r.profile != want.profile(t) {
-                    record(
-                        &mut mismatches,
-                        format!("{name}: s2s over refreshed table {s}->{t} != sequential"),
-                    );
-                }
-            }
-        }
-    }
-
-    // The full static battery on the fed network.
-    let inner = cross_check(&format!("{name}+feed"), &fed, sources, threads, departures);
+    // The full static battery on the fed network and its refreshed table.
+    let inner = cross_check(&format!("{name}+feed"), &fed, &table, sources, threads, departures);
     comparisons += inner.comparisons;
     mismatches.extend(inner.mismatches);
     mismatches.truncate(MAX_REPORTED);
@@ -926,5 +800,5 @@ pub fn cross_check_after_feed(
         comparisons,
         mismatches,
     };
-    (outcome, stats)
+    (outcome, stats, fed)
 }

@@ -158,44 +158,14 @@ impl Freshness {
     /// exactly the rows, and the forward closure bounds the columns.
     pub(crate) fn refresh_scope(&self, net: &Network, rows: &[StationId]) -> Option<RefreshPlan> {
         let (affected, fwd) = match net.touched_since(self.hi.load(Ordering::Relaxed)) {
-            // Reverse reachability: every station with a path *into* the
-            // touched set can route through a re-timed connection.
             Some(touched) => {
                 let sg = net.station_graph();
-                let mut reaches = vec![false; net.num_stations()];
-                let mut stack: Vec<StationId> = Vec::with_capacity(touched.len());
-                for &s in &touched {
-                    if !reaches[s.idx()] {
-                        reaches[s.idx()] = true;
-                        stack.push(s);
-                    }
-                }
-                // Forward reachability for the columns, from the same
-                // touched seed.
-                let mut fwd = vec![false; net.num_stations()];
-                let mut fwd_stack: Vec<StationId> = Vec::with_capacity(touched.len());
-                for &s in &touched {
-                    if !fwd[s.idx()] {
-                        fwd[s.idx()] = true;
-                        fwd_stack.push(s);
-                    }
-                }
-                while let Some(v) = fwd_stack.pop() {
-                    for (u, _) in sg.out(v) {
-                        if !fwd[u.idx()] {
-                            fwd[u.idx()] = true;
-                            fwd_stack.push(u);
-                        }
-                    }
-                }
-                while let Some(v) = stack.pop() {
-                    for &u in sg.incoming(v) {
-                        if !reaches[u.idx()] {
-                            reaches[u.idx()] = true;
-                            stack.push(u);
-                        }
-                    }
-                }
+                let n = net.num_stations();
+                // Reverse reachability: every station with a path *into* the
+                // touched set can route through a re-timed connection.
+                let reaches = closure(n, &touched, |v| sg.incoming(v).iter().copied());
+                // Forward reachability for the columns, from the same seed.
+                let fwd = closure(n, &touched, |v| sg.out(v).map(|(u, _)| u));
                 (rows.iter().copied().filter(|s| reaches[s.idx()]).collect(), fwd)
             }
             // Too far behind the network's log: recompute everything.
@@ -208,6 +178,29 @@ impl Freshness {
         }
         Some((affected, fwd))
     }
+}
+
+/// Marks every station reachable from `seed` (the seed included) along
+/// `next`, one depth-first walk.
+fn closure<I: IntoIterator<Item = StationId>>(
+    n: usize,
+    seed: &[StationId],
+    next: impl Fn(StationId) -> I,
+) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    let mut stack = seed.to_vec();
+    for s in seed {
+        seen[s.idx()] = true;
+    }
+    while let Some(v) = stack.pop() {
+        for u in next(v) {
+            if !seen[u.idx()] {
+                seen[u.idx()] = true;
+                stack.push(u);
+            }
+        }
+    }
+    seen
 }
 
 impl DistanceTable {

@@ -32,14 +32,14 @@
 //!   border → border links through each shard's border sets until nothing
 //!   improves (optimal journeys visit each border group at most once, so
 //!   the fixpoint needs at most one round per group), then link the
-//!   surviving groups onward to the target. The final candidate set is
-//!   Pareto-reduced with
-//!   [`crate::multicriteria::prune_dominated_profiles`] before the merge.
+//!   surviving groups onward to the target and merge every candidate into
+//!   the answer ([`Profile::merge`] is an exact pointwise minimum, so a
+//!   dominated candidate changes nothing).
 //!
 //! The stitched profile is **exactly** the monolithic answer (the profile
 //! the merged single network would produce) because reduced profiles are
-//! canonical per arrival function — `conncheck --gateway` holds the two
-//! byte-equal on pristine, delayed and fed networks.
+//! canonical per arrival function — conncheck's gateway battery holds the
+//! two byte-equal on pristine, delayed and fed networks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,7 +47,6 @@ use std::sync::{Arc, Mutex};
 use pt_core::{Period, Profile, StationId};
 
 use crate::distance_table::{build_engine, Freshness};
-use crate::multicriteria::prune_dominated_profiles;
 use crate::network::{Network, NetworkSnapshot};
 use crate::profile_set::ProfileSet;
 use crate::shard::ShardId;
@@ -281,9 +280,7 @@ impl Gateway {
     /// within-shard profile sets. `one_to_all` answers a shard-local
     /// one-to-all against the pinned snapshots (the service routes it
     /// through the owning shard's engine, so source searches share the
-    /// per-shard cache stripes). Returns the stitched profile plus the
-    /// number of dominated border candidates pruned before the final
-    /// merge.
+    /// per-shard cache stripes).
     pub(crate) fn stitch(
         &self,
         snaps: &[Arc<NetworkSnapshot>],
@@ -291,7 +288,7 @@ impl Gateway {
         one_to_all: &dyn Fn(usize, StationId) -> Arc<ProfileSet>,
         source: (usize, StationId),
         target: (usize, StationId),
-    ) -> (Profile, u64) {
+    ) -> Profile {
         let period = self.period;
         let buffer_at =
             |shard: usize, b: StationId| snaps[shard].network().timetable().transfer_time(b);
@@ -350,10 +347,8 @@ impl Gateway {
             }
         }
 
-        // Collect the per-group candidates to the target and Pareto-reduce
-        // them (multicriteria dominance over whole profiles) before the
-        // final merge.
-        let mut candidates: Vec<(usize, Profile)> = Vec::new();
+        // Link every reached group onward to the target, merging each
+        // candidate into the answer.
         for (g, dg) in d.iter().enumerate() {
             if dg.is_empty() {
                 continue;
@@ -361,7 +356,7 @@ impl Gateway {
             if tgt_group == Some(g) {
                 // Arriving at the target's own group IS arriving at the
                 // target (one physical station).
-                candidates.push((g, dg.clone()));
+                answer.merge(dg, period);
                 continue;
             }
             for &(sh, b_local) in &self.groups[g] {
@@ -375,16 +370,10 @@ impl Gateway {
                         continue;
                     }
                     let buffer = buffer_at(sh, b_local);
-                    candidates.push((g, dg.link_profile(onward, buffer, period)));
+                    answer.merge(&dg.link_profile(onward, buffer, period), period);
                 }
             }
         }
-        let total = candidates.len();
-        let kept = prune_dominated_profiles(candidates, period);
-        let pruned = (total - kept.len()) as u64;
-        for (_, cand) in kept {
-            answer.merge(&cand, period);
-        }
-        (answer, pruned)
+        answer
     }
 }

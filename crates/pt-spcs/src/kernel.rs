@@ -38,10 +38,11 @@
 //! labels may differ on ties, but the *reduced profiles* are identical —
 //! among equal-key ties the reduction keeps the latest departure either way.
 //! The scalar path remains the arbiter of correctness:
-//! `tests/kernel_identity.rs` and the conncheck `--kernel` ablation assert
-//! equality on random, patched and tabled timetables. The ring serves every
-//! query of a default engine; the heap runs only where a check forces
-//! [`KernelMode::Scalar`] (`connection_setting::run_range`).
+//! `tests/kernel_identity.rs` and conncheck, which holds every ring
+//! configuration against the heap, assert equality on random, patched and
+//! tabled timetables. The ring serves every query of a default engine; the
+//! heap runs only where a check forces [`KernelMode::Scalar`]
+//! (`connection_setting::run_range`).
 
 use std::str::FromStr;
 

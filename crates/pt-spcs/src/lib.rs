@@ -58,7 +58,7 @@
 //! * [`gateway`] — the cross-shard gateway: border-station alias groups
 //!   ([`BorderSpec`]), precomputed per-shard border profile sets riding
 //!   the distance-table freshness machinery, and the stitch
-//!   (link at junctions, dominance-reduce, merge) that makes
+//!   (link at junctions, merge) that makes
 //!   [`ShardedService::s2s`] answer cross-shard pairs exactly,
 //! * [`transfer_selection`] / [`contraction`] — choosing the transfer
 //!   stations by station-graph contraction or by degree,

@@ -9,39 +9,12 @@
 //! the realistic time-dependent graph; boarding edges increment the
 //! transfer counter (the first boarding is free — riding one train is zero
 //! transfers).
-//!
-//! The same dominance idea applies to whole profiles — one profile
-//! dominates another iff it is pointwise no worse over the whole period
-//! ([`Profile::dominates`]) — and [`prune_dominated_profiles`] reduces a
-//! candidate set to its Pareto survivors. The cross-shard gateway runs it
-//! over its per-border stitched candidates before the final merge.
 
-use pt_core::{NodeId, Period, Profile, StationId, Time};
+use pt_core::{NodeId, StationId, Time};
 use pt_heap::QuaternaryHeap;
 
 use crate::network::Network;
 use crate::stats::QueryStats;
-
-/// Pareto-filters a set of tagged candidate profiles: a candidate is
-/// dropped iff some other candidate dominates it pointwise over the whole
-/// period. Of several equal profiles the first stays. The relative order
-/// of survivors is preserved; the tag `T` identifies the surviving
-/// candidates (the gateway tags each stitched profile with its border
-/// group).
-pub fn prune_dominated_profiles<T>(
-    candidates: Vec<(T, Profile)>,
-    period: Period,
-) -> Vec<(T, Profile)> {
-    let mut kept: Vec<(T, Profile)> = Vec::with_capacity(candidates.len());
-    for (tag, prof) in candidates {
-        if kept.iter().any(|(_, k)| k.dominates(&prof, period)) {
-            continue;
-        }
-        kept.retain(|(_, k)| !prof.dominates(k, period));
-        kept.push((tag, prof));
-    }
-    kept
-}
 
 /// Upper bound on counted transfers; labels beyond it are merged into the
 /// last bucket (journeys with 15+ transfers are not meaningfully ranked).
@@ -207,36 +180,6 @@ mod tests {
         // The best arrival over the frontier equals the scalar optimum.
         let best = r.options.iter().map(|o| o.arrival).min().unwrap();
         assert_eq!(best, scalar);
-    }
-
-    #[test]
-    fn profile_pruning_keeps_exactly_the_pareto_survivors() {
-        use pt_core::ProfilePoint;
-        let p = |dep: u32, arr: u32| {
-            Profile::from_unreduced(
-                vec![ProfilePoint::new(Time::hm(0, dep), Time::hm(0, arr))],
-                Period::DAY,
-            )
-        };
-        let fast = p(10, 20);
-        let slow = p(10, 30);
-        let late = p(40, 45); // incomparable with both (better late departures)
-        let out = prune_dominated_profiles(
-            vec![("slow", slow.clone()), ("fast", fast.clone()), ("late", late.clone())],
-            Period::DAY,
-        );
-        let tags: Vec<&str> = out.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tags, vec!["fast", "late"], "slow is dominated by fast");
-        // Equal profiles: the first one stays.
-        let out =
-            prune_dominated_profiles(vec![("a", fast.clone()), ("b", fast.clone())], Period::DAY);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, "a");
-        // Empty candidates are dominated by anything (and by each other).
-        let out =
-            prune_dominated_profiles(vec![("none", Profile::EMPTY), ("fast", fast)], Period::DAY);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, "fast");
     }
 
     #[test]

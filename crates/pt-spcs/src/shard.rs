@@ -704,12 +704,8 @@ impl ShardedService {
         let one_to_all =
             |sh: usize, s: StationId| self.shards[sh].profile.one_to_all(snaps[sh].network(), s);
         let stitch_one = |&(source, target): &(Endpoint, Endpoint)| {
-            let (profile, pruned) = gw.stitch(&snaps, &sets, &one_to_all, source, target);
-            S2sResult {
-                profile,
-                stats: QueryStats { table_pruned: pruned, ..Default::default() },
-                kind: QueryKind::Gateway,
-            }
+            let profile = gw.stitch(&snaps, &sets, &one_to_all, source, target);
+            S2sResult { profile, stats: QueryStats::default(), kind: QueryKind::Gateway }
         };
         pairs.iter().map(stitch_one).collect()
     }

@@ -422,7 +422,7 @@ impl Timetable {
     ///
     /// The result cross-validates against a from-scratch rebuild that adds
     /// only the active trips to a fresh builder (see
-    /// `tests/calendar_scenarios.rs` and `conncheck --calendar`): same
+    /// `tests/calendar_scenarios.rs` and conncheck's calendar battery): same
     /// stations, same connections, identical query answers.
     pub fn for_day(
         &self,

@@ -1,15 +1,17 @@
 //! Fast-mode cross-algorithm check, wired into tier-1 (`cargo test`).
 //!
 //! Scaled-down versions of all five evaluation networks, a couple of
-//! sources each: sequential SPCS must agree with the label-correcting
-//! baseline, with parallel SPCS under all three partition strategies, with
-//! the `self_pruning(false)` ablation path (sequential and parallel), with
-//! the batch APIs (`ProfileEngine::many_to_all`, `S2sEngine::try_batch`), and
-//! with the label-setting time-query ground truth. The full-size version
-//! is `cargo run --release --bin conncheck`.
+//! sources each. The reference is sequential SPCS on the scalar heap,
+//! held against the label-setting time-query ground truth; the bucket
+//! ring, the label-correcting baseline, parallel SPCS under all three
+//! partition strategies, the `self_pruning(false)` ablation path on both
+//! frontiers, the batch APIs (`ProfileEngine::many_to_all`,
+//! `S2sEngine::try_batch`) and plain and tabled station-to-station queries
+//! must all agree with it. The full-size version is
+//! `cargo run --release --bin conncheck`.
 
 use pt_bench::conncheck::{cross_check, cross_check_after_feed, standard_departures, STRATEGIES};
-use pt_spcs::Network;
+use pt_spcs::{DistanceTable, Network, TransferSelection};
 use pt_timetable::synthetic::presets;
 
 #[test]
@@ -20,7 +22,8 @@ fn all_presets_cross_check_clean_in_fast_mode() {
         let name = preset.name;
         let net = Network::new(preset.timetable);
         let sources = pt_bench::random_stations(net.num_stations(), 2, 2010);
-        let outcome = cross_check(name, &net, &sources, &[2, 3], &departures);
+        let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
+        let outcome = cross_check(name, &net, &table, &sources, &[2, 3], &departures);
         assert!(outcome.is_clean(), "cross-check mismatches on {name}: {:#?}", outcome.mismatches);
         assert!(outcome.comparisons > 0);
     }
@@ -37,7 +40,7 @@ fn fed_presets_cross_check_clean_in_fast_mode() {
         let name = preset.name;
         let net = Network::new(preset.timetable);
         let sources = pt_bench::random_stations(net.num_stations(), 2, 2010);
-        let (outcome, stats) =
+        let (outcome, stats, _) =
             cross_check_after_feed(name, &net, &sources, &[2], &departures, 2, 6, 2010);
         assert!(
             outcome.is_clean(),
