@@ -16,10 +16,10 @@
 //!   APIs, plain and tabled station-to-station) against one reference,
 //!   the sequential scalar-heap one-to-all, which is itself held against
 //!   the label-setting time-query baseline;
-//! * the feed battery (`<name>+feed`): batched delays + cancellations,
-//!   fed ≡ rebuilt after every feed, the incremental distance-table
-//!   refresh entry for entry against a from-scratch build, then the whole
-//!   static battery on the fed network;
+//! * the feed battery (`<name>+feed`): batched delays + cancellations on
+//!   the pristine network and its table, fed ≡ rebuilt after every feed,
+//!   the distance-table refresh entry for entry against a from-scratch
+//!   build, then the whole static battery on the fed network;
 //! * the service-calendar battery (`<name>+calendar`, and
 //!   `<name>+feed+calendar` on the fed network): weekday / weekend /
 //!   summer services materialized through `Timetable::for_day`, each day
@@ -31,7 +31,7 @@
 //! by-name gateway, and every sampled cross-shard pair's stitched profile
 //! is held byte-equal to the merged monolithic network's reference
 //! profile — pristine, after a delay burst, and across live mixed feeds
-//! applied through the service (exercising the scoped border-set refresh).
+//! applied through the service (exercising the per-shard border-set rebuild).
 //!
 //! Any disagreement is printed and the process exits 1; a command-line
 //! argument, or a `BC_NETWORKS` filter that matches nothing, exits 2.
@@ -104,12 +104,14 @@ fn main() {
         let sources = pt_bench::random_stations(net.num_stations(), sources_per_net, cfg.seed);
         let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
         mismatches += report(&cross_check(name, &net, &table, &sources, &cfg.threads, &departures));
-        // Feed mode: batched delays + cancellations through apply_feed,
-        // fed ≡ rebuilt and the incremental table refresh checked entry
-        // for entry after every feed.
+        mismatches += report(&calendar_check(name, &net, &sources, &departures));
+        // Feed mode on the same network and table: batched delays +
+        // cancellations through apply_feed, fed ≡ rebuilt and the table
+        // refresh checked entry for entry after every feed.
         let (outcome, stats, fed) = cross_check_after_feed(
             name,
-            &net,
+            net,
+            table,
             &sources,
             &cfg.threads,
             &departures,
@@ -123,9 +125,8 @@ fn main() {
              {} table rows refreshed)",
             stats.events, stats.repatched_routes, stats.appended_routes, stats.rows_refreshed
         );
-        // The service calendar, pristine and on the fed network: a delayed
-        // dataset's day must filter the *delayed* connections.
-        mismatches += report(&calendar_check(name, &net, &sources, &departures));
+        // The service calendar on the fed network: a delayed dataset's day
+        // must filter the *delayed* connections.
         mismatches += report(&calendar_check(&format!("{name}+feed"), &fed, &sources, &departures));
     }
 

@@ -37,7 +37,6 @@ use pt_core::{Dur, StationId, Time, TrainId};
 use pt_spcs::{
     label_correcting, time_query, BorderSpec, DistanceTable, KernelMode, Network,
     PartitionStrategy, ProfileEngine, ProfileSet, S2sEngine, ShardId, ShardedService,
-    TransferSelection,
 };
 use pt_timetable::{DelayEvent, TimetableBuilder};
 
@@ -687,21 +686,23 @@ pub struct FeedCheckStats {
     /// Routes the re-splits appended (summed
     /// [`FeedSummary::refit_routes`](pt_spcs::FeedSummary::refit_routes)).
     pub appended_routes: usize,
-    /// Distance-table rows recomputed by the incremental refreshes.
+    /// Distance-table rows recomputed by the refreshes (every row of the
+    /// table per feed that changed the network).
     pub rows_refreshed: usize,
 }
 
 /// The *batched* dynamic scenario: drives `num_feeds` random feeds of
 /// `events_per_feed` events each (delays, pile-ups on one train, and
-/// cancellations) through [`Network::apply_feed`] on a copy of `net`,
-/// checking after **every** feed that
+/// cancellations) through [`Network::apply_feed`] on `net`, refreshing
+/// `table` (built for `net`) after each, and checks after **every** feed
+/// that
 ///
 /// * the generation moved by exactly one iff the feed changed anything
 ///   (one cache invalidation per feed, however many events),
 /// * the patched network is query-identical to a from-scratch rebuild of
 ///   its timetable (sampled sources),
-/// * the incrementally refreshed [`DistanceTable`] matches a from-scratch
-///   build **entry for entry** — every ordered pair of transfer stations,
+/// * the refreshed [`DistanceTable`] matches a from-scratch build **entry
+///   for entry** — every ordered pair of transfer stations,
 ///
 /// and finally runs the whole static [`cross_check`] battery on the fed
 /// network, its tabled queries through the refreshed table. Any
@@ -710,7 +711,8 @@ pub struct FeedCheckStats {
 #[allow(clippy::too_many_arguments)]
 pub fn cross_check_after_feed(
     name: &str,
-    net: &Network,
+    net: Network,
+    mut table: DistanceTable,
     sources: &[StationId],
     threads: &[usize],
     departures: &[Time],
@@ -722,9 +724,8 @@ pub fn cross_check_after_feed(
     use rand::SeedableRng;
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
-    let mut fed = net.clone();
+    let mut fed = net;
     let trains = fed.timetable().num_trains() as u32;
-    let mut table = DistanceTable::build(&fed, &TransferSelection::Fraction(0.15));
     let mut stats = FeedCheckStats::default();
     let mut mismatches = Vec::new();
     let mut comparisons = 0usize;
@@ -765,7 +766,7 @@ pub fn cross_check_after_feed(
             }
         }
 
-        // Incremental table refresh vs from-scratch build, entry for entry.
+        // Table refresh vs from-scratch build, entry for entry.
         match table.refresh(&fed) {
             Err(e) => record(&mut mismatches, format!("{name}: refresh failed: {e}")),
             Ok(rows) => {

@@ -22,11 +22,11 @@
 //!   default seeding).
 //! * **Border sets.** Per shard, one full one-to-all [`ProfileSet`] from
 //!   every border alias it hosts (the crate-private `BorderSets`), built
-//!   with the same batched engine as the distance tables. Freshness is the
-//!   very range type [`DistanceTable`](crate::DistanceTable) holds: a
-//!   generation range plus [`Network::touched_since`]-scoped refreshes, so
-//!   a feed invalidates only the touched shard's border sets — and only
-//!   the rows that can reach a re-timed connection.
+//!   with the same batched engine as the distance tables and stamped with
+//!   the same `(epoch, generation)` freshness as a
+//!   [`DistanceTable`](crate::DistanceTable). A feed moves only the fed
+//!   shard's generation, so only that shard's border sets are rebuilt —
+//!   every row of them, on the first stitch that pins the new snapshot.
 //! * **The stitch.** A label-correcting fixpoint over the alias groups:
 //!   seed every group with the source's profile to it, relax
 //!   border → border links through each shard's border sets until nothing
@@ -68,15 +68,14 @@ pub enum BorderSpec {
 }
 
 /// Per shard: the full one-to-all profile sets from every border alias it
-/// hosts, stamped with the network states they are exact for.
-#[derive(Debug, Clone)]
+/// hosts, stamped with the network state they are exact for.
+#[derive(Debug)]
 pub(crate) struct BorderSets {
     /// Sorted shard-local border station ids; indexes align with `sets`.
     borders: Arc<Vec<StationId>>,
     /// `sets[i]` = one-to-all profiles from `borders[i]`.
     sets: Vec<Arc<ProfileSet>>,
-    /// Same contract as the distance table's: a zero-row refresh extends
-    /// the range in place through a shared `Arc`.
+    /// The shard state the sets are exact for.
     fresh: Freshness,
 }
 
@@ -90,25 +89,6 @@ impl BorderSets {
     fn set(&self, b: StationId) -> &Arc<ProfileSet> {
         let i = self.borders.binary_search(&b).expect("border set queried for a non-border");
         &self.sets[i]
-    }
-
-    /// Reconciles the shared sets with a network mutated by feeds since
-    /// they were built, recomputing only the border rows that can reach a
-    /// touched station ([`Freshness::refresh_scope`] — the distance-table
-    /// machinery). Returns the number of rows recomputed; zero-row
-    /// refreshes extend the validity range without unsharing the `Arc`.
-    fn refresh_shared(slot: &mut Arc<BorderSets>, net: &Network) -> usize {
-        let Some((affected, _fwd)) = slot.fresh.refresh_scope(net, &slot.borders) else {
-            return 0;
-        };
-        let sets = build_engine().many_to_all(net, &affected);
-        let inner = Arc::make_mut(slot);
-        for (&b, set) in affected.iter().zip(sets) {
-            let i = inner.borders.binary_search(&b).expect("affected rows come from borders");
-            inner.sets[i] = set;
-        }
-        inner.fresh = Freshness::at(net);
-        affected.len()
     }
 }
 
@@ -129,8 +109,8 @@ pub(crate) struct Gateway {
     /// Per shard: the lazily refreshed border sets (empty-border shards
     /// hold an empty `BorderSets`).
     tables: Vec<Mutex<Arc<BorderSets>>>,
-    /// Per shard: cumulative border rows recomputed by refreshes — the
-    /// observable for invalidation-scope tests and bench reporting.
+    /// Per shard: cumulative border rows recomputed by rebuilds after
+    /// feeds — the observable for per-shard scope tests and bench reporting.
     rows_refreshed: Vec<AtomicU64>,
 }
 
@@ -240,8 +220,8 @@ impl Gateway {
 
     /// Pins every shard's border sets fresh for the given snapshots (one
     /// consistent cut — the snapshots were pinned up front by the caller).
-    /// Feed-driven refreshes are scoped per shard: an untouched shard's
-    /// `Arc` is returned as-is.
+    /// A shard whose snapshot is newer than its slot gets the slot rebuilt
+    /// (every border row); a shard no feed moved keeps its `Arc` as-is.
     pub(crate) fn sets_for(&self, snaps: &[Arc<NetworkSnapshot>]) -> Vec<Arc<BorderSets>> {
         snaps
             .iter()
@@ -253,16 +233,16 @@ impl Gateway {
                     Ok(()) => return Arc::clone(&slot),
                     Err(stale) => stale,
                 };
+                let sets = BorderSets::build(net, Arc::clone(&slot.borders));
                 if !stale.refreshable() || net.generation() < stale.built_for.1 {
-                    // Another epoch, or a snapshot pinned *before* the
-                    // shared sets' range (outside it yet below its upper
-                    // end — a concurrent batch refreshed past it): serve a
+                    // Another epoch, or a snapshot pinned *before* the slot's
+                    // state (a concurrent batch rebuilt past it): serve a
                     // one-off build for exactly this state without
                     // regressing the shared slot.
-                    return Arc::new(BorderSets::build(net, Arc::clone(&slot.borders)));
+                    return Arc::new(sets);
                 }
-                let rows = BorderSets::refresh_shared(&mut slot, net);
-                self.rows_refreshed[idx].fetch_add(rows as u64, Ordering::Relaxed);
+                self.rows_refreshed[idx].fetch_add(sets.borders.len() as u64, Ordering::Relaxed);
+                *slot = Arc::new(sets);
                 Arc::clone(&slot)
             })
             .collect()

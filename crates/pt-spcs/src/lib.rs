@@ -36,9 +36,10 @@
 //!   the generation,
 //! * [`distance_table`] — precomputed full profile tables between transfer
 //!   stations (the table owns the one transfer mask `via(T)` and the §4
-//!   pruning read), kept fresh under live feeds by the row- *and* column-scoped
-//!   incremental [`DistanceTable::refresh`] (stale tables surface as a
-//!   typed [`StaleTable`] from the fallible s2s entry points),
+//!   pruning read), kept fresh under live feeds by
+//!   [`DistanceTable::refresh`], which recomputes every row in one batched
+//!   pass (stale tables surface as a typed [`StaleTable`] from the
+//!   fallible s2s entry points),
 //! * [`network`] also hosts [`ConcurrentNetwork`]: snapshot-isolated
 //!   serving, where readers pin immutable epoch-stamped
 //!   [`NetworkSnapshot`]s while one writer patches a private master and
@@ -50,7 +51,7 @@
 //! * [`shard`] — the multi-network serving layer: a [`ShardedService`]
 //!   owns N snapshot-published shards behind a station-to-shard directory,
 //!   routes queries/batches/feeds to the owning shard's persistent engines
-//!   (all serving methods `&self`, one `apply_feed` with one scoped table
+//!   (all serving methods `&self`, one `apply_feed` with one table
 //!   refresh per shard per feed that returns each fed shard's
 //!   [`PublishOutcome`], per-shard cache stripes, batches pin all
 //!   touched shards' snapshots up front); cross-shard pairs are refused

@@ -20,11 +20,6 @@ use crate::transfer_selection::TransferSelection;
 /// Source of process-unique [`Network::epoch`] stamps.
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// How many mutations back [`Network::touched_since`] can answer. Bounds
-/// the per-network memory of the touched-station log; a consumer further
-/// behind than this falls back to a full recompute.
-const FEED_LOG_CAP: usize = 64;
-
 /// What [`Network::apply_feed`] did with one batch of [`DelayEvent`]s —
 /// the fully dynamic scenario of the paper (§5.1). The default value is
 /// the nil feed's.
@@ -68,13 +63,6 @@ pub struct Network {
     /// `(epoch, generation)` so a network-free engine queried against
     /// several networks can never serve a result across them.
     epoch: u64,
-    /// The last [`FEED_LOG_CAP`] mutations as `(generation after the
-    /// mutation, its touched stations)` — consecutive generations, since
-    /// every mutation flows through [`Network::apply_feed`] and bumps
-    /// exactly once. Backs [`Network::touched_since`], the source of truth
-    /// for incremental distance-table refreshes. Entries are immutable
-    /// once recorded, so clones share them by refcount.
-    feed_log: Vec<(u64, Arc<[StationId]>)>,
 }
 
 impl Clone for Network {
@@ -90,7 +78,6 @@ impl Clone for Network {
             graph: self.graph.clone(),
             stations: self.stations.clone(),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-            feed_log: self.feed_log.clone(),
         }
     }
 }
@@ -102,14 +89,7 @@ impl Network {
         let graph = TdGraph::build(&timetable, &routes);
         let stations = StationGraph::build(&timetable);
         let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
-        Network {
-            timetable,
-            routes,
-            graph,
-            stations: Arc::new(stations),
-            epoch,
-            feed_log: Vec::new(),
-        }
+        Network { timetable, routes, graph, stations: Arc::new(stations), epoch }
     }
 
     /// Like [`Network::new`], borrowing the timetable (clones it).
@@ -165,12 +145,8 @@ impl Network {
     ///
     /// The returned [`FeedSummary`] counts the routes the feed touched,
     /// rewrote and appended (net semantics: a train that ended up back on
-    /// its previous times touches nothing). The feed's touched stations
-    /// are recorded per generation in the network's bounded log
-    /// ([`Network::touched_since`]) for incremental
-    /// [`DistanceTable::refresh`](crate::DistanceTable::refresh)es. A feed
-    /// with net effect nil leaves the network — and its generation —
-    /// untouched.
+    /// its previous times touches nothing). A feed with net effect nil
+    /// leaves the network — and its generation — untouched.
     pub fn apply_feed(&mut self, events: &[DelayEvent]) -> FeedSummary {
         let patch = self.timetable.patch_feed(events);
         if !patch.changed {
@@ -183,55 +159,11 @@ impl Network {
         let routes_before = self.routes.len();
         let rewrite = self.routes.repatch_feed(&self.timetable, &patch);
         self.graph.repatch_routes(&self.timetable, &self.routes, &rewrite, &patch.remapped);
-
-        self.feed_log.push((self.generation(), patch.touched_stations.into()));
-        if self.feed_log.len() > FEED_LOG_CAP {
-            self.feed_log.remove(0);
-        }
         FeedSummary {
             touched_routes: touched.len(),
             repatched_routes: rewrite.len(),
             refit_routes: self.routes.len() - routes_before,
         }
-    }
-
-    /// The union of touched stations (departure stations of re-timed
-    /// connections) over every mutation after `generation`, or `None` when
-    /// the bounded log no longer reaches back that far — the consumer must
-    /// then assume everything changed. `Some(vec![])` means the network
-    /// has not changed since `generation`. Backs
-    /// [`DistanceTable::refresh`](crate::DistanceTable::refresh), which
-    /// needs the *complete* union since its build generation — asking the
-    /// network instead of trusting callers to accumulate per-feed
-    /// summaries closes the it-looked-fresh-but-wasn't hole.
-    pub fn touched_since(&self, generation: u64) -> Option<Vec<StationId>> {
-        let current = self.generation();
-        if generation > current {
-            return None; // a future generation: not this network's past
-        }
-        if generation == current {
-            return Some(Vec::new());
-        }
-        // Entries carry consecutive generations (each mutation bumps once),
-        // so coverage of (generation, current] is a contiguity walk.
-        let mut covered = generation;
-        let mut union: Vec<StationId> = Vec::new();
-        for (g, stations) in &self.feed_log {
-            if *g <= generation {
-                continue;
-            }
-            if *g != covered + 1 {
-                return None; // trimmed out of the bounded log
-            }
-            covered = *g;
-            union.extend(stations.iter().copied());
-        }
-        if covered != current {
-            return None;
-        }
-        union.sort_unstable();
-        union.dedup();
-        Some(union)
     }
 
     /// The timetable's update generation (see [`Timetable::generation`]).
@@ -318,7 +250,6 @@ impl Network {
             graph: self.graph.clone(),
             stations: self.stations.clone(),
             epoch: self.epoch,
-            feed_log: self.feed_log.clone(),
         }
     }
 }
@@ -373,13 +304,13 @@ impl Deref for NetworkSnapshot {
 pub struct PublishOutcome {
     /// What the master network's [`Network::apply_feed`] did.
     pub summary: FeedSummary,
-    /// Rows rewritten by the incremental table refresh (0 when no table is
-    /// configured or the feed was net-nil).
+    /// Rows recomputed by the table refresh: every row of the table (0
+    /// when no table is configured or the feed was net-nil).
     pub table_rows_refreshed: usize,
     /// Wall-clock nanoseconds to build and install the new snapshot: the
-    /// spine clone plus the pointer swap (the incremental table refresh
-    /// is *not* included — it is its own, already O(affected), phase).
-    /// Copy-on-write sharing makes this O(touched), not O(network).
+    /// spine clone plus the pointer swap (the table refresh is *not*
+    /// included — it is its own phase). The spine clone costs one refcount
+    /// per station bucket, per route and per hop, and copies no payload.
     /// `0` when the feed was net-nil (nothing was published).
     pub publish_ns: u64,
     /// The snapshot published by this call, or `None` when the feed was
@@ -388,9 +319,8 @@ pub struct PublishOutcome {
 }
 
 /// The master state behind the publish lock: the only copy that mutates.
-/// The table sits behind an `Arc` shared with the published snapshots;
-/// [`DistanceTable::refresh_shared`] unshares it only when a refresh
-/// actually rewrites rows.
+/// The table sits behind an `Arc` shared with the published snapshots; a
+/// feed replaces it with a refreshed table rather than writing into it.
 #[derive(Debug)]
 struct Master {
     net: Network,
@@ -401,9 +331,9 @@ struct Master {
 /// number of reader threads pin immutable [`NetworkSnapshot`]s via
 /// [`ConcurrentNetwork::snapshot`] while one writer at a time applies
 /// feeds. A feed patches the private master copy, refreshes the master's
-/// distance table incrementally, then publishes the new state with a
-/// single atomic pointer swap — readers never observe a half-applied feed:
-/// every query's answer is exactly the pre-feed or post-feed state.
+/// distance table, then publishes the new state with a single atomic
+/// pointer swap — readers never observe a half-applied feed: every
+/// query's answer is exactly the pre-feed or post-feed state.
 ///
 /// Writers are serialized on the master mutex; `snapshot()` is **wait-free
 /// and lock-free** — a pin is three atomic operations on the publish slot
@@ -452,15 +382,16 @@ impl ConcurrentNetwork {
     }
 
     /// Applies a feed under snapshot isolation: patches the master copy
-    /// ([`Network::apply_feed`]), refreshes the master's table
-    /// incrementally ([`DistanceTable::refresh_shared`] — the shared
-    /// `Arc` is kept when zero rows change), then publishes the new state
-    /// atomically. The publish itself is O(touched): a spine clone of the
-    /// master shares every untouched bucket, route block, PLF and table
-    /// row with the previous snapshot by refcount. Concurrent writers are
-    /// serialized; concurrent readers keep their pinned snapshots and see
-    /// the new state on their next [`ConcurrentNetwork::snapshot`] call.
-    /// A net-nil feed publishes nothing.
+    /// ([`Network::apply_feed`]), installs a refreshed table (every row
+    /// recomputed, as [`DistanceTable::refresh`] does; the snapshots pinned
+    /// earlier keep the old one), then publishes the new state atomically.
+    /// The publish is a spine clone of the master: one refcount per station
+    /// bucket, per route and per hop, sharing every bucket, route block and
+    /// PLF the feed did not rewrite with the previous snapshot. Concurrent
+    /// writers are serialized; concurrent readers keep their pinned
+    /// snapshots and see the new state on their next
+    /// [`ConcurrentNetwork::snapshot`] call. A net-nil feed publishes
+    /// nothing.
     pub fn apply_feed(&self, events: &[DelayEvent]) -> PublishOutcome {
         let mut master = self.master.lock().unwrap();
         let summary = master.net.apply_feed(events);
@@ -469,7 +400,8 @@ impl ConcurrentNetwork {
         }
         let Master { net, table } = &mut *master;
         let table_rows_refreshed = table.as_mut().map_or(0, |table| {
-            DistanceTable::refresh_shared(table, net).expect("master table refreshes in lock step")
+            *table = Arc::new(table.refreshed(net));
+            table.len()
         });
         let start = std::time::Instant::now();
         let snapshot = Arc::new(publish_snapshot(&master.net, master.table.as_ref()));
@@ -483,10 +415,8 @@ impl ConcurrentNetwork {
 /// Builds the immutable snapshot of one master state. Uses
 /// [`Network::clone_same_epoch`] so the snapshot carries the *same*
 /// `(epoch, generation)` identity as the master — sound because the
-/// snapshot is never mutated. The table `Arc` is shared outright (the
-/// master unshares it itself when a refresh rewrites rows), so a publish
-/// whose refresh touched zero rows keeps `Arc::ptr_eq` with the previous
-/// snapshot's table.
+/// snapshot is never mutated. The table `Arc` is shared outright: the
+/// master replaces its own `Arc` on the next feed, never writes into it.
 fn publish_snapshot(net: &Network, table: Option<&Arc<DistanceTable>>) -> NetworkSnapshot {
     NetworkSnapshot { net: net.clone_same_epoch(), table: table.cloned() }
 }
@@ -577,14 +507,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_row_refresh_shares_the_table_allocation() {
+    fn feeds_in_either_component_refresh_every_row() {
         use pt_core::Time;
         use pt_timetable::{TimetableBuilder, TripStop};
-        // Two disconnected components: a delay in B can never change any
-        // profile between stations of A, so a publish after it refreshes
-        // zero table rows — and must then share the table `Arc` with the
-        // previous snapshot instead of cloning it (the old code deep-cloned
-        // the whole table on every publish).
+        // Two disconnected components, the table over A's stations. A
+        // refresh is whole-row: a feed in either component recomputes every
+        // row and installs a new table, while a snapshot pinned before the
+        // feed keeps the table of its own generation.
         let mut b = TimetableBuilder::new(pt_core::Period::DAY);
         let a: Vec<_> =
             (0..3).map(|i| b.add_named_station(format!("A{i}"), Dur::minutes(2))).collect();
@@ -606,26 +535,20 @@ mod tests {
         }
         let net = Network::new(b.build().unwrap());
         let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Explicit(a.clone()));
-        let before = cnet.snapshot();
+        // Trains alternate A, B, A, B, …: train 1 runs in B, train 0 in A.
+        for train in [1, 0] {
+            let pinned = cnet.snapshot();
+            let outcome = cnet.apply_feed(&[delay(train, 30)]);
+            assert!(outcome.summary.changed(), "the delay of train {train} must take effect");
+            assert_eq!(outcome.table_rows_refreshed, a.len(), "train {train}: every row");
 
-        // Delay a component-B train (trains alternate A, B, A, B, …).
-        let outcome = cnet.apply_feed(&[delay(1, 30)]);
-        assert!(outcome.summary.changed(), "the delay must take effect");
-        assert_eq!(outcome.table_rows_refreshed, 0, "no A-row can be affected");
-
-        let after = cnet.snapshot();
-        let (t0, t1) = (before.shared_table().unwrap(), after.shared_table().unwrap());
-        assert!(Arc::ptr_eq(&t0, &t1), "a zero-row refresh must share, not clone");
-        // The one allocation is fresh for both pinned generations.
-        assert!(t0.check_fresh(before.network()).is_ok());
-        assert!(t1.check_fresh(after.network()).is_ok());
-
-        // A component-A delay rewrites rows — the snapshots then unshare.
-        let outcome = cnet.apply_feed(&[delay(0, 30)]);
-        assert!(outcome.table_rows_refreshed > 0);
-        let third = cnet.snapshot();
-        assert!(!Arc::ptr_eq(&t1, &third.shared_table().unwrap()));
-        assert!(third.table().unwrap().check_fresh(third.network()).is_ok());
+            let after = cnet.snapshot();
+            let (old, new) = (pinned.shared_table().unwrap(), after.shared_table().unwrap());
+            assert!(!Arc::ptr_eq(&old, &new), "train {train}: a new table is installed");
+            assert!(old.check_fresh(pinned.network()).is_ok(), "pinned table, own generation");
+            assert!(old.check_fresh(after.network()).is_err());
+            assert!(new.check_fresh(after.network()).is_ok());
+        }
     }
 
     #[test]

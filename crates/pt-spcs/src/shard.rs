@@ -27,7 +27,7 @@
 //!   mixed [`DelayEvent`] stream and groups the events by shard before any
 //!   shard applies its batch, so each shard receives **one**
 //!   [`ConcurrentNetwork::apply_feed`] call: one generation bump at most,
-//!   **one** scoped table refresh when the batch changed anything, and one
+//!   **one** table refresh when the batch changed anything, and one
 //!   published snapshot, handed back to the caller. A shard with no events
 //!   (or a net-nil batch) is not touched at all.
 //! * **Cross-shard journeys.** With a gateway configured
@@ -247,7 +247,7 @@ impl ShardedServiceBuilder {
     }
 
     /// Builds a distance table per shard with this selection; the router
-    /// keeps each table fresh with one scoped refresh per feed.
+    /// keeps each table fresh with one refresh per feed.
     pub fn tables(mut self, selection: TransferSelection) -> Self {
         self.tables = Some(selection);
         self
@@ -330,7 +330,7 @@ impl ShardedServiceBuilder {
 /// ([`ShardedService::locate`]). Every query routes to the owning shard's
 /// persistent engine, batches are demultiplexed so each shard is entered
 /// once, mixed feeds cost each touched shard one generation bump and one
-/// scoped table refresh, and the per-shard cache stripes isolate one
+/// table refresh, and the per-shard cache stripes isolate one
 /// shard's invalidations from another's hits. See the [module
 /// docs](crate::shard) for the full contract.
 ///
@@ -724,7 +724,7 @@ impl ShardedService {
     /// shard with at least one event gets exactly **one**
     /// [`ConcurrentNetwork::apply_feed`] call: at most one generation bump
     /// and one cache invalidation per shard per feed, and exactly one
-    /// scoped table refresh for each *changed* shard with a distance table.
+    /// table refresh for each *changed* shard with a distance table.
     /// Untouched shards — and shards whose batch nets out to nil — keep
     /// their generation, so their cache stripes keep hitting.
     ///

@@ -15,7 +15,7 @@
 //!
 //! [`Timetable::patch_feed`]: crate::Timetable::patch_feed
 
-use pt_core::{ConnId, Dur, StationId, TrainId};
+use pt_core::{ConnId, Dur, TrainId};
 
 /// How a delayed train recovers at subsequent stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,10 +93,6 @@ pub struct FeedPatch {
     /// trains the feed never mentions can appear too, when they share a
     /// touched bucket.
     pub remapped: Vec<(ConnId, ConnId)>,
-    /// Departure stations of every net-changed connection, sorted,
-    /// deduplicated — the seed set for reverse-reachability distance-table
-    /// refreshes.
-    pub touched_stations: Vec<StationId>,
 }
 
 /// The delay still left `hops_in` hops after the delayed hop. Saturating:
@@ -305,7 +301,6 @@ mod tests {
         let mut batched = tt.clone();
         let patch = batched.patch_feed(&events);
         assert!(patch.changed);
-        assert!(!patch.touched_stations.is_empty());
         assert_eq!(patch.trains, vec![TrainId(0)], "train 1's events cancelled out");
         assert_eq!(batched.generation(), 1, "a feed costs exactly one bump");
 
@@ -319,14 +314,6 @@ mod tests {
         for &(old, new) in &patch.remapped {
             let (before, after) = (tt.connection(old), batched.connection(new));
             assert_eq!((before.train, before.seq), (after.train, after.seq));
-        }
-        // Touched stations are exactly the dep stations of changed conns.
-        for &s in &patch.touched_stations {
-            assert!(batched
-                .conn(s)
-                .iter()
-                .zip(tt.conn(s))
-                .any(|(a, b)| a != b || a.train == TrainId(0)));
         }
     }
 

@@ -403,7 +403,7 @@ impl Timetable {
         touched.sort_unstable();
         touched.dedup();
         let remapped = self.resort_buckets(&touched);
-        FeedPatch { changed: true, trains, remapped, touched_stations: touched }
+        FeedPatch { changed: true, trains, remapped }
     }
 
     /// Restores per-bucket departure order after connection times moved,

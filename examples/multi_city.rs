@@ -3,7 +3,7 @@
 //! owning shard, queries and batches are demultiplexed to the owning
 //! shard's persistent engines (with a per-shard cache stripe), a mixed
 //! realtime feed costs each touched shard one generation bump and one
-//! scoped distance-table refresh, and cross-shard requests come back as
+//! distance-table refresh, and cross-shard requests come back as
 //! typed redirects instead of wrong answers.
 //!
 //! ```text
@@ -74,7 +74,7 @@ fn main() {
     // A mixed realtime feed: events for shards 0 and 1 arrive interleaved;
     // each shard digests its slice in one pass. Shard 0's slice nets out
     // (delay then cancel of the same train): no generation bump, no
-    // refresh. Shard 1 changes: one bump, one scoped table refresh. Shard
+    // refresh. Shard 1 changes: one bump, one table refresh. Shard
     // 2 is never touched at all — its cache stripe keeps every hit.
     let feed = vec![
         (

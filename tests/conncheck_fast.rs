@@ -33,15 +33,16 @@ fn all_presets_cross_check_clean_in_fast_mode() {
 fn fed_presets_cross_check_clean_in_fast_mode() {
     // The batched dynamic path: random feeds (delays + cancellations)
     // through Network::apply_feed, one generation bump per feed, the
-    // incremental distance-table refresh compared entry-for-entry against a
+    // distance-table refresh compared entry-for-entry against a
     // from-scratch build, then the full static battery on the fed network.
     let departures = standard_departures();
     for preset in presets::all_presets(0.05) {
         let name = preset.name;
         let net = Network::new(preset.timetable);
         let sources = pt_bench::random_stations(net.num_stations(), 2, 2010);
+        let table = DistanceTable::build(&net, &TransferSelection::Fraction(0.15));
         let (outcome, stats, _) =
-            cross_check_after_feed(name, &net, &sources, &[2], &departures, 2, 6, 2010);
+            cross_check_after_feed(name, net, table, &sources, &[2], &departures, 2, 6, 2010);
         assert!(
             outcome.is_clean(),
             "feed cross-check mismatches on {name}: {:#?}",

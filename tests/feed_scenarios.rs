@@ -82,10 +82,6 @@ fn run_scenario(tt: Timetable, ops: Vec<Op>, sources_per_feed: u32) -> Result<()
                     events.len(),
                     expected
                 );
-                // The network logs the feed's touched stations exactly when
-                // it changed anything.
-                let logged = net.touched_since(gen_before).expect("one feed back is logged");
-                prop_assert_eq!(!logged.is_empty(), summary.changed());
                 // Every touched route is rewritten.
                 prop_assert!(
                     summary.touched_routes <= summary.repatched_routes,
@@ -158,11 +154,11 @@ proptest! {
         run_scenario(tt, ops, 3)?;
     }
 
-    // The column-scoped incremental refresh is entry-for-entry identical
-    // to rebuilding the table from scratch, across arbitrary feed streams
-    // (including net-nil batches and overtaking rebuilds).
+    // The table refresh is entry-for-entry identical to rebuilding the
+    // table from scratch, across arbitrary feed streams (including net-nil
+    // batches and overtaking rebuilds).
     #[test]
-    fn column_scoped_refresh_equals_rebuild(
+    fn refresh_equals_rebuild(
         transfer_min in prop::collection::vec(0u8..=8, 4..=6),
         trips in prop::collection::vec(trip_strategy(6), 3..=10),
         feeds in prop::collection::vec(
@@ -513,37 +509,16 @@ fn catch_up_larger_than_the_dwell_keeps_fed_equal_to_rebuilt() {
 }
 
 #[test]
-fn touched_since_reports_the_union_and_detects_log_overflow() {
-    let mut net = Network::new(two_route_net());
-    let g0 = net.generation();
-    assert_eq!(net.touched_since(g0), Some(vec![]), "nothing changed yet");
-    net.apply_delay(TrainId(0), 0, Dur::minutes(3), Recovery::None);
-    net.apply_delay(TrainId(2), 0, Dur::minutes(3), Recovery::None);
-    let touched = net.touched_since(g0).expect("two feeds back is logged");
-    // Train 0 departs stations 0 and 1; train 2 departs station 3.
-    assert_eq!(touched, vec![StationId(0), StationId(1), StationId(3)]);
-    assert_eq!(net.touched_since(net.generation()), Some(vec![]));
-    // Push the first entries out of the bounded log: a consumer still on
-    // g0 must be told the history is gone (None), never a partial union.
-    for i in 0..70u32 {
-        net.apply_delay(TrainId(0), 0, Dur::minutes(1 + (i % 3)), Recovery::None);
-    }
-    assert_eq!(net.touched_since(g0), None, "overflowed log must not under-report");
-    assert!(net.touched_since(net.generation() - 1).is_some(), "recent history still covered");
-}
-
-#[test]
 fn refresh_survives_a_log_overflow_with_a_full_recompute() {
     let mut net = Network::new(two_route_net());
     let mut table = DistanceTable::build_for(&net, vec![StationId(0), StationId(1), StationId(2)]);
-    // 70 single-delay feeds: far more than the network's touched-station
-    // log retains, so the refresh cannot know which rows are safe and must
-    // recompute all of them — and still match a from-scratch build.
+    // 70 single-delay feeds behind: one refresh recomputes every row and
+    // still matches a from-scratch build.
     for i in 0..70u32 {
         net.apply_delay(TrainId(i % 3), 0, Dur::minutes(1), Recovery::None);
     }
     let rows = table.refresh(&net).expect("same epoch");
-    assert_eq!(rows, table.len(), "history gap must recompute every row");
+    assert_eq!(rows, table.len(), "a refresh recomputes every row");
     let rebuilt = DistanceTable::build_for(&net, table.stations().to_vec());
     for &a in table.stations() {
         for &b in table.stations() {

@@ -9,12 +9,10 @@
 //! through the service (reduced profiles are canonical per arrival
 //! function, so equality is exact, not approximate).
 //!
-//! The deterministic half pins the **invalidation scope** of the border
-//! tables: a feed that touches only a sub-line unreachable from the
-//! border refreshes *zero* border rows (the table's validity window is
-//! extended in place), a feed touching the border's reachable component
-//! refreshes exactly that shard's row, and a feed to one shard never
-//! refreshes another shard's rows.
+//! The deterministic half pins the **per-shard scope** of the border
+//! tables: a feed to a shard refreshes every border row of that shard —
+//! even when it only touches a sub-line unreachable from the border — and
+//! a feed to one shard never refreshes another shard's rows.
 
 use proptest::prelude::*;
 
@@ -26,7 +24,7 @@ proptest! {
 
     // Stitched ≡ monolithic over random region scenarios: pristine, after
     // a delay burst, and re-checked after every live mixed feed round
-    // (the feed rounds exercise the scoped border-set refresh).
+    // (the feed rounds exercise the per-shard border-set rebuild).
     #[test]
     fn stitched_cross_shard_profiles_equal_the_monolith(
         shards in 2usize..=3,
@@ -93,16 +91,15 @@ fn rows_after_query(svc: &ShardedService) -> Vec<u64> {
 }
 
 #[test]
-fn border_unreachable_feeds_refresh_zero_rows() {
+fn border_unreachable_feeds_refresh_only_the_fed_shards_row() {
     let svc = border_with_isolated_subline();
     assert_eq!(rows_after_query(&svc), vec![0, 0], "pristine tables need no refresh");
 
-    // Delay the isolated `y→z` train: the west generation moves, but no
-    // station of the border's component reaches the touched set, so the
-    // scoped refresh rewrites zero rows — it only extends the table's
-    // validity window to the new generation.
+    // Delay the isolated `y→z` train: no journey from the border changes,
+    // but the west generation moves, so the west border row is recomputed
+    // — and only it (the east shard saw no events).
     svc.apply_feed(&[(ShardId(0), delay(2))]).unwrap();
-    assert_eq!(rows_after_query(&svc), vec![0, 0], "isolated sub-line must not invalidate");
+    assert_eq!(rows_after_query(&svc), vec![1, 0], "west row refreshes, east stays");
 }
 
 #[test]
@@ -125,9 +122,8 @@ fn border_reachable_feeds_refresh_exactly_the_touched_shards_row() {
 
 #[test]
 fn the_isolated_subline_really_is_unreachable_and_stitching_still_works() {
-    // Guard the fixture itself: if a future generator change connected
-    // `y` to the border's component, the zero-row test above would pass
-    // vacuously for the wrong reason.
+    // Guard the fixture itself: the sub-line the tests above feed really
+    // is cut off from the border's component.
     let svc = border_with_isolated_subline();
     let y = svc.global_id(ShardId(0), StationId(2)).unwrap();
     let c = svc.global_id(ShardId(1), StationId(1)).unwrap();
