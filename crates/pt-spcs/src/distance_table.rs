@@ -90,36 +90,10 @@ pub struct DistanceTable {
     profiles: Vec<Profile>,
     /// Wall-clock preprocessing time.
     build_time: std::time::Duration,
-    /// The network state the profiles are exact for.
-    fresh: Freshness,
-}
-
-/// The one network state a precomputed row store (the distance table's
-/// rows, the gateway's border sets) is exact for: `(Network::epoch,
-/// Network::generation)` at build or last refresh.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Freshness {
-    epoch: u64,
-    generation: u64,
-}
-
-impl Freshness {
-    /// Exact for precisely the current state of `net`.
-    pub(crate) fn at(net: &Network) -> Freshness {
-        Freshness { epoch: net.epoch(), generation: net.generation() }
-    }
-
-    /// `Ok` iff `net` is in exactly the stamped state; otherwise the typed
-    /// [`StaleTable`].
-    pub(crate) fn check(&self, net: &Network) -> Result<(), StaleTable> {
-        let built_for = (self.epoch, self.generation);
-        let queried = (net.epoch(), net.generation());
-        if built_for == queried {
-            Ok(())
-        } else {
-            Err(StaleTable { built_for, queried })
-        }
-    }
+    /// `(Network::epoch, Network::generation)` of the network state the
+    /// profiles are exact for: the one stamp
+    /// [`DistanceTable::check_fresh`] accepts.
+    built_for: (u64, u64),
 }
 
 /// The profiles of one batched one-to-all from every station of `stations`
@@ -153,7 +127,7 @@ impl DistanceTable {
             mask,
             profiles,
             build_time: start.elapsed(),
-            fresh: Freshness::at(net),
+            built_for: (net.epoch(), net.generation()),
         }
     }
 
@@ -170,7 +144,7 @@ impl DistanceTable {
     /// `net` is a *different network instance* (another epoch) — refresh
     /// can only follow mutations of the network the table was built from.
     pub fn refresh(&mut self, net: &Network) -> Result<usize, StaleTable> {
-        match self.fresh.check(net) {
+        match self.check_fresh(net) {
             Ok(()) => Ok(0),
             Err(stale) if !stale.refreshable() => Err(stale),
             Err(_) => {
@@ -181,10 +155,10 @@ impl DistanceTable {
     }
 
     /// This table's stations recomputed against `net` (same epoch): the
-    /// replacement a publisher installs next to the rows pinned readers
-    /// still hold, sharing only the station index and transfer mask.
+    /// table a publisher gives the new snapshot while pinned readers keep
+    /// the old one, sharing only the station index and transfer mask.
     pub(crate) fn refreshed(&self, net: &Network) -> DistanceTable {
-        debug_assert_eq!(self.fresh.epoch, net.epoch(), "refresh follows one network instance");
+        debug_assert_eq!(self.built_for.0, net.epoch(), "refresh follows one network instance");
         let start = std::time::Instant::now();
         let profiles = all_rows(net, &self.stations);
         DistanceTable {
@@ -194,7 +168,7 @@ impl DistanceTable {
             mask: Arc::clone(&self.mask),
             profiles,
             build_time: self.build_time + start.elapsed(),
-            fresh: Freshness::at(net),
+            built_for: (net.epoch(), net.generation()),
         }
     }
 
@@ -204,15 +178,12 @@ impl DistanceTable {
     /// [`StaleTable`] otherwise. Checked by the s2s engine before every
     /// table-pruned query.
     pub fn check_fresh(&self, net: &Network) -> Result<(), StaleTable> {
-        self.fresh.check(net)
-    }
-
-    /// The `(Network::epoch, Network::generation)` this table was built
-    /// for (or last [`DistanceTable::refresh`]ed to) — the one stamp
-    /// [`DistanceTable::check_fresh`] accepts.
-    #[inline]
-    pub fn built_for(&self) -> (u64, u64) {
-        (self.fresh.epoch, self.fresh.generation)
+        let queried = (net.epoch(), net.generation());
+        if self.built_for == queried {
+            Ok(())
+        } else {
+            Err(StaleTable { built_for: self.built_for, queried })
+        }
     }
 
     /// Number of transfer stations.

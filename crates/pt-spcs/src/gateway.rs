@@ -21,12 +21,14 @@
 //!   matching station names across shards ([`BorderSpec::ByName`], the
 //!   default seeding).
 //! * **Border sets.** Per shard, one full one-to-all [`ProfileSet`] from
-//!   every border alias it hosts (the crate-private `BorderSets`), built
-//!   with the same batched engine as the distance tables and stamped with
-//!   the same `(epoch, generation)` freshness as a
-//!   [`DistanceTable`](crate::DistanceTable). A feed moves only the fed
-//!   shard's generation, so only that shard's border sets are rebuilt —
-//!   every row of them, on the first stitch that pins the new snapshot.
+//!   every border alias it hosts, built with the same batched engine as
+//!   the distance tables. The sets live on the shard's
+//!   [`NetworkSnapshot`] they are exact for: the gateway's build fills the
+//!   initial snapshots, and the first stitch that pins a later snapshot
+//!   fills it (concurrent stitches wait on the same `OnceLock`). A feed
+//!   publishes a new snapshot of the fed shard only, so only that shard's
+//!   border sets are rebuilt; an old snapshot drops its sets with its last
+//!   pin.
 //! * **The stitch.** A label-correcting fixpoint over the alias groups:
 //!   seed every group with the source's profile to it, relax
 //!   border → border links through each shard's border sets until nothing
@@ -42,12 +44,12 @@
 //! two byte-equal on pristine, delayed and fed networks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pt_core::{Period, Profile, StationId};
 
-use crate::distance_table::{build_engine, Freshness};
-use crate::network::{Network, NetworkSnapshot};
+use crate::distance_table::build_engine;
+use crate::network::NetworkSnapshot;
 use crate::profile_set::ProfileSet;
 use crate::shard::ShardId;
 
@@ -67,35 +69,11 @@ pub enum BorderSpec {
     Explicit(Vec<Vec<StationId>>),
 }
 
-/// Per shard: the full one-to-all profile sets from every border alias it
-/// hosts, stamped with the network state they are exact for.
-#[derive(Debug)]
-pub(crate) struct BorderSets {
-    /// Sorted shard-local border station ids; indexes align with `sets`.
-    borders: Arc<Vec<StationId>>,
-    /// `sets[i]` = one-to-all profiles from `borders[i]`.
-    sets: Vec<Arc<ProfileSet>>,
-    /// The shard state the sets are exact for.
-    fresh: Freshness,
-}
-
-impl BorderSets {
-    fn build(net: &Network, borders: Arc<Vec<StationId>>) -> BorderSets {
-        let sets = build_engine().many_to_all(net, &borders);
-        BorderSets { borders, sets, fresh: Freshness::at(net) }
-    }
-
-    /// The one-to-all set from border `b` (a member of `borders`).
-    fn set(&self, b: StationId) -> &Arc<ProfileSet> {
-        let i = self.borders.binary_search(&b).expect("border set queried for a non-border");
-        &self.sets[i]
-    }
-}
-
 /// One alias: a border station as one shard hosts it.
 type Alias = (ShardId, StationId);
 
-/// The cross-shard gateway: alias groups plus per-shard border sets.
+/// The cross-shard gateway: alias groups and the stitch over the border
+/// sets the shard snapshots carry.
 /// Owned by a [`ShardedService`](crate::ShardedService) built with
 /// [`ShardedServiceBuilder::gateway`](crate::ShardedServiceBuilder::gateway).
 #[derive(Debug)]
@@ -104,13 +82,12 @@ pub(crate) struct Gateway {
     /// `groups[g]` = the aliases of one physical border station, sorted by
     /// shard; at most one alias per shard.
     groups: Vec<Vec<Alias>>,
-    /// Per shard: `(local border id, group index)`, sorted by local id.
+    /// Per shard: `(local border id, group index)`, sorted by local id; a
+    /// snapshot's border sets are in this order.
     per_shard: Vec<Vec<(StationId, u32)>>,
-    /// Per shard: the lazily refreshed border sets (empty-border shards
-    /// hold an empty `BorderSets`).
-    tables: Vec<Mutex<Arc<BorderSets>>>,
-    /// Per shard: cumulative border rows recomputed by rebuilds after
-    /// feeds — the observable for per-shard scope tests and bench reporting.
+    /// Per shard: cumulative border rows built for snapshots after the
+    /// build-time fill — the observable for per-shard scope tests and
+    /// bench reporting.
     rows_refreshed: Vec<AtomicU64>,
 }
 
@@ -122,14 +99,16 @@ pub struct GatewayStats {
     pub groups: usize,
     /// Per shard: how many of its stations are border aliases.
     pub borders_per_shard: Vec<usize>,
-    /// Per shard: cumulative border rows recomputed by feed-driven
-    /// refreshes since the service was built.
+    /// Per shard: cumulative border rows built after the build-time fill:
+    /// the shard's border count for each later snapshot of it that some
+    /// stitch pinned. A snapshot no stitch pins costs no rows, so under
+    /// concurrent readers the count depends on when stitches pin.
     pub rows_refreshed: Vec<u64>,
 }
 
 impl Gateway {
-    /// Builds the gateway over resolved alias groups, precomputing every
-    /// shard's border sets against the given (freshly pinned) snapshots.
+    /// Builds the gateway over resolved alias groups and fills the border
+    /// sets of the given (freshly pinned) initial snapshots.
     ///
     /// # Panics
     ///
@@ -169,16 +148,12 @@ impl Gateway {
                 "shard {idx} hosts one station in two border groups"
             );
         }
-        let tables = per_shard
-            .iter()
-            .zip(snaps)
-            .map(|(borders, snap)| {
-                let locals = Arc::new(borders.iter().map(|&(b, _)| b).collect::<Vec<_>>());
-                Mutex::new(Arc::new(BorderSets::build(snap.network(), locals)))
-            })
-            .collect();
         let rows_refreshed = snaps.iter().map(|_| AtomicU64::new(0)).collect();
-        Gateway { period, groups, per_shard, tables, rows_refreshed }
+        let gateway = Gateway { period, groups, per_shard, rows_refreshed };
+        for (idx, snap) in snaps.iter().enumerate() {
+            snap.border_sets.get_or_init(|| gateway.build_sets(idx, snap));
+        }
+        gateway
     }
 
     /// Resolves [`BorderSpec::ByName`] against the shard snapshots: every
@@ -212,38 +187,42 @@ impl Gateway {
         groups
     }
 
-    /// The border group hosting `(shard, local)`, if it is a border alias.
-    fn group_of(&self, shard: usize, local: StationId) -> Option<usize> {
-        let borders = &self.per_shard[shard];
-        borders.binary_search_by_key(&local, |&(b, _)| b).ok().map(|i| borders[i].1 as usize)
+    /// The position of `(shard, local)` among the shard's border aliases
+    /// (and so among its border sets), if it is a border alias.
+    fn border_index(&self, shard: usize, local: StationId) -> Option<usize> {
+        self.per_shard[shard].binary_search_by_key(&local, |&(b, _)| b).ok()
     }
 
-    /// Pins every shard's border sets fresh for the given snapshots (one
-    /// consistent cut — the snapshots were pinned up front by the caller).
-    /// A shard whose snapshot is newer than its slot gets the slot rebuilt
-    /// (every border row); a shard no feed moved keeps its `Arc` as-is.
-    pub(crate) fn sets_for(&self, snaps: &[Arc<NetworkSnapshot>]) -> Vec<Arc<BorderSets>> {
+    /// The border group hosting `(shard, local)`, if it is a border alias.
+    fn group_of(&self, shard: usize, local: StationId) -> Option<usize> {
+        self.border_index(shard, local).map(|i| self.per_shard[shard][i].1 as usize)
+    }
+
+    /// The one-to-all sets from shard `idx`'s borders on `snap`, in
+    /// `per_shard` order.
+    fn build_sets(&self, idx: usize, snap: &NetworkSnapshot) -> Vec<Arc<ProfileSet>> {
+        let borders: Vec<StationId> = self.per_shard[idx].iter().map(|&(b, _)| b).collect();
+        build_engine().many_to_all(snap.network(), &borders)
+    }
+
+    /// Every shard's border sets on the given snapshots (one consistent
+    /// cut — the snapshots were pinned up front by the caller). A snapshot
+    /// no stitch has pinned yet gets its sets built (every border row) and
+    /// keeps them; concurrent callers wait for that one build.
+    pub(crate) fn sets_for<'s>(
+        &self,
+        snaps: &'s [Arc<NetworkSnapshot>],
+    ) -> Vec<&'s [Arc<ProfileSet>]> {
         snaps
             .iter()
             .enumerate()
             .map(|(idx, snap)| {
-                let net = snap.network();
-                let mut slot = self.tables[idx].lock().expect("gateway table lock poisoned");
-                let stale = match slot.fresh.check(net) {
-                    Ok(()) => return Arc::clone(&slot),
-                    Err(stale) => stale,
-                };
-                let sets = BorderSets::build(net, Arc::clone(&slot.borders));
-                if !stale.refreshable() || net.generation() < stale.built_for.1 {
-                    // Another epoch, or a snapshot pinned *before* the slot's
-                    // state (a concurrent batch rebuilt past it): serve a
-                    // one-off build for exactly this state without
-                    // regressing the shared slot.
-                    return Arc::new(sets);
-                }
-                self.rows_refreshed[idx].fetch_add(sets.borders.len() as u64, Ordering::Relaxed);
-                *slot = Arc::new(sets);
-                Arc::clone(&slot)
+                let sets = snap.border_sets.get_or_init(|| {
+                    let rows = self.per_shard[idx].len() as u64;
+                    self.rows_refreshed[idx].fetch_add(rows, Ordering::Relaxed);
+                    self.build_sets(idx, snap)
+                });
+                sets.as_slice()
             })
             .collect()
     }
@@ -264,7 +243,7 @@ impl Gateway {
     pub(crate) fn stitch(
         &self,
         snaps: &[Arc<NetworkSnapshot>],
-        sets: &[Arc<BorderSets>],
+        sets: &[&[Arc<ProfileSet>]],
         one_to_all: &dyn Fn(usize, StationId) -> Arc<ProfileSet>,
         source: (usize, StationId),
         target: (usize, StationId),
@@ -272,6 +251,9 @@ impl Gateway {
         let period = self.period;
         let buffer_at =
             |shard: usize, b: StationId| snaps[shard].network().timetable().transfer_time(b);
+        let set_of = |shard: usize, b: StationId| -> &ProfileSet {
+            &sets[shard][self.border_index(shard, b).expect("border set queried for a non-border")]
+        };
         let aliases_of = |loc: (usize, StationId)| -> Vec<(usize, StationId)> {
             match self.group_of(loc.0, loc.1) {
                 Some(g) => self.groups[g].iter().map(|&(sh, b)| (sh.idx(), b)).collect(),
@@ -311,7 +293,7 @@ impl Gateway {
                 let dg = d[g].clone();
                 for &(sh, b_local) in &self.groups[g] {
                     let sh = sh.idx();
-                    let set = sets[sh].set(b_local);
+                    let set = set_of(sh, b_local);
                     let buffer = buffer_at(sh, b_local);
                     for &(c_local, h) in &self.per_shard[sh] {
                         if h as usize == g || set.profile(c_local).is_empty() {
@@ -345,7 +327,7 @@ impl Gateway {
                     if tsh != sh {
                         continue;
                     }
-                    let onward = sets[sh].set(b_local).profile(t_local);
+                    let onward = set_of(sh, b_local).profile(t_local);
                     if onward.is_empty() {
                         continue;
                     }

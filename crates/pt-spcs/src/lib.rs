@@ -57,10 +57,11 @@
 //!   touched shards' snapshots up front); cross-shard pairs are refused
 //!   with a typed redirect ([`RouterError`]) unless a gateway is built,
 //! * [`gateway`] — the cross-shard gateway: border-station alias groups
-//!   ([`BorderSpec`]), precomputed per-shard border profile sets riding
-//!   the distance-table freshness machinery, and the stitch
-//!   (link at junctions, merge) that makes
-//!   [`ShardedService::s2s`] answer cross-shard pairs exactly,
+//!   ([`BorderSpec`]), per-shard border profile sets that live on the
+//!   shard snapshot they are exact for (built once per snapshot, by the
+//!   first stitch that pins it), and the stitch (link at junctions,
+//!   merge) that makes [`ShardedService::s2s`] answer cross-shard pairs
+//!   exactly,
 //! * [`transfer_selection`] / [`contraction`] — choosing the transfer
 //!   stations by station-graph contraction or by degree,
 //! * [`multicriteria`] — the paper's future-work extension: Pareto

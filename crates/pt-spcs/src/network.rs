@@ -4,7 +4,7 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use arc_swap::ArcSwap;
 
@@ -15,6 +15,7 @@ use pt_timetable::{
 };
 
 use crate::distance_table::DistanceTable;
+use crate::profile_set::ProfileSet;
 use crate::transfer_selection::TransferSelection;
 
 /// Source of process-unique [`Network::epoch`] stamps.
@@ -266,10 +267,23 @@ impl Network {
 #[derive(Debug)]
 pub struct NetworkSnapshot {
     net: Network,
-    table: Option<Arc<DistanceTable>>,
+    table: Option<DistanceTable>,
+    /// In a sharded service with a gateway: the one-to-all sets from this
+    /// shard's border stations, exact for this state, built by the first
+    /// stitch that pins it (or by the gateway's build for the initial
+    /// snapshot) and dropped with the snapshot's last pin.
+    pub(crate) border_sets: OnceLock<Vec<Arc<ProfileSet>>>,
 }
 
 impl NetworkSnapshot {
+    /// The snapshot of `net`'s current state. A
+    /// [`Network::clone_same_epoch`], so it carries the master's
+    /// `(epoch, generation)` identity — sound because a snapshot is never
+    /// mutated.
+    fn of(net: &Network, table: Option<DistanceTable>) -> NetworkSnapshot {
+        NetworkSnapshot { net: net.clone_same_epoch(), table, border_sets: OnceLock::new() }
+    }
+
     /// The network of this state.
     #[inline]
     pub fn network(&self) -> &Network {
@@ -279,13 +293,7 @@ impl NetworkSnapshot {
     /// The distance table refreshed for this state, if one is configured.
     #[inline]
     pub fn table(&self) -> Option<&DistanceTable> {
-        self.table.as_deref()
-    }
-
-    /// The table behind a shared handle, for holding beyond the snapshot.
-    #[inline]
-    pub fn shared_table(&self) -> Option<Arc<DistanceTable>> {
-        self.table.clone()
+        self.table.as_ref()
     }
 }
 
@@ -318,22 +326,14 @@ pub struct PublishOutcome {
     pub published: Option<Arc<NetworkSnapshot>>,
 }
 
-/// The master state behind the publish lock: the only copy that mutates.
-/// The table sits behind an `Arc` shared with the published snapshots; a
-/// feed replaces it with a refreshed table rather than writing into it.
-#[derive(Debug)]
-struct Master {
-    net: Network,
-    table: Option<Arc<DistanceTable>>,
-}
-
 /// A [`Network`] served concurrently under **snapshot isolation**: any
 /// number of reader threads pin immutable [`NetworkSnapshot`]s via
 /// [`ConcurrentNetwork::snapshot`] while one writer at a time applies
-/// feeds. A feed patches the private master copy, refreshes the master's
-/// distance table, then publishes the new state with a single atomic
-/// pointer swap — readers never observe a half-applied feed: every
-/// query's answer is exactly the pre-feed or post-feed state.
+/// feeds. A feed patches the private master copy, refreshes the distance
+/// table of the last published snapshot into a new one, then publishes the
+/// new state with a single atomic pointer swap — readers never observe a
+/// half-applied feed: every query's answer is exactly the pre-feed or
+/// post-feed state.
 ///
 /// Writers are serialized on the master mutex; `snapshot()` is **wait-free
 /// and lock-free** — a pin is three atomic operations on the publish slot
@@ -341,7 +341,7 @@ struct Master {
 /// readers (and a descheduled reader can never block a publish).
 #[derive(Debug)]
 pub struct ConcurrentNetwork {
-    master: Mutex<Master>,
+    master: Mutex<Network>,
     published: ArcSwap<NetworkSnapshot>,
     publishes: AtomicU64,
 }
@@ -356,13 +356,13 @@ impl ConcurrentNetwork {
     /// published snapshot carries the table refreshed to that state.
     pub fn with_table(net: Network, selection: &TransferSelection) -> ConcurrentNetwork {
         let table = DistanceTable::build(&net, selection);
-        Self::with_optional_table(net, Some(Arc::new(table)))
+        Self::with_optional_table(net, Some(table))
     }
 
-    fn with_optional_table(net: Network, table: Option<Arc<DistanceTable>>) -> ConcurrentNetwork {
-        let snapshot = Arc::new(publish_snapshot(&net, table.as_ref()));
+    fn with_optional_table(net: Network, table: Option<DistanceTable>) -> ConcurrentNetwork {
+        let snapshot = Arc::new(NetworkSnapshot::of(&net, table));
         ConcurrentNetwork {
-            master: Mutex::new(Master { net, table }),
+            master: Mutex::new(net),
             published: ArcSwap::new(snapshot),
             publishes: AtomicU64::new(0),
         }
@@ -382,43 +382,32 @@ impl ConcurrentNetwork {
     }
 
     /// Applies a feed under snapshot isolation: patches the master copy
-    /// ([`Network::apply_feed`]), installs a refreshed table (every row
-    /// recomputed, as [`DistanceTable::refresh`] does; the snapshots pinned
-    /// earlier keep the old one), then publishes the new state atomically.
-    /// The publish is a spine clone of the master: one refcount per station
-    /// bucket, per route and per hop, sharing every bucket, route block and
-    /// PLF the feed did not rewrite with the previous snapshot. Concurrent
-    /// writers are serialized; concurrent readers keep their pinned
-    /// snapshots and see the new state on their next
-    /// [`ConcurrentNetwork::snapshot`] call. A net-nil feed publishes
-    /// nothing.
+    /// ([`Network::apply_feed`]), refreshes the last published snapshot's
+    /// table into a new one (every row recomputed, as
+    /// [`DistanceTable::refresh`] does; writers hold the master lock, so
+    /// that table is the master's), then publishes the new state
+    /// atomically. The publish is a spine clone of the master: one
+    /// refcount per station bucket, per route and per hop, sharing every
+    /// bucket, route block and PLF the feed did not rewrite with the
+    /// previous snapshot. Concurrent writers are serialized; concurrent
+    /// readers keep their pinned snapshots (and their tables) and see the
+    /// new state on their next [`ConcurrentNetwork::snapshot`] call. A
+    /// net-nil feed publishes nothing.
     pub fn apply_feed(&self, events: &[DelayEvent]) -> PublishOutcome {
-        let mut master = self.master.lock().unwrap();
-        let summary = master.net.apply_feed(events);
+        let mut net = self.master.lock().expect("a feed panicked while holding the master lock");
+        let summary = net.apply_feed(events);
         if !summary.changed() {
             return PublishOutcome { summary, ..PublishOutcome::default() };
         }
-        let Master { net, table } = &mut *master;
-        let table_rows_refreshed = table.as_mut().map_or(0, |table| {
-            *table = Arc::new(table.refreshed(net));
-            table.len()
-        });
+        let table = self.published.load().table.as_ref().map(|table| table.refreshed(&net));
+        let table_rows_refreshed = table.as_ref().map_or(0, DistanceTable::len);
         let start = std::time::Instant::now();
-        let snapshot = Arc::new(publish_snapshot(&master.net, master.table.as_ref()));
+        let snapshot = Arc::new(NetworkSnapshot::of(&net, table));
         self.published.store(snapshot.clone());
         let publish_ns = start.elapsed().as_nanos() as u64;
         self.publishes.fetch_add(1, Ordering::Relaxed);
         PublishOutcome { summary, table_rows_refreshed, publish_ns, published: Some(snapshot) }
     }
-}
-
-/// Builds the immutable snapshot of one master state. Uses
-/// [`Network::clone_same_epoch`] so the snapshot carries the *same*
-/// `(epoch, generation)` identity as the master — sound because the
-/// snapshot is never mutated. The table `Arc` is shared outright: the
-/// master replaces its own `Arc` on the next feed, never writes into it.
-fn publish_snapshot(net: &Network, table: Option<&Arc<DistanceTable>>) -> NetworkSnapshot {
-    NetworkSnapshot { net: net.clone_same_epoch(), table: table.cloned() }
 }
 
 #[cfg(test)]
@@ -512,8 +501,8 @@ mod tests {
         use pt_timetable::{TimetableBuilder, TripStop};
         // Two disconnected components, the table over A's stations. A
         // refresh is whole-row: a feed in either component recomputes every
-        // row and installs a new table, while a snapshot pinned before the
-        // feed keeps the table of its own generation.
+        // row into the new snapshot's table, while a snapshot pinned before
+        // the feed keeps the table of its own generation.
         let mut b = TimetableBuilder::new(pt_core::Period::DAY);
         let a: Vec<_> =
             (0..3).map(|i| b.add_named_station(format!("A{i}"), Dur::minutes(2))).collect();
@@ -543,8 +532,7 @@ mod tests {
             assert_eq!(outcome.table_rows_refreshed, a.len(), "train {train}: every row");
 
             let after = cnet.snapshot();
-            let (old, new) = (pinned.shared_table().unwrap(), after.shared_table().unwrap());
-            assert!(!Arc::ptr_eq(&old, &new), "train {train}: a new table is installed");
+            let (old, new) = (pinned.table().unwrap(), after.table().unwrap());
             assert!(old.check_fresh(pinned.network()).is_ok(), "pinned table, own generation");
             assert!(old.check_fresh(after.network()).is_err());
             assert!(new.check_fresh(after.network()).is_ok());

@@ -35,17 +35,17 @@
 //!   endpoints live in different shards is answered by stitching
 //!   within-shard profiles at the declared **border stations** (see
 //!   [`crate::gateway`]): source → border one-to-alls through the owning
-//!   shards' engines, precomputed border sets between and out of shards,
-//!   [`pt_core::Profile::link_profile`] at each junction, and a final
-//!   dominance reduction of the border candidates. Gateway answers carry
-//!   [`QueryKind::Gateway`] and are routed to the *target's* shard.
-//!   Without a gateway, the cross-shard pair is refused with the typed
-//!   [`RouterError::CrossShard`] carrying both owners; a query explicitly
-//!   directed at the wrong shard returns [`RouterError::WrongShard`]
-//!   naming the owner. Same-shard pairs always stay on the owning shard's
-//!   engine: a shard is presumed internally complete (journeys that leave
-//!   a region and re-enter it are the gateway's concern only when the
-//!   endpoints actually cross).
+//!   shards' engines, the border sets each pinned snapshot carries between
+//!   and out of shards, [`pt_core::Profile::link_profile`] at each
+//!   junction, and a final dominance reduction of the border candidates.
+//!   Gateway answers carry [`QueryKind::Gateway`] and are routed to the
+//!   *target's* shard. Without a gateway, the cross-shard pair is refused
+//!   with the typed [`RouterError::CrossShard`] carrying both owners; a
+//!   query explicitly directed at the wrong shard returns
+//!   [`RouterError::WrongShard`] naming the owner. Same-shard pairs always
+//!   stay on the owning shard's engine: a shard is presumed internally
+//!   complete (journeys that leave a region and re-enter it are the
+//!   gateway's concern only when the endpoints actually cross).
 //! * **Snapshot isolation.** Each shard's network lives in a
 //!   [`ConcurrentNetwork`]: every query pins the shard's current
 //!   [`NetworkSnapshot`] and runs entirely against it, while
@@ -71,7 +71,6 @@ use crate::cache::CacheStats;
 use crate::connection_setting::ProfileEngine;
 use crate::gateway::{BorderSpec, Gateway, GatewayStats};
 use crate::network::{ConcurrentNetwork, Network, NetworkSnapshot, PublishOutcome};
-use crate::partition::PartitionStrategy;
 use crate::profile_set::ProfileSet;
 use crate::s2s::{QueryKind, S2sEngine, S2sResult};
 use crate::stats::QueryStats;
@@ -194,7 +193,6 @@ impl Shard {
 #[derive(Debug, Clone)]
 pub struct ShardedServiceBuilder {
     threads: usize,
-    strategy: PartitionStrategy,
     cache_per_shard: usize,
     s2s_cache_per_shard: usize,
     tables: Option<TransferSelection>,
@@ -205,7 +203,6 @@ impl Default for ShardedServiceBuilder {
     fn default() -> Self {
         ShardedServiceBuilder {
             threads: 1,
-            strategy: PartitionStrategy::EqualConnections,
             cache_per_shard: 0,
             s2s_cache_per_shard: 0,
             tables: None,
@@ -220,12 +217,6 @@ impl ShardedServiceBuilder {
     pub fn threads(mut self, p: usize) -> Self {
         assert!(p >= 1, "need at least one thread");
         self.threads = p;
-        self
-    }
-
-    /// The `conn(S)` partition strategy every shard engine uses.
-    pub fn strategy(mut self, s: PartitionStrategy) -> Self {
-        self.strategy = s;
         self
     }
 
@@ -256,9 +247,11 @@ impl ShardedServiceBuilder {
     /// Enables the cross-shard gateway: border stations are declared by
     /// `spec` (explicit global-id alias groups, or [`BorderSpec::ByName`]
     /// to seed them from the directory by matching station names across
-    /// shards), their border sets are precomputed at build time, and
-    /// [`ShardedService::s2s`] / [`ShardedService::s2s_batch`] answer
-    /// cross-shard pairs by stitching instead of refusing them.
+    /// shards), and [`ShardedService::s2s`] / [`ShardedService::s2s_batch`]
+    /// answer cross-shard pairs by stitching instead of refusing them. Each
+    /// shard's border sets live on the snapshot they are exact for: the
+    /// build fills the initial snapshots, and the first stitch that pins a
+    /// later snapshot fills it.
     pub fn gateway(mut self, spec: BorderSpec) -> Self {
         self.gateway = Some(spec);
         self
@@ -281,12 +274,11 @@ impl ShardedServiceBuilder {
             .map(|net| {
                 base.push(next);
                 next += net.num_stations() as u32;
-                let mut profile =
-                    ProfileEngine::new().threads(self.threads).strategy(self.strategy);
+                let mut profile = ProfileEngine::new().threads(self.threads);
                 if self.cache_per_shard > 0 {
                     profile = profile.with_cache(self.cache_per_shard);
                 }
-                let mut s2s = S2sEngine::new().threads(self.threads).strategy(self.strategy);
+                let mut s2s = S2sEngine::new().threads(self.threads);
                 if self.s2s_cache_per_shard > 0 {
                     s2s = s2s.with_cache(self.s2s_cache_per_shard);
                 }
@@ -685,8 +677,9 @@ impl ShardedService {
     }
 
     /// Stitches cross-shard pairs against one pinned cut (every shard
-    /// pinned) and border sets fresh for it; source searches go through
-    /// the owning shard's engine (and its cache stripe).
+    /// pinned) and the border sets those snapshots carry, built here for a
+    /// snapshot no stitch has pinned yet; source searches go through the
+    /// owning shard's engine (and its cache stripe).
     fn stitch(
         &self,
         pins: &[Option<Arc<NetworkSnapshot>>],
@@ -711,8 +704,9 @@ impl ShardedService {
     }
 
     /// Gateway counters — border groups, per-shard border counts, and the
-    /// cumulative border rows recomputed by feed-driven refreshes; `None`
-    /// when built without [`ShardedServiceBuilder::gateway`].
+    /// cumulative border rows built for snapshots after the build (see
+    /// [`GatewayStats::rows_refreshed`]); `None` when built without
+    /// [`ShardedServiceBuilder::gateway`].
     pub fn gateway_stats(&self) -> Option<GatewayStats> {
         self.gateway.as_ref().map(Gateway::stats)
     }
@@ -1104,6 +1098,17 @@ mod tests {
         (vec![west, east], mono)
     }
 
+    /// A real delay of east train `train` (bumps shard 1's generation).
+    fn east_delay(train: u32, minutes: u32) -> (ShardId, DelayEvent) {
+        let event = DelayEvent::Delay {
+            train: TrainId(train),
+            from_hop: 0,
+            delay: Dur::minutes(minutes),
+            recovery: Recovery::None,
+        };
+        (ShardId(1), event)
+    }
+
     #[test]
     fn gateway_stitches_cross_shard_pairs_to_the_monolithic_answer() {
         let (shards, mono) = border_cities();
@@ -1171,13 +1176,7 @@ mod tests {
         let before = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
 
         // Delay shard 1's first B→c train (train 0 of the east shard).
-        let event = DelayEvent::Delay {
-            train: TrainId(0),
-            from_hop: 0,
-            delay: Dur::minutes(30),
-            recovery: Recovery::None,
-        };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
+        assert!(svc.apply_feed(&[east_delay(0, 30)]).unwrap()[0].1.summary.changed());
         let after = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
         assert_ne!(before, after, "a delay on the onward leg must move the stitched profile");
 
@@ -1199,6 +1198,68 @@ mod tests {
     }
 
     #[test]
+    fn border_rows_count_once_per_stitched_snapshot() {
+        let (shards, _) = border_cities();
+        let svc = ShardedService::builder().gateway(BorderSpec::ByName).build(shards);
+        let pairs = vec![(StationId(0), StationId(3))];
+        let rows = || svc.gateway_stats().unwrap().rows_refreshed;
+        let east_borders = svc.gateway_stats().unwrap().borders_per_shard[1] as u64;
+
+        // A cut pinned before the feeds; its snapshots were filled at build.
+        let located: Vec<_> = pairs.iter().map(|&(s, t)| svc.locate_pair(s, t)).collect();
+        let pins = svc.pin(svc.shard_ids());
+        let reference = svc.s2s_batch(&pairs);
+        assert_eq!(rows(), vec![0, 0], "the build-time fill is not counted");
+
+        // Two feeds publish two snapshots; only the one a stitch pins
+        // builds its sets, once.
+        for event in [east_delay(0, 30), east_delay(1, 45)] {
+            assert!(svc.apply_feed(&[event]).unwrap()[0].1.summary.changed());
+        }
+        assert_eq!(rows(), vec![0, 0], "a feed builds no border rows");
+        let profile = |r: &[Result<Routed<S2sResult>, RouterError>]| {
+            r[0].as_ref().unwrap().value.profile.clone()
+        };
+        let fed = svc.s2s_batch(&pairs);
+        assert_eq!(rows(), vec![0, east_borders], "one build for the stitched snapshot");
+        assert_eq!(profile(&svc.s2s_batch(&pairs)), profile(&fed));
+        assert_eq!(rows(), vec![0, east_borders], "a second stitch reuses the sets");
+
+        // The pre-feed cut still carries its own sets and answers pre-feed.
+        let pinned = svc.s2s_batch_pinned(located, &pins);
+        assert_eq!(rows(), vec![0, east_borders], "the pinned cut builds nothing");
+        assert_eq!(profile(&pinned), profile(&reference));
+        assert_ne!(profile(&pinned), profile(&fed), "the feeds moved the stitched answer");
+    }
+
+    #[test]
+    fn superseded_snapshots_drop_their_border_sets_with_their_last_pin() {
+        let (shards, _) = border_cities();
+        let svc = ShardedService::builder().gateway(BorderSpec::ByName).build(shards);
+        let old = svc.network(ShardId(1)).unwrap();
+        let old_set = Arc::downgrade(&old.border_sets.get().expect("filled at build")[0]);
+
+        // The publish slot keeps one superseded snapshot until the next
+        // publish, so two feeds leave `old` pinned by this test alone.
+        for event in [east_delay(0, 30), east_delay(1, 45)] {
+            assert!(svc.apply_feed(&[event]).unwrap()[0].1.summary.changed());
+        }
+        let answer = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
+        let newest = svc.network(ShardId(1)).unwrap();
+        let newest_set = Arc::clone(&newest.border_sets.get().expect("filled by the stitch")[0]);
+        drop(newest);
+
+        assert!(old_set.upgrade().is_some(), "a pinned snapshot keeps its sets");
+        drop(old);
+        assert!(old_set.upgrade().is_none(), "the last pin frees the superseded sets");
+
+        // The newest snapshot still carries the very same sets.
+        let newest = svc.network(ShardId(1)).unwrap();
+        assert!(Arc::ptr_eq(&newest.border_sets.get().unwrap()[0], &newest_set));
+        assert_eq!(svc.s2s(StationId(0), StationId(3)).unwrap().value.profile, answer);
+    }
+
+    #[test]
     fn pinned_batches_ignore_racing_feeds_deterministically() {
         let (shards, _) = border_cities();
         let svc = ShardedService::builder().gateway(BorderSpec::ByName).build(shards);
@@ -1211,13 +1272,7 @@ mod tests {
         assert!(pins.iter().all(Option::is_some), "a cross pair pins every shard");
         let reference = svc.s2s_batch(&pairs);
 
-        let event = DelayEvent::Delay {
-            train: TrainId(0),
-            from_hop: 0,
-            delay: Dur::minutes(30),
-            recovery: Recovery::None,
-        };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
+        assert!(svc.apply_feed(&[east_delay(0, 30)]).unwrap()[0].1.summary.changed());
 
         // The pinned run answers entirely pre-feed…
         let pinned = svc.s2s_batch_pinned(located, &pins);
@@ -1241,13 +1296,7 @@ mod tests {
         let located: Vec<_> = sources.iter().map(|&s| svc.locate(s)).collect();
         let pins = svc.pin(located.iter().map(|loc| loc.unwrap().0));
         let reference = svc.many_to_all(&sources);
-        let event = DelayEvent::Delay {
-            train: TrainId(1),
-            from_hop: 0,
-            delay: Dur::minutes(45),
-            recovery: Recovery::None,
-        };
-        assert!(svc.apply_feed(&[(ShardId(1), event)]).unwrap()[0].1.summary.changed());
+        assert!(svc.apply_feed(&[east_delay(1, 45)]).unwrap()[0].1.summary.changed());
         let pinned = svc.many_to_all_pinned(located, &pins);
         for (i, (p, r)) in pinned.iter().zip(&reference).enumerate() {
             assert_eq!(

@@ -2,13 +2,13 @@
 //!
 //! A published [`NetworkSnapshot`] *shares* every untouched `conn(S)`
 //! bucket, route block and hop PLF with the master (and with neighbouring
-//! snapshots) by refcount, and its distance table until the next feed
-//! replaces it. Sharing is only sound if it is never observable: these
-//! scenarios pin a snapshot, hammer the master with K mixed feeds, and
-//! assert the pinned state stays bitwise-identical to a from-scratch
-//! rebuild of its own generation — any shared-mutable leak through the
-//! new `Arc`s (a patch mutating a bucket in place instead of unsharing
-//! it first) shows up as a diverged connection or profile.
+//! snapshots) by refcount; its distance table is its own, refreshed from
+//! the previous snapshot's. Sharing is only sound if it is never
+//! observable: these scenarios pin a snapshot, hammer the master with K
+//! mixed feeds, and assert the pinned state stays bitwise-identical to a
+//! from-scratch rebuild of its own generation — any shared-mutable leak
+//! through the new `Arc`s (a patch mutating a bucket in place instead of
+//! unsharing it first) shows up as a diverged connection or profile.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -53,7 +53,7 @@ proptest! {
         // epoch, no shared derived structures) of the same timetable.
         let conns_at_pin = pinned.timetable().connections();
         let rebuilt = Network::build(pinned.timetable());
-        let table_at_pin = pinned.shared_table().expect("table configured");
+        let table_at_pin = pinned.table().expect("table configured");
 
         // K mixed feeds mutate the master; the pinned snapshot must not
         // observe any of them.
@@ -150,31 +150,31 @@ fn single_delay_publish_shares_the_untouched_bulk() {
     assert!(outcome.publish_ns > 0);
 }
 
-/// The master and a pinned snapshot share a distance-table `Arc` until a
-/// feed changes the network: its refresh rewrites every row into a new
-/// table (the pinned reader keeps its old rows), while a net-nil feed
-/// keeps the very same allocation published.
+/// A pinned snapshot's distance table stays the published one until a feed
+/// changes the network: its refresh rewrites every row into the new
+/// snapshot's table (the pinned reader keeps its old rows), while a net-nil
+/// feed publishes nothing and keeps the very same table published.
 #[test]
 fn table_rows_unshare_exactly_when_rewritten() {
     let net = Network::new(generate_city(&CityConfig::sized(30, 4, 3)));
     let num_trains = net.timetable().num_trains() as u32;
     let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.3));
     let pinned = cnet.snapshot();
-    let pinned_table = pinned.shared_table().unwrap();
+    let pinned_table = pinned.table().unwrap();
     let rebuilt_at_pin = Network::build(pinned.timetable());
 
     // Cancelling a never-delayed train nets out to nothing: no refresh.
     let outcome = cnet.apply_feed(&[DelayEvent::Cancel { train: TrainId(0) }]);
     assert_eq!(outcome.table_rows_refreshed, 0);
-    let nil_table = cnet.snapshot().shared_table().unwrap();
-    assert!(std::sync::Arc::ptr_eq(&pinned_table, &nil_table));
+    let nil = cnet.snapshot();
+    assert!(std::ptr::eq(pinned_table, nil.table().unwrap()));
 
     let mut rng = StdRng::seed_from_u64(1);
     let outcome = cnet.apply_feed(&random_feed(&mut rng, num_trains, 4, 60));
     assert!(outcome.summary.changed());
     assert_eq!(outcome.table_rows_refreshed, pinned_table.len(), "every row is rewritten");
-    let after_table = cnet.snapshot().shared_table().unwrap();
-    assert!(!std::sync::Arc::ptr_eq(&pinned_table, &after_table));
+    let after = cnet.snapshot();
+    assert!(!std::ptr::eq(pinned_table, after.table().unwrap()));
 
     // The pinned reader still sees its own generation's rows.
     assert!(pinned_table.check_fresh(pinned.network()).is_ok());

@@ -10,9 +10,10 @@
 //! function, so equality is exact, not approximate).
 //!
 //! The deterministic half pins the **per-shard scope** of the border
-//! tables: a feed to a shard refreshes every border row of that shard —
-//! even when it only touches a sub-line unreachable from the border — and
-//! a feed to one shard never refreshes another shard's rows.
+//! sets, which live on each shard's snapshot: the first stitch after a
+//! feed to a shard rebuilds every border row of that shard — even when the
+//! feed only touches a sub-line unreachable from the border — and a feed
+//! to one shard never rebuilds another shard's rows.
 
 use proptest::prelude::*;
 
