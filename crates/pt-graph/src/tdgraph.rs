@@ -445,16 +445,6 @@ impl TdGraph {
     pub fn transfer_time(&self, s: StationId) -> Dur {
         self.topo.transfer[s.idx()]
     }
-
-    /// Iterates over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_nodes() as u32).map(NodeId)
-    }
-
-    /// Total number of connection points over all route-edge PLFs.
-    pub fn num_plf_points(&self) -> usize {
-        self.plfs.iter().map(|p| p.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -487,7 +477,7 @@ mod tests {
         // 2 board + 2 alight + 1 route edge.
         assert_eq!(g.num_edges(), 5);
         // Both trains share one PLF with two points.
-        assert_eq!(g.num_plf_points(), 2);
+        assert_eq!(g.plfs.iter().map(|p| p.len()).sum::<usize>(), 2);
     }
 
     #[test]
@@ -699,9 +689,8 @@ mod tests {
         g.repatch_routes(&tt, &routes, &touched, &patch.remapped);
         let after = g.max_edge_span_secs();
         assert!(after >= before);
-        let true_max = g
-            .node_ids()
-            .flat_map(|v| g.kind_csr().td_edges(v.idx()).1)
+        let true_max = (0..g.num_nodes())
+            .flat_map(|v| g.kind_csr().td_edges(v).1)
             .map(|&idx| g.plf(idx).max_dur().secs())
             .max()
             .unwrap_or(0);

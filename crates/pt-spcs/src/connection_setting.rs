@@ -53,7 +53,7 @@ pub(crate) const PRUNED: Time = Time(u32::MAX - 1);
 /// internal [`WorkspacePool`] for the duration of a query and returned
 /// warm, so repeated queries still run allocation-free, while concurrent
 /// queries each hold private workspaces. Parallel work runs on the
-/// process-global persistent work-stealing pool ([`rayon::global`]), so no
+/// process-global persistent fork–join pool ([`rayon::global`]), so no
 /// threads are ever spawned per query. Build the engine once and stream
 /// queries through it — the workspaces survive [`Network::apply_delay`]
 /// updates between queries (the fully dynamic scenario: a `Patched` update

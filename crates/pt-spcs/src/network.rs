@@ -335,10 +335,11 @@ pub struct PublishOutcome {
 /// half-applied feed: every query's answer is exactly the pre-feed or
 /// post-feed state.
 ///
-/// Writers are serialized on the master mutex; `snapshot()` is **wait-free
-/// and lock-free** — a pin is three atomic operations on the publish slot
-/// ([`ArcSwap`]), so a burst of publishes can never block or starve
-/// readers (and a descheduled reader can never block a publish).
+/// Writers are serialized on the master mutex. A pin takes the publish
+/// slot's ([`ArcSwap`]) read lock for one `Arc` clone, and a publish takes
+/// its write lock for one pointer replace, so neither holds the slot for
+/// longer than a refcount update. The slot holds only the current
+/// snapshot: a superseded one is dropped with its last reader pin.
 #[derive(Debug)]
 pub struct ConcurrentNetwork {
     master: Mutex<Network>,
@@ -370,8 +371,8 @@ impl ConcurrentNetwork {
 
     /// Pins the current published state. The returned `Arc` keeps that
     /// state alive for as long as the reader holds it, unaffected by any
-    /// concurrent [`ConcurrentNetwork::apply_feed`]. Wait-free: never
-    /// takes a lock, never spins — a publish storm cannot delay a pin.
+    /// concurrent [`ConcurrentNetwork::apply_feed`]. The slot's lock is
+    /// held for one `Arc` clone; a feed's patch and refresh run outside it.
     pub fn snapshot(&self) -> Arc<NetworkSnapshot> {
         self.published.load_full()
     }
@@ -537,6 +538,17 @@ mod tests {
             assert!(old.check_fresh(after.network()).is_err());
             assert!(new.check_fresh(after.network()).is_ok());
         }
+    }
+
+    #[test]
+    fn superseded_snapshot_drops_with_its_last_pin() {
+        let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
+        let pinned = cnet.snapshot();
+        let old = Arc::downgrade(&pinned);
+        assert!(cnet.apply_feed(&[delay(1, 20)]).summary.changed());
+        assert!(old.upgrade().is_some(), "a pinned snapshot stays alive");
+        drop(pinned);
+        assert!(old.upgrade().is_none(), "the last pin frees the superseded snapshot");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! and — since the snapshot-isolation refactor — shareable: every query
 //! entry point takes `&self`, per-query [`SearchWorkspace`]s are checked
 //! out of an internal pool, parallel work runs on the process-global
-//! work-stealing pool ([`rayon::global`]), and [`S2sEngine::try_batch`]
+//! fork–join pool ([`rayon::global`]), and [`S2sEngine::try_batch`]
 //! distributes whole queries over that pool for stream throughput. An
 //! opt-in [`S2sCache`] memoizes results keyed
 //! `(source, target, epoch, generation)`.

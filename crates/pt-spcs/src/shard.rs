@@ -613,18 +613,25 @@ impl ShardedService {
     ) -> Vec<Result<Routed<S2sResult>, RouterError>> {
         let located: Vec<Result<RoutedPair, RouterError>> =
             pairs.iter().map(|&(s, t)| self.locate_pair(s, t)).collect();
-        // Every shard with a same-shard pair — or **all** shards as soon as
-        // any pair crosses (stitched answers read several shards, and they
-        // must read one cut).
-        let pins = if located.iter().any(|l| matches!(l, Ok(RoutedPair::Cross(..)))) {
+        let pins = self.pin_pairs(&located);
+        self.s2s_batch_pinned(located, &pins)
+    }
+
+    /// The cut an s2s batch runs against: every shard with a same-shard
+    /// pair — or **all** shards as soon as any pair crosses (stitched
+    /// answers read several shards, and they must read one cut).
+    fn pin_pairs(
+        &self,
+        located: &[Result<RoutedPair, RouterError>],
+    ) -> Vec<Option<Arc<NetworkSnapshot>>> {
+        if located.iter().any(|l| matches!(l, Ok(RoutedPair::Cross(..)))) {
             self.pin(self.shard_ids())
         } else {
             self.pin(located.iter().filter_map(|l| match l {
                 Ok(RoutedPair::Same(shard, _)) => Some(*shard),
                 _ => None,
             }))
-        };
-        self.s2s_batch_pinned(located, &pins)
+        }
     }
 
     /// Routes one global pair: same-shard, cross-shard into the gateway, or
@@ -1239,11 +1246,7 @@ mod tests {
         let old = svc.network(ShardId(1)).unwrap();
         let old_set = Arc::downgrade(&old.border_sets.get().expect("filled at build")[0]);
 
-        // The publish slot keeps one superseded snapshot until the next
-        // publish, so two feeds leave `old` pinned by this test alone.
-        for event in [east_delay(0, 30), east_delay(1, 45)] {
-            assert!(svc.apply_feed(&[event]).unwrap()[0].1.summary.changed());
-        }
+        assert!(svc.apply_feed(&[east_delay(0, 30)]).unwrap()[0].1.summary.changed());
         let answer = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
         let newest = svc.network(ShardId(1)).unwrap();
         let newest_set = Arc::clone(&newest.border_sets.get().expect("filled by the stitch")[0]);
@@ -1266,9 +1269,11 @@ mod tests {
         let pairs = vec![(StationId(0), StationId(3)), (StationId(0), StationId(1))];
 
         // The pin/run seam, exercised as a feed racing a batch: locate and
-        // pin, let a feed land, then run the batch on the pinned cut.
+        // pin as `s2s_batch` does, let a feed land, then run the batch on
+        // the pinned cut. The same-shard pair lives in the west alone, so
+        // only the cross pair makes the batch pin the fed east shard.
         let located: Vec<_> = pairs.iter().map(|&(s, t)| svc.locate_pair(s, t)).collect();
-        let pins = svc.pin(svc.shard_ids());
+        let pins = svc.pin_pairs(&located);
         assert!(pins.iter().all(Option::is_some), "a cross pair pins every shard");
         let reference = svc.s2s_batch(&pairs);
 
