@@ -77,18 +77,13 @@ impl std::error::Error for StaleTable {}
 /// and refresh of the table.
 #[derive(Debug, Clone)]
 pub struct DistanceTable {
-    period: Period,
-    /// Sorted transfer stations.
-    stations: Arc<Vec<StationId>>,
-    /// Station → table index (`u32::MAX` = not a transfer station).
-    index: Arc<Vec<u32>>,
-    /// `mask[s]` ⇔ `s ∈ S_trans`, over all stations — the one transfer
-    /// mask `via(T)` and the §4 pruning rules read.
-    mask: Arc<[bool]>,
+    /// The stations, their index and mask: one allocation shared by every
+    /// clone and refresh of the table.
+    set: Arc<TransferSet>,
     /// Row-major `|S_trans| × |S_trans|` profiles: `D(a, b)` at
     /// `index[a] · |S_trans| + index[b]`.
     profiles: Vec<Profile>,
-    /// Wall-clock preprocessing time.
+    /// Wall-clock time of the batched pass that computed the profiles.
     build_time: std::time::Duration,
     /// `(Network::epoch, Network::generation)` of the network state the
     /// profiles are exact for: the one stamp
@@ -96,11 +91,43 @@ pub struct DistanceTable {
     built_for: (u64, u64),
 }
 
-/// The profiles of one batched one-to-all from every station of `stations`
-/// to every station of `stations`, row-major.
-fn all_rows(net: &Network, stations: &[StationId]) -> Vec<Profile> {
-    let sets = build_engine().many_to_all(net, stations);
-    sets.iter().flat_map(|set| stations.iter().map(|&b| set.profile(b).clone())).collect()
+/// The transfer stations of a table and their lookups, invariant under
+/// refresh: what a [`ConcurrentNetwork`](crate::ConcurrentNetwork)'s
+/// refresher keeps to fill later snapshots, without keeping any rows.
+#[derive(Debug)]
+pub(crate) struct TransferSet {
+    period: Period,
+    /// Sorted transfer stations.
+    stations: Vec<StationId>,
+    /// Station → table index (`u32::MAX` = not a transfer station).
+    index: Vec<u32>,
+    /// `mask[s]` ⇔ `s ∈ S_trans`, over all stations — the one transfer
+    /// mask `via(T)` and the §4 pruning rules read.
+    mask: Vec<bool>,
+}
+
+impl TransferSet {
+    /// The table over these stations, exact for `net`: one sequential
+    /// SPCS per source on `engine`, which batches the sources over its
+    /// threads.
+    pub(crate) fn table_for(
+        self: &Arc<Self>,
+        net: &Network,
+        engine: &ProfileEngine,
+    ) -> DistanceTable {
+        let start = std::time::Instant::now();
+        let sets = engine.many_to_all(net, &self.stations);
+        let profiles = sets
+            .iter()
+            .flat_map(|set| self.stations.iter().map(|&b| set.profile(b).clone()))
+            .collect();
+        DistanceTable {
+            set: Arc::clone(self),
+            profiles,
+            build_time: start.elapsed(),
+            built_for: (net.epoch(), net.generation()),
+        }
+    }
 }
 
 impl DistanceTable {
@@ -112,23 +139,13 @@ impl DistanceTable {
 
     /// Precomputes the table for an explicit (sorted, deduped) station set.
     pub fn build_for(net: &Network, stations: Vec<StationId>) -> DistanceTable {
-        let start = std::time::Instant::now();
         let mut index = vec![u32::MAX; net.num_stations()];
         for (i, s) in stations.iter().enumerate() {
             index[s.idx()] = i as u32;
         }
-        let mask: Arc<[bool]> = index.iter().map(|&i| i != u32::MAX).collect();
-        // One sequential SPCS per source, sources batched over the pool.
-        let profiles = all_rows(net, &stations);
-        DistanceTable {
-            period: net.timetable().period(),
-            stations: Arc::new(stations),
-            index: Arc::new(index),
-            mask,
-            profiles,
-            build_time: start.elapsed(),
-            built_for: (net.epoch(), net.generation()),
-        }
+        let mask = index.iter().map(|&i| i != u32::MAX).collect();
+        let period = net.timetable().period();
+        Arc::new(TransferSet { period, stations, index, mask }).table_for(net, build_engine())
     }
 
     /// Reconciles the table with a network that was mutated by delay feeds
@@ -148,28 +165,15 @@ impl DistanceTable {
             Ok(()) => Ok(0),
             Err(stale) if !stale.refreshable() => Err(stale),
             Err(_) => {
-                *self = self.refreshed(net);
+                *self = self.set.table_for(net, build_engine());
                 Ok(self.len())
             }
         }
     }
 
-    /// This table's stations recomputed against `net` (same epoch): the
-    /// table a publisher gives the new snapshot while pinned readers keep
-    /// the old one, sharing only the station index and transfer mask.
-    pub(crate) fn refreshed(&self, net: &Network) -> DistanceTable {
-        debug_assert_eq!(self.built_for.0, net.epoch(), "refresh follows one network instance");
-        let start = std::time::Instant::now();
-        let profiles = all_rows(net, &self.stations);
-        DistanceTable {
-            period: self.period,
-            stations: Arc::clone(&self.stations),
-            index: Arc::clone(&self.index),
-            mask: Arc::clone(&self.mask),
-            profiles,
-            build_time: self.build_time + start.elapsed(),
-            built_for: (net.epoch(), net.generation()),
-        }
+    /// The stations, index and mask of this table, shared with it.
+    pub(crate) fn transfer_set(&self) -> Arc<TransferSet> {
+        Arc::clone(&self.set)
     }
 
     /// `Ok` iff this table was built (or last [`DistanceTable::refresh`]ed)
@@ -189,41 +193,41 @@ impl DistanceTable {
     /// Number of transfer stations.
     #[inline]
     pub fn len(&self) -> usize {
-        self.stations.len()
+        self.set.stations.len()
     }
 
     /// `true` iff no transfer stations were selected.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stations.is_empty()
+        self.set.stations.is_empty()
     }
 
     /// The sorted transfer stations.
     #[inline]
     pub fn stations(&self) -> &[StationId] {
-        &self.stations
+        &self.set.stations
     }
 
     /// `true` iff `s ∈ S_trans`.
     #[inline]
     pub fn is_transfer(&self, s: StationId) -> bool {
-        self.mask[s.idx()]
+        self.set.mask[s.idx()]
     }
 
     /// `mask[s]` ⇔ `s ∈ S_trans`, over all stations — built once with the
     /// table and shared by every clone and refresh of it.
     #[inline]
     pub fn transfer_mask(&self) -> &[bool] {
-        &self.mask
+        &self.set.mask
     }
 
     /// The stored profile `D(a, b, ·)`; both must be transfer stations.
     #[inline]
     pub fn profile(&self, a: StationId, b: StationId) -> &Profile {
-        let ia = self.index[a.idx()];
-        let ib = self.index[b.idx()];
+        let ia = self.set.index[a.idx()];
+        let ib = self.set.index[b.idx()];
         debug_assert!(ia != u32::MAX && ib != u32::MAX, "not transfer stations");
-        &self.profiles[ia as usize * self.stations.len() + ib as usize]
+        &self.profiles[ia as usize * self.len() + ib as usize]
     }
 
     /// `D(a, b, t)`: earliest arrival at `b` when departing `a` at absolute
@@ -237,11 +241,12 @@ impl DistanceTable {
         if t.is_infinite() {
             return INFINITY;
         }
-        self.profile(a, b).eval_arr(t, self.period)
+        self.profile(a, b).eval_arr(t, self.set.period)
     }
 
-    /// Cumulative wall-clock time spent in [`DistanceTable::build`] and
-    /// every subsequent [`DistanceTable::refresh`].
+    /// Wall-clock time of the batched pass that computed the rows: the
+    /// [`DistanceTable::build`], or the [`DistanceTable::refresh`] that last
+    /// recomputed them.
     pub fn build_time(&self) -> std::time::Duration {
         self.build_time
     }
@@ -250,8 +255,8 @@ impl DistanceTable {
     /// of Table 2).
     pub fn size_bytes(&self) -> usize {
         self.profiles.iter().map(Profile::size_bytes).sum::<usize>()
-            + self.index.len() * std::mem::size_of::<u32>()
-            + self.stations.len() * std::mem::size_of::<StationId>()
+            + self.set.index.len() * std::mem::size_of::<u32>()
+            + self.len() * std::mem::size_of::<StationId>()
     }
 
     /// Megabytes variant of [`DistanceTable::size_bytes`].
@@ -267,6 +272,16 @@ pub(crate) fn build_engine() -> &'static ProfileEngine {
     static ENGINE: OnceLock<ProfileEngine> = OnceLock::new();
     let workers = || std::thread::available_parallelism().map_or(1, |p| p.get());
     ENGINE.get_or_init(|| ProfileEngine::new().threads(workers()))
+}
+
+/// The engine every [`ConcurrentNetwork`](crate::ConcurrentNetwork)
+/// refresher fills tables on: single-threaded, so a fill runs on its
+/// refresher thread alone and queues no job on the pool, where a reader
+/// waiting on its own scope would run it inline. One per process, its
+/// workspaces shared by all refreshers.
+pub(crate) fn fill_engine() -> &'static ProfileEngine {
+    static ENGINE: OnceLock<ProfileEngine> = OnceLock::new();
+    ENGINE.get_or_init(ProfileEngine::new)
 }
 
 #[cfg(test)]
@@ -402,11 +417,14 @@ mod tests {
         let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.2));
         let first = cnet.snapshot();
         for train in [1, 2] {
-            let outcome = cnet.apply_feed(&[delay(train)]);
-            assert!(outcome.table_rows_refreshed > 0, "publish {train} must rewrite rows");
+            let published = cnet.apply_feed(&[delay(train)]).published.expect("a changing feed");
+            let filled = cnet.wait_for_table();
+            assert!(Arc::ptr_eq(&filled, &published), "publish {train} must be filled");
+            let table = filled.table().unwrap();
+            assert!(table.check_fresh(&filled).is_ok());
             assert_eq!(
-                cnet.snapshot().table().unwrap().transfer_mask().as_ptr(),
-                first.table().unwrap().transfer_mask().as_ptr(),
+                table.transfer_mask().as_ptr(),
+                first.table().unwrap().transfer_mask().as_ptr()
             );
         }
     }

@@ -43,7 +43,10 @@
 //! * [`network`] also hosts [`ConcurrentNetwork`]: snapshot-isolated
 //!   serving, where readers pin immutable epoch-stamped
 //!   [`NetworkSnapshot`]s while one writer patches a private master and
-//!   publishes with an atomic swap. A feed reports one result per layer:
+//!   publishes with an atomic swap; with a table configured, one refresher
+//!   thread fills each published snapshot's table in the background (the
+//!   newest request wins, and a snapshot without its table yet answers
+//!   with the stopping criterion alone). A feed reports one result per layer:
 //!   [`Network::apply_feed`] a [`FeedSummary`] of the routes it touched,
 //!   rewrote and appended, [`ConcurrentNetwork::apply_feed`] a
 //!   [`PublishOutcome`] carrying that summary and the snapshot it
@@ -51,8 +54,8 @@
 //! * [`shard`] — the multi-network serving layer: a [`ShardedService`]
 //!   owns N snapshot-published shards behind a station-to-shard directory,
 //!   routes queries/batches/feeds to the owning shard's persistent engines
-//!   (all serving methods `&self`, one `apply_feed` with one table
-//!   refresh per shard per feed that returns each fed shard's
+//!   (all serving methods `&self`, one `apply_feed` with one publish per
+//!   shard per feed that returns each fed shard's
 //!   [`PublishOutcome`], per-shard cache stripes, batches pin all
 //!   touched shards' snapshots up front); cross-shard pairs are refused
 //!   with a typed redirect ([`RouterError`]) unless a gateway is built,

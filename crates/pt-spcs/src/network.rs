@@ -4,7 +4,8 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
+use std::thread::JoinHandle;
 
 use arc_swap::ArcSwap;
 
@@ -14,7 +15,7 @@ use pt_timetable::{
     CalendarError, Date, DayTimetable, DelayEvent, Recovery, Routes, ServiceCalendar, Timetable,
 };
 
-use crate::distance_table::DistanceTable;
+use crate::distance_table::{fill_engine, DistanceTable, TransferSet};
 use crate::profile_set::ProfileSet;
 use crate::transfer_selection::TransferSelection;
 
@@ -256,18 +257,22 @@ impl Network {
 }
 
 /// One immutable published state of a [`ConcurrentNetwork`]: the network
-/// plus the matching refreshed [`DistanceTable`] (if configured, transfer
-/// mask included). Readers pin a snapshot (`Arc` clone) for the
-/// duration of one query; the `(epoch, generation)` pair identifies the
-/// state for generation-keyed caches, so answers computed on a pinned
-/// snapshot are exactly the answers of that state — never a torn mix.
+/// plus, if configured, the [`DistanceTable`] exact for that state (transfer
+/// mask included) once the refresher has filled it. Readers pin a snapshot
+/// (`Arc` clone) for the duration of one query; the `(epoch, generation)`
+/// pair identifies the state for generation-keyed caches, so answers
+/// computed on a pinned snapshot are exactly the answers of that state —
+/// never a torn mix.
 ///
 /// Derefs to [`Network`], so a `&NetworkSnapshot` goes anywhere a
 /// `&Network` does.
 #[derive(Debug)]
 pub struct NetworkSnapshot {
     net: Network,
-    table: Option<DistanceTable>,
+    /// Set once, for exactly this state: at construction for the initial
+    /// snapshot, by the refresher for a published one — or never, for a
+    /// snapshot superseded before its fill started.
+    table: OnceLock<DistanceTable>,
     /// In a sharded service with a gateway: the one-to-all sets from this
     /// shard's border stations, exact for this state, built by the first
     /// stitch that pins it (or by the gateway's build for the initial
@@ -276,12 +281,16 @@ pub struct NetworkSnapshot {
 }
 
 impl NetworkSnapshot {
-    /// The snapshot of `net`'s current state. A
+    /// The snapshot of `net`'s current state, with no table yet. A
     /// [`Network::clone_same_epoch`], so it carries the master's
     /// `(epoch, generation)` identity — sound because a snapshot is never
     /// mutated.
-    fn of(net: &Network, table: Option<DistanceTable>) -> NetworkSnapshot {
-        NetworkSnapshot { net: net.clone_same_epoch(), table, border_sets: OnceLock::new() }
+    fn of(net: &Network) -> NetworkSnapshot {
+        NetworkSnapshot {
+            net: net.clone_same_epoch(),
+            table: OnceLock::new(),
+            border_sets: OnceLock::new(),
+        }
     }
 
     /// The network of this state.
@@ -290,10 +299,14 @@ impl NetworkSnapshot {
         &self.net
     }
 
-    /// The distance table refreshed for this state, if one is configured.
+    /// The distance table exact for this state: `None` when no table is
+    /// configured, and while the table is still being filled (a snapshot
+    /// superseded before its fill started stays `None`). Queries on a
+    /// snapshot without a table run the stopping criterion alone, which is
+    /// exact; [`ConcurrentNetwork::wait_for_table`] waits for a fill.
     #[inline]
     pub fn table(&self) -> Option<&DistanceTable> {
-        self.table.as_ref()
+        self.table.get()
     }
 }
 
@@ -312,28 +325,34 @@ impl Deref for NetworkSnapshot {
 pub struct PublishOutcome {
     /// What the master network's [`Network::apply_feed`] did.
     pub summary: FeedSummary,
-    /// Rows recomputed by the table refresh: every row of the table (0
-    /// when no table is configured or the feed was net-nil).
-    pub table_rows_refreshed: usize,
     /// Wall-clock nanoseconds to build and install the new snapshot: the
-    /// spine clone plus the pointer swap (the table refresh is *not*
-    /// included — it is its own phase). The spine clone costs one refcount
-    /// per station bucket, per route and per hop, and copies no payload.
-    /// `0` when the feed was net-nil (nothing was published).
+    /// spine clone plus the pointer swap. The spine clone costs one
+    /// refcount per station bucket, per route and per hop, and copies no
+    /// payload. `0` when the feed was net-nil (nothing was published).
     pub publish_ns: u64,
     /// The snapshot published by this call, or `None` when the feed was
-    /// net-nil and the previous snapshot remained current.
+    /// net-nil and the previous snapshot remained current. Its table, if
+    /// one is configured, is filled in the background.
     pub published: Option<Arc<NetworkSnapshot>>,
 }
 
 /// A [`Network`] served concurrently under **snapshot isolation**: any
 /// number of reader threads pin immutable [`NetworkSnapshot`]s via
 /// [`ConcurrentNetwork::snapshot`] while one writer at a time applies
-/// feeds. A feed patches the private master copy, refreshes the distance
-/// table of the last published snapshot into a new one, then publishes the
-/// new state with a single atomic pointer swap — readers never observe a
+/// feeds. A feed patches the private master copy and publishes the new
+/// state with a single atomic pointer swap — readers never observe a
 /// half-applied feed: every query's answer is exactly the pre-feed or
 /// post-feed state.
+///
+/// With a distance table configured, the table is off the publish path: a
+/// feed hands the new snapshot to the network's one refresher thread,
+/// which recomputes every row for that state, sequentially on its own
+/// thread, and fills the snapshot's table. The refresher holds only a
+/// `Weak` to the newest unfilled snapshot, so the newest request wins: a
+/// snapshot superseded before its fill started is never filled, and drops
+/// with its last pin. Until its table is in, a snapshot answers
+/// station-to-station queries with the stopping criterion alone — exact,
+/// only unpruned.
 ///
 /// Writers are serialized on the master mutex. A pin takes the publish
 /// slot's ([`ArcSwap`]) read lock for one `Arc` clone, and a publish takes
@@ -345,6 +364,8 @@ pub struct ConcurrentNetwork {
     master: Mutex<Network>,
     published: ArcSwap<NetworkSnapshot>,
     publishes: AtomicU64,
+    /// Fills each published snapshot's table; `None` without a table.
+    refresher: Option<Refresher>,
 }
 
 impl ConcurrentNetwork {
@@ -353,28 +374,51 @@ impl ConcurrentNetwork {
         Self::with_optional_table(net, None)
     }
 
-    /// Wraps a network and builds a [`DistanceTable`] for it; every
-    /// published snapshot carries the table refreshed to that state.
+    /// Wraps a network and builds a [`DistanceTable`] for it, which the
+    /// initial snapshot carries; every later snapshot's table is filled
+    /// by the refresher thread this starts.
     pub fn with_table(net: Network, selection: &TransferSelection) -> ConcurrentNetwork {
         let table = DistanceTable::build(&net, selection);
         Self::with_optional_table(net, Some(table))
     }
 
     fn with_optional_table(net: Network, table: Option<DistanceTable>) -> ConcurrentNetwork {
-        let snapshot = Arc::new(NetworkSnapshot::of(&net, table));
+        let snapshot = NetworkSnapshot::of(&net);
+        let refresher = table.map(|table| {
+            let refresher = Refresher::spawn(table.transfer_set());
+            let _ = snapshot.table.set(table);
+            refresher
+        });
         ConcurrentNetwork {
             master: Mutex::new(net),
-            published: ArcSwap::new(snapshot),
+            published: ArcSwap::new(Arc::new(snapshot)),
             publishes: AtomicU64::new(0),
+            refresher,
         }
     }
 
     /// Pins the current published state. The returned `Arc` keeps that
     /// state alive for as long as the reader holds it, unaffected by any
     /// concurrent [`ConcurrentNetwork::apply_feed`]. The slot's lock is
-    /// held for one `Arc` clone; a feed's patch and refresh run outside it.
+    /// held for one `Arc` clone; a feed's patch runs outside it.
     pub fn snapshot(&self) -> Arc<NetworkSnapshot> {
         self.published.load_full()
+    }
+
+    /// Pins the current published state once its table is in: blocks
+    /// until the refresher has filled the current snapshot, re-pinning
+    /// whenever a feed supersedes it. Without a table, the current
+    /// snapshot at once.
+    pub fn wait_for_table(&self) -> Arc<NetworkSnapshot> {
+        let Some(refresher) = &self.refresher else { return self.snapshot() };
+        let mut request = refresher.slot.lock();
+        loop {
+            let snapshot = self.snapshot();
+            if snapshot.table().is_some() {
+                return snapshot;
+            }
+            request = refresher.slot.wait(request);
+        }
     }
 
     /// How many snapshots have been published (excluding the initial one).
@@ -383,14 +427,13 @@ impl ConcurrentNetwork {
     }
 
     /// Applies a feed under snapshot isolation: patches the master copy
-    /// ([`Network::apply_feed`]), refreshes the last published snapshot's
-    /// table into a new one (every row recomputed, as
-    /// [`DistanceTable::refresh`] does; writers hold the master lock, so
-    /// that table is the master's), then publishes the new state
-    /// atomically. The publish is a spine clone of the master: one
-    /// refcount per station bucket, per route and per hop, sharing every
-    /// bucket, route block and PLF the feed did not rewrite with the
-    /// previous snapshot. Concurrent writers are serialized; concurrent
+    /// ([`Network::apply_feed`]) and publishes the new state atomically.
+    /// The publish is a spine clone of the master: one refcount per
+    /// station bucket, per route and per hop, sharing every bucket, route
+    /// block and PLF the feed did not rewrite with the previous snapshot.
+    /// With a table configured, the new snapshot is then handed to the
+    /// refresher, which fills its table in the background; no row is
+    /// recomputed here. Concurrent writers are serialized; concurrent
     /// readers keep their pinned snapshots (and their tables) and see the
     /// new state on their next [`ConcurrentNetwork::snapshot`] call. A
     /// net-nil feed publishes nothing.
@@ -400,14 +443,100 @@ impl ConcurrentNetwork {
         if !summary.changed() {
             return PublishOutcome { summary, ..PublishOutcome::default() };
         }
-        let table = self.published.load().table.as_ref().map(|table| table.refreshed(&net));
-        let table_rows_refreshed = table.as_ref().map_or(0, DistanceTable::len);
         let start = std::time::Instant::now();
-        let snapshot = Arc::new(NetworkSnapshot::of(&net, table));
+        let snapshot = Arc::new(NetworkSnapshot::of(&net));
         self.published.store(snapshot.clone());
         let publish_ns = start.elapsed().as_nanos() as u64;
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        PublishOutcome { summary, table_rows_refreshed, publish_ns, published: Some(snapshot) }
+        // Still under the master lock, so requests arrive in publish order.
+        if let Some(refresher) = &self.refresher {
+            refresher.request(&snapshot);
+        }
+        PublishOutcome { summary, publish_ns, published: Some(snapshot) }
+    }
+}
+
+/// The refresher of a tabled [`ConcurrentNetwork`]: one thread, parked on
+/// a condvar between requests, that fills published snapshots' tables.
+#[derive(Debug)]
+struct Refresher {
+    slot: Arc<RefreshSlot>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// What a writer hands the refresher, behind one mutex.
+#[derive(Debug, Default)]
+struct Request {
+    /// The newest published snapshot not yet taken for a fill.
+    newest: Weak<NetworkSnapshot>,
+    /// Set when the network is dropped.
+    stop: bool,
+}
+
+#[derive(Debug, Default)]
+struct RefreshSlot {
+    request: Mutex<Request>,
+    /// Signalled when a request is posted or taken, when a fill is in and
+    /// on stop.
+    changed: Condvar,
+}
+
+impl RefreshSlot {
+    fn lock(&self) -> MutexGuard<'_, Request> {
+        self.request.lock().expect("nothing panics while holding the request lock")
+    }
+
+    fn wait<'a>(&self, request: MutexGuard<'a, Request>) -> MutexGuard<'a, Request> {
+        self.changed.wait(request).expect("nothing panics while holding the request lock")
+    }
+
+    /// The refresher's loop: takes the newest request, fills that
+    /// snapshot's table from `set` outside the lock, repeats until stopped.
+    fn run(&self, set: &Arc<TransferSet>) {
+        let mut request = self.lock();
+        while !request.stop {
+            let Some(snapshot) = std::mem::take(&mut request.newest).upgrade() else {
+                request = self.wait(request);
+                continue;
+            };
+            drop(request);
+            self.changed.notify_all();
+            snapshot.table.get_or_init(|| set.table_for(snapshot.network(), fill_engine()));
+            drop(snapshot);
+            request = self.lock();
+            self.changed.notify_all();
+        }
+    }
+}
+
+impl Refresher {
+    fn spawn(set: Arc<TransferSet>) -> Refresher {
+        let slot = Arc::new(RefreshSlot::default());
+        let run = Arc::clone(&slot);
+        let thread = std::thread::Builder::new()
+            .name("table-refresher".into())
+            .spawn(move || run.run(&set))
+            .expect("failed to spawn the table refresher");
+        Refresher { slot, thread: Some(thread) }
+    }
+
+    /// Makes `snapshot` the newest request, replacing one not yet taken.
+    fn request(&self, snapshot: &Arc<NetworkSnapshot>) {
+        self.slot.lock().newest = Arc::downgrade(snapshot);
+        self.slot.changed.notify_all();
+    }
+}
+
+impl Drop for Refresher {
+    /// Stops the thread after the fill in progress, if any, and joins it.
+    fn drop(&mut self) {
+        self.slot.lock().stop = true;
+        self.slot.changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // A fill that panicked was reported by the panic hook, and a
+            // drop must not panic again.
+            let _ = thread.join();
+        }
     }
 }
 
@@ -415,6 +544,8 @@ impl ConcurrentNetwork {
 mod tests {
     use super::*;
     use pt_timetable::synthetic::city::{generate_city, CityConfig};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn net() -> Network {
         Network::new(generate_city(&CityConfig::sized(30, 4, 9)))
@@ -530,13 +661,14 @@ mod tests {
             let pinned = cnet.snapshot();
             let outcome = cnet.apply_feed(&[delay(train, 30)]);
             assert!(outcome.summary.changed(), "the delay of train {train} must take effect");
-            assert_eq!(outcome.table_rows_refreshed, a.len(), "train {train}: every row");
 
-            let after = cnet.snapshot();
+            let after = cnet.wait_for_table();
+            assert!(Arc::ptr_eq(&after, outcome.published.as_ref().unwrap()));
             let (old, new) = (pinned.table().unwrap(), after.table().unwrap());
             assert!(old.check_fresh(pinned.network()).is_ok(), "pinned table, own generation");
             assert!(old.check_fresh(after.network()).is_err());
             assert!(new.check_fresh(after.network()).is_ok());
+            assert_same_rows(new, &DistanceTable::build_for(after.network(), a.clone()));
         }
     }
 
@@ -556,12 +688,111 @@ mod tests {
         let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
         let outcome = cnet.apply_feed(&[delay(1, 20)]);
         assert!(outcome.summary.changed());
-        assert!(outcome.table_rows_refreshed > 0);
-        let snap = cnet.snapshot();
+        let snap = cnet.wait_for_table();
+        assert!(Arc::ptr_eq(&snap, outcome.published.as_ref().unwrap()));
         let table = snap.table().expect("table configured");
         assert!(table.check_fresh(snap.network()).is_ok());
+        assert_same_rows(
+            table,
+            &DistanceTable::build_for(snap.network(), table.stations().to_vec()),
+        );
         let marked: Vec<bool> =
             snap.station_ids().map(|s| table.stations().binary_search(&s).is_ok()).collect();
-        assert_eq!(snap.table().unwrap().transfer_mask(), &marked[..]);
+        assert_eq!(table.transfer_mask(), &marked[..]);
+    }
+
+    #[test]
+    fn unfilled_snapshot_answers_plain_and_exactly() {
+        use crate::{QueryKind, S2sEngine};
+        let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
+        let pairs: Vec<_> = (0..6).map(|k| (StationId(k), StationId(29 - 3 * k))).collect();
+        let engine = S2sEngine::new();
+        let query = |snap: &NetworkSnapshot, (s, t)| {
+            engine.try_query_on(snap.network(), snap.table(), s, t).expect("never stale")
+        };
+        let (snap, plain) = with_refresher_busy(&cnet, || {
+            let snap = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
+            assert!(snap.table().is_none(), "the refresher cannot have filled it yet");
+            let plain: Vec<_> = pairs.iter().map(|&pair| query(&snap, pair)).collect();
+            (snap, plain)
+        });
+        assert!(Arc::ptr_eq(&cnet.wait_for_table(), &snap));
+        for (&pair, plain) in pairs.iter().zip(plain) {
+            let tabled = query(&snap, pair);
+            assert_eq!(plain.kind, QueryKind::Plain, "{pair:?}");
+            assert_ne!(tabled.kind, QueryKind::Plain, "{pair:?} once the table is in");
+            assert_eq!(plain.profile, tabled.profile, "{pair:?}");
+        }
+    }
+
+    #[test]
+    fn superseded_snapshot_is_never_filled_and_drops_with_its_last_pin() {
+        let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
+        let (skipped, newest) = with_refresher_busy(&cnet, || {
+            let skipped = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
+            (skipped, cnet.apply_feed(&[delay(2, 20)]).published.unwrap())
+        });
+        assert!(Arc::ptr_eq(&cnet.wait_for_table(), &newest));
+        assert!(skipped.table().is_none(), "only the newest request is filled");
+        let weak = Arc::downgrade(&skipped);
+        drop(skipped);
+        assert!(weak.upgrade().is_none(), "the refresher holds no pin of it");
+    }
+
+    #[test]
+    fn dropping_a_tabled_network_right_after_a_feed_stops_its_refresher() {
+        let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
+        let slot = Arc::downgrade(&cnet.refresher.as_ref().unwrap().slot);
+        let published = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
+        let (done, dropped) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(cnet);
+            done.send(()).unwrap();
+        });
+        dropped.recv_timeout(Duration::from_secs(60)).expect("the drop hung on its refresher");
+        assert!(slot.upgrade().is_none(), "the refresher thread exited");
+        assert!(published.table().is_none_or(|t| t.check_fresh(&published).is_ok()));
+    }
+
+    /// `a` and `b` hold the same stations and the same profile per pair.
+    fn assert_same_rows(a: &DistanceTable, b: &DistanceTable) {
+        assert_eq!(a.stations(), b.stations());
+        for &s in a.stations() {
+            for &t in a.stations() {
+                assert_eq!(a.profile(s, t), b.profile(s, t), "D({s}, {t})");
+            }
+        }
+    }
+
+    /// Runs `body` while the refresher is stuck on a request of the test's
+    /// own: a snapshot whose table a helper thread holds the initialisation
+    /// of until `body` returns (or unwinds, dropping `release`). Requests
+    /// posted meanwhile wait, and only the newest of them is taken
+    /// afterwards.
+    fn with_refresher_busy<R>(cnet: &ConcurrentNetwork, body: impl FnOnce() -> R) -> R {
+        let refresher = cnet.refresher.as_ref().expect("a tabled network");
+        let blocker = Arc::new(NetworkSnapshot::of(&cnet.snapshot()));
+        std::thread::scope(|s| {
+            let (entered, inside) = mpsc::channel();
+            let (release, released) = mpsc::channel::<()>();
+            let blocker = &blocker;
+            s.spawn(move || {
+                blocker.table.get_or_init(|| {
+                    entered.send(()).unwrap();
+                    let _ = released.recv();
+                    DistanceTable::build_for(blocker.network(), Vec::new())
+                })
+            });
+            inside.recv().unwrap();
+            refresher.request(blocker);
+            let mut request = refresher.slot.lock();
+            while request.newest.strong_count() > 0 {
+                request = refresher.slot.wait(request);
+            }
+            drop(request);
+            let out = body();
+            release.send(()).unwrap();
+            out
+        })
     }
 }

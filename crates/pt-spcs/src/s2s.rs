@@ -59,7 +59,8 @@ pub enum QueryKind {
     Global,
     /// `T ∈ S_trans`: target pruning.
     TargetTransfer,
-    /// No distance table configured: stopping criterion only.
+    /// No distance table configured, or the snapshot's table is still
+    /// being filled: stopping criterion only.
     Plain,
     /// Endpoints in different shards: stitched over border stations by the
     /// cross-shard gateway (see [`crate::shard::ShardedService`]).

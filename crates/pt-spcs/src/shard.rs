@@ -26,10 +26,10 @@
 //! * **Feeds.** [`ShardedService::apply_feed`] checks every shard id of a
 //!   mixed [`DelayEvent`] stream and groups the events by shard before any
 //!   shard applies its batch, so each shard receives **one**
-//!   [`ConcurrentNetwork::apply_feed`] call: one generation bump at most,
-//!   **one** table refresh when the batch changed anything, and one
-//!   published snapshot, handed back to the caller. A shard with no events
-//!   (or a net-nil batch) is not touched at all.
+//!   [`ConcurrentNetwork::apply_feed`] call: one generation bump at most
+//!   and one published snapshot, handed back to the caller; a tabled
+//!   shard's refresher then fills that snapshot's table in the background.
+//!   A shard with no events (or a net-nil batch) is not touched at all.
 //! * **Cross-shard journeys.** With a gateway configured
 //!   ([`ShardedServiceBuilder::gateway`]), a station-to-station query whose
 //!   endpoints live in different shards is answered by stitching
@@ -166,9 +166,9 @@ pub struct Routed<T> {
 }
 
 /// One shard: a snapshot-published network and its persistent serving
-/// machinery. Queries pin `net.snapshot()` — the snapshot carries the
-/// shard's table refreshed to its state, so the engines never see a
-/// table/network mismatch.
+/// machinery. Queries pin `net.snapshot()` — a snapshot's table, once
+/// filled, is exact for its state, so the engines never see a
+/// table/network mismatch; before that they run without one.
 #[derive(Debug)]
 struct Shard {
     net: ConcurrentNetwork,
@@ -184,7 +184,7 @@ impl Shard {
     ) -> Vec<S2sResult> {
         self.s2s
             .try_batch_on(snap.network(), snap.table(), pairs)
-            .expect("published snapshots carry tables refreshed to their state")
+            .expect("a snapshot's table is filled for exactly its state")
     }
 }
 
@@ -237,8 +237,9 @@ impl ShardedServiceBuilder {
         self
     }
 
-    /// Builds a distance table per shard with this selection; the router
-    /// keeps each table fresh with one refresh per feed.
+    /// Builds a distance table per shard with this selection; each shard's
+    /// refresher fills every snapshot the shard publishes with the table
+    /// exact for it, in the background.
     pub fn tables(mut self, selection: TransferSelection) -> Self {
         self.tables = Some(selection);
         self
@@ -322,7 +323,7 @@ impl ShardedServiceBuilder {
 /// ([`ShardedService::locate`]). Every query routes to the owning shard's
 /// persistent engine, batches are demultiplexed so each shard is entered
 /// once, mixed feeds cost each touched shard one generation bump and one
-/// table refresh, and the per-shard cache stripes isolate one
+/// publish, and the per-shard cache stripes isolate one
 /// shard's invalidations from another's hits. See the [module
 /// docs](crate::shard) for the full contract.
 ///
@@ -443,6 +444,13 @@ impl ShardedService {
     pub fn network(&self, shard: ShardId) -> Result<Arc<NetworkSnapshot>, RouterError> {
         self.check_shard(shard)?;
         Ok(self.shards[shard.idx()].net.snapshot())
+    }
+
+    /// Pins the shard's current snapshot once its table is in; see
+    /// [`ConcurrentNetwork::wait_for_table`].
+    pub fn wait_for_table(&self, shard: ShardId) -> Result<Arc<NetworkSnapshot>, RouterError> {
+        self.check_shard(shard)?;
+        Ok(self.shards[shard.idx()].net.wait_for_table())
     }
 
     /// How many snapshots `shard` has published (= feeds that changed it).
@@ -725,7 +733,8 @@ impl ShardedService {
     /// shard with at least one event gets exactly **one**
     /// [`ConcurrentNetwork::apply_feed`] call: at most one generation bump
     /// and one cache invalidation per shard per feed, and exactly one
-    /// table refresh for each *changed* shard with a distance table.
+    /// published snapshot for each *changed* shard, whose table (if the
+    /// shard has one) is filled in the background.
     /// Untouched shards — and shards whose batch nets out to nil — keep
     /// their generation, so their cache stripes keep hitting.
     ///
@@ -764,6 +773,7 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance_table::DistanceTable;
     use pt_core::{Dur, Period, Time, TrainId};
     use pt_timetable::{Recovery, TimetableBuilder};
 
@@ -969,13 +979,21 @@ mod tests {
         assert_eq!(after[1], gens[1], "untouched shard must not move");
         assert_eq!(after[2], gens[2] + 1);
         // Each changed shard published the snapshot the router now pins,
-        // with its table refreshed in the same call.
+        // and its refresher fills that snapshot with the table of its state.
         for (sh, outcome) in &outcomes {
             assert!(outcome.summary.changed(), "{sh}");
-            assert!(outcome.table_rows_refreshed > 0, "{sh}");
             let published = outcome.published.as_ref().expect("a changed shard publishes");
             assert!(Arc::ptr_eq(published, &svc.network(*sh).unwrap()), "{sh}");
-            assert!(published.table().unwrap().check_fresh(published.network()).is_ok());
+            let filled = svc.wait_for_table(*sh).unwrap();
+            assert!(Arc::ptr_eq(published, &filled), "{sh}");
+            let table = filled.table().unwrap();
+            assert!(table.check_fresh(filled.network()).is_ok());
+            let rebuilt = DistanceTable::build_for(filled.network(), table.stations().to_vec());
+            for &a in table.stations() {
+                for &b in table.stations() {
+                    assert_eq!(table.profile(a, b), rebuilt.profile(a, b), "{sh}: D({a}, {b})");
+                }
+            }
         }
         // And s2s keeps answering without a stale-table panic.
         let s = svc.global_id(ShardId(0), StationId(0)).unwrap();
@@ -1039,7 +1057,6 @@ mod tests {
         assert_eq!(*shard, ShardId(1));
         assert!(!outcome.summary.changed());
         assert!(outcome.published.is_none());
-        assert_eq!(outcome.table_rows_refreshed, 0);
         assert_eq!(gens_now(), gens, "net-nil feed must not bump any shard");
         // An unknown shard id fails up front — even beside a real delay
         // for a valid shard, which must then not be applied either.

@@ -181,8 +181,8 @@ fn days_in_month(year: i32, month: u8) -> u8 {
     }
 }
 
-/// Identifies one service pattern inside a [`ServiceCalendar`]; dense,
-/// `0..num_services`.
+/// Identifies one service pattern inside a [`ServiceCalendar`]; dense, in
+/// registration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ServiceId(pub u32);
 
@@ -332,11 +332,6 @@ impl ServiceCalendar {
     pub fn add_service(&mut self, pattern: ServicePattern) -> ServiceId {
         self.services.push(pattern);
         ServiceId(self.services.len() as u32 - 1)
-    }
-
-    /// Number of registered services.
-    pub fn num_services(&self) -> usize {
-        self.services.len()
     }
 
     /// The pattern behind `service`, if defined.

@@ -153,7 +153,7 @@ impl HeadwayProfile {
     }
 
     /// Upper estimate of departures per period.
-    pub fn count_estimate(&self) -> usize {
+    fn count_estimate(&self) -> usize {
         self.bands
             .iter()
             .map(|b| match b.headway {

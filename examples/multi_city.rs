@@ -3,8 +3,9 @@
 //! owning shard, queries and batches are demultiplexed to the owning
 //! shard's persistent engines (with a per-shard cache stripe), a mixed
 //! realtime feed costs each touched shard one generation bump and one
-//! distance-table refresh, and cross-shard requests come back as
-//! typed redirects instead of wrong answers.
+//! publish (its distance table is refilled in the background), and
+//! cross-shard requests come back as typed redirects instead of wrong
+//! answers.
 //!
 //! ```text
 //! cargo run --release --example multi_city
@@ -74,8 +75,9 @@ fn main() {
     // A mixed realtime feed: events for shards 0 and 1 arrive interleaved;
     // each shard digests its slice in one pass. Shard 0's slice nets out
     // (delay then cancel of the same train): no generation bump, no
-    // refresh. Shard 1 changes: one bump, one table refresh. Shard
-    // 2 is never touched at all — its cache stripe keeps every hit.
+    // publish. Shard 1 changes: one bump, one publish, and its refresher
+    // fills the new snapshot's table in the background. Shard 2 is never
+    // touched at all — its cache stripe keeps every hit.
     let feed = vec![
         (
             ShardId(0),
@@ -110,16 +112,19 @@ fn main() {
     println!("\nmixed feed of {} events:", feed.len());
     for (shard, outcome) in &outcomes {
         println!(
-            "  {shard}: {} routes touched, {} table rows refreshed, generation now {}",
+            "  {shard}: {} routes touched, generation now {}",
             outcome.summary.touched_routes,
-            outcome.table_rows_refreshed,
             outcome.published.as_ref().map_or("unchanged".into(), |s| s.generation().to_string())
         );
     }
     assert!(outcomes.iter().all(|&(sh, _)| sh != ShardId(2)), "shard 2 received no events");
 
-    // Post-feed queries keep answering — the router refreshed each touched
-    // shard's table, so the §4 pruning stays hot.
+    // Post-feed queries keep answering: exact with the stopping criterion
+    // alone until the refresher has filled the new snapshot's table, and
+    // with the §4 pruning once it has.
+    let (owner, _) = svc.locate(target).unwrap();
+    let filled = svc.wait_for_table(owner).unwrap();
+    println!("{owner}'s table is in for generation {}", filled.generation());
     let after = svc.s2s(source, target).unwrap();
     println!(
         "post-feed s2s({source}, {target}): {:?} query, arr at 08:00 = {}",

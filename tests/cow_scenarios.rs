@@ -2,8 +2,9 @@
 //!
 //! A published [`NetworkSnapshot`] *shares* every untouched `conn(S)`
 //! bucket, route block and hop PLF with the master (and with neighbouring
-//! snapshots) by refcount; its distance table is its own, refreshed from
-//! the previous snapshot's. Sharing is only sound if it is never
+//! snapshots) by refcount; its distance table is its own, filled by the
+//! network's refresher for exactly its state (the table's station index and
+//! transfer mask are shared). Sharing is only sound if it is never
 //! observable: these scenarios pin a snapshot, hammer the master with K
 //! mixed feeds, and assert the pinned state stays bitwise-identical to a
 //! from-scratch rebuild of its own generation — any shared-mutable leak
@@ -46,7 +47,8 @@ proptest! {
             cnet.apply_feed(&random_feed(&mut rng, num_trains, len, 60));
         }
 
-        let pinned = cnet.snapshot();
+        // Pin the current state once the refresher has filled its table.
+        let pinned = cnet.wait_for_table();
         let pinned_gen = pinned.generation();
         // Capture the pinned state *by value* at pin time: a materialized
         // copy of every connection, and a from-scratch rebuild (fresh
@@ -68,9 +70,8 @@ proptest! {
             conns_at_pin,
             "a feed on the master leaked into the pinned timetable"
         );
-        // The pinned table still serves the pinned state (its validity
-        // range may have grown, never shrunk) and its entries still match
-        // a from-scratch table of the pinned generation.
+        // The pinned table still serves the pinned state, and its entries
+        // still match a from-scratch table of the pinned generation.
         prop_assert!(table_at_pin.check_fresh(pinned.network()).is_ok());
         let table_rebuilt = DistanceTable::build_for(&rebuilt, table_at_pin.stations().to_vec());
         for &a in table_at_pin.stations() {
@@ -94,9 +95,18 @@ proptest! {
             prop_assert_eq!(&on_pinned, &on_rebuilt, "source {} diverged on the pin", s);
         }
         // And the *current* snapshot answers like a rebuild of the
-        // current state — sharing corrupted neither side.
-        let fresh = cnet.snapshot();
+        // current state — sharing corrupted neither side — and so does the
+        // table the refresher fills it with.
+        let fresh = cnet.wait_for_table();
         let fresh_rebuilt = Network::build(fresh.timetable());
+        let fresh_table = fresh.table().expect("table configured");
+        prop_assert!(fresh_table.check_fresh(fresh.network()).is_ok());
+        let table_rebuilt = DistanceTable::build_for(&fresh_rebuilt, fresh_table.stations().to_vec());
+        for &a in fresh_table.stations() {
+            for &b in fresh_table.stations() {
+                prop_assert_eq!(fresh_table.profile(a, b), table_rebuilt.profile(a, b));
+            }
+        }
         for k in 0..3u32.min(n) {
             let s = StationId(k * n / 3);
             let a = engine.one_to_all(&fresh, s);
@@ -151,9 +161,10 @@ fn single_delay_publish_shares_the_untouched_bulk() {
 }
 
 /// A pinned snapshot's distance table stays the published one until a feed
-/// changes the network: its refresh rewrites every row into the new
-/// snapshot's table (the pinned reader keeps its old rows), while a net-nil
-/// feed publishes nothing and keeps the very same table published.
+/// changes the network: the refresher fills the new snapshot with a table
+/// of its own, every row recomputed (the pinned reader keeps its old
+/// rows), while a net-nil feed publishes nothing and keeps the very same
+/// table published.
 #[test]
 fn table_rows_unshare_exactly_when_rewritten() {
     let net = Network::new(generate_city(&CityConfig::sized(30, 4, 3)));
@@ -165,16 +176,27 @@ fn table_rows_unshare_exactly_when_rewritten() {
 
     // Cancelling a never-delayed train nets out to nothing: no refresh.
     let outcome = cnet.apply_feed(&[DelayEvent::Cancel { train: TrainId(0) }]);
-    assert_eq!(outcome.table_rows_refreshed, 0);
+    assert!(outcome.published.is_none());
     let nil = cnet.snapshot();
     assert!(std::ptr::eq(pinned_table, nil.table().unwrap()));
 
     let mut rng = StdRng::seed_from_u64(1);
     let outcome = cnet.apply_feed(&random_feed(&mut rng, num_trains, 4, 60));
     assert!(outcome.summary.changed());
-    assert_eq!(outcome.table_rows_refreshed, pinned_table.len(), "every row is rewritten");
-    let after = cnet.snapshot();
-    assert!(!std::ptr::eq(pinned_table, after.table().unwrap()));
+    let after = cnet.wait_for_table();
+    assert!(std::sync::Arc::ptr_eq(&after, outcome.published.as_ref().unwrap()));
+    let after_table = after.table().unwrap();
+    assert!(!std::ptr::eq(pinned_table, after_table));
+
+    // Every row of the new table is the fed state's.
+    let rebuilt_after = Network::build(after.timetable());
+    let reference = DistanceTable::build_for(&rebuilt_after, pinned_table.stations().to_vec());
+    assert_eq!(after_table.stations(), reference.stations());
+    for &a in after_table.stations() {
+        for &b in after_table.stations() {
+            assert_eq!(after_table.profile(a, b), reference.profile(a, b), "fed D({a}, {b})");
+        }
+    }
 
     // The pinned reader still sees its own generation's rows.
     assert!(pinned_table.check_fresh(pinned.network()).is_ok());

@@ -146,11 +146,18 @@ fn run_scenario(specs: &[ShardSpec], ops: Vec<Op>) -> Result<(), TestCaseError> 
                     // One generation bump per shard per feed (zero if nil).
                     let expected = before + u64::from(mirror_summary.changed());
                     prop_assert_eq!(gen_now, expected, "{} must bump once per feed", shard);
-                    // The router's scoped refresh left the table fresh (its
-                    // row count may legitimately be zero: no transfer
-                    // station needs to reach the touched set).
-                    let snap = svc.network(shard).unwrap();
-                    prop_assert!(snap.table().expect("tables enabled").check_fresh(&snap).is_ok());
+                    // Once the shard's refresher has filled the current
+                    // snapshot, its table is exact for that state.
+                    let snap = svc.wait_for_table(shard).unwrap();
+                    prop_assert_eq!(snap.generation(), expected);
+                    let table = snap.table().expect("tables enabled");
+                    prop_assert!(table.check_fresh(&snap).is_ok());
+                    let rebuilt = DistanceTable::build_for(&snap, table.stations().to_vec());
+                    for &a in table.stations() {
+                        for &b in table.stations() {
+                            prop_assert_eq!(table.profile(a, b), rebuilt.profile(a, b));
+                        }
+                    }
                 }
                 // Post-feed: every shard still answers like its mirror.
                 for shard in svc.shard_ids() {
