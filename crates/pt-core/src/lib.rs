@@ -11,20 +11,24 @@
 //!   points, together with the paper's *connection reduction* (backward
 //!   dominance scan). One type serves both of the paper's uses: the
 //!   *travel-time function* of a time-dependent route edge and the
-//!   *arrival profile* `dist(S, T, ·)` a profile search produces.
+//!   *arrival profile* `dist(S, T, ·)` a profile search produces,
+//! * [`CowChunks`] — the chunked copy-on-write array that the timetable,
+//!   the route partition and the graph keep their feed-patched indices in,
+//!   so a published snapshot shares every chunk a feed did not write.
 //!
-//! All types are plain-old-data with no interior pointers, so they are cheap
-//! to send across threads — a prerequisite for the parallel search in
+//! All types are `Send + Sync` — a prerequisite for the parallel search in
 //! `pt-spcs`.
 
 #![warn(missing_docs)]
 
+pub mod cow;
 pub mod id;
 #[cfg(test)]
 mod plf;
 pub mod profile;
 pub mod time;
 
+pub use cow::CowChunks;
 pub use id::{ConnId, NodeId, RouteId, StationId, TrainId};
 pub use profile::{Profile, ProfilePoint};
 pub use time::{Dur, Period, Time, INFINITY};

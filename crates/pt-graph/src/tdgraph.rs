@@ -17,7 +17,9 @@
 
 use std::sync::Arc;
 
-use pt_core::{ConnId, Dur, NodeId, Period, Profile, ProfilePoint, RouteId, StationId, Time};
+use pt_core::{
+    ConnId, CowChunks, Dur, NodeId, Period, Profile, ProfilePoint, RouteId, StationId, Time,
+};
 use pt_timetable::{RouteInfo, Routes, Timetable};
 
 /// One edge kind's CSR: node `v`'s edges are `head[first[v]..first[v + 1]]`
@@ -102,47 +104,57 @@ struct Topology {
     kinds: EdgeKindCsr,
 }
 
+/// PLFs per chunk of the arena. A feed rewrites the hops of a few routes,
+/// each route's hops side by side, so one chunk usually holds a route.
+const PLF_CHUNK: usize = 32;
+
+/// Start nodes per chunk of `conn_start`. Its writes are few (one per
+/// connection a re-sort moves), so a chunk of 2 KiB keeps the spine short.
+const CONN_CHUNK: usize = 512;
+
 /// The realistic time-dependent graph of a timetable.
 ///
 /// Split for copy-on-write publishing: the `Topology` is one shared `Arc`;
-/// the hop PLFs (each hop's travel-time function, a [`Profile`]) are
-/// individually `Arc`-shared and a
+/// the hop PLFs (each hop's travel-time function, a [`Profile`]) are each
+/// their own `Arc` in a [`CowChunks`] arena, and a
 /// [`TdGraph::repatch_routes`] *replaces* exactly the touched routes' hop
 /// PLFs (every other PLF stays physically shared with older snapshots);
-/// `conn_start` copies-on-first-touch after a clone. A clone is therefore
-/// O(#PLFs) refcount bumps, never a copy of the adjacency.
+/// `conn_start` is a [`CowChunks`] too. A clone is therefore three
+/// refcounts, never a copy of the adjacency, and a feed copies only the
+/// chunks it writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TdGraph {
     period: Period,
     num_stations: u32,
     topo: Arc<Topology>,
     /// The PLF arena, one entry per (route, hop) in route order.
-    plfs: Vec<Arc<Profile>>,
+    plfs: CowChunks<Arc<Profile>, PLF_CHUNK>,
     /// For every elementary connection: the route node where it departs.
-    conn_start: Arc<Vec<NodeId>>,
+    conn_start: CowChunks<NodeId, CONN_CHUNK>,
     /// Longest PLF duration over the arena, tracked monotonically across
     /// patches (a ring sized from a stale maximum is merely oversized,
     /// never wrong); see [`TdGraph::max_edge_span_secs`].
     max_td_secs: u32,
 }
 
-/// The travel-time function of one hop of a route: one connection point per
-/// train of the route, which must be FIFO ([`Routes::route_is_fifo`]), so
-/// the connection reduction keeps every point. A route a re-split emptied
-/// has the empty, never-served PLF.
-fn hop_plf(tt: &Timetable, route: &RouteInfo, hop: usize) -> Profile {
-    let points: Vec<ProfilePoint> = route
-        .trains
-        .iter()
-        .map(|&t| {
-            let c = tt.connection(tt.train_connections(t)[hop]);
-            ProfilePoint::new(c.dep, c.arr)
-        })
-        .collect();
-    let expected = points.len();
-    let plf = Profile::from_unreduced(points, tt.period());
-    debug_assert_eq!(plf.len(), expected, "hop PLF of a non-FIFO route");
-    plf
+/// The travel-time functions of a route's hops, in hop order: one
+/// connection point per train of the route, which must be FIFO
+/// ([`Routes::route_is_fifo`]), so the connection reduction keeps every
+/// point. A route a re-split emptied has empty, never-served PLFs.
+fn route_plfs(tt: &Timetable, route: &RouteInfo) -> Vec<Profile> {
+    let n = route.trains.len();
+    let mut hops: Vec<Vec<ProfilePoint>> =
+        (0..route.num_hops()).map(|_| Vec::with_capacity(n)).collect();
+    for &t in &route.trains {
+        for (points, c) in hops.iter_mut().zip(tt.train_connections(t)) {
+            let c = tt.connection(c);
+            points.push(ProfilePoint::new(c.dep, c.arr));
+        }
+    }
+    let plfs: Vec<Profile> =
+        hops.into_iter().map(|points| Profile::from_unreduced(points, tt.period())).collect();
+    debug_assert!(plfs.iter().all(|plf| plf.len() == n), "hop PLF of a non-FIFO route");
+    plfs
 }
 
 impl TdGraph {
@@ -161,11 +173,13 @@ impl TdGraph {
                 transfer: tt.station_ids().map(|s| tt.transfer_time(s)).collect(),
                 kinds: EdgeKindCsr { consts: no_edges.clone(), tds: no_edges, max_const_secs: 0 },
             }),
-            plfs: Vec::new(),
-            conn_start: Arc::new(vec![NodeId(u32::MAX); tt.num_connections()]),
+            plfs: CowChunks::default(),
+            conn_start: CowChunks::default(),
             max_td_secs: 0,
         };
-        g.append_routes(tt, routes);
+        let mut conn_start = vec![NodeId(u32::MAX); tt.num_connections()];
+        g.append_routes(tt, routes, |c, v| conn_start[c.idx()] = v);
+        g.conn_start = conn_start.into_iter().collect();
         g
     }
 
@@ -173,10 +187,16 @@ impl TdGraph {
     /// graph of `k` routes — without renumbering anything that exists: their
     /// route nodes go after all existing nodes, their board edges at the
     /// end of the served stations' constant edges, their hop PLFs at the end
-    /// of the arena, and their trains' connections start at the new nodes.
-    /// Stations have no hop edges, so the time-dependent lane only grows at
-    /// its end; only the constant lane is re-laid.
-    fn append_routes(&mut self, tt: &Timetable, routes: &Routes) {
+    /// of the arena, and `start(c, v)` is called for every connection `c`
+    /// of their trains with `v` the new node it departs from. Stations have
+    /// no hop edges, so the time-dependent lane only grows at its end; only
+    /// the constant lane is re-laid.
+    fn append_routes(
+        &mut self,
+        tt: &Timetable,
+        routes: &Routes,
+        mut start: impl FnMut(ConnId, NodeId),
+    ) {
         let old = &*self.topo;
         let ns = self.num_stations as usize;
         let held = old.route_first_node.len();
@@ -224,25 +244,26 @@ impl TdGraph {
         consts.weight.extend_from_slice(&o.weight[lo as usize..]);
         // New route nodes: alight, then ride on over the hop's fresh PLF.
         let mut tds = old.kinds.tds.clone();
-        let conn_start = Arc::make_mut(&mut self.conn_start);
+        let mut plfs = Vec::new();
         for (r, &base) in routes.iter_routes().zip(&route_first_node).skip(held) {
+            let mut hops = route_plfs(tt, r).into_iter();
             for (j, &s) in r.stations.iter().enumerate() {
                 consts.push(s.idx(), 0);
                 consts.end_node();
-                if j < r.num_hops() {
-                    let plf = hop_plf(tt, r, j);
+                if let Some(plf) = hops.next() {
                     self.max_td_secs = self.max_td_secs.max(plf.max_dur().secs());
-                    tds.push(base.idx() + j + 1, self.plfs.len() as u32);
-                    self.plfs.push(Arc::new(plf));
+                    tds.push(base.idx() + j + 1, (self.plfs.len() + plfs.len()) as u32);
+                    plfs.push(Arc::new(plf));
                 }
                 tds.end_node();
             }
             for &t in &r.trains {
-                for (hop, &c) in tt.train_connections(t).iter().enumerate() {
-                    conn_start[c.idx()] = NodeId::from_idx(base.idx() + hop);
+                for (hop, c) in tt.train_connections(t).enumerate() {
+                    start(c, NodeId::from_idx(base.idx() + hop));
                 }
             }
         }
+        self.plfs.extend(plfs);
 
         self.topo = Arc::new(Topology {
             node_station,
@@ -274,18 +295,19 @@ impl TdGraph {
     ) {
         // conn_start entries move with their connections (the start node
         // depends only on the connection's train and hop). Copy-on-touch:
-        // the first write after a clone unshares the vector.
-        if !remapped.is_empty() {
-            let saved: Vec<NodeId> =
-                remapped.iter().map(|&(old, _)| self.conn_start[old.idx()]).collect();
-            let conn_start = Arc::make_mut(&mut self.conn_start);
-            for (&(_, new), node) in remapped.iter().zip(saved) {
-                conn_start[new.idx()] = node;
-            }
+        // the first write to a chunk after a clone unshares that chunk.
+        let saved: Vec<NodeId> =
+            remapped.iter().map(|&(old, _)| self.conn_start[old.idx()]).collect();
+        for (&(_, new), node) in remapped.iter().zip(saved) {
+            *self.conn_start.make_mut(new.idx()) = node;
         }
         // After the remap: appended routes read the patched timetable.
         if routes.len() > self.topo.route_first_node.len() {
-            self.append_routes(tt, routes);
+            let mut starts = Vec::new();
+            self.append_routes(tt, routes, |c, v| starts.push((c, v)));
+            for (c, v) in starts {
+                *self.conn_start.make_mut(c.idx()) = v;
+            }
         }
         // Rebuild the PLF of every hop of each touched route, *replacing*
         // the arena entry so snapshots sharing the old PLF are untouched.
@@ -299,23 +321,21 @@ impl TdGraph {
             );
             // A route's hop PLFs are contiguous in the arena, in hop order.
             let first_plf = self.topo.kinds.td_edges(base).1[0] as usize;
-            for hop in 0..info.num_hops() {
-                let plf = hop_plf(tt, info, hop);
+            for (hop, plf) in route_plfs(tt, info).into_iter().enumerate() {
                 // Keep the ring bound valid: the maximum only ever grows
                 // (shrinking would require a full rescan for no
                 // correctness gain — an oversized ring is still correct).
                 self.max_td_secs = self.max_td_secs.max(plf.max_dur().secs());
-                self.plfs[first_plf + hop] = Arc::new(plf);
+                *self.plfs.make_mut(first_plf + hop) = Arc::new(plf);
             }
             // A train the re-split moved between existing routes still
             // starts at its old route's nodes, on every hop: its first hop
             // tells.
             for &t in &info.trains {
                 let conns = tt.train_connections(t);
-                if self.conn_start[conns[0].idx()].idx() != base {
-                    let conn_start = Arc::make_mut(&mut self.conn_start);
-                    for (hop, &c) in conns.iter().enumerate() {
-                        conn_start[c.idx()] = NodeId::from_idx(base + hop);
+                if conns.clone().next().is_some_and(|c| self.conn_start[c.idx()].idx() != base) {
+                    for (hop, c) in conns.enumerate() {
+                        *self.conn_start.make_mut(c.idx()) = NodeId::from_idx(base + hop);
                     }
                 }
             }
@@ -400,8 +420,18 @@ impl TdGraph {
     /// `Arc` itself is shared. Diagnostics for the copy-on-write publish
     /// path.
     pub fn shared_plfs_with(&self, other: &TdGraph) -> (usize, bool) {
-        let plfs = self.plfs.iter().zip(&other.plfs).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        let plfs =
+            self.plfs.iter().zip(other.plfs.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
         (plfs, Arc::ptr_eq(&self.topo, &other.topo))
+    }
+
+    /// The `(spine, chunks)` bytes of the PLF arena and `conn_start` that
+    /// `self` does not share with `older` ([`CowChunks::unshared_bytes`]).
+    #[cfg(test)]
+    fn unshared_bytes(&self, older: &TdGraph) -> (usize, usize) {
+        let p = self.plfs.unshared_bytes(&older.plfs);
+        let c = self.conn_start.unshared_bytes(&older.conn_start);
+        (p.0 + c.0, p.1 + c.1)
     }
 
     /// The heap searches' one walk over the adjacency: `(head, arrival)`
@@ -544,6 +574,56 @@ mod tests {
             delay: Dur::minutes(minutes),
             recovery: pt_timetable::Recovery::None,
         }])
+    }
+
+    /// `k` disjoint copies of `tt` side by side: copy `i` shifts every
+    /// station by `i` times the station count and every train by `i` times
+    /// the train count, so copy 0 keeps every id and every index position.
+    fn replicated(tt: &Timetable, k: u32) -> Timetable {
+        let (n, z) = (tt.num_stations() as u32, tt.num_trains() as u32);
+        let stations = (0..k).flat_map(|_| tt.stations().iter().cloned()).collect();
+        let conns = (0..k)
+            .flat_map(|i| {
+                tt.connections().into_iter().map(move |c| pt_timetable::Connection {
+                    from: StationId(c.from.0 + i * n),
+                    to: StationId(c.to.0 + i * n),
+                    train: pt_core::TrainId(c.train.0 + i * z),
+                    ..c
+                })
+            })
+            .collect();
+        Timetable::new(tt.period(), stations, conns, k * z).unwrap()
+    }
+
+    /// The `(spine, chunks)` bytes that one fixed feed (train 0 runs 30 min
+    /// late) leaves unshared in the graph.
+    fn copied_by_one_feed(mut tt: Timetable) -> (usize, usize) {
+        let mut routes = Routes::partition(&tt);
+        let mut g = TdGraph::build(&tt, &routes);
+        let before = g.clone();
+        let patch = delay_train_0(&mut tt, 30);
+        assert!(!patch.remapped.is_empty(), "the feed must move connections in their buckets");
+        let touched = routes.repatch_feed(&tt, &patch);
+        g.repatch_routes(&tt, &routes, &touched, &patch.remapped);
+        g.unshared_bytes(&before)
+    }
+
+    /// A feed copies the chunks it writes and the spines, never a whole
+    /// array: on a network 4× as large, the same feed copies as many chunk
+    /// bytes of the PLF arena and `conn_start`, and only the spines grow.
+    #[test]
+    fn one_event_feed_copies_no_more_at_4x_than_the_spines() {
+        let tt = pt_timetable::synthetic::presets::germany_like(0.25).timetable;
+        let (spine, chunks) = copied_by_one_feed(tt.clone());
+        let (spine_4x, chunks_4x) = copied_by_one_feed(replicated(&tt, 4));
+        assert!(chunks > 0 && spine_4x > spine, "the feed copied nothing");
+        assert!(
+            spine_4x + chunks_4x <= spine + chunks + (spine_4x - spine),
+            "copied {} bytes at 1× and {} at 4×: more than the spines' growth of {}",
+            spine + chunks,
+            spine_4x + chunks_4x,
+            spine_4x - spine
+        );
     }
 
     #[test]

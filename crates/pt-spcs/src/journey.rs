@@ -126,17 +126,18 @@ pub fn earliest_journey(
         // or after our arrival time at v.
         let t_here = search.arrival[v.idx()];
         let hop = stop_v as usize;
+        let ridden = |z| {
+            let c = tt.train_connections(z).nth(hop).expect("every train of a route runs its hops");
+            tt.connection(c)
+        };
         let train = routes
             .route(route)
             .trains
             .iter()
             .copied()
-            .min_by_key(|&z| {
-                let c = tt.connection(tt.train_connections(z)[hop]);
-                period.delta(period.local(t_here), c.dep)
-            })
+            .min_by_key(|&z| period.delta(period.local(t_here), ridden(z).dep))
             .expect("route has trains");
-        let c = tt.connection(tt.train_connections(train)[hop]);
+        let c = ridden(train);
         let leg_dep = t_here + period.delta(period.local(t_here), c.dep);
         let leg_arr = leg_dep + c.dur();
         match legs.last_mut() {

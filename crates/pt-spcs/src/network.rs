@@ -241,10 +241,11 @@ impl Network {
     /// this for a copy that will be mutated independently (that is what
     /// [`Clone`] is for — it stamps a fresh epoch).
     ///
-    /// This is a *spine* clone: O(stations + routes + PLFs) refcount
-    /// bumps, no payload copies. The master unshares only the buckets,
-    /// route blocks and PLFs it rewrites on later feeds, so successive
-    /// snapshots share everything a feed did not touch.
+    /// It costs one refcount per array: every feed-patched index is a
+    /// [`pt_core::CowChunks`], so no element and no chunk is touched. The
+    /// master copies only the chunks (and the buckets, routes and PLFs) it
+    /// writes on later feeds, so successive snapshots share everything a
+    /// feed did not touch.
     pub(crate) fn clone_same_epoch(&self) -> Network {
         Network {
             timetable: self.timetable.clone(),
@@ -326,9 +327,11 @@ pub struct PublishOutcome {
     /// What the master network's [`Network::apply_feed`] did.
     pub summary: FeedSummary,
     /// Wall-clock nanoseconds to build and install the new snapshot: the
-    /// spine clone plus the pointer swap. The spine clone costs one
-    /// refcount per station bucket, per route and per hop, and copies no
-    /// payload. `0` when the feed was net-nil (nothing was published).
+    /// clone plus the pointer swap. The clone costs one refcount per array
+    /// (each is a [`pt_core::CowChunks`]) and copies nothing; the swap drops
+    /// the superseded snapshot if no reader pins it, which releases the
+    /// chunks only it held. `0` when the feed was net-nil (nothing was
+    /// published).
     pub publish_ns: u64,
     /// The snapshot published by this call, or `None` when the feed was
     /// net-nil and the previous snapshot remained current. Its table, if
@@ -342,7 +345,9 @@ pub struct PublishOutcome {
 /// feeds. A feed patches the private master copy and publishes the new
 /// state with a single atomic pointer swap — readers never observe a
 /// half-applied feed: every query's answer is exactly the pre-feed or
-/// post-feed state.
+/// post-feed state. The master and the snapshots share their indices in
+/// chunks ([`pt_core::CowChunks`]): a feed copies the chunks it writes, and
+/// a publish costs one refcount per array.
 ///
 /// With a distance table configured, the table is off the publish path: a
 /// feed hands the new snapshot to the network's one refresher thread,
@@ -428,9 +433,10 @@ impl ConcurrentNetwork {
 
     /// Applies a feed under snapshot isolation: patches the master copy
     /// ([`Network::apply_feed`]) and publishes the new state atomically.
-    /// The publish is a spine clone of the master: one refcount per
-    /// station bucket, per route and per hop, sharing every bucket, route
-    /// block and PLF the feed did not rewrite with the previous snapshot.
+    /// The patch copies, on its first write to each, the spine and the
+    /// chunks it writes of every array it writes. The publish is a clone
+    /// of the master, one refcount per array, sharing every chunk, bucket,
+    /// route and PLF the feed did not rewrite with the previous snapshot.
     /// With a table configured, the new snapshot is then handed to the
     /// refresher, which fills its table in the background; no row is
     /// recomputed here. Concurrent writers are serialized; concurrent

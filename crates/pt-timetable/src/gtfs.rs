@@ -324,15 +324,14 @@ pub fn save_dir(tt: &Timetable, dir: impl AsRef<Path>) -> Result<(), GtfsError> 
     for t in 0..tt.num_trains() {
         let train = pt_core::TrainId::from_idx(t);
         let conns = tt.train_connections(train);
-        if conns.is_empty() {
-            continue;
-        }
+        let Some(first) = conns.clone().next() else { continue };
         writeln!(trips_f, "r{},weekday,t{}", routes.route_of(train).idx(), t)?;
         // Reconstruct the absolute (arrival, departure) chain along the trip.
         let period = tt.period();
-        let mut dep_abs = tt.connection(conns[0]).dep;
+        let mut dep_abs = tt.connection(first).dep;
         let mut arr_abs = dep_abs; // arrival at the first stop = its departure
-        for (h, &cid) in conns.iter().enumerate() {
+        let hops = conns.len();
+        for (h, cid) in conns.enumerate() {
             let c = tt.connection(cid);
             writeln!(
                 stop_times,
@@ -344,7 +343,7 @@ pub fn save_dir(tt: &Timetable, dir: impl AsRef<Path>) -> Result<(), GtfsError> 
                 h + 1
             )?;
             arr_abs = dep_abs + c.dur();
-            if h + 1 == conns.len() {
+            if h + 1 == hops {
                 writeln!(
                     stop_times,
                     "t{},{},{},s{},{}",
@@ -355,7 +354,7 @@ pub fn save_dir(tt: &Timetable, dir: impl AsRef<Path>) -> Result<(), GtfsError> 
                     h + 2
                 )?;
             } else {
-                let next = tt.connection(conns[h + 1]);
+                let next = tt.connection(tt.train_conn(train, h + 1));
                 dep_abs = arr_abs + period.delta(period.local(arr_abs), next.dep);
             }
         }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use pt_core::{ConnId, Dur, Period, StationId, Time, TrainId};
+use pt_core::{ConnId, CowChunks, Dur, Period, StationId, Time, TrainId};
 
 use crate::delay::{effective_delay, DelayEvent, FeedPatch};
 
@@ -164,6 +164,16 @@ pub struct TimetableStats {
     pub conns_per_station: f64,
 }
 
+/// Buckets per chunk of [`Timetable`]'s bucket array. A feed re-sorts the
+/// buckets of the stations its trains depart from, which lie all over the
+/// array, so small chunks keep the copied chunks few elements long.
+const BUCKET_CHUNK: usize = 8;
+
+/// [`ConnId`]s per chunk of the train → connections index. Its writes are
+/// few (one per connection a re-sort moves), so a chunk of 2 KiB keeps the
+/// spine short and a copied chunk cheap.
+const TRAIN_CONN_CHUNK: usize = 512;
+
 /// One station's `conn(S)` slice together with the published (schedule)
 /// departure time of each of its connections — the unit of copy-on-write:
 /// a feed that delays a train copies exactly the buckets of the stations
@@ -194,10 +204,11 @@ pub struct Timetable {
     period: Period,
     stations: Arc<Vec<Station>>,
     num_trains: u32,
-    /// `conn(S)` buckets, one per station, individually shared (`Arc`) so
-    /// a clone is O(|S|) refcount bumps and a patch copies only the
-    /// buckets it rewrites ([`Arc::make_mut`]).
-    buckets: Vec<Arc<Bucket>>,
+    /// `conn(S)` buckets, one per station, each its own `Arc`, in a
+    /// [`CowChunks`]: a clone is one refcount, and a patch copies the
+    /// buckets it rewrites ([`Arc::make_mut`]) plus the chunks of the array
+    /// that hold them.
+    buckets: CowChunks<Arc<Bucket>, BUCKET_CHUNK>,
     /// `first_out[s] .. first_out[s+1]` is the global [`ConnId`] range of
     /// station `s`'s bucket. Immutable after validation.
     first_out: Arc<Vec<u32>>,
@@ -209,8 +220,9 @@ pub struct Timetable {
     train_first: Arc<Vec<u32>>,
     /// The one train → connections index: `train_conns[train_first[t] + h]`
     /// is hop `h` of train `t` (position = hop, validated in
-    /// [`Timetable::new`]). Follows every re-sort, copy-on-first-touch.
-    train_conns: Arc<Vec<ConnId>>,
+    /// [`Timetable::new`]). Follows every re-sort, copying the chunks it
+    /// writes.
+    train_conns: CowChunks<ConnId, TRAIN_CONN_CHUNK>,
     /// Monotonically-increasing update stamp, bumped by every in-place
     /// mutation ([`Timetable::patch_feed`]) that changes at least one
     /// connection time. Query caches key on it: a bumped generation
@@ -291,7 +303,7 @@ impl Timetable {
             first_out: Arc::new(first_out),
             conn_station: Arc::new(conn_station),
             train_first: Arc::new(train_first),
-            train_conns: Arc::new(train_conns),
+            train_conns: train_conns.into_iter().collect(),
             generation: 0,
         })
     }
@@ -347,7 +359,7 @@ impl Timetable {
         let pi = self.period.len() as u64;
         let mut deps: Vec<Vec<Time>> = feed_trains
             .iter()
-            .map(|&t| self.train_connections(t).iter().map(|&c| self.connection(c).dep).collect())
+            .map(|&t| self.train_connections(t).map(|c| self.connection(c).dep).collect())
             .collect();
         for ev in events {
             let s = feed_trains.binary_search(&ev.train()).expect("every feed train is indexed");
@@ -365,7 +377,7 @@ impl Timetable {
                     }
                 }
                 DelayEvent::Cancel { train } => {
-                    for (d, &c) in deps[s].iter_mut().zip(self.train_connections(train)) {
+                    for (d, c) in deps[s].iter_mut().zip(self.train_connections(train)) {
                         *d = self.scheduled_dep(c);
                     }
                 }
@@ -378,13 +390,13 @@ impl Timetable {
         for (&t, deps) in feed_trains.iter().zip(&deps) {
             let mut train_changed = false;
             for (hop, &new_dep) in deps.iter().enumerate() {
-                let ci = self.train_connections(t)[hop].idx();
+                let ci = self.train_conn(t, hop).idx();
                 if self.conn_at(ci).dep != new_dep {
                     let st = self.conn_station[ci].idx();
                     let lo = self.first_out[st] as usize;
                     // Copy-on-touch: the first write to a shared bucket
                     // clones it; every untouched bucket stays shared.
-                    let c = &mut Arc::make_mut(&mut self.buckets[st]).conns[ci - lo];
+                    let c = &mut Arc::make_mut(self.buckets.make_mut(st)).conns[ci - lo];
                     let dur = c.dur();
                     c.dep = new_dep;
                     c.arr = new_dep + dur;
@@ -415,7 +427,7 @@ impl Timetable {
             let lo = self.first_out[s.idx()] as usize;
             // The bucket was already unshared by the write-back above, so
             // this `make_mut` is a plain `&mut` in the common case.
-            let b = Arc::make_mut(&mut self.buckets[s.idx()]);
+            let b = Arc::make_mut(self.buckets.make_mut(s.idx()));
             let mut tagged: Vec<(Connection, Time, u32)> = b
                 .conns
                 .iter()
@@ -436,9 +448,10 @@ impl Timetable {
                     remapped.push((ConnId(old), ConnId(new)));
                     // Position = hop, so the index follows a move with one
                     // write and no search — also when ids swap inside one
-                    // train's slice. Copies on the first move after a clone.
+                    // train's slice. Copies a chunk on its first move after
+                    // a clone.
                     let slot = self.train_first[c.train.idx()] as usize + c.seq as usize;
-                    Arc::make_mut(&mut self.train_conns)[slot] = ConnId(new);
+                    *self.train_conns.make_mut(slot) = ConnId(new);
                 }
             }
         }
@@ -503,7 +516,7 @@ impl Timetable {
     /// [`Timetable::connection`], which borrow straight from a bucket.
     pub fn connections(&self) -> Vec<Connection> {
         let mut out = Vec::with_capacity(self.num_connections());
-        for b in &self.buckets {
+        for b in self.buckets.iter() {
             out.extend_from_slice(&b.conns);
         }
         out
@@ -515,15 +528,27 @@ impl Timetable {
         self.conn_at(c.idx())
     }
 
-    /// The connections of train `t` ordered by hop index (entry `h` is hop
+    /// The connections of train `t` ordered by hop index (item `h` is hop
     /// `h`); empty for a train the timetable does not know.
     #[inline]
-    pub fn train_connections(&self, t: TrainId) -> &[ConnId] {
-        if t.0 >= self.num_trains {
-            return &[];
-        }
-        let (lo, hi) = (self.train_first[t.idx()], self.train_first[t.idx() + 1]);
-        &self.train_conns[lo as usize..hi as usize]
+    pub fn train_connections(
+        &self,
+        t: TrainId,
+    ) -> impl ExactSizeIterator<Item = ConnId> + DoubleEndedIterator + Clone + '_ {
+        let (lo, hi) = if t.0 < self.num_trains {
+            (self.train_first[t.idx()], self.train_first[t.idx() + 1])
+        } else {
+            (0, 0)
+        };
+        (lo as usize..hi as usize).map(|slot| self.train_conns[slot])
+    }
+
+    /// Hop `hop` of train `t`. Panics if the train has no such hop.
+    #[inline]
+    pub(crate) fn train_conn(&self, t: TrainId, hop: usize) -> ConnId {
+        let (lo, hi) = (self.train_first[t.idx()] as usize, self.train_first[t.idx() + 1] as usize);
+        assert!(lo + hop < hi, "train {t} has no hop {hop}");
+        self.train_conns[lo + hop]
     }
 
     /// `conn(S)`: the outgoing connections of `s`, ordered non-decreasingly
@@ -549,7 +574,16 @@ impl Timetable {
     /// copy-on-write publish path: after a clone this is `|S|`; after a
     /// feed it drops by exactly the number of touched buckets.
     pub fn shared_buckets_with(&self, other: &Timetable) -> usize {
-        self.buckets.iter().zip(&other.buckets).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.buckets.iter().zip(other.buckets.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// The `(spine, chunks)` bytes of the bucket array and the train index
+    /// that `self` does not share with `older` ([`CowChunks::unshared_bytes`]).
+    #[cfg(test)]
+    pub(crate) fn unshared_bytes(&self, older: &Timetable) -> (usize, usize) {
+        let b = self.buckets.unshared_bytes(&older.buckets);
+        let t = self.train_conns.unshared_bytes(&older.train_conns);
+        (b.0 + t.0, b.1 + t.1)
     }
 
     /// Summary statistics.
@@ -643,7 +677,7 @@ mod tests {
     /// `train_connections(t)[h]` is the connection `(t, h)` for every train.
     fn assert_index_exact(tt: &Timetable) {
         for t in (0..tt.num_trains()).map(TrainId::from_idx) {
-            for (h, &c) in tt.train_connections(t).iter().enumerate() {
+            for (h, c) in tt.train_connections(t).enumerate() {
                 let c = tt.connection(c);
                 assert_eq!((c.train, c.seq as usize), (t, h));
             }
@@ -685,7 +719,7 @@ mod tests {
             assert_eq!(tt.train_conns, fresh.train_conns);
         }
         assert!(moved > 0, "no feed renumbered a connection: the follow-up never ran");
-        assert!(tt.train_connections(TrainId(trains)).is_empty(), "unknown train");
+        assert_eq!(tt.train_connections(TrainId(trains)).count(), 0, "unknown train");
     }
 
     #[test]
@@ -705,7 +739,7 @@ mod tests {
         };
         let conns = vec![hop(0, 0, 1, at(8, 0)), hop(1, 1, 0, at(8, 30)), hop(2, 0, 2, at(9, 0))];
         let mut tt = Timetable::new(Period::DAY, stations(3), conns, 1).unwrap();
-        let before = tt.train_connections(TrainId(0)).to_vec();
+        let before: Vec<ConnId> = tt.train_connections(TrainId(0)).collect();
         let patch = tt.patch_feed(&[DelayEvent::Delay {
             train: TrainId(0),
             from_hop: 0,
@@ -714,7 +748,7 @@ mod tests {
         }]);
         let (a, b) = (before[0], before[2]);
         assert_eq!(patch.remapped, vec![(b, a), (a, b)]);
-        assert_eq!(tt.train_connections(TrainId(0)), [b, before[1], a]);
+        assert!(tt.train_connections(TrainId(0)).eq([b, before[1], a]));
         assert_index_exact(&tt);
     }
 

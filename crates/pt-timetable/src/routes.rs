@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pt_core::{RouteId, StationId, Time, TrainId};
+use pt_core::{CowChunks, RouteId, StationId, Time, TrainId};
 
 use crate::delay::FeedPatch;
 use crate::model::Timetable;
@@ -58,23 +58,34 @@ impl RouteInfo {
     }
 }
 
+/// Routes per chunk of [`Routes`]' route array. A feed rewrites the few
+/// routes its trains ride, one element each, so a chunk a little longer
+/// than the spine it saves is the cheaper copy.
+const ROUTE_CHUNK: usize = 32;
+
+/// Elements per chunk of the `u32`-sized arrays (route → class,
+/// train → route): written only when a re-split moves a train or appends
+/// a route, so a chunk of 2 KiB keeps the spine short.
+const WORD_CHUNK: usize = 512;
+
 /// The route partition of a timetable.
 ///
-/// Every route is individually `Arc`-shared so a clone is O(routes)
-/// refcount bumps and a re-split ([`Routes::repatch_feed`],
-/// [`Routes::refit`]) copies-on-write only the routes whose trains it
-/// changes — the rest stays physically shared with any snapshot cloned
-/// earlier. Which connection is hop `h` of train `t` is the timetable's
-/// business ([`Timetable::train_connections`]); every method that needs it
-/// takes `tt`.
+/// All three arrays are [`CowChunks`], and every route is its own `Arc`
+/// inside its chunk, so a clone is three refcounts and a re-split
+/// ([`Routes::repatch_feed`], [`Routes::refit`]) copies only the routes
+/// whose trains it changes and the chunks holding them — the rest stays
+/// physically shared with any snapshot cloned earlier. Which connection is
+/// hop `h` of train `t` is the timetable's business
+/// ([`Timetable::train_connections`]); every method that needs it takes
+/// `tt`.
 #[derive(Debug, Clone)]
 pub struct Routes {
-    routes: Vec<Arc<RouteInfo>>,
+    routes: CowChunks<Arc<RouteInfo>, ROUTE_CHUNK>,
     /// Class (stop sequence) of each route, indexed by [`RouteId`]: a
     /// class's routes are the ids with its number, in id order.
-    class: Vec<u32>,
+    class: CowChunks<u32, WORD_CHUNK>,
     /// Route of each train, indexed by [`TrainId`].
-    train_route: Arc<Vec<RouteId>>,
+    train_route: CowChunks<RouteId, WORD_CHUNK>,
 }
 
 impl Routes {
@@ -85,27 +96,33 @@ impl Routes {
         // Group trains by stop sequence (BTreeMap for determinism).
         let mut groups: BTreeMap<Vec<StationId>, Vec<TrainId>> = BTreeMap::new();
         for t in (0..tt.num_trains()).map(TrainId::from_idx) {
-            let conns = tt.train_connections(t);
-            let Some(&first) = conns.first() else { continue };
-            debug_assert!(
-                conns.windows(2).all(|w| tt.connection(w[0]).to == tt.connection(w[1]).from),
-                "train journey is not contiguous"
-            );
-            let mut seq = Vec::with_capacity(conns.len() + 1);
-            seq.push(tt.connection(first).from);
-            seq.extend(conns.iter().map(|&c| tt.connection(c).to));
+            let mut conns = tt.train_connections(t).map(|c| tt.connection(c));
+            let Some(first) = conns.next() else { continue };
+            let mut seq = Vec::with_capacity(conns.len() + 2);
+            seq.extend([first.from, first.to]);
+            for c in conns {
+                debug_assert_eq!(seq.last(), Some(&c.from), "train journey is not contiguous");
+                seq.push(c.to);
+            }
             groups.entry(seq).or_default().push(t);
         }
 
-        let mut routes = Routes {
-            routes: Vec::new(),
-            class: Vec::new(),
-            train_route: Arc::new(vec![RouteId(u32::MAX); tt.num_trains()]),
-        };
+        // Every class's subroutes are new routes: built in plain vectors.
+        let (mut routes, mut class) = (Vec::new(), Vec::new());
+        let mut train_route = vec![RouteId(u32::MAX); tt.num_trains()];
         for (c, (stations, trains)) in groups.into_iter().enumerate() {
-            routes.fit_class(tt, c as u32, &stations, Vec::new(), trains);
+            for members in split_fifo(tt, trains) {
+                let r = RouteId::from_idx(routes.len());
+                members.iter().for_each(|t| train_route[t.idx()] = r);
+                routes.push(Arc::new(RouteInfo { stations: stations.clone(), trains: members }));
+                class.push(c as u32);
+            }
         }
-        routes
+        Routes {
+            routes: routes.into_iter().collect(),
+            class: class.into_iter().collect(),
+            train_route: train_route.into_iter().collect(),
+        }
     }
 
     /// Iterates over all routes in [`RouteId`] order.
@@ -143,7 +160,17 @@ impl Routes {
     /// path, the route-level analogue of
     /// [`Timetable::shared_buckets_with`].
     pub fn shared_routes_with(&self, other: &Routes) -> usize {
-        self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.routes.iter().zip(other.routes.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// The `(spine, chunks)` bytes of the three arrays that `self` does not
+    /// share with `older` ([`CowChunks::unshared_bytes`]).
+    #[cfg(test)]
+    fn unshared_bytes(&self, older: &Routes) -> (usize, usize) {
+        let r = self.routes.unshared_bytes(&older.routes);
+        let c = self.class.unshared_bytes(&older.class);
+        let t = self.train_route.unshared_bytes(&older.train_route);
+        (r.0 + c.0 + t.0, r.1 + c.1 + t.1)
     }
 
     /// Follows a [`Timetable::patch_feed`]: [`Routes::refit`]s every route
@@ -187,8 +214,7 @@ impl Routes {
         rewrite
     }
 
-    /// The one greedy split: orders the `trains` of class `c` (stop
-    /// sequence `stations`) by [`first_departure`], splits them with
+    /// Re-splits the `trains` of class `c` (stop sequence `stations`) with
     /// [`split_fifo`] and lays the subroutes on the class's `ids` in order,
     /// appending the ids missing and emptying the ids left over. Returns
     /// the given ids whose trains changed.
@@ -198,10 +224,9 @@ impl Routes {
         c: u32,
         stations: &[StationId],
         mut ids: Vec<RouteId>,
-        mut trains: Vec<TrainId>,
+        trains: Vec<TrainId>,
     ) -> Vec<RouteId> {
-        trains.sort_unstable_by_key(|&t| first_departure(tt, t));
-        let subroutes = split_fifo(tt, &trains);
+        let subroutes = split_fifo(tt, trains);
         let held = ids.len();
         for _ in held..subroutes.len() {
             ids.push(RouteId::from_idx(self.routes.len()));
@@ -217,10 +242,10 @@ impl Routes {
             }
             for &t in &members {
                 if self.train_route[t.idx()] != r {
-                    Arc::make_mut(&mut self.train_route)[t.idx()] = r;
+                    *self.train_route.make_mut(t.idx()) = r;
                 }
             }
-            Arc::make_mut(&mut self.routes[r.idx()]).trains = members;
+            Arc::make_mut(self.routes.make_mut(r.idx())).trains = members;
             if k < held {
                 changed.push(r);
             }
@@ -246,7 +271,7 @@ impl Routes {
         for hop in 0..info.num_hops() {
             legs.clear();
             legs.extend(info.trains.iter().map(|&t| {
-                let c = tt.connection(tt.train_connections(t)[hop]);
+                let c = tt.connection(tt.train_conn(t, hop));
                 (c.dep, c.arr)
             }));
             // Checked in *train order*, not sorted: sorting per hop would
@@ -280,23 +305,26 @@ impl Routes {
 
 /// The order of a route's trains: departure at the first stop, then id.
 fn first_departure(tt: &Timetable, t: TrainId) -> (Time, TrainId) {
-    (tt.connection(tt.train_connections(t)[0]).dep, t)
+    (tt.connection(tt.train_conn(t, 0)).dep, t)
 }
 
-/// Greedy first-fit split of `trains` — one stop sequence, ordered by
-/// [`first_departure`] — into overtaking- and co-dwell-free subroutes, each
-/// keeping that order.
-fn split_fifo(tt: &Timetable, trains: &[TrainId]) -> Vec<Vec<TrainId>> {
+/// The one greedy split, of the static partition and of every feed: orders
+/// `trains` — one stop sequence — by [`first_departure`] and splits them
+/// first-fit into overtaking- and co-dwell-free subroutes, each keeping
+/// that order.
+fn split_fifo(tt: &Timetable, trains: Vec<TrainId>) -> Vec<Vec<TrainId>> {
+    // Each key once, not once per comparison.
+    let mut keyed: Vec<(Time, TrainId)> =
+        trains.into_iter().map(|t| first_departure(tt, t)).collect();
+    keyed.sort_unstable();
     // Per subroute: its trains, and the per-hop (dep, arr) legs of its
     // first and of its last train — all that `fits` reads.
     type Subroute = (Vec<TrainId>, Vec<(Time, Time)>, Vec<(Time, Time)>);
     let mut subroutes: Vec<Subroute> = Vec::new();
     let mut legs = Vec::new();
-    for &t in trains {
+    for (_, t) in keyed {
         legs.clear();
-        legs.extend(
-            tt.train_connections(t).iter().map(|&c| tt.connection(c)).map(|c| (c.dep, c.arr)),
-        );
+        legs.extend(tt.train_connections(t).map(|c| tt.connection(c)).map(|c| (c.dep, c.arr)));
         match subroutes
             .iter_mut()
             .find(|(_, first, last)| fits(first, last, &legs, tt.period().len()))
@@ -433,8 +461,8 @@ mod tests {
         let tt = b.build().unwrap();
         let routes = Routes::partition(&tt);
         let conns = tt.train_connections(TrainId(0));
-        assert_eq!(conns.len(), 3);
-        for (h, &c) in conns.iter().enumerate() {
+        assert_eq!(conns.clone().count(), 3);
+        for (h, c) in conns.enumerate() {
             assert_eq!(tt.connection(c).seq as usize, h);
             assert_eq!(tt.connection(c).from, s[h]);
         }
@@ -455,7 +483,7 @@ mod tests {
         routes.repatch_feed(&tt, &patch);
         // train_connections point at the right (train, hop) again.
         for t in [TrainId(0), TrainId(1)] {
-            for (h, &c) in tt.train_connections(t).iter().enumerate() {
+            for (h, c) in tt.train_connections(t).enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }
@@ -530,7 +558,7 @@ mod tests {
         // Per-train lists point at the right (train, hop) again, and every
         // touched route's trains are re-sorted by first-stop departure.
         for t in [TrainId(0), TrainId(1), TrainId(2)] {
-            for (h, &c) in tt.train_connections(t).iter().enumerate() {
+            for (h, c) in tt.train_connections(t).enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }
@@ -587,6 +615,55 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(Routes::partition(&b.build().unwrap()).len(), 2);
+    }
+
+    /// `k` disjoint copies of `tt` side by side: copy `i` shifts every
+    /// station by `i` times the station count and every train by `i` times
+    /// the train count, so copy 0 keeps every id and every index position.
+    fn replicated(tt: &Timetable, k: u32) -> Timetable {
+        let (n, z) = (tt.num_stations() as u32, tt.num_trains() as u32);
+        let stations = (0..k).flat_map(|_| tt.stations().iter().cloned()).collect();
+        let conns = (0..k)
+            .flat_map(|i| {
+                tt.connections().into_iter().map(move |c| crate::Connection {
+                    from: StationId(c.from.0 + i * n),
+                    to: StationId(c.to.0 + i * n),
+                    train: TrainId(c.train.0 + i * z),
+                    ..c
+                })
+            })
+            .collect();
+        Timetable::new(tt.period(), stations, conns, k * z).unwrap()
+    }
+
+    /// The `(spine, chunks)` bytes that one fixed feed (train 0 runs 30 min
+    /// late) leaves unshared in the timetable and the route partition.
+    fn copied_by_one_feed(mut tt: Timetable) -> (usize, usize) {
+        let mut routes = Routes::partition(&tt);
+        let (tt0, routes0) = (tt.clone(), routes.clone());
+        let patch = tt.patch_feed(&[late(0, 30)]);
+        assert!(!patch.remapped.is_empty(), "the feed must move connections in their buckets");
+        routes.repatch_feed(&tt, &patch);
+        let (t, r) = (tt.unshared_bytes(&tt0), routes.unshared_bytes(&routes0));
+        (t.0 + r.0, t.1 + r.1)
+    }
+
+    /// A feed copies the chunks it writes and the spines, never a whole
+    /// array: on a network 4× as large, the same feed copies as many chunk
+    /// bytes, and only the spines grow.
+    #[test]
+    fn one_event_feed_copies_no_more_at_4x_than_the_spines() {
+        let tt = crate::synthetic::presets::germany_like(0.25).timetable;
+        let (spine, chunks) = copied_by_one_feed(tt.clone());
+        let (spine_4x, chunks_4x) = copied_by_one_feed(replicated(&tt, 4));
+        assert!(chunks > 0 && spine_4x > spine, "the feed copied nothing");
+        assert!(
+            spine_4x + chunks_4x <= spine + chunks + (spine_4x - spine),
+            "copied {} bytes at 1× and {} at 4×: more than the spines' growth of {}",
+            spine + chunks,
+            spine_4x + chunks_4x,
+            spine_4x - spine
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use best_connections::prelude::*;
 use best_connections::timetable::synthetic::city::{generate_city, CityConfig};
+use best_connections::timetable::{Connection, RouteInfo};
 use pt_bench::random_feed;
 
 proptest! {
@@ -206,4 +207,76 @@ fn table_rows_unshare_exactly_when_rewritten() {
             assert_eq!(pinned_table.profile(a, b), reference.profile(a, b), "D({a}, {b})");
         }
     }
+}
+
+/// Everything a snapshot's copy-on-write indices hold, copied out element
+/// by element into vectors that share nothing.
+#[derive(Debug, PartialEq)]
+struct DeepCopy {
+    conns: Vec<Connection>,
+    sched: Vec<Time>,
+    train_conns: Vec<Vec<ConnId>>,
+    routes: Vec<RouteInfo>,
+    route_of: Vec<RouteId>,
+    /// Per node: each hop edge's head and PLF.
+    hops: Vec<Vec<(u32, Profile)>>,
+    starts: Vec<NodeId>,
+}
+
+impl DeepCopy {
+    fn of(net: &Network) -> DeepCopy {
+        let (tt, g) = (net.timetable(), net.graph());
+        let trains = (0..tt.num_trains()).map(TrainId::from_idx);
+        let ids = (0..tt.num_connections()).map(ConnId::from_idx);
+        let hops = |v| {
+            let (heads, plfs) = g.kind_csr().td_edges(v);
+            heads.iter().zip(plfs).map(|(&w, &p)| (w, g.plf(p).clone())).collect()
+        };
+        DeepCopy {
+            conns: tt.connections(),
+            sched: ids.clone().map(|c| tt.scheduled_dep(c)).collect(),
+            train_conns: trains.clone().map(|t| tt.train_connections(t).collect()).collect(),
+            routes: net.routes().iter_routes().cloned().collect(),
+            route_of: trains.map(|t| net.routes().route_of(t)).collect(),
+            hops: (0..g.num_nodes()).map(hops).collect(),
+            starts: ids.map(|c| g.conn_start_node(c)).collect(),
+        }
+    }
+}
+
+/// A pinned snapshot stays element-for-element equal to a deep copy taken
+/// before a feed that re-splits a route, appends to the route and PLF
+/// arrays, and re-sorts buckets all over the network, rewriting chunked
+/// indices on both sides of a chunk boundary.
+#[test]
+fn pinned_snapshot_equals_its_deep_copy_across_a_resplitting_feed() {
+    let cnet = ConcurrentNetwork::new(Network::new(generate_city(&CityConfig::sized(40, 5, 7))));
+    let pinned = cnet.snapshot();
+    let copy = DeepCopy::of(&pinned);
+    assert!(copy.conns.len() > 2048, "too few connections to span chunks");
+
+    // Train `a` lands on the departure of the next train of its route,
+    // which splits the route; every fourth other train runs 7 min late.
+    let tt = pinned.timetable();
+    let route = pinned.routes().iter_routes().find(|r| r.trains.len() >= 2).expect("a busy route");
+    let (a, b) = (route.trains[0], route.trains[1]);
+    let first_dep = |t| tt.connection(tt.train_connections(t).next().expect("a hop")).dep;
+    let late =
+        |train, delay| DelayEvent::Delay { train, from_hop: 0, delay, recovery: Recovery::None };
+    let mut feed = vec![late(a, first_dep(b) - first_dep(a))];
+    let others = (0..tt.num_trains() as u32).step_by(4).map(TrainId).filter(|&t| t != a && t != b);
+    feed.extend(others.map(|t| late(t, Dur::minutes(7))));
+    let outcome = cnet.apply_feed(&feed);
+    assert!(outcome.summary.refit_routes > 0, "the feed must re-split a route");
+
+    // Connections moved in two adjacent 512-blocks: every chunk length
+    // divides 512, so their writes straddle a chunk boundary.
+    let fed = cnet.snapshot();
+    let moved: Vec<usize> = (0..copy.conns.len())
+        .filter(|&i| *fed.timetable().connection(ConnId::from_idx(i)) != copy.conns[i])
+        .collect();
+    assert!(moved.windows(2).any(|w| w[0] / 512 + 1 == w[1] / 512), "no boundary straddled");
+
+    assert_ne!(DeepCopy::of(&fed), copy, "the feed changed nothing");
+    assert!(DeepCopy::of(&pinned) == copy, "a feed on the master leaked into the pinned snapshot");
 }
