@@ -93,7 +93,7 @@ pub struct DistanceTable {
 
 /// The transfer stations of a table and their lookups, invariant under
 /// refresh: what a [`ConcurrentNetwork`](crate::ConcurrentNetwork)'s
-/// refresher keeps to fill later snapshots, without keeping any rows.
+/// refresher keeps to fill every snapshot, without keeping any rows.
 #[derive(Debug)]
 pub(crate) struct TransferSet {
     period: Period,
@@ -107,6 +107,16 @@ pub(crate) struct TransferSet {
 }
 
 impl TransferSet {
+    /// The lookups over `stations` (sorted, deduped) of `net`.
+    pub(crate) fn new(net: &Network, stations: Vec<StationId>) -> TransferSet {
+        let mut index = vec![u32::MAX; net.num_stations()];
+        for (i, s) in stations.iter().enumerate() {
+            index[s.idx()] = i as u32;
+        }
+        let mask = index.iter().map(|&i| i != u32::MAX).collect();
+        TransferSet { period: net.timetable().period(), stations, index, mask }
+    }
+
     /// The table over these stations, exact for `net`: one sequential
     /// SPCS per source on `engine`, which batches the sources over its
     /// threads.
@@ -139,13 +149,7 @@ impl DistanceTable {
 
     /// Precomputes the table for an explicit (sorted, deduped) station set.
     pub fn build_for(net: &Network, stations: Vec<StationId>) -> DistanceTable {
-        let mut index = vec![u32::MAX; net.num_stations()];
-        for (i, s) in stations.iter().enumerate() {
-            index[s.idx()] = i as u32;
-        }
-        let mask = index.iter().map(|&i| i != u32::MAX).collect();
-        let period = net.timetable().period();
-        Arc::new(TransferSet { period, stations, index, mask }).table_for(net, build_engine())
+        Arc::new(TransferSet::new(net, stations)).table_for(net, build_engine())
     }
 
     /// Reconciles the table with a network that was mutated by delay feeds
@@ -169,11 +173,6 @@ impl DistanceTable {
                 Ok(self.len())
             }
         }
-    }
-
-    /// The stations, index and mask of this table, shared with it.
-    pub(crate) fn transfer_set(&self) -> Arc<TransferSet> {
-        Arc::clone(&self.set)
     }
 
     /// `Ok` iff this table was built (or last [`DistanceTable::refresh`]ed)
@@ -413,12 +412,21 @@ mod tests {
         assert!(table.refresh(&net).unwrap() > 0, "the feed must rewrite rows");
         assert_eq!(table.transfer_mask().as_ptr(), built);
 
-        // And behind every snapshot a ConcurrentNetwork publishes.
+        // And behind every snapshot a ConcurrentNetwork publishes, the
+        // initial one included, whose table the refresher fills too.
         let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.2));
-        let first = cnet.snapshot();
+        let first = cnet.wait_for_table().expect("no fill panics");
+        let initial = first.table().unwrap();
+        assert!(initial.check_fresh(&first).is_ok());
+        let rebuilt = DistanceTable::build_for(&first, initial.stations().to_vec());
+        for &a in initial.stations() {
+            for &b in initial.stations() {
+                assert_eq!(initial.profile(a, b), rebuilt.profile(a, b), "initial {a}→{b}");
+            }
+        }
         for train in [1, 2] {
             let published = cnet.apply_feed(&[delay(train)]).published.expect("a changing feed");
-            let filled = cnet.wait_for_table();
+            let filled = cnet.wait_for_table().expect("no fill panics");
             assert!(Arc::ptr_eq(&filled, &published), "publish {train} must be filled");
             let table = filled.table().unwrap();
             assert!(table.check_fresh(&filled).is_ok());

@@ -23,12 +23,12 @@
 //! * **Border sets.** Per shard, one full one-to-all [`ProfileSet`] from
 //!   every border alias it hosts, built with the same batched engine as
 //!   the distance tables. The sets live on the shard's
-//!   [`NetworkSnapshot`] they are exact for: the gateway's build fills the
-//!   initial snapshots, and the first stitch that pins a later snapshot
-//!   fills it (concurrent stitches wait on the same `OnceLock`). A feed
-//!   publishes a new snapshot of the fed shard only, so only that shard's
-//!   border sets are rebuilt; an old snapshot drops its sets with its last
-//!   pin.
+//!   [`NetworkSnapshot`] they are exact for: the first stitch that pins a
+//!   snapshot fills it, the initial snapshots like every later one
+//!   (concurrent stitches wait on the same `OnceLock`), so the gateway's
+//!   build computes no row. A feed publishes a new snapshot of the fed
+//!   shard only, so only that shard's border sets are rebuilt; an old
+//!   snapshot drops its sets with its last pin.
 //! * **The stitch.** A label-correcting fixpoint over the alias groups:
 //!   seed every group with the source's profile to it, relax
 //!   border → border links through each shard's border sets until nothing
@@ -85,9 +85,9 @@ pub(crate) struct Gateway {
     /// Per shard: `(local border id, group index)`, sorted by local id; a
     /// snapshot's border sets are in this order.
     per_shard: Vec<Vec<(StationId, u32)>>,
-    /// Per shard: cumulative border rows built for snapshots after the
-    /// build-time fill — the observable for per-shard scope tests and
-    /// bench reporting.
+    /// Per shard: cumulative border rows built, for every snapshot some
+    /// stitch pinned — the observable for per-shard scope tests and bench
+    /// reporting.
     rows_refreshed: Vec<AtomicU64>,
 }
 
@@ -99,16 +99,17 @@ pub struct GatewayStats {
     pub groups: usize,
     /// Per shard: how many of its stations are border aliases.
     pub borders_per_shard: Vec<usize>,
-    /// Per shard: cumulative border rows built after the build-time fill:
-    /// the shard's border count for each later snapshot of it that some
-    /// stitch pinned. A snapshot no stitch pins costs no rows, so under
+    /// Per shard: cumulative border rows built: the shard's border count
+    /// for each snapshot of it that some stitch pinned, the initial one
+    /// included. A snapshot no stitch pins costs no rows, so under
     /// concurrent readers the count depends on when stitches pin.
     pub rows_refreshed: Vec<u64>,
 }
 
 impl Gateway {
-    /// Builds the gateway over resolved alias groups and fills the border
-    /// sets of the given (freshly pinned) initial snapshots.
+    /// Builds the gateway over resolved alias groups, checked against the
+    /// given (freshly pinned) initial snapshots. It fills no border set:
+    /// the first stitch that pins a snapshot builds that snapshot's sets.
     ///
     /// # Panics
     ///
@@ -149,11 +150,7 @@ impl Gateway {
             );
         }
         let rows_refreshed = snaps.iter().map(|_| AtomicU64::new(0)).collect();
-        let gateway = Gateway { period, groups, per_shard, rows_refreshed };
-        for (idx, snap) in snaps.iter().enumerate() {
-            snap.border_sets.get_or_init(|| gateway.build_sets(idx, snap));
-        }
-        gateway
+        Gateway { period, groups, per_shard, rows_refreshed }
     }
 
     /// Resolves [`BorderSpec::ByName`] against the shard snapshots: every
@@ -198,17 +195,11 @@ impl Gateway {
         self.border_index(shard, local).map(|i| self.per_shard[shard][i].1 as usize)
     }
 
-    /// The one-to-all sets from shard `idx`'s borders on `snap`, in
-    /// `per_shard` order.
-    fn build_sets(&self, idx: usize, snap: &NetworkSnapshot) -> Vec<Arc<ProfileSet>> {
-        let borders: Vec<StationId> = self.per_shard[idx].iter().map(|&(b, _)| b).collect();
-        build_engine().many_to_all(snap.network(), &borders)
-    }
-
     /// Every shard's border sets on the given snapshots (one consistent
-    /// cut — the snapshots were pinned up front by the caller). A snapshot
-    /// no stitch has pinned yet gets its sets built (every border row) and
-    /// keeps them; concurrent callers wait for that one build.
+    /// cut — the snapshots were pinned up front by the caller), in
+    /// `per_shard` order. A snapshot no stitch has pinned yet gets its sets
+    /// built (every border row) and keeps them; concurrent callers wait for
+    /// that one build.
     pub(crate) fn sets_for<'s>(
         &self,
         snaps: &'s [Arc<NetworkSnapshot>],
@@ -218,9 +209,10 @@ impl Gateway {
             .enumerate()
             .map(|(idx, snap)| {
                 let sets = snap.border_sets.get_or_init(|| {
-                    let rows = self.per_shard[idx].len() as u64;
-                    self.rows_refreshed[idx].fetch_add(rows, Ordering::Relaxed);
-                    self.build_sets(idx, snap)
+                    let borders: Vec<StationId> =
+                        self.per_shard[idx].iter().map(|&(b, _)| b).collect();
+                    self.rows_refreshed[idx].fetch_add(borders.len() as u64, Ordering::Relaxed);
+                    build_engine().many_to_all(snap.network(), &borders)
                 });
                 sets.as_slice()
             })

@@ -98,7 +98,9 @@ pub use distance_table::{DistanceTable, StaleTable};
 pub use gateway::{BorderSpec, GatewayStats};
 pub use journey::{earliest_journey, Journey, Leg};
 pub use kernel::KernelMode;
-pub use network::{ConcurrentNetwork, FeedSummary, Network, NetworkSnapshot, PublishOutcome};
+pub use network::{
+    ConcurrentNetwork, FeedSummary, FillFailed, Network, NetworkSnapshot, PublishOutcome,
+};
 pub use parallel::OneToAllResult;
 pub use partition::PartitionStrategy;
 pub use profile_set::ProfileSet;

@@ -2,7 +2,9 @@
 //! snapshot-isolated concurrent wrapper ([`ConcurrentNetwork`]) a live
 //! service queries while a feed stream mutates it.
 
+use std::fmt;
 use std::ops::Deref;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -257,6 +259,30 @@ impl Network {
     }
 }
 
+/// The refresher's fill of one snapshot's [`DistanceTable`] panicked. The
+/// snapshot stays without a table, so station-to-station queries on it run
+/// the stopping criterion alone (exact, only unpruned); the refresher lives
+/// on and fills the snapshots published after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillFailed {
+    /// `(Network::epoch, Network::generation)` of the snapshot whose fill
+    /// failed.
+    pub snapshot: (u64, u64),
+}
+
+impl fmt::Display for FillFailed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the distance-table fill for network (epoch, generation) {:?} panicked; that \
+             snapshot answers station-to-station queries unpruned",
+            self.snapshot
+        )
+    }
+}
+
+impl std::error::Error for FillFailed {}
+
 /// One immutable published state of a [`ConcurrentNetwork`]: the network
 /// plus, if configured, the [`DistanceTable`] exact for that state (transfer
 /// mask included) once the refresher has filled it. Readers pin a snapshot
@@ -270,14 +296,15 @@ impl Network {
 #[derive(Debug)]
 pub struct NetworkSnapshot {
     net: Network,
-    /// Set once, for exactly this state: at construction for the initial
-    /// snapshot, by the refresher for a published one — or never, for a
-    /// snapshot superseded before its fill started.
-    table: OnceLock<DistanceTable>,
+    /// Set once, for exactly this state, by the refresher — the initial
+    /// snapshot's like every published one's: the table, or the failure of
+    /// a fill that panicked. Never set for a snapshot superseded before its
+    /// fill started.
+    table: OnceLock<Result<DistanceTable, FillFailed>>,
     /// In a sharded service with a gateway: the one-to-all sets from this
     /// shard's border stations, exact for this state, built by the first
-    /// stitch that pins it (or by the gateway's build for the initial
-    /// snapshot) and dropped with the snapshot's last pin.
+    /// stitch that pins it (the initial snapshot included) and dropped with
+    /// the snapshot's last pin.
     pub(crate) border_sets: OnceLock<Vec<Arc<ProfileSet>>>,
 }
 
@@ -301,13 +328,14 @@ impl NetworkSnapshot {
     }
 
     /// The distance table exact for this state: `None` when no table is
-    /// configured, and while the table is still being filled (a snapshot
-    /// superseded before its fill started stays `None`). Queries on a
-    /// snapshot without a table run the stopping criterion alone, which is
-    /// exact; [`ConcurrentNetwork::wait_for_table`] waits for a fill.
+    /// configured, while the table is still being filled, and after a fill
+    /// that failed (a snapshot superseded before its fill started stays
+    /// `None`). Queries on a snapshot without a table run the stopping
+    /// criterion alone, which is exact; [`ConcurrentNetwork::wait_for_table`]
+    /// waits for a fill.
     #[inline]
     pub fn table(&self) -> Option<&DistanceTable> {
-        self.table.get()
+        self.table.get().and_then(|filled| filled.as_ref().ok())
     }
 }
 
@@ -349,15 +377,15 @@ pub struct PublishOutcome {
 /// chunks ([`pt_core::CowChunks`]): a feed copies the chunks it writes, and
 /// a publish costs one refcount per array.
 ///
-/// With a distance table configured, the table is off the publish path: a
-/// feed hands the new snapshot to the network's one refresher thread,
-/// which recomputes every row for that state, sequentially on its own
-/// thread, and fills the snapshot's table. The refresher holds only a
-/// `Weak` to the newest unfilled snapshot, so the newest request wins: a
-/// snapshot superseded before its fill started is never filled, and drops
-/// with its last pin. Until its table is in, a snapshot answers
-/// station-to-station queries with the stopping criterion alone — exact,
-/// only unpruned.
+/// With a distance table configured, the table is off the publish path: the
+/// construction and every feed hand their snapshot to the network's one
+/// refresher thread, which recomputes every row for that state,
+/// sequentially on its own thread, and fills the snapshot's table. The
+/// refresher holds only a `Weak` to the newest unfilled snapshot, so the
+/// newest request wins: a snapshot superseded before its fill started is
+/// never filled, and drops with its last pin. Until its table is in, a
+/// snapshot answers station-to-station queries with the stopping criterion
+/// alone — exact, only unpruned.
 ///
 /// Writers are serialized on the master mutex. A pin takes the publish
 /// slot's ([`ArcSwap`]) read lock for one `Arc` clone, and a publish takes
@@ -376,27 +404,29 @@ pub struct ConcurrentNetwork {
 impl ConcurrentNetwork {
     /// Wraps a network with no distance table.
     pub fn new(net: Network) -> ConcurrentNetwork {
-        Self::with_optional_table(net, None)
+        Self::with_refresher(net, None)
     }
 
-    /// Wraps a network and builds a [`DistanceTable`] for it, which the
-    /// initial snapshot carries; every later snapshot's table is filled
-    /// by the refresher thread this starts.
+    /// Wraps a network with a [`DistanceTable`] over the selected transfer
+    /// stations. It selects the stations, starts the refresher thread and
+    /// hands it the initial snapshot, and returns without computing a row:
+    /// the refresher fills the initial snapshot's table like every later
+    /// one's, and until then s2s on it runs the stopping criterion alone.
     pub fn with_table(net: Network, selection: &TransferSelection) -> ConcurrentNetwork {
-        let table = DistanceTable::build(&net, selection);
-        Self::with_optional_table(net, Some(table))
+        let set = TransferSet::new(&net, selection.select(&net));
+        Self::with_refresher(net, Some(Refresher::spawn(Arc::new(set))))
     }
 
-    fn with_optional_table(net: Network, table: Option<DistanceTable>) -> ConcurrentNetwork {
-        let snapshot = NetworkSnapshot::of(&net);
-        let refresher = table.map(|table| {
-            let refresher = Refresher::spawn(table.transfer_set());
-            let _ = snapshot.table.set(table);
-            refresher
-        });
+    /// Publishes `net`'s initial snapshot and hands it to the refresher,
+    /// if any, as every later publish does.
+    fn with_refresher(net: Network, refresher: Option<Refresher>) -> ConcurrentNetwork {
+        let snapshot = Arc::new(NetworkSnapshot::of(&net));
+        if let Some(refresher) = &refresher {
+            refresher.request(&snapshot);
+        }
         ConcurrentNetwork {
             master: Mutex::new(net),
-            published: ArcSwap::new(Arc::new(snapshot)),
+            published: ArcSwap::new(snapshot),
             publishes: AtomicU64::new(0),
             refresher,
         }
@@ -414,15 +444,22 @@ impl ConcurrentNetwork {
     /// until the refresher has filled the current snapshot, re-pinning
     /// whenever a feed supersedes it. Without a table, the current
     /// snapshot at once.
-    pub fn wait_for_table(&self) -> Arc<NetworkSnapshot> {
-        let Some(refresher) = &self.refresher else { return self.snapshot() };
+    ///
+    /// # Errors
+    ///
+    /// [`FillFailed`] when the fill of the current snapshot panicked; that
+    /// snapshot answers unpruned, and the next feed's snapshot is filled
+    /// again.
+    pub fn wait_for_table(&self) -> Result<Arc<NetworkSnapshot>, FillFailed> {
+        let Some(refresher) = &self.refresher else { return Ok(self.snapshot()) };
         let mut request = refresher.slot.lock();
         loop {
             let snapshot = self.snapshot();
-            if snapshot.table().is_some() {
-                return snapshot;
+            match snapshot.table.get() {
+                Some(Ok(_)) => return Ok(snapshot),
+                Some(Err(failed)) => return Err(*failed),
+                None => request = refresher.slot.wait(request),
             }
-            request = refresher.slot.wait(request);
         }
     }
 
@@ -477,14 +514,21 @@ struct Request {
     newest: Weak<NetworkSnapshot>,
     /// Set when the network is dropped.
     stop: bool,
+    /// Test hook: while set, the refresher takes no request (a fill in
+    /// progress still finishes).
+    #[cfg(test)]
+    held: bool,
 }
 
 #[derive(Debug, Default)]
 struct RefreshSlot {
     request: Mutex<Request>,
-    /// Signalled when a request is posted or taken, when a fill is in and
-    /// on stop.
+    /// Signalled when a request is posted or taken, when a fill is in (or
+    /// failed) and on stop.
     changed: Condvar,
+    /// Test hook: the next fill panics.
+    #[cfg(test)]
+    panic_next_fill: std::sync::atomic::AtomicBool,
 }
 
 impl RefreshSlot {
@@ -501,16 +545,40 @@ impl RefreshSlot {
     fn run(&self, set: &Arc<TransferSet>) {
         let mut request = self.lock();
         while !request.stop {
+            #[cfg(test)]
+            if request.held {
+                request = self.wait(request);
+                continue;
+            }
             let Some(snapshot) = std::mem::take(&mut request.newest).upgrade() else {
                 request = self.wait(request);
                 continue;
             };
             drop(request);
             self.changed.notify_all();
-            snapshot.table.get_or_init(|| set.table_for(snapshot.network(), fill_engine()));
+            self.fill(&snapshot, set);
             drop(snapshot);
             request = self.lock();
             self.changed.notify_all();
+        }
+    }
+
+    /// Fills `snapshot`'s table from `set`. A fill that panics marks the
+    /// snapshot failed instead of killing the thread, so its waiters get a
+    /// [`FillFailed`] and later snapshots are still filled.
+    fn fill(&self, snapshot: &NetworkSnapshot, set: &Arc<TransferSet>) {
+        let filled = catch_unwind(AssertUnwindSafe(|| {
+            snapshot.table.get_or_init(|| {
+                #[cfg(test)]
+                if self.panic_next_fill.swap(false, Ordering::Relaxed) {
+                    panic!("injected fill panic");
+                }
+                Ok(set.table_for(snapshot.network(), fill_engine()))
+            });
+        }));
+        if filled.is_err() {
+            let failed = FillFailed { snapshot: (snapshot.epoch(), snapshot.generation()) };
+            let _ = snapshot.table.set(Err(failed));
         }
     }
 }
@@ -518,6 +586,10 @@ impl RefreshSlot {
 impl Refresher {
     fn spawn(set: Arc<TransferSet>) -> Refresher {
         let slot = Arc::new(RefreshSlot::default());
+        #[cfg(test)]
+        {
+            slot.lock().held = SPAWN_HELD.with(std::cell::Cell::get);
+        }
         let run = Arc::clone(&slot);
         let thread = std::thread::Builder::new()
             .name("table-refresher".into())
@@ -539,10 +611,62 @@ impl Drop for Refresher {
         self.slot.lock().stop = true;
         self.slot.changed.notify_all();
         if let Some(thread) = self.thread.take() {
-            // A fill that panicked was reported by the panic hook, and a
-            // drop must not panic again.
+            // The thread catches a fill's panic, and a drop must not panic.
             let _ = thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: refreshers spawned on this thread while set start held.
+    static SPAWN_HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test hook: runs `build`, whose tabled networks' refreshers start held,
+/// so they fill nothing — their initial snapshots included — until
+/// [`ConcurrentNetwork::hold_refresher`] releases them.
+#[cfg(test)]
+pub(crate) fn spawn_held<R>(build: impl FnOnce() -> R) -> R {
+    SPAWN_HELD.with(|held| held.set(true));
+    let out = build();
+    SPAWN_HELD.with(|held| held.set(false));
+    out
+}
+
+/// Runs `body` on a thread of its own and waits 30 s for it, so a lost
+/// wake-up (a waiter nobody wakes) fails the test instead of hanging the
+/// suite. A panic in `body` is resumed here with its own payload.
+#[cfg(test)]
+pub(crate) fn within_deadline<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("the body ended without an answer"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("still waiting after the 30 s deadline"),
+    }
+}
+
+#[cfg(test)]
+impl ConcurrentNetwork {
+    /// Test hook: holds (`true`) or releases the refresher (see
+    /// `Request::held`).
+    pub(crate) fn hold_refresher(&self, held: bool) {
+        let slot = &self.refresher.as_ref().expect("a tabled network").slot;
+        slot.lock().held = held;
+        slot.changed.notify_all();
+    }
+
+    /// Test hook: the refresher's next fill panics.
+    pub(crate) fn panic_next_fill(&self) {
+        let slot = &self.refresher.as_ref().expect("a tabled network").slot;
+        slot.panic_next_fill.store(true, Ordering::Relaxed);
     }
 }
 
@@ -550,8 +674,6 @@ impl Drop for Refresher {
 mod tests {
     use super::*;
     use pt_timetable::synthetic::city::{generate_city, CityConfig};
-    use std::sync::mpsc;
-    use std::time::Duration;
 
     fn net() -> Network {
         Network::new(generate_city(&CityConfig::sized(30, 4, 9)))
@@ -664,11 +786,17 @@ mod tests {
         let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Explicit(a.clone()));
         // Trains alternate A, B, A, B, …: train 1 runs in B, train 0 in A.
         for train in [1, 0] {
-            let pinned = cnet.snapshot();
+            // The first pin is the initial snapshot, whose table the
+            // refresher fills like every later one's.
+            let pinned = cnet.wait_for_table().expect("no fill panics");
+            assert_same_rows(
+                pinned.table().unwrap(),
+                &DistanceTable::build_for(pinned.network(), a.clone()),
+            );
             let outcome = cnet.apply_feed(&[delay(train, 30)]);
             assert!(outcome.summary.changed(), "the delay of train {train} must take effect");
 
-            let after = cnet.wait_for_table();
+            let after = cnet.wait_for_table().expect("no fill panics");
             assert!(Arc::ptr_eq(&after, outcome.published.as_ref().unwrap()));
             let (old, new) = (pinned.table().unwrap(), after.table().unwrap());
             assert!(old.check_fresh(pinned.network()).is_ok(), "pinned table, own generation");
@@ -681,9 +809,13 @@ mod tests {
     #[test]
     fn superseded_snapshot_drops_with_its_last_pin() {
         let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
-        let pinned = cnet.snapshot();
+        // A fill in progress is a pin: the refresher holds the initial
+        // snapshot while it fills it. Once the next snapshot's table is in,
+        // the refresher has let go of the initial one.
+        let pinned = cnet.wait_for_table().expect("no fill panics");
         let old = Arc::downgrade(&pinned);
         assert!(cnet.apply_feed(&[delay(1, 20)]).summary.changed());
+        assert!(!Arc::ptr_eq(&cnet.wait_for_table().expect("no fill panics"), &pinned));
         assert!(old.upgrade().is_some(), "a pinned snapshot stays alive");
         drop(pinned);
         assert!(old.upgrade().is_none(), "the last pin frees the superseded snapshot");
@@ -694,7 +826,7 @@ mod tests {
         let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
         let outcome = cnet.apply_feed(&[delay(1, 20)]);
         assert!(outcome.summary.changed());
-        let snap = cnet.wait_for_table();
+        let snap = cnet.wait_for_table().expect("no fill panics");
         assert!(Arc::ptr_eq(&snap, outcome.published.as_ref().unwrap()));
         let table = snap.table().expect("table configured");
         assert!(table.check_fresh(snap.network()).is_ok());
@@ -716,13 +848,16 @@ mod tests {
         let query = |snap: &NetworkSnapshot, (s, t)| {
             engine.try_query_on(snap.network(), snap.table(), s, t).expect("never stale")
         };
-        let (snap, plain) = with_refresher_busy(&cnet, || {
+        // The published table is in, so a publish that carried it over
+        // would show.
+        assert!(cnet.wait_for_table().expect("no fill panics").table().is_some());
+        let (snap, plain) = with_refresher_held(&cnet, || {
             let snap = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
             assert!(snap.table().is_none(), "the refresher cannot have filled it yet");
             let plain: Vec<_> = pairs.iter().map(|&pair| query(&snap, pair)).collect();
             (snap, plain)
         });
-        assert!(Arc::ptr_eq(&cnet.wait_for_table(), &snap));
+        assert!(Arc::ptr_eq(&cnet.wait_for_table().expect("no fill panics"), &snap));
         for (&pair, plain) in pairs.iter().zip(plain) {
             let tabled = query(&snap, pair);
             assert_eq!(plain.kind, QueryKind::Plain, "{pair:?}");
@@ -734,11 +869,11 @@ mod tests {
     #[test]
     fn superseded_snapshot_is_never_filled_and_drops_with_its_last_pin() {
         let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
-        let (skipped, newest) = with_refresher_busy(&cnet, || {
+        let (skipped, newest) = with_refresher_held(&cnet, || {
             let skipped = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
             (skipped, cnet.apply_feed(&[delay(2, 20)]).published.unwrap())
         });
-        assert!(Arc::ptr_eq(&cnet.wait_for_table(), &newest));
+        assert!(Arc::ptr_eq(&cnet.wait_for_table().expect("no fill panics"), &newest));
         assert!(skipped.table().is_none(), "only the newest request is filled");
         let weak = Arc::downgrade(&skipped);
         drop(skipped);
@@ -750,14 +885,57 @@ mod tests {
         let cnet = ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2));
         let slot = Arc::downgrade(&cnet.refresher.as_ref().unwrap().slot);
         let published = cnet.apply_feed(&[delay(1, 20)]).published.unwrap();
-        let (done, dropped) = mpsc::channel();
-        std::thread::spawn(move || {
-            drop(cnet);
-            done.send(()).unwrap();
-        });
-        dropped.recv_timeout(Duration::from_secs(60)).expect("the drop hung on its refresher");
+        within_deadline(move || drop(cnet));
         assert!(slot.upgrade().is_none(), "the refresher thread exited");
         assert!(published.table().is_none_or(|t| t.check_fresh(&published).is_ok()));
+    }
+
+    #[test]
+    fn the_initial_snapshot_is_filled_by_the_refresher_not_the_build() {
+        let cnet = Arc::new(spawn_held(|| {
+            ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2))
+        }));
+        let initial = cnet.snapshot();
+        assert!(initial.table().is_none(), "the build computes no row");
+        cnet.hold_refresher(false);
+        let waiter = Arc::clone(&cnet);
+        let filled = within_deadline(move || waiter.wait_for_table()).expect("no fill panics");
+        assert!(Arc::ptr_eq(&filled, &initial), "the initial snapshot was handed over");
+        let table = filled.table().unwrap();
+        assert!(table.check_fresh(&filled).is_ok());
+        assert_same_rows(table, &DistanceTable::build_for(&filled, table.stations().to_vec()));
+    }
+
+    #[test]
+    fn a_panicking_fill_fails_its_waiters_and_the_refresher_fills_the_next_snapshot() {
+        use crate::{ProfileEngine, QueryKind, S2sEngine};
+        let cnet =
+            Arc::new(ConcurrentNetwork::with_table(net(), &TransferSelection::Fraction(0.2)));
+        let waiter = Arc::clone(&cnet);
+        within_deadline(move || waiter.wait_for_table()).expect("the initial fill succeeds");
+        let failed = with_refresher_held(&cnet, || {
+            cnet.panic_next_fill();
+            cnet.apply_feed(&[delay(1, 20)]).published.unwrap()
+        });
+        let waiter = Arc::clone(&cnet);
+        let err = within_deadline(move || waiter.wait_for_table()).expect_err("the fill panicked");
+        assert_eq!(err, FillFailed { snapshot: (failed.epoch(), failed.generation()) });
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert!(failed.table().is_none(), "a failed fill leaves no table");
+
+        // Queries on the failed snapshot keep running unpruned, exactly.
+        let (s, t) = (StationId(2), StationId(27));
+        let plain = S2sEngine::new().try_query_on(&failed, failed.table(), s, t).unwrap();
+        assert_eq!(plain.kind, QueryKind::Plain);
+        assert_eq!(&plain.profile, ProfileEngine::new().one_to_all(&failed, s).profile(t));
+
+        // The refresher survived: the next feed's snapshot gets its table.
+        let next = cnet.apply_feed(&[delay(2, 20)]).published.unwrap();
+        let waiter = Arc::clone(&cnet);
+        let filled = within_deadline(move || waiter.wait_for_table()).expect("filled again");
+        assert!(Arc::ptr_eq(&filled, &next));
+        let table = filled.table().unwrap();
+        assert_same_rows(table, &DistanceTable::build_for(&filled, table.stations().to_vec()));
     }
 
     /// `a` and `b` hold the same stations and the same profile per pair.
@@ -770,35 +948,18 @@ mod tests {
         }
     }
 
-    /// Runs `body` while the refresher is stuck on a request of the test's
-    /// own: a snapshot whose table a helper thread holds the initialisation
-    /// of until `body` returns (or unwinds, dropping `release`). Requests
-    /// posted meanwhile wait, and only the newest of them is taken
-    /// afterwards.
-    fn with_refresher_busy<R>(cnet: &ConcurrentNetwork, body: impl FnOnce() -> R) -> R {
-        let refresher = cnet.refresher.as_ref().expect("a tabled network");
-        let blocker = Arc::new(NetworkSnapshot::of(&cnet.snapshot()));
-        std::thread::scope(|s| {
-            let (entered, inside) = mpsc::channel();
-            let (release, released) = mpsc::channel::<()>();
-            let blocker = &blocker;
-            s.spawn(move || {
-                blocker.table.get_or_init(|| {
-                    entered.send(()).unwrap();
-                    let _ = released.recv();
-                    DistanceTable::build_for(blocker.network(), Vec::new())
-                })
-            });
-            inside.recv().unwrap();
-            refresher.request(blocker);
-            let mut request = refresher.slot.lock();
-            while request.newest.strong_count() > 0 {
-                request = refresher.slot.wait(request);
+    /// Runs `body` with the refresher held: it takes no request until
+    /// `body` returns (or unwinds), so requests posted meanwhile wait, and
+    /// only the newest of them is taken afterwards.
+    fn with_refresher_held<R>(cnet: &ConcurrentNetwork, body: impl FnOnce() -> R) -> R {
+        struct Release<'a>(&'a ConcurrentNetwork);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.hold_refresher(false);
             }
-            drop(request);
-            let out = body();
-            release.send(()).unwrap();
-            out
-        })
+        }
+        cnet.hold_refresher(true);
+        let _release = Release(cnet);
+        body()
     }
 }

@@ -70,7 +70,7 @@ use pt_timetable::DelayEvent;
 use crate::cache::CacheStats;
 use crate::connection_setting::ProfileEngine;
 use crate::gateway::{BorderSpec, Gateway, GatewayStats};
-use crate::network::{ConcurrentNetwork, Network, NetworkSnapshot, PublishOutcome};
+use crate::network::{ConcurrentNetwork, FillFailed, Network, NetworkSnapshot, PublishOutcome};
 use crate::profile_set::ProfileSet;
 use crate::s2s::{QueryKind, S2sEngine, S2sResult};
 use crate::stats::QueryStats;
@@ -129,6 +129,14 @@ pub enum RouterError {
         /// Shard owning the target station.
         target: ShardId,
     },
+    /// The fill of the shard's current table panicked; its snapshot
+    /// answers unpruned until the next feed's snapshot is filled.
+    FillFailed {
+        /// The shard whose fill failed.
+        shard: ShardId,
+        /// The failed fill.
+        failed: FillFailed,
+    },
 }
 
 impl fmt::Display for RouterError {
@@ -148,6 +156,7 @@ impl fmt::Display for RouterError {
                 "station-to-station query crosses shards ({source} → {target}); cross-shard \
                  journeys need a gateway above the router"
             ),
+            RouterError::FillFailed { shard, failed } => write!(f, "{shard}: {failed}"),
         }
     }
 }
@@ -237,9 +246,11 @@ impl ShardedServiceBuilder {
         self
     }
 
-    /// Builds a distance table per shard with this selection; each shard's
-    /// refresher fills every snapshot the shard publishes with the table
-    /// exact for it, in the background.
+    /// Gives every shard a distance table over this selection. The build
+    /// computes no row: each shard's refresher fills every snapshot the
+    /// shard publishes, the initial one included, with the table exact for
+    /// it, in the background ([`ShardedService::wait_for_table`] waits for
+    /// one).
     pub fn tables(mut self, selection: TransferSelection) -> Self {
         self.tables = Some(selection);
         self
@@ -251,8 +262,8 @@ impl ShardedServiceBuilder {
     /// shards), and [`ShardedService::s2s`] / [`ShardedService::s2s_batch`]
     /// answer cross-shard pairs by stitching instead of refusing them. Each
     /// shard's border sets live on the snapshot they are exact for: the
-    /// build fills the initial snapshots, and the first stitch that pins a
-    /// later snapshot fills it.
+    /// build computes none, and the first stitch that pins a snapshot, the
+    /// initial one included, fills it.
     pub fn gateway(mut self, spec: BorderSpec) -> Self {
         self.gateway = Some(spec);
         self
@@ -447,10 +458,13 @@ impl ShardedService {
     }
 
     /// Pins the shard's current snapshot once its table is in; see
-    /// [`ConcurrentNetwork::wait_for_table`].
+    /// [`ConcurrentNetwork::wait_for_table`]. Errors with
+    /// [`RouterError::FillFailed`] when the fill of that snapshot's table
+    /// panicked.
     pub fn wait_for_table(&self, shard: ShardId) -> Result<Arc<NetworkSnapshot>, RouterError> {
         self.check_shard(shard)?;
-        Ok(self.shards[shard.idx()].net.wait_for_table())
+        let net = &self.shards[shard.idx()].net;
+        net.wait_for_table().map_err(|failed| RouterError::FillFailed { shard, failed })
     }
 
     /// How many snapshots `shard` has published (= feeds that changed it).
@@ -719,7 +733,7 @@ impl ShardedService {
     }
 
     /// Gateway counters — border groups, per-shard border counts, and the
-    /// cumulative border rows built for snapshots after the build (see
+    /// cumulative border rows built for the snapshots stitches pinned (see
     /// [`GatewayStats::rows_refreshed`]); `None` when built without
     /// [`ShardedServiceBuilder::gateway`].
     pub fn gateway_stats(&self) -> Option<GatewayStats> {
@@ -1173,10 +1187,12 @@ mod tests {
         }
         assert_eq!(out[1].as_ref().unwrap().value.kind, QueryKind::Plain, "no table, no gateway");
 
+        // No feed: the first stitch built each shard's initial border row,
+        // and every later stitch reused it.
         let stats = svc.gateway_stats().unwrap();
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.borders_per_shard, vec![1, 1]);
-        assert_eq!(stats.rows_refreshed, vec![0, 0], "no feed, no refreshes");
+        assert_eq!(stats.rows_refreshed, vec![1, 1], "one build per initial snapshot");
     }
 
     #[test]
@@ -1216,9 +1232,10 @@ mod tests {
         let want = ProfileEngine::new().one_to_all(&mono, StationId(0));
         assert_eq!(&after, want.profile(StationId(2)), "stitched must track the fed monolith");
 
-        // Only the touched shard's border row was recomputed.
+        // The first stitch built both initial rows; the feed recomputed
+        // only the touched shard's.
         let stats = svc.gateway_stats().unwrap();
-        assert_eq!(stats.rows_refreshed, vec![0, 1], "shard 0 was never touched");
+        assert_eq!(stats.rows_refreshed, vec![1, 2], "shard 0 was never touched");
     }
 
     #[test]
@@ -1227,41 +1244,47 @@ mod tests {
         let svc = ShardedService::builder().gateway(BorderSpec::ByName).build(shards);
         let pairs = vec![(StationId(0), StationId(3))];
         let rows = || svc.gateway_stats().unwrap().rows_refreshed;
-        let east_borders = svc.gateway_stats().unwrap().borders_per_shard[1] as u64;
+        let borders = svc.gateway_stats().unwrap().borders_per_shard;
+        let (west, east) = (borders[0] as u64, borders[1] as u64);
+        assert_eq!(rows(), vec![0, 0], "the build computes no border row");
 
-        // A cut pinned before the feeds; its snapshots were filled at build.
+        // A cut pinned before the feeds; its first stitch fills it.
         let located: Vec<_> = pairs.iter().map(|&(s, t)| svc.locate_pair(s, t)).collect();
         let pins = svc.pin(svc.shard_ids());
         let reference = svc.s2s_batch(&pairs);
-        assert_eq!(rows(), vec![0, 0], "the build-time fill is not counted");
+        assert_eq!(rows(), vec![west, east], "one build per initial snapshot");
 
         // Two feeds publish two snapshots; only the one a stitch pins
         // builds its sets, once.
         for event in [east_delay(0, 30), east_delay(1, 45)] {
             assert!(svc.apply_feed(&[event]).unwrap()[0].1.summary.changed());
         }
-        assert_eq!(rows(), vec![0, 0], "a feed builds no border rows");
+        assert_eq!(rows(), vec![west, east], "a feed builds no border rows");
         let profile = |r: &[Result<Routed<S2sResult>, RouterError>]| {
             r[0].as_ref().unwrap().value.profile.clone()
         };
         let fed = svc.s2s_batch(&pairs);
-        assert_eq!(rows(), vec![0, east_borders], "one build for the stitched snapshot");
+        assert_eq!(rows(), vec![west, 2 * east], "one build for the stitched snapshot");
         assert_eq!(profile(&svc.s2s_batch(&pairs)), profile(&fed));
-        assert_eq!(rows(), vec![0, east_borders], "a second stitch reuses the sets");
+        assert_eq!(rows(), vec![west, 2 * east], "a second stitch reuses the sets");
 
         // The pre-feed cut still carries its own sets and answers pre-feed.
         let pinned = svc.s2s_batch_pinned(located, &pins);
-        assert_eq!(rows(), vec![0, east_borders], "the pinned cut builds nothing");
+        assert_eq!(rows(), vec![west, 2 * east], "the pinned cut builds nothing");
         assert_eq!(profile(&pinned), profile(&reference));
         assert_ne!(profile(&pinned), profile(&fed), "the feeds moved the stitched answer");
     }
 
     #[test]
     fn superseded_snapshots_drop_their_border_sets_with_their_last_pin() {
-        let (shards, _) = border_cities();
+        let (shards, mono) = border_cities();
         let svc = ShardedService::builder().gateway(BorderSpec::ByName).build(shards);
         let old = svc.network(ShardId(1)).unwrap();
-        let old_set = Arc::downgrade(&old.border_sets.get().expect("filled at build")[0]);
+        assert!(old.border_sets.get().is_none(), "the build fills no border set");
+        let first = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
+        let mono_answer = ProfileEngine::new().one_to_all(&mono, StationId(0));
+        assert_eq!(&first, mono_answer.profile(StationId(2)), "the first stitch is exact");
+        let old_set = Arc::downgrade(&old.border_sets.get().expect("filled by the stitch")[0]);
 
         assert!(svc.apply_feed(&[east_delay(0, 30)]).unwrap()[0].1.summary.changed());
         let answer = svc.s2s(StationId(0), StationId(3)).unwrap().value.profile;
@@ -1277,6 +1300,98 @@ mod tests {
         let newest = svc.network(ShardId(1)).unwrap();
         assert!(Arc::ptr_eq(&newest.border_sets.get().unwrap()[0], &newest_set));
         assert_eq!(svc.s2s(StationId(0), StationId(3)).unwrap().value.profile, answer);
+    }
+
+    #[test]
+    fn a_fresh_service_computes_no_row_until_a_refresher_or_a_stitch_does() {
+        use crate::network::{spawn_held, within_deadline};
+        let (shards, mono) = border_cities();
+        let svc = Arc::new(spawn_held(|| {
+            ShardedService::builder()
+                .tables(TransferSelection::Explicit(vec![StationId(0), StationId(1)]))
+                .gateway(BorderSpec::ByName)
+                .build(shards)
+        }));
+        let stats = svc.gateway_stats().unwrap();
+        assert_eq!(stats.rows_refreshed, vec![0, 0], "the build computes no border row");
+        let initial: Vec<_> = svc.shard_ids().map(|sh| svc.network(sh).unwrap()).collect();
+        for (snap, sh) in initial.iter().zip(svc.shard_ids()) {
+            assert!(snap.table().is_none(), "{sh}: the build computes no table row");
+            assert!(snap.border_sets.get().is_none(), "{sh}: nor a border set");
+        }
+
+        // Until the refreshers fill, same-shard pairs run the stopping
+        // criterion alone.
+        let pairs =
+            [(0u32, 1u32), (1, 0), (2, 3), (3, 2)].map(|(s, t)| (StationId(s), StationId(t)));
+        let plain: Vec<_> = pairs.iter().map(|&(s, t)| svc.s2s(s, t).unwrap().value).collect();
+        for (answer, pair) in plain.iter().zip(&pairs) {
+            assert_eq!(answer.kind, QueryKind::Plain, "{pair:?}");
+        }
+
+        // The first stitch builds each shard's initial border sets, once,
+        // and is exactly the merged monolith's answer.
+        let mono_profiles = |src: u32| ProfileEngine::new().one_to_all(&mono, StationId(src));
+        let first = svc.s2s(StationId(0), StationId(3)).unwrap().value;
+        assert_eq!(first.kind, QueryKind::Gateway);
+        assert_eq!(&first.profile, mono_profiles(0).profile(StationId(2)));
+        let reverse = svc.s2s(StationId(3), StationId(0)).unwrap().value;
+        assert_eq!(&reverse.profile, mono_profiles(2).profile(StationId(0)));
+        let stats = svc.gateway_stats().unwrap();
+        assert_eq!(
+            stats.rows_refreshed,
+            stats.borders_per_shard.iter().map(|&b| b as u64).collect::<Vec<_>>()
+        );
+
+        // Released, each refresher fills its initial snapshot with the rows
+        // of a from-scratch build, and the tabled answers equal the plain
+        // ones byte for byte.
+        for sh in svc.shard_ids() {
+            svc.shards[sh.idx()].net.hold_refresher(false);
+            let waiter = Arc::clone(&svc);
+            let filled = within_deadline(move || waiter.wait_for_table(sh)).unwrap();
+            assert!(Arc::ptr_eq(&filled, &initial[sh.idx()]), "{sh}");
+            let table = filled.table().unwrap();
+            let rebuilt = DistanceTable::build_for(&filled, table.stations().to_vec());
+            for &a in table.stations() {
+                for &b in table.stations() {
+                    assert_eq!(table.profile(a, b), rebuilt.profile(a, b), "{sh}: D({a}, {b})");
+                }
+            }
+        }
+        for (answer, &(s, t)) in plain.iter().zip(&pairs) {
+            let tabled = svc.s2s(s, t).unwrap().value;
+            assert_ne!(tabled.kind, QueryKind::Plain, "{s} → {t} once the table is in");
+            assert_eq!(tabled.profile, answer.profile, "{s} → {t}");
+        }
+    }
+
+    #[test]
+    fn a_failed_fill_is_a_typed_router_error_and_the_shard_answers_plain() {
+        use crate::network::{spawn_held, within_deadline};
+        let svc = Arc::new(spawn_held(|| {
+            ShardedService::builder()
+                .tables(TransferSelection::Explicit(vec![StationId(0), StationId(2)]))
+                .build(vec![city(0), city(5)])
+        }));
+        svc.shards[1].net.panic_next_fill();
+        for sh in svc.shard_ids() {
+            svc.shards[sh.idx()].net.hold_refresher(false);
+        }
+        let waiter = Arc::clone(&svc);
+        let err = within_deadline(move || waiter.wait_for_table(ShardId(1))).unwrap_err();
+        let snap = svc.network(ShardId(1)).unwrap();
+        let failed = FillFailed { snapshot: (snap.epoch(), snap.generation()) };
+        assert_eq!(err, RouterError::FillFailed { shard: ShardId(1), failed });
+        assert!(err.to_string().starts_with("shard 1: "), "{err}");
+        let waiter = Arc::clone(&svc);
+        assert!(within_deadline(move || waiter.wait_for_table(ShardId(0))).is_ok());
+
+        let (s, t) = (StationId(3), StationId(5));
+        let answer = svc.s2s(s, t).unwrap().value;
+        assert_eq!(answer.kind, QueryKind::Plain, "the failed snapshot answers unpruned");
+        let want = ProfileEngine::new().one_to_all(&snap, StationId(0));
+        assert_eq!(&answer.profile, want.profile(StationId(2)));
     }
 
     #[test]

@@ -355,14 +355,9 @@ impl ServiceCalendar {
         Ok(())
     }
 
-    /// The service assigned to `train`, or `None` for a daily train.
-    pub fn service_of(&self, train: TrainId) -> Option<ServiceId> {
-        self.train_service.get(train.idx()).copied().flatten()
-    }
-
-    /// Does `train` run on `date`? Unassigned trains always do.
+    /// Does `train` run on `date`? Unassigned (daily) trains always do.
     pub fn runs_on(&self, train: TrainId, date: Date) -> bool {
-        match self.service_of(train) {
+        match self.train_service.get(train.idx()).copied().flatten() {
             None => true,
             Some(s) => self.services[s.0 as usize].active_on(date),
         }

@@ -29,7 +29,9 @@ fn main() {
     println!("serving {} shards, {} stations total:", svc.num_shards(), svc.num_stations());
     for shard in svc.shard_ids() {
         let range = svc.station_range(shard).unwrap();
-        let net = svc.network(shard).unwrap();
+        // The build returns before any table row is computed: each shard's
+        // refresher fills its initial table in the background.
+        let net = svc.wait_for_table(shard).unwrap();
         println!(
             "  {shard}: stations {}..{} ({} connections, table over {} transfer stations)",
             range.start,

@@ -71,10 +71,10 @@ pub mod prelude {
     };
     pub use pt_graph::{StationGraph, TdGraph};
     pub use pt_spcs::{
-        BorderSpec, CacheStats, ConcurrentNetwork, DistanceTable, FeedSummary, GatewayStats,
-        KernelMode, Network, NetworkSnapshot, PartitionStrategy, ProfileEngine, PublishOutcome,
-        QueryStats, Routed, RouterError, S2sCache, S2sEngine, ShardId, ShardedService, StaleTable,
-        TransferSelection,
+        BorderSpec, CacheStats, ConcurrentNetwork, DistanceTable, FeedSummary, FillFailed,
+        GatewayStats, KernelMode, Network, NetworkSnapshot, PartitionStrategy, ProfileEngine,
+        PublishOutcome, QueryStats, Routed, RouterError, S2sCache, S2sEngine, ShardId,
+        ShardedService, StaleTable, TransferSelection,
     };
     pub use pt_timetable::{
         Date, DelayEvent, Recovery, ServiceCalendar, ServicePattern, Station, Timetable,

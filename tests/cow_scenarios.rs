@@ -49,7 +49,7 @@ proptest! {
         }
 
         // Pin the current state once the refresher has filled its table.
-        let pinned = cnet.wait_for_table();
+        let pinned = cnet.wait_for_table().expect("no fill panics");
         let pinned_gen = pinned.generation();
         // Capture the pinned state *by value* at pin time: a materialized
         // copy of every connection, and a from-scratch rebuild (fresh
@@ -98,7 +98,7 @@ proptest! {
         // And the *current* snapshot answers like a rebuild of the
         // current state — sharing corrupted neither side — and so does the
         // table the refresher fills it with.
-        let fresh = cnet.wait_for_table();
+        let fresh = cnet.wait_for_table().expect("no fill panics");
         let fresh_rebuilt = Network::build(fresh.timetable());
         let fresh_table = fresh.table().expect("table configured");
         prop_assert!(fresh_table.check_fresh(fresh.network()).is_ok());
@@ -165,13 +165,14 @@ fn single_delay_publish_shares_the_untouched_bulk() {
 /// changes the network: the refresher fills the new snapshot with a table
 /// of its own, every row recomputed (the pinned reader keeps its old
 /// rows), while a net-nil feed publishes nothing and keeps the very same
-/// table published.
+/// table published. The initial snapshot's table is the refresher's too:
+/// it is waited for, and holds the rows of a from-scratch build.
 #[test]
 fn table_rows_unshare_exactly_when_rewritten() {
     let net = Network::new(generate_city(&CityConfig::sized(30, 4, 3)));
     let num_trains = net.timetable().num_trains() as u32;
     let cnet = ConcurrentNetwork::with_table(net, &TransferSelection::Fraction(0.3));
-    let pinned = cnet.snapshot();
+    let pinned = cnet.wait_for_table().expect("no fill panics");
     let pinned_table = pinned.table().unwrap();
     let rebuilt_at_pin = Network::build(pinned.timetable());
 
@@ -184,7 +185,7 @@ fn table_rows_unshare_exactly_when_rewritten() {
     let mut rng = StdRng::seed_from_u64(1);
     let outcome = cnet.apply_feed(&random_feed(&mut rng, num_trains, 4, 60));
     assert!(outcome.summary.changed());
-    let after = cnet.wait_for_table();
+    let after = cnet.wait_for_table().expect("no fill panics");
     assert!(std::sync::Arc::ptr_eq(&after, outcome.published.as_ref().unwrap()));
     let after_table = after.table().unwrap();
     assert!(!std::ptr::eq(pinned_table, after_table));

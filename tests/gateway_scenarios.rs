@@ -10,10 +10,11 @@
 //! function, so equality is exact, not approximate).
 //!
 //! The deterministic half pins the **per-shard scope** of the border
-//! sets, which live on each shard's snapshot: the first stitch after a
-//! feed to a shard rebuilds every border row of that shard — even when the
-//! feed only touches a sub-line unreachable from the border — and a feed
-//! to one shard never rebuilds another shard's rows.
+//! sets, which live on each shard's snapshot: the service's build computes
+//! none, the first stitch builds every shard's initial row once, the first
+//! stitch after a feed to a shard rebuilds every border row of that shard —
+//! even when the feed only touches a sub-line unreachable from the border —
+//! and a feed to one shard never rebuilds another shard's rows.
 
 use proptest::prelude::*;
 
@@ -81,8 +82,8 @@ fn delay(train: u32) -> DelayEvent {
     }
 }
 
-/// The cumulative per-shard border rows refreshed, after forcing any
-/// pending refresh by answering a cross-shard pair.
+/// The cumulative per-shard border rows built, after forcing any pending
+/// build by answering a cross-shard pair.
 fn rows_after_query(svc: &ShardedService) -> Vec<u64> {
     let x = svc.global_id(ShardId(0), StationId(1)).unwrap();
     let c = svc.global_id(ShardId(1), StationId(1)).unwrap();
@@ -94,31 +95,34 @@ fn rows_after_query(svc: &ShardedService) -> Vec<u64> {
 #[test]
 fn border_unreachable_feeds_refresh_only_the_fed_shards_row() {
     let svc = border_with_isolated_subline();
-    assert_eq!(rows_after_query(&svc), vec![0, 0], "pristine tables need no refresh");
+    let built = svc.gateway_stats().expect("gateway enabled").rows_refreshed;
+    assert_eq!(built, vec![0, 0], "the build computes no border row");
+    assert_eq!(rows_after_query(&svc), vec![1, 1], "the first stitch builds each initial row");
+    assert_eq!(rows_after_query(&svc), vec![1, 1], "and later stitches reuse them");
 
     // Delay the isolated `y→z` train: no journey from the border changes,
     // but the west generation moves, so the west border row is recomputed
     // — and only it (the east shard saw no events).
     svc.apply_feed(&[(ShardId(0), delay(2))]).unwrap();
-    assert_eq!(rows_after_query(&svc), vec![1, 0], "west row refreshes, east stays");
+    assert_eq!(rows_after_query(&svc), vec![2, 1], "west row refreshes, east stays");
 }
 
 #[test]
 fn border_reachable_feeds_refresh_exactly_the_touched_shards_row() {
     let svc = border_with_isolated_subline();
-    let _ = rows_after_query(&svc);
+    assert_eq!(rows_after_query(&svc), vec![1, 1], "the first stitch builds each initial row");
 
     // Delay `b0→x`: the touched set is in the border's component, so the
     // west border row is recomputed — and only it (the east shard saw no
     // events, its generation did not move).
     svc.apply_feed(&[(ShardId(0), delay(0))]).unwrap();
-    assert_eq!(rows_after_query(&svc), vec![1, 0], "west row refreshes, east stays");
+    assert_eq!(rows_after_query(&svc), vec![2, 1], "west row refreshes, east stays");
 
     // A later feed to the east shard refreshes the east row and leaves
     // the (already-fresh) west row alone: the counters are per shard and
     // cumulative.
     svc.apply_feed(&[(ShardId(1), delay(0))]).unwrap();
-    assert_eq!(rows_after_query(&svc), vec![1, 1], "east row refreshes, west already fresh");
+    assert_eq!(rows_after_query(&svc), vec![2, 2], "east row refreshes, west already fresh");
 }
 
 #[test]
